@@ -1,0 +1,162 @@
+"""Assembly of explicit time-marching stencil schemes from Lagrange bases.
+
+A scheme is three per-offset coefficient tables, each entry an exact
+polynomial in the Courant number: the first time-step combines the initial
+displacement and velocity fields, every later step is a two-step update
+(the trailing -u^{k-1} term is implicit).  Offsets whose displacement and
+velocity coefficients are both identically zero are dropped, which is an
+exact rational test, not a tolerance test.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from fractions import Fraction
+
+from .interpolation import Offset, lagrange_basis
+from .quadrature import LambdaPoly, a_on_polynomial, b_on_polynomial
+
+NAMED_SCHEMES = ("P5", "C5", "P9", "C9", "P13", "C13")
+
+
+class UnknownSchemeError(Exception):
+    """Requested scheme name is not one of the bundled schemes."""
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """Complete explicit scheme: first-step and two-step coefficient tables.
+
+    ``first_u`` and ``first_v`` weight the initial displacement and the
+    (time-step-scaled) initial velocity in the first update; ``two_step``
+    weights the current field in all later updates, with the previous field
+    entering with implicit coefficient -1.  Tables store only offsets with a
+    nonzero coefficient.  ``radius`` is the largest |offset component| over
+    all retained offsets; ``m`` is the size of the generating monomial
+    segment (0 for tables postulated directly rather than derived).
+    """
+
+    name: str
+    m: int
+    first_u: dict[Offset, LambdaPoly]
+    first_v: dict[Offset, LambdaPoly]
+    two_step: dict[Offset, LambdaPoly]
+    radius: int
+
+    @property
+    def offsets(self) -> tuple[Offset, ...]:
+        """Retained offsets, first-step order, union over all tables."""
+        seen = dict.fromkeys(self.first_u)
+        seen.update(dict.fromkeys(self.first_v))
+        return tuple(seen)
+
+
+def generate_scheme(m: int, name: str | None = None) -> SchemeSpec:
+    """Derive the scheme generated by the size-m Lagrange basis.
+
+    Each basis function attached to offset s contributes its exact
+    displacement-operator value to ``first_u[s]`` and velocity-operator value
+    to ``first_v[s]``; the two-step table is twice the first.  Offsets whose
+    values all vanish (every odd-exponent monomial integrates to zero) are
+    pruned.  Propagates :class:`~poisson_stencils.interpolation.SingularMatrixError`
+    when the basis does not exist.
+    """
+    basis = lagrange_basis(m)
+    first_u: dict[Offset, LambdaPoly] = {}
+    first_v: dict[Offset, LambdaPoly] = {}
+    two_step: dict[Offset, LambdaPoly] = {}
+    for s, offset in enumerate(basis.nodes):
+        poly = basis.polynomial(s)
+        u_val = a_on_polynomial(poly)
+        v_val = b_on_polynomial(poly)
+        if u_val:
+            first_u[offset] = u_val
+            two_step[offset] = 2 * u_val
+        if v_val:
+            first_v[offset] = v_val
+    retained = {*first_u, *first_v}
+    radius = max(max(abs(q1), abs(q2)) for q1, q2 in retained)
+    if name is None:
+        name = f"P{len(retained)}"
+    return SchemeSpec(
+        name=name, m=m, first_u=first_u, first_v=first_v, two_step=two_step, radius=radius
+    )
+
+
+def conventional_first_step(spec: SchemeSpec, name: str | None = None) -> SchemeSpec:
+    """Replace the first-step velocity table by the bare central-difference one.
+
+    The conventional first step adds tau times the initial velocity at the
+    center only; the displacement part and the two-step table are unchanged.
+    """
+    center_only = {(0, 0): LambdaPoly.constant(1)}
+    return replace(
+        spec,
+        name=name or f"conventional-{spec.name}",
+        first_v=center_only,
+    )
+
+
+def isotropic_nine_point() -> SchemeSpec:
+    """Conventional nine-point scheme built from the isotropic Laplacian.
+
+    Two-step weights: 2/3 lam^2 on the four axis neighbors, 1/6 lam^2 on the
+    four corners, the center balancing so constants are preserved.  The first
+    step pairs half these weights with the central-difference velocity table.
+    """
+    axis = LambdaPoly({2: Fraction(2, 3)})
+    corner = LambdaPoly({2: Fraction(1, 6)})
+    center = LambdaPoly({0: 2, 2: -Fraction(10, 3)})
+    offsets_axis = [(-1, 0), (0, -1), (1, 0), (0, 1)]
+    offsets_corner = [(-1, -1), (1, -1), (-1, 1), (1, 1)]
+    two_step: dict[Offset, LambdaPoly] = {(0, 0): center}
+    two_step.update({off: axis for off in offsets_axis})
+    two_step.update({off: corner for off in offsets_corner})
+    first_u = {off: poly * Fraction(1, 2) for off, poly in two_step.items()}
+    first_v = {(0, 0): LambdaPoly.constant(1)}
+    return SchemeSpec(
+        name="isotropic9",
+        m=0,
+        first_u=first_u,
+        first_v=first_v,
+        two_step=two_step,
+        radius=1,
+    )
+
+
+def named_scheme(name: str) -> SchemeSpec:
+    """One of the six bundled schemes: P5, C5, P9, C9, P13, C13.
+
+    P-variants derive both procedures from the Lagrange basis; C-variants use
+    the conventional central-difference first step (C9 on the isotropic
+    two-step table, C5/C13 on the matching P-table).
+    """
+    key = name.upper()
+    if key == "P5":
+        return generate_scheme(6, "P5")
+    if key == "C5":
+        return conventional_first_step(generate_scheme(6, "P5"), "C5")
+    if key == "P9":
+        return generate_scheme(11, "P9")
+    if key == "C9":
+        return conventional_first_step(isotropic_nine_point(), "C9")
+    if key == "P13":
+        return generate_scheme(15, "P13")
+    if key == "C13":
+        return conventional_first_step(generate_scheme(15, "P13"), "C13")
+    raise UnknownSchemeError(f"unknown scheme {name!r}; expected one of {NAMED_SCHEMES}")
+
+
+def serialize_tables(spec: SchemeSpec) -> str:
+    """Plain-text coefficient tables, one line per offset and role.
+
+    Line format: ``q1 q2 role power:coefficient ...`` with exact rational
+    coefficients (``-1/12``) and ascending powers of the Courant number.
+    """
+    lines = []
+    for role in ("first_u", "first_v", "two_step"):
+        table = getattr(spec, role)
+        for (q1, q2), poly in table.items():
+            tokens = " ".join(f"{p}:{c}" for p, c in poly.items())
+            lines.append(f"{q1} {q2} {role} {tokens}")
+    return "\n".join(lines) + "\n"
