@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .simulator import (
 from .stability import NeverStableError, lambda_max
 
 EXIT_OK = 0
+EXIT_INVALID_ARGUMENT = 2  # argparse's usage error
 EXIT_UNKNOWN_SCHEME = 3
 EXIT_RADIUS_UNSUPPORTED = 4
 EXIT_DEGENERATE_NORM = 5
@@ -91,6 +93,28 @@ def cmd_stability(args) -> int:
     return EXIT_OK
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer of at least zero."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _zero_field(x1, x2, *_):
     return 0.0 * (x1 + x2)
 
@@ -112,12 +136,12 @@ def cmd_simulate(args) -> int:
     dumped = []
 
     def on_step(k, field):
-        if args.dump_every and k % args.dump_every == 0:
+        if k % args.dump_every == 0:
             path = f"{args.dump_prefix}_{k:05d}.csv"
             dump_grid_csv(field, path)
             dumped.append(path)
 
-    report = run(config, on_step=on_step)
+    report = run(config, on_step=on_step if args.dump_every else None)
     flags = (
         f"--scheme={args.scheme} --n={args.n} --nt={args.nt} --lambda={args.lam} "
         f"--bc={args.bc} --dump-every={args.dump_every} --zero-ic={args.zero_ic} "
@@ -199,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stab = sub.add_parser("stability", help="search the maximal stable Courant number")
     p_stab.add_argument("scheme", help=f"one of {', '.join(NAMED_SCHEMES)}")
-    p_stab.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance")
+    p_stab.add_argument("--tol", type=_positive_float, default=1e-6, help="bisection tolerance")
     p_stab.add_argument("--out", default=None)
     p_stab.set_defaults(func=cmd_stability)
 
@@ -207,10 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scheme", required=True)
     p_sim.add_argument("--n", type=int, required=True, help="grid subdivisions per axis")
     p_sim.add_argument("--nt", type=int, required=True, help="number of time steps")
-    p_sim.add_argument("--lambda", dest="lam", type=float, required=True)
+    p_sim.add_argument("--lambda", dest="lam", type=_positive_float, required=True)
     p_sim.add_argument("--bc", choices=("dirichlet", "periodic"), default="dirichlet")
     p_sim.add_argument(
-        "--dump-every", type=int, default=0, help="write a CSV snapshot every K steps"
+        "--dump-every",
+        type=_nonnegative_int,
+        default=0,
+        help="write a CSV snapshot every K steps (0: none)",
     )
     p_sim.add_argument("--dump-prefix", default="snapshot")
     p_sim.add_argument(

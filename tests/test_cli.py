@@ -3,8 +3,10 @@ import re
 import numpy as np
 import pytest
 
+from poisson_stencils import cli
 from poisson_stencils.cli import (
     EXIT_DEGENERATE_NORM,
+    EXIT_INVALID_ARGUMENT,
     EXIT_RADIUS_UNSUPPORTED,
     EXIT_UNKNOWN_SCHEME,
     main,
@@ -146,6 +148,59 @@ def test_simulate_snapshot_dump(capsys, tmp_path, monkeypatch):
     assert [p.name for p in dumps] == ["field_00002.csv", "field_00004.csv"]
     grid = np.loadtxt(dumps[0], delimiter=",")
     assert grid.shape == (9, 9)
+
+
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a command that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_simulate_rejects_nan_lambda(capsys):
+    code, err = usage_error(
+        capsys, "simulate", "--scheme", "P5", "--n", "8", "--nt", "2", "--lambda", "nan"
+    )
+    assert code == EXIT_INVALID_ARGUMENT
+    assert "--lambda" in err
+
+
+def test_simulate_rejects_negative_dump_every(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, err = usage_error(
+        capsys,
+        "simulate",
+        "--scheme", "P5",
+        "--n", "8",
+        "--nt", "2",
+        "--lambda", "0.5",
+        "--dump-every", "-1",
+    )
+    assert code == EXIT_INVALID_ARGUMENT
+    assert "--dump-every" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_stability_rejects_zero_tol(capsys):
+    code, err = usage_error(capsys, "stability", "P5", "--tol", "0")
+    assert code == EXIT_INVALID_ARGUMENT
+    assert "--tol" in err
+
+
+def test_simulate_without_dump_passes_no_callback(capsys, monkeypatch):
+    callbacks = []
+    original_run = cli.run
+
+    def recording_run(config, on_step=None):
+        callbacks.append(on_step)
+        return original_run(config, on_step)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    code, _, _ = run_cli(
+        capsys, "simulate", "--scheme", "P5", "--n", "8", "--nt", "2", "--lambda", "0.5"
+    )
+    assert code == 0
+    assert callbacks == [None]
 
 
 def test_bench_table3_csv(capsys):

@@ -215,13 +215,44 @@ def test_dump_grid_csv_round_trips(tmp_path):
 
 
 def test_sim_config_validation(p5):
-    with pytest.raises(ValueError):
-        SimConfig(scheme=p5, n=1, n_t=1, lam=0.5)
-    with pytest.raises(ValueError):
-        SimConfig(scheme=p5, n=10, n_t=0, lam=0.5)
-    with pytest.raises(ValueError):
-        SimConfig(scheme=p5, n=10, n_t=1, lam=-0.5)
-    with pytest.raises(ValueError):
-        SimConfig(scheme=p5, n=10, n_t=1, lam=0.5, bc="reflecting")
+    bad_inputs = (
+        {"n": 1},
+        {"n": 8.5},
+        {"n": 8.0},
+        {"n_t": 0},
+        {"n_t": 2.5},
+        {"lam": -0.5},
+        {"lam": math.nan},
+        {"lam": math.inf},
+        {"c": 0.0},
+        {"c": math.nan},
+        {"c": math.inf},
+        {"bc": "reflecting"},
+    )
+    for bad in bad_inputs:
+        kwargs = {"scheme": p5, "n": 10, "n_t": 1, "lam": 0.5, **bad}
+        with pytest.raises(ValueError):
+            SimConfig(**kwargs)
     config = SimConfig(scheme=p5, n=10, n_t=1, lam=0.5)
     assert config.tau == pytest.approx(0.05)
+    assert SimConfig(scheme=p5, n=np.int64(10), n_t=np.int32(1), lam=0.5).n == 10
+
+
+def test_on_step_fields_match_public_steps(p5, p13):
+    # run() and first_step/two_step share one kernel, and on_step gets copies
+    # that later steps do not overwrite.
+    for spec, bc in ((p5, "dirichlet"), (p13, "periodic")):
+        config = SimConfig(scheme=spec, n=9, n_t=5, lam=0.6, bc=bc)
+        captured = []
+        run(config, on_step=lambda k, f: captured.append(f))
+        coords = np.arange(10) / 9
+        x1, x2 = np.meshgrid(coords, coords, indexing="ij")
+        u_prev = np.zeros((10, 10))
+        u_curr = first_step(u_prev, standing_wave_initial_v(x1, x2), spec, 0.6, config.tau, bc)
+        expected = [u_curr]
+        for _ in range(4):
+            u_prev, u_curr = u_curr, two_step(u_curr, u_prev, spec, 0.6, bc)
+            expected.append(u_curr)
+        assert len(captured) == len(expected)
+        for got, want in zip(captured, expected):
+            assert np.array_equal(got, want)

@@ -1,0 +1,117 @@
+"""The stencil kernel against a naive np.roll reference, bit for bit.
+
+The simulator sums each stencil node by node over the table's offsets in
+table order, starting from 0.0.  That order is part of its contract, so the
+public steps must equal the reference exactly, signed zeros included.
+"""
+
+import functools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poisson_stencils.benchmarks import run_table
+from poisson_stencils.scheme import NAMED_SCHEMES, named_scheme
+from poisson_stencils.simulator import first_step, two_step
+
+
+@functools.cache
+def spec_of(name):
+    return named_scheme(name)
+
+
+def roll_apply(table, lam, values, bc):
+    """Sum of coefficient * shifted field, shifting the periodic core by np.roll."""
+    n = values.shape[0] - 1
+    out = np.zeros_like(values)
+    if bc == "dirichlet":
+        acc = np.zeros((n - 1, n - 1))
+        for (q1, q2), poly in table.items():
+            acc += poly(lam) * values[1 + q1 : n + q1, 1 + q2 : n + q2]
+        out[1:n, 1:n] = acc
+    else:
+        acc = np.zeros((n, n))
+        for (q1, q2), poly in table.items():
+            acc += poly(lam) * np.roll(values[:n, :n], (-q1, -q2), axis=(0, 1))
+        out[:n, :n] = acc
+        alias_edges(out)
+    return out
+
+
+def alias_edges(values):
+    values[:-1, -1] = values[:-1, 0]
+    values[-1, :] = values[0, :]
+
+
+def roll_first_step(u0, v0, spec, lam, tau, bc):
+    out = roll_apply(spec.first_u, lam, u0, bc)
+    out += tau * roll_apply(spec.first_v, lam, v0, bc)
+    return out
+
+
+def roll_two_step(u_k, u_km1, spec, lam, bc):
+    out = roll_apply(spec.two_step, lam, u_k, bc) - u_km1
+    if bc == "dirichlet":
+        out[0, :] = 0.0
+        out[-1, :] = 0.0
+        out[:, 0] = 0.0
+        out[:, -1] = 0.0
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def step_cases(draw):
+    """A scheme, a boundary it supports, n, lambda in (0, 1] and three fields.
+
+    About a third of the entries are signed zeros, so that sums of zero
+    terms are covered.
+    """
+    name = draw(st.sampled_from(NAMED_SCHEMES))
+    spec = spec_of(name)
+    bc = draw(st.sampled_from(("dirichlet", "periodic") if spec.radius == 1 else ("periodic",)))
+    n = draw(st.integers(min_value=2, max_value=12))
+    lam = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    fields = rng.standard_normal((3, n + 1, n + 1))
+    zeros = rng.random(fields.shape) < 1 / 3
+    fields[zeros] = np.where(rng.random(fields.shape) < 0.5, 0.0, -0.0)[zeros]
+    return spec, bc, n, lam, fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_cases())
+def test_first_step_matches_roll_reference(case):
+    spec, bc, n, lam, (u0, v0, _) = case
+    tau = lam / n
+    assert_same_bits(
+        first_step(u0, v0, spec, lam, tau, bc), roll_first_step(u0, v0, spec, lam, tau, bc)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_cases())
+def test_two_step_matches_roll_reference(case):
+    spec, bc, n, lam, (u_k, u_km1, _) = case
+    if bc == "periodic":
+        # The previous field enters node by node, aliased last row and
+        # column included, so it must be a periodic field.
+        alias_edges(u_km1)
+    assert_same_bits(
+        two_step(u_k, u_km1, spec, lam, bc), roll_two_step(u_k, u_km1, spec, lam, bc)
+    )
+
+
+def test_table_3_roundoff_digit():
+    # E_P13 at n = 80 is pure roundoff.  Reordering or grouping the stencil
+    # sum (for example adding offsets that share a coefficient first) turns
+    # it into 2.8884e-10.
+    row = run_table(3)[-1]
+    assert row["n"] == 80
+    assert f"{row['E_P13']:.4e}" == "2.8883e-10"
