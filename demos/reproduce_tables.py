@@ -2,32 +2,19 @@
 
 Each row simulates the standing wave with the published grid, step count and
 Courant number, then reports the computed relative L2 error next to the
-published value and the relative deviation.  Tables 1 and 2 use Dirichlet
-boundaries; table 3 uses periodic boundaries (the 13-point stencil has
-radius 2).
+published value and the relative deviation, as ``poisson-stencils bench T
+--format md`` prints them.  Tables 1 and 2 use Dirichlet boundaries; table 3
+uses periodic boundaries (the 13-point stencil has radius 2).
 
 Note: the published E_P9 column of table 2 is known not to be reproducible
 from the paper's own displayed nine-point scheme; its deviations grow with
 grid refinement.  See the acceptance suite for the details.
 """
 
-from poisson_stencils.benchmarks import TABLE_SCHEMES, run_table
+from poisson_stencils import cli
 
-for table in (1, 2, 3):
-    schemes = TABLE_SCHEMES[table]
+for table in ("1", "2", "3"):
     print(f"## table {table}")
-    cols = ["n", "n_t", "lambda"]
-    for name in schemes:
-        cols += [f"E_{name}", f"ref_{name}", f"dev_{name}"]
-    print("| " + " | ".join(cols) + " |")
-    print("|" + "|".join(" --- " for _ in cols) + "|")
-    for row in run_table(table):
-        cells = [str(row["n"]), str(row["n_t"]), f"{row['lambda']:g}"]
-        for name in schemes:
-            cells += [
-                f"{row[f'E_{name}']:.4e}",
-                f"{row[f'ref_{name}']:.4e}",
-                f"{row[f'dev_{name}']:.2e}",
-            ]
-        print("| " + " | ".join(cells) + " |")
+    if cli.main(["bench", table, "--format", "md"]) != cli.EXIT_OK:
+        raise SystemExit(f"bench {table} failed")
     print()

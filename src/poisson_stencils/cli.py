@@ -6,7 +6,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .benchmarks import TABLE_BC, TABLE_SCHEMES, run_table
@@ -27,70 +26,30 @@ EXIT_RADIUS_UNSUPPORTED = 4
 EXIT_DEGENERATE_NORM = 5
 EXIT_NEVER_STABLE = 6
 
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility header embedded as comments in every emitted table."""
-
-    command: str
-    flags: str
-    outputs: str
-
-    def lines(self, wall_time_s: float) -> list[str]:
-        return [
-            f"tool_version: poisson-stencils {__version__}",
-            f"command: {self.command}",
-            f"flags: {self.flags}",
-            "determinism: seed-free; identical flags reproduce identical output"
-            " except the wall_time_s line",
-            f"outputs: {self.outputs}",
-            f"wall_time_s: {wall_time_s:.3f}",
-        ]
+_EXIT_CODES = {
+    argparse.ArgumentTypeError: EXIT_INVALID_ARGUMENT,
+    UnknownSchemeError: EXIT_UNKNOWN_SCHEME,
+    RadiusUnsupportedError: EXIT_RADIUS_UNSUPPORTED,
+    DegenerateNormError: EXIT_DEGENERATE_NORM,
+    NeverStableError: EXIT_NEVER_STABLE,
+}
 
 
 def _flags_echo(args, names) -> str:
     return " ".join(f"--{name}={getattr(args, name.replace('-', '_'))}" for name in names)
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _comment(lines, style: str) -> str:
-    if style == "md":
-        return "".join(f"<!-- {line} -->\n" for line in lines)
-    return "".join(f"# {line}\n" for line in lines)
-
-
-def cmd_generate(args) -> int:
-    started = time.perf_counter()
+def cmd_generate(args):
     spec = named_scheme(args.scheme)
-    body = serialize_tables(spec)
-    manifest = RunManifest(
-        command="generate",
-        flags=f"scheme={args.scheme} " + _flags_echo(args, ["out"]),
-        outputs=args.out or "stdout",
-    )
-    _emit(_comment(manifest.lines(time.perf_counter() - started), "text") + body, args.out)
-    return EXIT_OK
+    flags = f"scheme={args.scheme} " + _flags_echo(args, ["out"])
+    return flags, serialize_tables(spec), []
 
 
-def cmd_stability(args) -> int:
-    started = time.perf_counter()
+def cmd_stability(args):
     spec = named_scheme(args.scheme)
     value = lambda_max(spec, tol=args.tol)
-    manifest = RunManifest(
-        command="stability",
-        flags=f"scheme={args.scheme} " + _flags_echo(args, ["tol", "out"]),
-        outputs=args.out or "stdout",
-    )
-    body = f"scheme: {spec.name}\nlambda_max: {value:.6f}\n"
-    _emit(_comment(manifest.lines(time.perf_counter() - started), "text") + body, args.out)
-    return EXIT_OK
+    flags = f"scheme={args.scheme} " + _flags_echo(args, ["tol", "out"])
+    return flags, f"scheme: {spec.name}\nlambda_max: {value:.6f}\n", []
 
 
 def _positive_float(text: str) -> float:
@@ -119,19 +78,17 @@ def _zero_field(x1, x2, *_):
     return 0.0 * (x1 + x2)
 
 
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
+def cmd_simulate(args):
     spec = named_scheme(args.scheme)
-    overrides = {}
-    if args.zero_ic:
-        overrides = {
-            "initial_u": _zero_field,
-            "initial_v": _zero_field,
-            "exact": _zero_field,
-        }
-    config = SimConfig(
-        scheme=spec, n=args.n, n_t=args.nt, lam=args.lam, bc=args.bc, **overrides
-    )
+    fields = ("initial_u", "initial_v", "exact")
+    overrides = dict.fromkeys(fields, _zero_field) if args.zero_ic else {}
+    try:
+        config = SimConfig(
+            scheme=spec, n=args.n, n_t=args.nt, lam=args.lam, bc=args.bc, **overrides
+        )
+    except ValueError as exc:
+        # SimConfig holds the bounds on --n and --nt: a violation is bad input.
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
     dumped = []
 
@@ -147,11 +104,6 @@ def cmd_simulate(args) -> int:
         f"--bc={args.bc} --dump-every={args.dump_every} --zero-ic={args.zero_ic} "
         f"--out={args.out}"
     )
-    manifest = RunManifest(
-        command="simulate",
-        flags=flags,
-        outputs=", ".join([args.out or "stdout"] + dumped),
-    )
     body = (
         f"scheme: {spec.name}\n"
         f"n: {config.n}\n"
@@ -161,12 +113,10 @@ def cmd_simulate(args) -> int:
         f"tau: {config.tau:.10g}\n"
         f"error: {report.error:.4e}\n"
     )
-    _emit(_comment(manifest.lines(time.perf_counter() - started), "text") + body, args.out)
-    return EXIT_OK
+    return flags, body, dumped
 
 
-def cmd_bench(args) -> int:
-    started = time.perf_counter()
+def cmd_bench(args):
     rows = run_table(args.table)
     schemes = TABLE_SCHEMES[args.table]
     columns = ["n", "n_t", "lambda"]
@@ -180,31 +130,16 @@ def cmd_bench(args) -> int:
             return f"{value:g}"
         return f"{value:.4e}"
 
-    body_lines = []
+    cells = [columns] + [[fmt(col, row[col]) for col in columns] for row in rows]
     if args.format == "md":
-        body_lines.append("| " + " | ".join(columns) + " |")
-        body_lines.append("|" + "|".join(" --- " for _ in columns) + "|")
-        for row in rows:
-            body_lines.append(
-                "| " + " | ".join(fmt(col, row[col]) for col in columns) + " |"
-            )
+        lines = ["| " + " | ".join(line) + " |" for line in cells]
+        lines.insert(1, "|" + "|".join(" --- " for _ in columns) + "|")
     else:
-        body_lines.append(",".join(columns))
-        for row in rows:
-            body_lines.append(",".join(fmt(col, row[col]) for col in columns))
-    manifest = RunManifest(
-        command="bench",
-        flags=f"table={args.table} bc={TABLE_BC[args.table]} "
-        + _flags_echo(args, ["format", "out"]),
-        outputs=args.out or "stdout",
+        lines = [",".join(line) for line in cells]
+    flags = f"table={args.table} bc={TABLE_BC[args.table]} " + _flags_echo(
+        args, ["format", "out"]
     )
-    text = (
-        _comment(manifest.lines(time.perf_counter() - started), args.format)
-        + "\n".join(body_lines)
-        + "\n"
-    )
-    _emit(text, args.out)
-    return EXIT_OK
+    return flags, "\n".join(lines) + "\n", []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,21 +190,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its manifest and body; returns the exit code.
+
+    Each ``cmd_*`` returns (manifest flags, body, files written besides --out).
+    """
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except UnknownSchemeError as exc:
+        flags, body, written = args.func(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_SCHEME
-    except RadiusUnsupportedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RADIUS_UNSUPPORTED
-    except DegenerateNormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE_NORM
-    except NeverStableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEVER_STABLE
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
+    # The reproducibility manifest, as comments ahead of the body.
+    manifest = [
+        f"tool_version: poisson-stencils {__version__}",
+        f"command: {args.command}",
+        f"flags: {flags}",
+        "determinism: seed-free; identical flags reproduce identical output"
+        " except the wall_time_s line",
+        f"outputs: {', '.join([args.out or 'stdout', *written])}",
+        f"wall_time_s: {time.perf_counter() - started:.3f}",
+    ]
+    opening, closing = ("<!-- ", " -->") if getattr(args, "format", "") == "md" else ("# ", "")
+    header = "".join(f"{opening}{line}{closing}\n" for line in manifest)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(header + body)
+    else:
+        sys.stdout.write(header + body)
+    return EXIT_OK
 
 
 def entry():

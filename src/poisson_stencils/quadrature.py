@@ -41,6 +41,9 @@ class LambdaPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LambdaPoly is immutable")
 
+    def __reduce__(self):
+        return LambdaPoly, (self._coeffs,)
+
     @classmethod
     def zero(cls) -> "LambdaPoly":
         return cls()

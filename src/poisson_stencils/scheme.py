@@ -10,8 +10,10 @@ exact rational test, not a tolerance test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 from .interpolation import Offset, lagrange_basis
 from .quadrature import LambdaPoly, a_on_polynomial, b_on_polynomial
@@ -34,14 +36,24 @@ class SchemeSpec:
     nonzero coefficient.  ``radius`` is the largest |offset component| over
     all retained offsets; ``m`` is the size of the generating monomial
     segment (0 for tables postulated directly rather than derived).
+    The tables are read-only copies of the mappings passed in, keeping their
+    order: the simulator sums offsets in table order.
     """
 
     name: str
     m: int
-    first_u: dict[Offset, LambdaPoly]
-    first_v: dict[Offset, LambdaPoly]
-    two_step: dict[Offset, LambdaPoly]
+    first_u: Mapping[Offset, LambdaPoly] = field(hash=False)
+    first_v: Mapping[Offset, LambdaPoly] = field(hash=False)
+    two_step: Mapping[Offset, LambdaPoly] = field(hash=False)
     radius: int
+
+    def __post_init__(self):
+        for role in ("first_u", "first_v", "two_step"):
+            object.__setattr__(self, role, MappingProxyType(dict(getattr(self, role))))
+
+    def __reduce__(self):
+        tables = (dict(self.first_u), dict(self.first_v), dict(self.two_step))
+        return SchemeSpec, (self.name, self.m, *tables, self.radius)
 
     @property
     def offsets(self) -> tuple[Offset, ...]:
@@ -49,6 +61,14 @@ class SchemeSpec:
         seen = dict.fromkeys(self.first_u)
         seen.update(dict.fromkeys(self.first_v))
         return tuple(seen)
+
+
+def evaluate_table(table: Mapping[Offset, LambdaPoly], lam: float) -> list[tuple[Offset, float]]:
+    """(offset, coefficient at ``lam`` as a float) pairs in table order.
+
+    The simulator and the stability analysis both evaluate tables here.
+    """
+    return [(offset, poly(lam)) for offset, poly in table.items()]
 
 
 def generate_scheme(m: int, name: str | None = None) -> SchemeSpec:

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import stability
-from .scheme import SchemeSpec
+from .scheme import SchemeSpec, evaluate_table
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -133,10 +133,6 @@ class SimReport:
     config: SimConfig = field(repr=False)
 
 
-def _evaluate_table(table, lam: float):
-    return [(offset, poly(lam)) for offset, poly in table.items()]
-
-
 def _axes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Node coordinates as a column and a row, which broadcast to the grid."""
     coords = np.arange(n + 1) / n
@@ -185,9 +181,9 @@ class _Stepper:
             self.origin, self.lo, self.size = 0, 1, n - 1
             width = n + 1
         self.shape = (width, width)
-        self.first_u = _evaluate_table(spec.first_u, lam)
-        self.first_v = _evaluate_table(spec.first_v, lam)
-        self.two_step = _evaluate_table(spec.two_step, lam)
+        self.first_u = evaluate_table(spec.first_u, lam)
+        self.first_v = evaluate_table(spec.first_v, lam)
+        self.two_step = evaluate_table(spec.two_step, lam)
         rows = (min(_ROW_BLOCK, self.size), self.size)
         self._acc = np.empty(rows)
         self._term = np.empty(rows)

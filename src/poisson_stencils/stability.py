@@ -3,9 +3,10 @@
 Substituting a plane wave into the two-step recurrence u^{k+1} = S u^k -
 u^{k-1} gives a scalar three-term recursion whose solutions stay bounded
 exactly when the one-step symbol a(theta) = S(theta)/2 lies in [-1, 1].  The
-symbol of the schemes in scope is real (sine contributions cancel by
-four-fold symmetry), so stability reduces to a min/max search over phase
-angles, and the maximal stable Courant number to a bisection in lambda.
+symbol is real exactly when the two-step table is symmetric under q -> -q,
+which is checked on the exact rational table; stability then reduces to a
+min/max search over phase angles, and the maximal stable Courant number to
+a bisection in lambda.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheme import SchemeSpec
+from .scheme import SchemeSpec, evaluate_table
 
 _BOUND_SLACK = 1e-12
-_SINE_CANCEL_TOL = 1e-14
 
 
 class NeverStableError(Exception):
@@ -60,14 +60,22 @@ def _is_constant_mode(sample: SymbolSample, tol: float = 1e-8) -> bool:
     return max(d1, d2) <= tol
 
 
-def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
-    """One-step amplification symbol a(theta) of the scheme's two-step table."""
+def _two_step_at(spec: SchemeSpec, lam: float):
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
+    return evaluate_table(spec.two_step, lam)
+
+
+def _symbol_at(pairs, theta1: float, theta2: float) -> float:
     total = 0.0
-    for (q1, q2), poly in spec.two_step.items():
-        total += poly(lam) * math.cos(q1 * theta1 + q2 * theta2)
+    for (q1, q2), coeff in pairs:
+        total += coeff * math.cos(q1 * theta1 + q2 * theta2)
     return 0.5 * total
+
+
+def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
+    """One-step amplification symbol a(theta) of the scheme's two-step table."""
+    return _symbol_at(_two_step_at(spec, lam), theta1, theta2)
 
 
 class _SymbolScan:
@@ -80,34 +88,30 @@ class _SymbolScan:
     """
 
     def __init__(self, spec: SchemeSpec, grid: int = 512):
-        if not spec.two_step:
+        table = spec.two_step
+        if not table:
             raise ValueError(f"scheme {spec.name!r} has an empty two-step table")
+        # The sine parts cancel, and the symbol is the real cosine sum below,
+        # exactly when every offset q has a partner -q with an equal polynomial.
+        if any(poly != table.get((-q1, -q2)) for (q1, q2), poly in table.items()):
+            raise ValueError(
+                f"scheme {spec.name!r} has a non-real symbol "
+                "(its two-step table is not symmetric under q -> -q)"
+            )
         self.spec = spec
         self.grid = grid
         thetas = 2.0 * np.pi * np.arange(grid) / grid
         t1, t2 = np.meshgrid(thetas, thetas, indexing="ij")
         self.thetas = thetas
         tables: dict[int, np.ndarray] = {}
-        sines: dict[int, np.ndarray] = {}
-        for (q1, q2), poly in spec.two_step.items():
-            phase = q1 * t1 + q2 * t2
-            cos_part = np.cos(phase)
-            sin_part = np.sin(phase)
+        for (q1, q2), poly in table.items():
+            cos_part = np.cos(q1 * t1 + q2 * t2)
             for power, coeff in poly.coeffs.items():
                 weight = 0.5 * float(coeff)
                 if power in tables:
                     tables[power] += weight * cos_part
-                    sines[power] += weight * sin_part
                 else:
                     tables[power] = weight * cos_part
-                    sines[power] = weight * sin_part
-        # Symmetric tables cancel the sine part exactly, power by power;
-        # anything larger means the real-valued symbol formula does not apply.
-        worst = max(float(np.abs(s).max()) for s in sines.values())
-        if worst > _SINE_CANCEL_TOL:
-            raise ValueError(
-                f"scheme {spec.name!r} has a non-real symbol (sine residual {worst:.2e})"
-            )
         self.tables = sorted(tables.items())
 
     def values(self, lam: float) -> np.ndarray:
@@ -118,26 +122,26 @@ class _SymbolScan:
         return out
 
     def envelope(self, lam: float) -> Envelope:
+        pairs = _two_step_at(self.spec, lam)
         values = self.values(lam)
         step = 2.0 * np.pi / self.grid
         i_min, j_min = np.unravel_index(np.argmin(values), values.shape)
         i_max, j_max = np.unravel_index(np.argmax(values), values.shape)
-        low = _polish(
-            self.spec, lam, self.thetas[i_min], self.thetas[j_min], step, minimize=True
-        )
-        high = _polish(
-            self.spec, lam, self.thetas[i_max], self.thetas[j_max], step, minimize=False
-        )
+        low = _polish(pairs, self.thetas[i_min], self.thetas[j_min], step, minimize=True)
+        high = _polish(pairs, self.thetas[i_max], self.thetas[j_max], step, minimize=False)
         marginal = abs(low.value + 1.0) <= _BOUND_SLACK or (
             abs(high.value - 1.0) <= _BOUND_SLACK and not _is_constant_mode(high)
         )
         return Envelope(low=low, high=high, marginal=marginal)
 
 
-def _polish(spec, lam, t1, t2, step, minimize, tol=1e-7, max_moves=400):
-    """Coordinate descent on a shrinking stencil, starting from a grid extremum."""
+def _polish(pairs, t1, t2, step, minimize, tol=1e-7, max_moves=400):
+    """Coordinate descent on a shrinking stencil, starting from a grid extremum.
+
+    ``pairs`` is the two-step table evaluated at the Courant number.
+    """
     sign = 1.0 if minimize else -1.0
-    best = sign * symbol(spec, lam, t1, t2)
+    best = sign * _symbol_at(pairs, t1, t2)
     moves = 0
     while step > tol and moves < max_moves:
         candidates = (
@@ -146,7 +150,7 @@ def _polish(spec, lam, t1, t2, step, minimize, tol=1e-7, max_moves=400):
             (t1, t2 + step),
             (t1, t2 - step),
         )
-        scored = [(sign * symbol(spec, lam, c1, c2), c1, c2) for c1, c2 in candidates]
+        scored = [(sign * _symbol_at(pairs, c1, c2), c1, c2) for c1, c2 in candidates]
         value, c1, c2 = min(scored)
         if value < best:
             best, t1, t2 = value, c1, c2

@@ -187,6 +187,17 @@ def test_stability_rejects_zero_tol(capsys):
     assert "--tol" in err
 
 
+def test_simulate_rejects_too_small_grid_and_step_count(capsys):
+    # SimConfig holds these bounds; the CLI reports them as bad arguments.
+    for n, nt, name in (("1", "2", "n"), ("8", "0", "n_t")):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scheme", "P5", "--n", n, "--nt", nt, "--lambda", "0.5"
+        )
+        assert code == EXIT_INVALID_ARGUMENT
+        assert out == ""
+        assert err.startswith(f"error: {name} must be an integer")
+
+
 def test_simulate_without_dump_passes_no_callback(capsys, monkeypatch):
     callbacks = []
     original_run = cli.run

@@ -6,6 +6,7 @@ from poisson_stencils.interpolation import monomial_segment, stencil_nodes
 from poisson_stencils.quadrature import LambdaPoly, a_on_monomial, b_on_monomial
 from poisson_stencils.scheme import (
     NAMED_SCHEMES,
+    SchemeSpec,
     UnknownSchemeError,
     generate_scheme,
     isotropic_nine_point,
@@ -177,3 +178,17 @@ def test_serialization_format(schemes):
     assert "2 0 two_step 2:-1/12 4:1/12" in p13_lines
     c5_lines = serialize_tables(schemes["C5"]).splitlines()
     assert [line for line in c5_lines if "first_v" in line] == ["0 0 first_v 0:1"]
+
+
+def test_tables_are_read_only_copies(schemes):
+    p5 = named_scheme("P5")
+    for role in ("first_u", "first_v", "two_step"):
+        with pytest.raises(TypeError):
+            getattr(p5, role)[(0, 0)] = LambdaPoly.constant(7)
+    assert p5 == schemes["P5"] and hash(p5) == hash(schemes["P5"])
+    source = {(0, 0): LambdaPoly.constant(2), (1, 0): LambdaPoly({2: 1})}
+    spec = SchemeSpec(name="s", m=0, first_u=source, first_v=source, two_step=source, radius=1)
+    source[(0, 0)] = LambdaPoly.constant(5)
+    del source[(1, 0)]
+    assert list(spec.two_step) == [(0, 0), (1, 0)]
+    assert spec.first_u[(0, 0)] == LambdaPoly.constant(2)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -236,6 +238,14 @@ def test_sim_config_validation(p5):
     config = SimConfig(scheme=p5, n=10, n_t=1, lam=0.5)
     assert config.tau == pytest.approx(0.05)
     assert SimConfig(scheme=p5, n=np.int64(10), n_t=np.int32(1), lam=0.5).n == 10
+
+
+def test_sim_config_copies_and_pickles(p13):
+    config = SimConfig(scheme=p13, n=10, n_t=3, lam=0.5, bc="periodic")
+    for clone in (copy.copy(config), copy.deepcopy(config), pickle.loads(pickle.dumps(config))):
+        assert clone == config and hash(clone) == hash(config)
+        assert list(clone.scheme.two_step) == list(p13.two_step)
+        assert list(clone.scheme.first_u) == list(p13.first_u)
 
 
 def test_on_step_fields_match_public_steps(p5, p13):

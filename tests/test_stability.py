@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,3 +107,25 @@ def test_asymmetric_table_rejected_by_real_symbol_formula():
     )
     with pytest.raises(ValueError, match="non-real symbol"):
         envelope(lopsided, 0.5)
+
+
+def test_table_asymmetric_below_float_resolution_is_rejected():
+    # The (-1, 0) and (1, 0) entries differ by far less than a float sine
+    # residual could show; realness is decided on the exact table.
+    p5 = named_scheme("P5")
+    nearly = dict(p5.two_step)
+    nearly[(-1, 0)] = nearly[(-1, 0)] + LambdaPoly({2: Fraction(1, 10**20)})
+    skewed = SchemeSpec(
+        name="nearly-p5", m=0, first_u=p5.first_u, first_v=p5.first_v, two_step=nearly, radius=1
+    )
+    for check in (lambda: envelope(skewed, 0.5), lambda: lambda_max(skewed)):
+        with pytest.raises(ValueError, match="non-real symbol"):
+            check()
+
+
+def test_envelope_rejects_nonpositive_lambda(schemes):
+    for lam in (0.0, -0.5):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            envelope(schemes["P5"], lam)
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            symbol(schemes["P5"], lam, 0.1, 0.2)
