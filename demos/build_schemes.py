@@ -2,18 +2,19 @@
 
 The derivation has three stages: pick the first m monomials in the graded
 order, build the exact Lagrange basis on the matching stencil nodes, and
-integrate each basis function over the propagation disc.  Offsets whose
-integrals vanish drop out of the final stencil.
+take each basis function's weighted disc mean, the velocity weight.
+Poisson's identity d/dlam(lam * B) turns it into the displacement weight.
+Offsets whose disc mean vanishes drop out of the final stencil.
 """
 
 from poisson_stencils import (
     NAMED_SCHEMES,
-    a_on_polynomial,
     b_on_polynomial,
     lagrange_basis,
     named_scheme,
     serialize_tables,
 )
+from poisson_stencils.quadrature import poisson_identity
 
 # Stage 1+2: the size-6 basis covers all second-degree polynomials.
 basis = lagrange_basis(6)
@@ -22,14 +23,14 @@ print("stencil nodes:   ", basis.nodes)
 print("evaluation matrix determinant:", basis.det)
 print()
 
-# Stage 3: disc integrals of each basis function give the update weights.
+# Stage 3: the disc mean of each basis function is its velocity weight; the
+# displacement weight follows from it by Poisson's identity.
 print("per-node update weights (exact polynomials in the Courant number):")
 for s, node in enumerate(basis.nodes):
-    poly = basis.polynomial(s)
-    u_weight = a_on_polynomial(poly)
-    v_weight = b_on_polynomial(poly)
-    note = "   <- drops out (both weights vanish)" if not u_weight and not v_weight else ""
-    print(f"  node {node}: displacement {u_weight!r}, velocity {v_weight!r}{note}")
+    v_weight = b_on_polynomial(basis.polynomial(s))
+    u_weight = poisson_identity(v_weight)
+    note = "   <- drops out (the disc mean vanishes)" if not v_weight else ""
+    print(f"  node {node}: velocity {v_weight!r}, displacement {u_weight!r}{note}")
 print()
 
 # The node (-1,-1) vanished, so the assembled scheme is the five-point one.

@@ -1,22 +1,34 @@
 """Exact unit-disc averages of scaled monomials for the wave-update operators.
 
-The one-step update of the 2D wave equation averages the field over a disc of
-radius c*tau with weight 1/sqrt(1 - |z|^2); the displacement part additionally
-carries a gradient term, the velocity part a factor of tau.  On a monomial in
-grid-scaled coordinates both averages collapse to a single power of the
-Courant number with a rational double-factorial coefficient, which is what
-:func:`a_on_monomial` and :func:`b_on_monomial` return.  A direct numerical
-quadrature of the defining integrals is provided as an independent oracle.
+Poisson's formula writes the solution of the 2D wave equation through one
+weighted disc mean M_t: u(t) = d/dt(t M_t[phi]) + t M_t[psi].  The velocity
+operator B is that mean (per unit time-step); the displacement operator is
+A = d/dlam(lam B), Poisson's identity.  On a monomial in grid-scaled
+coordinates the mean collapses to a single power of the Courant number with a
+rational double-factorial coefficient, which is what :func:`b_on_monomial`
+returns; :func:`a_on_monomial` and :func:`a_on_polynomial` apply the identity
+to it.  A direct numerical quadrature of the defining integrals is provided
+as an independent oracle.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .interpolation import Monomial
+
+_DISC_START_ORDER = 64  # Gauss-Legendre order of the first disc-quadrature rule
+_DISC_AGREE_TOL = 1e-13
+
+
+def check_positive(value: float, what: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite number above zero."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 class LambdaPoly:
@@ -85,12 +97,6 @@ class LambdaPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
@@ -138,11 +144,11 @@ def double_factorial(k: int) -> int:
     return result
 
 
-def a_on_monomial(mu: Monomial) -> LambdaPoly:
-    """Exact displacement-operator value on a scaled monomial.
+def b_on_monomial(mu: Monomial) -> LambdaPoly:
+    """Exact velocity-operator value (the weighted disc mean) on a scaled monomial.
 
-    Zero when either exponent is odd; otherwise a single even power of the
-    Courant number with a double-factorial ratio coefficient.
+    Zero when either exponent is odd; otherwise (a1-1)!!(a2-1)!!/(a1+a2+1)!!
+    times lam**(a1+a2).
     """
     a1, a2 = mu
     if a1 < 0 or a2 < 0:
@@ -151,23 +157,9 @@ def a_on_monomial(mu: Monomial) -> LambdaPoly:
         return LambdaPoly.zero()
     coeff = Fraction(
         double_factorial(a1 - 1) * double_factorial(a2 - 1),
-        double_factorial(a1 + a2 - 1),
+        double_factorial(a1 + a2 + 1),
     )
     return LambdaPoly({a1 + a2: coeff})
-
-
-def b_on_monomial(mu: Monomial) -> LambdaPoly:
-    """Exact velocity-operator value per unit time-step on a scaled monomial."""
-    a1, a2 = mu
-    return a_on_monomial(mu) * Fraction(1, a1 + a2 + 1)
-
-
-def a_on_polynomial(poly: Mapping[Monomial, Fraction]) -> LambdaPoly:
-    """Linear extension of :func:`a_on_monomial` to a sparse polynomial."""
-    total = LambdaPoly.zero()
-    for mu, coeff in poly.items():
-        total = total + a_on_monomial(mu) * Fraction(coeff)
-    return total
 
 
 def b_on_polynomial(poly: Mapping[Monomial, Fraction]) -> LambdaPoly:
@@ -178,16 +170,31 @@ def b_on_polynomial(poly: Mapping[Monomial, Fraction]) -> LambdaPoly:
     return total
 
 
-def _disc_average(integrand, start_order: int = 64, agree_tol: float = 1e-13) -> float:
+def poisson_identity(velocity: LambdaPoly) -> LambdaPoly:
+    """Displacement weight d/dlam(lam * B) of a velocity weight B."""
+    return LambdaPoly({p: c * (p + 1) for p, c in velocity.items()})
+
+
+def a_on_monomial(mu: Monomial) -> LambdaPoly:
+    """Exact displacement-operator value on a scaled monomial."""
+    return poisson_identity(b_on_monomial(mu))
+
+
+def a_on_polynomial(poly: Mapping[Monomial, Fraction]) -> LambdaPoly:
+    """Exact displacement-operator value on a sparse polynomial."""
+    return poisson_identity(b_on_polynomial(poly))
+
+
+def _disc_average(integrand) -> float:
     """Weighted unit-disc average (1/2pi) * integral of f(z)/sqrt(1-|z|^2).
 
     Polar coordinates with r = sin(phi) remove the boundary singularity:
     the weight and the Jacobian combine into a plain sin(phi) factor, leaving
     a smooth integrand on [0, pi/2] x [0, 2pi).  Tensor Gauss-Legendre rules
-    are doubled until two successive refinements agree to ``agree_tol``.
+    are doubled until two successive refinements agree to ``_DISC_AGREE_TOL``.
     """
     previous = None
-    order = start_order
+    order = _DISC_START_ORDER
     for _ in range(6):
         x, w = np.polynomial.legendre.leggauss(order)
         phi = (x + 1.0) * (np.pi / 4.0)
@@ -198,7 +205,7 @@ def _disc_average(integrand, start_order: int = 64, agree_tol: float = 1e-13) ->
         r = np.sin(p)
         values = integrand(r * np.cos(t), r * np.sin(t)) * np.sin(p)
         total = float((w_phi[:, None] * w_theta[None, :] * values).sum() / (2.0 * np.pi))
-        if previous is not None and abs(total - previous) <= agree_tol:
+        if previous is not None and abs(total - previous) <= _DISC_AGREE_TOL:
             return total
         previous = total
         order *= 2
@@ -213,8 +220,7 @@ def quad_oracle(mu: Monomial, lam: float) -> float:
     as an independent check of :func:`a_on_monomial`; absolute accuracy is at
     quadrature level (~1e-12).
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    check_positive(lam, "lambda")
     a1, a2 = mu
 
     def integrand(z1, z2):
@@ -236,8 +242,7 @@ def quad_oracle_b(mu: Monomial, lam: float) -> float:
     Same weight as :func:`quad_oracle` but without the gradient term; checks
     :func:`b_on_monomial`.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    check_positive(lam, "lambda")
     a1, a2 = mu
 
     def integrand(z1, z2):

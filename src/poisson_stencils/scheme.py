@@ -3,9 +3,11 @@
 A scheme is three per-offset coefficient tables, each entry an exact
 polynomial in the Courant number: the first time-step combines the initial
 displacement and velocity fields, every later step is a two-step update
-(the trailing -u^{k-1} term is implicit).  Offsets whose displacement and
-velocity coefficients are both identically zero are dropped, which is an
-exact rational test, not a tolerance test.
+(the trailing -u^{k-1} term is implicit).  Each offset's velocity weight is
+the disc mean of its basis function; Poisson's identity turns it into the
+displacement weight, and the two-step weight is twice that.  Offsets whose
+velocity weight is identically zero are dropped, which is an exact rational
+test, not a tolerance test.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .interpolation import Offset, lagrange_basis
-from .quadrature import LambdaPoly, a_on_polynomial, b_on_polynomial
+from .quadrature import LambdaPoly, b_on_polynomial, poisson_identity
 
 NAMED_SCHEMES = ("P5", "C5", "P9", "C9", "P13", "C13")
 
@@ -33,19 +35,14 @@ class SchemeSpec:
     (time-step-scaled) initial velocity in the first update; ``two_step``
     weights the current field in all later updates, with the previous field
     entering with implicit coefficient -1.  Tables store only offsets with a
-    nonzero coefficient.  ``radius`` is the largest |offset component| over
-    all retained offsets; ``m`` is the size of the generating monomial
-    segment (0 for tables postulated directly rather than derived).
-    The tables are read-only copies of the mappings passed in, keeping their
-    order: the simulator sums offsets in table order.
+    nonzero coefficient.  The tables are read-only copies of the mappings
+    passed in, keeping their order: the simulator sums offsets in table order.
     """
 
     name: str
-    m: int
     first_u: Mapping[Offset, LambdaPoly] = field(hash=False)
     first_v: Mapping[Offset, LambdaPoly] = field(hash=False)
     two_step: Mapping[Offset, LambdaPoly] = field(hash=False)
-    radius: int
 
     def __post_init__(self):
         for role in ("first_u", "first_v", "two_step"):
@@ -53,7 +50,7 @@ class SchemeSpec:
 
     def __reduce__(self):
         tables = (dict(self.first_u), dict(self.first_v), dict(self.two_step))
-        return SchemeSpec, (self.name, self.m, *tables, self.radius)
+        return SchemeSpec, (self.name, *tables)
 
     @property
     def offsets(self) -> tuple[Offset, ...]:
@@ -61,6 +58,12 @@ class SchemeSpec:
         seen = dict.fromkeys(self.first_u)
         seen.update(dict.fromkeys(self.first_v))
         return tuple(seen)
+
+    @property
+    def radius(self) -> int:
+        """Largest |offset component| over all three tables (0 when all are empty)."""
+        tables = (self.first_u, self.first_v, self.two_step)
+        return max((max(abs(q1), abs(q2)) for table in tables for q1, q2 in table), default=0)
 
 
 def evaluate_table(table: Mapping[Offset, LambdaPoly], lam: float) -> list[tuple[Offset, float]]:
@@ -74,33 +77,28 @@ def evaluate_table(table: Mapping[Offset, LambdaPoly], lam: float) -> list[tuple
 def generate_scheme(m: int, name: str | None = None) -> SchemeSpec:
     """Derive the scheme generated by the size-m Lagrange basis.
 
-    Each basis function attached to offset s contributes its exact
-    displacement-operator value to ``first_u[s]`` and velocity-operator value
-    to ``first_v[s]``; the two-step table is twice the first.  Offsets whose
-    values all vanish (every odd-exponent monomial integrates to zero) are
-    pruned.  Propagates :class:`~poisson_stencils.interpolation.SingularMatrixError`
-    when the basis does not exist.
+    Each basis function attached to offset s contributes its exact disc mean
+    to ``first_v[s]`` and, by Poisson's identity, the displacement weight to
+    ``first_u[s]``; the two-step table is twice the first.  Offsets whose disc
+    mean vanishes (every odd-exponent monomial integrates to zero) are
+    pruned; their displacement weight vanishes too.  Propagates
+    :class:`~poisson_stencils.interpolation.SingularMatrixError` when the
+    basis does not exist.
     """
     basis = lagrange_basis(m)
     first_u: dict[Offset, LambdaPoly] = {}
     first_v: dict[Offset, LambdaPoly] = {}
     two_step: dict[Offset, LambdaPoly] = {}
     for s, offset in enumerate(basis.nodes):
-        poly = basis.polynomial(s)
-        u_val = a_on_polynomial(poly)
-        v_val = b_on_polynomial(poly)
-        if u_val:
-            first_u[offset] = u_val
-            two_step[offset] = 2 * u_val
+        v_val = b_on_polynomial(basis.polynomial(s))
         if v_val:
+            u_val = poisson_identity(v_val)
+            first_u[offset] = u_val
             first_v[offset] = v_val
-    retained = {*first_u, *first_v}
-    radius = max(max(abs(q1), abs(q2)) for q1, q2 in retained)
+            two_step[offset] = 2 * u_val
     if name is None:
-        name = f"P{len(retained)}"
-    return SchemeSpec(
-        name=name, m=m, first_u=first_u, first_v=first_v, two_step=two_step, radius=radius
-    )
+        name = f"P{len(first_v)}"
+    return SchemeSpec(name=name, first_u=first_u, first_v=first_v, two_step=two_step)
 
 
 def conventional_first_step(spec: SchemeSpec, name: str | None = None) -> SchemeSpec:
@@ -134,14 +132,7 @@ def isotropic_nine_point() -> SchemeSpec:
     two_step.update({off: corner for off in offsets_corner})
     first_u = {off: poly * Fraction(1, 2) for off, poly in two_step.items()}
     first_v = {(0, 0): LambdaPoly.constant(1)}
-    return SchemeSpec(
-        name="isotropic9",
-        m=0,
-        first_u=first_u,
-        first_v=first_v,
-        two_step=two_step,
-        radius=1,
-    )
+    return SchemeSpec(name="isotropic9", first_u=first_u, first_v=first_v, two_step=two_step)
 
 
 def named_scheme(name: str) -> SchemeSpec:

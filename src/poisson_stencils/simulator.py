@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import stability
+from .quadrature import check_positive
 from .scheme import SchemeSpec, evaluate_table
 
 _SQRT2 = math.sqrt(2.0)
@@ -106,10 +107,8 @@ class SimConfig:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if not _is_int(self.n_t) or self.n_t < 1:
             raise ValueError(f"n_t must be an integer >= 1, got {self.n_t!r}")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lambda must be finite and positive, got {self.lam!r}")
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"wave speed must be finite and positive, got {self.c!r}")
+        check_positive(self.lam, "lambda")
+        check_positive(self.c, "wave speed")
         if self.bc not in BOUNDARY_CONDITIONS:
             raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {self.bc!r}")
         _check_radius(self.scheme, self.bc)

@@ -16,9 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import check_positive
 from .scheme import SchemeSpec, evaluate_table
 
 _BOUND_SLACK = 1e-12
+_CONSTANT_MODE_TOL = 1e-8  # phase distance from 0 (mod 2pi) of the constant mode
+_POLISH_TOL = 1e-7  # smallest step of the coordinate-descent polish
+_POLISH_MAX_MOVES = 400
 
 
 class NeverStableError(Exception):
@@ -53,16 +57,15 @@ class Envelope:
         return self.low.value >= -1.0 - _BOUND_SLACK and self.high.value <= 1.0 + _BOUND_SLACK
 
 
-def _is_constant_mode(sample: SymbolSample, tol: float = 1e-8) -> bool:
+def _is_constant_mode(sample: SymbolSample) -> bool:
     tau = 2.0 * np.pi
     d1 = min(sample.theta1 % tau, tau - sample.theta1 % tau)
     d2 = min(sample.theta2 % tau, tau - sample.theta2 % tau)
-    return max(d1, d2) <= tol
+    return max(d1, d2) <= _CONSTANT_MODE_TOL
 
 
 def _two_step_at(spec: SchemeSpec, lam: float):
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    check_positive(lam, "lambda")
     return evaluate_table(spec.two_step, lam)
 
 
@@ -135,7 +138,7 @@ class _SymbolScan:
         return Envelope(low=low, high=high, marginal=marginal)
 
 
-def _polish(pairs, t1, t2, step, minimize, tol=1e-7, max_moves=400):
+def _polish(pairs, t1, t2, step, minimize):
     """Coordinate descent on a shrinking stencil, starting from a grid extremum.
 
     ``pairs`` is the two-step table evaluated at the Courant number.
@@ -143,7 +146,7 @@ def _polish(pairs, t1, t2, step, minimize, tol=1e-7, max_moves=400):
     sign = 1.0 if minimize else -1.0
     best = sign * _symbol_at(pairs, t1, t2)
     moves = 0
-    while step > tol and moves < max_moves:
+    while step > _POLISH_TOL and moves < _POLISH_MAX_MOVES:
         candidates = (
             (t1 + step, t2),
             (t1 - step, t2),
@@ -173,8 +176,7 @@ def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
     counts as stable.  Raises :class:`NeverStableError` when even lambda =
     tol violates the bound.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_positive(tol, "tol")
     scan = _SymbolScan(spec)
     if not scan.envelope(tol).stable:
         raise NeverStableError(

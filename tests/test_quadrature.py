@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,15 @@ def test_velocity_value_is_scaled_displacement_value():
             assert b_on_monomial((a1, a2)) == expected
 
 
+def test_displacement_value_keeps_its_closed_form():
+    # Poisson's identity reproduces (a1-1)!!(a2-1)!!/(a1+a2-1)!! lam^(a1+a2)
+    for a1, a2 in EVEN_PAIRS:
+        coeff = Fraction(
+            double_factorial(a1 - 1) * double_factorial(a2 - 1), double_factorial(a1 + a2 - 1)
+        )
+        assert a_on_monomial((a1, a2)) == LambdaPoly({a1 + a2: coeff})
+
+
 def test_produced_polynomials_have_even_powers_only():
     for mu in EVEN_PAIRS:
         for poly in (a_on_monomial(mu), b_on_monomial(mu)):
@@ -124,8 +134,10 @@ def test_oracle_matches_closed_form_for_square_monomial():
 
 
 def test_oracle_rejects_nonpositive_lambda():
-    with pytest.raises(ValueError):
-        quad_oracle((0, 0), 0.0)
+    for oracle in (quad_oracle, quad_oracle_b):
+        for lam in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda must be positive"):
+                oracle((0, 0), lam)
 
 
 @pytest.mark.parametrize("lam", ORACLE_LAMBDAS)

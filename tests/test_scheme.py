@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from poisson_stencils.interpolation import monomial_segment, stencil_nodes
+from poisson_stencils.interpolation import (
+    SingularMatrixError,
+    lagrange_basis,
+    monomial_segment,
+    stencil_nodes,
+)
 from poisson_stencils.quadrature import LambdaPoly, a_on_monomial, b_on_monomial
 from poisson_stencils.scheme import (
     NAMED_SCHEMES,
@@ -13,6 +18,7 @@ from poisson_stencils.scheme import (
     named_scheme,
     serialize_tables,
 )
+from poisson_stencils.simulator import RadiusUnsupportedError, SimConfig
 
 AXES = [(-1, 0), (0, -1), (1, 0), (0, 1)]
 CORNERS = [(-1, -1), (1, -1), (-1, 1), (1, 1)]
@@ -187,8 +193,55 @@ def test_tables_are_read_only_copies(schemes):
             getattr(p5, role)[(0, 0)] = LambdaPoly.constant(7)
     assert p5 == schemes["P5"] and hash(p5) == hash(schemes["P5"])
     source = {(0, 0): LambdaPoly.constant(2), (1, 0): LambdaPoly({2: 1})}
-    spec = SchemeSpec(name="s", m=0, first_u=source, first_v=source, two_step=source, radius=1)
+    spec = SchemeSpec(name="s", first_u=source, first_v=source, two_step=source)
     source[(0, 0)] = LambdaPoly.constant(5)
     del source[(1, 0)]
     assert list(spec.two_step) == [(0, 0), (1, 0)]
     assert spec.first_u[(0, 0)] == LambdaPoly.constant(2)
+
+
+def _two_operator_assembly(m):
+    """Tables built by applying the displacement and velocity operators separately.
+
+    Each basis polynomial is integrated termwise with ``a_on_monomial`` and
+    ``b_on_monomial``; an offset is kept in a table when its value there is
+    nonzero, and the two-step table is twice the displacement table.
+    """
+    basis = lagrange_basis(m)
+    first_u, first_v, two_step = {}, {}, {}
+    for s, offset in enumerate(basis.nodes):
+        u_val = v_val = LambdaPoly.zero()
+        for mu, coeff in basis.polynomial(s).items():
+            u_val = u_val + a_on_monomial(mu) * Fraction(coeff)
+            v_val = v_val + b_on_monomial(mu) * Fraction(coeff)
+        if u_val:
+            first_u[offset] = u_val
+            two_step[offset] = 2 * u_val
+        if v_val:
+            first_v[offset] = v_val
+    return first_u, first_v, two_step
+
+
+@pytest.mark.parametrize("m", range(1, 22))
+def test_generate_scheme_matches_two_operator_assembly(m):
+    try:
+        spec = generate_scheme(m)
+    except SingularMatrixError:
+        pytest.skip(f"no Lagrange basis for m = {m}")
+    expected = _two_operator_assembly(m)
+    actual = (spec.first_u, spec.first_v, spec.two_step)
+    for table, reference in zip(actual, expected):
+        assert list(table.items()) == list(reference.items())
+    offsets = {offset for reference in expected for offset in reference}
+    assert spec.radius == max(max(abs(q1), abs(q2)) for q1, q2 in offsets)
+
+
+def test_radius_is_derived_from_the_tables():
+    p13 = named_scheme("P13")
+    hand_built = SchemeSpec(
+        name="hand-built", first_u=p13.first_u, first_v=p13.first_v, two_step=p13.two_step
+    )
+    assert hand_built.radius == 2
+    with pytest.raises(RadiusUnsupportedError):
+        SimConfig(scheme=hand_built, n=16, n_t=4, lam=0.5, bc="dirichlet")
+    assert SchemeSpec(name="empty", first_u={}, first_v={}, two_step={}).radius == 0

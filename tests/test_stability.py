@@ -63,8 +63,9 @@ def test_lambda_max(name, expected, tol, schemes):
 
 
 def test_lambda_max_rejects_bad_tolerance(schemes):
-    with pytest.raises(ValueError):
-        lambda_max(schemes["P5"], tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            lambda_max(schemes["P5"], tol=tol)
 
 
 def test_min_symbol_envelope_is_monotone_in_lambda(schemes):
@@ -85,11 +86,9 @@ def test_envelope_flags_marginal_double_root(schemes):
 def test_never_stable_scheme_is_reported():
     bad = SchemeSpec(
         name="amplifier",
-        m=0,
         first_u={(0, 0): LambdaPoly({0: 3})},
         first_v={(0, 0): LambdaPoly({0: 1})},
         two_step={(0, 0): LambdaPoly({0: 3})},
-        radius=0,
     )
     with pytest.raises(NeverStableError):
         lambda_max(bad)
@@ -99,11 +98,9 @@ def test_asymmetric_table_rejected_by_real_symbol_formula():
     # a lone off-center offset leaves an uncancelled sine part
     lopsided = SchemeSpec(
         name="lopsided",
-        m=0,
         first_u={(0, 0): LambdaPoly({0: 1})},
         first_v={(0, 0): LambdaPoly({0: 1})},
         two_step={(0, 0): LambdaPoly({0: 1}), (1, 0): LambdaPoly({0: 1})},
-        radius=1,
     )
     with pytest.raises(ValueError, match="non-real symbol"):
         envelope(lopsided, 0.5)
@@ -116,7 +113,7 @@ def test_table_asymmetric_below_float_resolution_is_rejected():
     nearly = dict(p5.two_step)
     nearly[(-1, 0)] = nearly[(-1, 0)] + LambdaPoly({2: Fraction(1, 10**20)})
     skewed = SchemeSpec(
-        name="nearly-p5", m=0, first_u=p5.first_u, first_v=p5.first_v, two_step=nearly, radius=1
+        name="nearly-p5", first_u=p5.first_u, first_v=p5.first_v, two_step=nearly
     )
     for check in (lambda: envelope(skewed, 0.5), lambda: lambda_max(skewed)):
         with pytest.raises(ValueError, match="non-real symbol"):
@@ -124,7 +121,7 @@ def test_table_asymmetric_below_float_resolution_is_rejected():
 
 
 def test_envelope_rejects_nonpositive_lambda(schemes):
-    for lam in (0.0, -0.5):
+    for lam in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="lambda must be positive"):
             envelope(schemes["P5"], lam)
         with pytest.raises(ValueError, match="lambda must be positive"):
