@@ -19,7 +19,7 @@ print(header)
 for lam in lams:
     cells = []
     for spec in schemes.values():
-        env = envelope(spec, float(lam), grid=128)
+        env = envelope(spec, float(lam))
         cells.append(f"{env.low.value:10.4f}")
     print(f"{lam:6.2f}  " + "".join(cells))
 print()

@@ -328,7 +328,7 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     initial_v = config.initial_v or (lambda x1, x2: standing_wave_initial_v(x1, x2, config.c))
     exact = config.exact or (lambda x1, x2, t: exact_standing_wave(x1, x2, t, config.c))
 
-    env = stability.envelope(spec, lam, grid=128)
+    env = stability.envelope(spec, lam)
     if not env.stable:
         warnings.warn(
             f"lambda = {lam} is outside the stable range of scheme {spec.name!r} "

@@ -2,27 +2,28 @@
 
 Substituting a plane wave into the two-step recurrence u^{k+1} = S u^k -
 u^{k-1} gives a scalar three-term recursion whose solutions stay bounded
-exactly when the one-step symbol a(theta) = S(theta)/2 lies in [-1, 1].  The
-symbol is real exactly when the two-step table is symmetric under q -> -q,
-which is checked on the exact rational table; stability then reduces to a
-min/max search over phase angles, and the maximal stable Courant number to
-a bisection in lambda.
+exactly when the one-step symbol a(theta) = S(theta)/2 lies in [-1, 1].  For
+a two-step table unchanged by q1 -> -q1 and by q2 -> -q2 separately, with
+|q1| + |q2| <= 2 on every offset, the symbol is the quadratic
+a = 1/2 sum_q c_q(lam) T_|q1|(X) T_|q2|(Y) in X = cos theta1, Y = cos theta2
+(T_k the Chebyshev polynomials).  Its extremes over [-1, 1]^2 lie among at
+most nine points, found in exact rationals at the Courant number; the
+maximal stable Courant number is a bisection in lambda on them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import numpy as np
-
-from .quadrature import check_positive
+from .quadrature import LambdaPoly, check_positive
 from .scheme import SchemeSpec, evaluate_table
 
 _BOUND_SLACK = 1e-12
-_CONSTANT_MODE_TOL = 1e-8  # phase distance from 0 (mod 2pi) of the constant mode
-_POLISH_TOL = 1e-7  # smallest step of the coordinate-descent polish
-_POLISH_MAX_MOVES = 400
+
+# (|q1|, |q2|) of the offsets the Chebyshev form covers: |q1| + |q2| <= 2.
+_CLASSES = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
 
 
 class NeverStableError(Exception):
@@ -44,8 +45,8 @@ class Envelope:
 
     ``marginal`` flags a nontrivial mode with |value| touching 1 (within
     slack): the recurrence then has a double root and grows linearly in the
-    step count, which is still classified stable.  The constant mode always
-    sits at exactly +1 and does not count.
+    step count, which is still classified stable.  The constant mode
+    (theta1 = theta2 = 0) always sits at exactly +1 and does not count.
     """
 
     low: SymbolSample
@@ -57,116 +58,99 @@ class Envelope:
         return self.low.value >= -1.0 - _BOUND_SLACK and self.high.value <= 1.0 + _BOUND_SLACK
 
 
-def _is_constant_mode(sample: SymbolSample) -> bool:
-    tau = 2.0 * np.pi
-    d1 = min(sample.theta1 % tau, tau - sample.theta1 % tau)
-    d2 = min(sample.theta2 % tau, tau - sample.theta2 % tau)
-    return max(d1, d2) <= _CONSTANT_MODE_TOL
+def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
+    """One-step amplification symbol a(theta) of the scheme's two-step table.
 
-
-def _two_step_at(spec: SchemeSpec, lam: float):
+    Evaluated as the cosine sum 1/2 sum_q c_q cos(q1 theta1 + q2 theta2),
+    independently of the Chebyshev form that :func:`envelope` uses.
+    """
     check_positive(lam, "lambda")
-    return evaluate_table(spec.two_step, lam)
-
-
-def _symbol_at(pairs, theta1: float, theta2: float) -> float:
     total = 0.0
-    for (q1, q2), coeff in pairs:
+    for (q1, q2), coeff in evaluate_table(spec.two_step, lam):
         total += coeff * math.cos(q1 * theta1 + q2 * theta2)
     return 0.5 * total
 
 
-def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
-    """One-step amplification symbol a(theta) of the scheme's two-step table."""
-    return _symbol_at(_two_step_at(spec, lam), theta1, theta2)
+def _symbol_coefficients(spec: SchemeSpec) -> tuple[LambdaPoly, ...]:
+    """Exact coefficients of 1, X, Y, XY, X^2, Y^2 in the symbol a(X, Y).
 
-
-class _SymbolScan:
-    """Per-power phase-grid tables so the symbol is cheap to re-evaluate in lambda.
-
-    The two-step coefficients are polynomials in lambda, so the symbol on a
-    fixed theta grid is a short power series whose grid-valued coefficients
-    are computed once.  The grid size is even, which puts the (pi, pi) corner
-    mode exactly on a grid point.
+    Raises ``ValueError`` for a table whose symbol is not real, or is real
+    but not a quadratic in the cosines.
     """
-
-    def __init__(self, spec: SchemeSpec, grid: int = 512):
-        table = spec.two_step
-        if not table:
-            raise ValueError(f"scheme {spec.name!r} has an empty two-step table")
-        # The sine parts cancel, and the symbol is the real cosine sum below,
-        # exactly when every offset q has a partner -q with an equal polynomial.
-        if any(poly != table.get((-q1, -q2)) for (q1, q2), poly in table.items()):
-            raise ValueError(
-                f"scheme {spec.name!r} has a non-real symbol "
-                "(its two-step table is not symmetric under q -> -q)"
-            )
-        self.spec = spec
-        self.grid = grid
-        thetas = 2.0 * np.pi * np.arange(grid) / grid
-        t1, t2 = np.meshgrid(thetas, thetas, indexing="ij")
-        self.thetas = thetas
-        tables: dict[int, np.ndarray] = {}
-        for (q1, q2), poly in table.items():
-            cos_part = np.cos(q1 * t1 + q2 * t2)
-            for power, coeff in poly.coeffs.items():
-                weight = 0.5 * float(coeff)
-                if power in tables:
-                    tables[power] += weight * cos_part
-                else:
-                    tables[power] = weight * cos_part
-        self.tables = sorted(tables.items())
-
-    def values(self, lam: float) -> np.ndarray:
-        out = None
-        for power, table in self.tables:
-            term = table if power == 0 else table * lam**power
-            out = term.copy() if out is None else out + term
-        return out
-
-    def envelope(self, lam: float) -> Envelope:
-        pairs = _two_step_at(self.spec, lam)
-        values = self.values(lam)
-        step = 2.0 * np.pi / self.grid
-        i_min, j_min = np.unravel_index(np.argmin(values), values.shape)
-        i_max, j_max = np.unravel_index(np.argmax(values), values.shape)
-        low = _polish(pairs, self.thetas[i_min], self.thetas[j_min], step, minimize=True)
-        high = _polish(pairs, self.thetas[i_max], self.thetas[j_max], step, minimize=False)
-        marginal = abs(low.value + 1.0) <= _BOUND_SLACK or (
-            abs(high.value - 1.0) <= _BOUND_SLACK and not _is_constant_mode(high)
+    table = spec.two_step
+    if not table:
+        raise ValueError(f"scheme {spec.name!r} has an empty two-step table")
+    # The sine parts cancel, and the symbol is the real cosine sum, exactly
+    # when every offset q has a partner -q with an equal polynomial.
+    if any(poly != table.get((-q1, -q2)) for (q1, q2), poly in table.items()):
+        raise ValueError(
+            f"scheme {spec.name!r} has a non-real symbol "
+            "(its two-step table is not symmetric under q -> -q)"
         )
-        return Envelope(low=low, high=high, marginal=marginal)
+    # Given that, q1 -> -q1 symmetry implies q2 -> -q2 symmetry too.
+    if any(
+        (abs(q1), abs(q2)) not in _CLASSES or poly != table.get((-q1, q2))
+        for (q1, q2), poly in table.items()
+    ):
+        raise ValueError(
+            f"scheme {spec.name!r} is outside the exact stability analysis, which "
+            "needs a two-step table unchanged by q1 -> -q1 and by q2 -> -q2 "
+            "separately, with |q1| + |q2| <= 2 on every offset"
+        )
+    sums = dict.fromkeys(_CLASSES, LambdaPoly.zero())
+    for (q1, q2), poly in table.items():
+        sums[abs(q1), abs(q2)] += poly
+    s00, s10, s01, s11, s20, s02 = (sums[k] for k in _CLASSES)
+    half = Fraction(1, 2)
+    # 1/2 (s00 + s10 X + s01 Y + s11 XY + s20 T_2(X) + s02 T_2(Y)), T_2(X) = 2X^2 - 1
+    return ((s00 - s20 - s02) * half, s10 * half, s01 * half, s11 * half, s20, s02)
 
 
-def _polish(pairs, t1, t2, step, minimize):
-    """Coordinate descent on a shrinking stencil, starting from a grid extremum.
+def _exact_value(poly: LambdaPoly, lam: Fraction) -> Fraction:
+    return sum((c * lam**p for p, c in poly.items()), Fraction(0))
 
-    ``pairs`` is the two-step table evaluated at the Courant number.
+
+def _envelope(coeffs: tuple[LambdaPoly, ...], lam: float) -> Envelope:
+    """Exact extremes of the quadratic symbol over [-1, 1]^2 at ``lam``."""
+    exact_lam = Fraction(lam)
+    c0, cx, cy, cxy, cxx, cyy = (_exact_value(poly, exact_lam) for poly in coeffs)
+    points = [(x, y) for x in (1, -1) for y in (1, -1)]
+    for x in (1, -1):  # edge X = x: a quadratic in Y
+        if cyy:
+            points.append((x, -(cy + cxy * x) / (2 * cyy)))
+    for y in (1, -1):
+        if cxx:
+            points.append((-(cx + cxy * y) / (2 * cxx), y))
+    det = 4 * cxx * cyy - cxy * cxy
+    if det:  # the one critical point of the gradient's 2x2 linear system
+        points.append(((cxy * cy - 2 * cyy * cx) / det, (cxy * cx - 2 * cxx * cy) / det))
+    scored = [
+        (c0 + x * (cx + cxx * x + cxy * y) + y * (cy + cyy * y), x, y)
+        for x, y in points
+        if -1 <= x <= 1 and -1 <= y <= 1
+    ]
+    low, high = min(scored), max(scored)
+    # (X, Y) = (1, 1) is the constant mode, at exactly +1 for any consistent table.
+    marginal = abs(float(low[0]) + 1.0) <= _BOUND_SLACK or any(
+        abs(float(value) - 1.0) <= _BOUND_SLACK and (x, y) != (1, 1) for value, x, y in scored
+    )
+    return Envelope(low=_sample(*low), high=_sample(*high), marginal=marginal)
+
+
+def _sample(value: Fraction, x: Fraction, y: Fraction) -> SymbolSample:
+    return SymbolSample(theta1=math.acos(x), theta2=math.acos(y), value=float(value))
+
+
+def envelope(spec: SchemeSpec, lam: float, grid: int | None = None) -> Envelope:
+    """Exact extremes of the symbol over all phase angles, with theta in [0, pi].
+
+    ``grid`` is accepted for callers of the former phase-grid scan and
+    ignored.  Raises ``ValueError`` for a two-step table outside the
+    precondition of the module docstring.
     """
-    sign = 1.0 if minimize else -1.0
-    best = sign * _symbol_at(pairs, t1, t2)
-    moves = 0
-    while step > _POLISH_TOL and moves < _POLISH_MAX_MOVES:
-        candidates = (
-            (t1 + step, t2),
-            (t1 - step, t2),
-            (t1, t2 + step),
-            (t1, t2 - step),
-        )
-        scored = [(sign * _symbol_at(pairs, c1, c2), c1, c2) for c1, c2 in candidates]
-        value, c1, c2 = min(scored)
-        if value < best:
-            best, t1, t2 = value, c1, c2
-            moves += 1
-        else:
-            step *= 0.5
-    tau = 2.0 * np.pi
-    return SymbolSample(theta1=t1 % tau, theta2=t2 % tau, value=sign * best)
-
-
-def envelope(spec: SchemeSpec, lam: float, grid: int = 512) -> Envelope:
-    """Symbol extremes over a theta grid with local refinement."""
-    return _SymbolScan(spec, grid).envelope(lam)
+    coeffs = _symbol_coefficients(spec)
+    check_positive(lam, "lambda")
+    return _envelope(coeffs, lam)
 
 
 def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
@@ -177,17 +161,17 @@ def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
     tol violates the bound.
     """
     check_positive(tol, "tol")
-    scan = _SymbolScan(spec)
-    if not scan.envelope(tol).stable:
+    coeffs = _symbol_coefficients(spec)
+    if not _envelope(coeffs, tol).stable:
         raise NeverStableError(
             f"scheme {spec.name!r} amplifies even at lambda = {tol}"
         )
     lo, hi = tol, 2.0
-    if scan.envelope(hi).stable:
+    if _envelope(coeffs, hi).stable:
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if scan.envelope(mid).stable:
+        if _envelope(coeffs, mid).stable:
             lo = mid
         else:
             hi = mid

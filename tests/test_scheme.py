@@ -149,12 +149,13 @@ def test_moment_exactness(m):
         assert acc_v == b_on_monomial(mu)
 
 
-@pytest.mark.parametrize("name", ["P5", "P9", "P13"])
+@pytest.mark.parametrize("name", NAMED_SCHEMES)
 def test_four_fold_symmetry(name, schemes):
     spec = schemes[name]
     for table in (spec.first_u, spec.first_v, spec.two_step):
         for (q1, q2), poly in table.items():
             assert table[(-q2, q1)] == poly
+            assert table[(q2, q1)] == poly  # the coordinate swap
 
 
 def test_isotropic_four_fold_symmetry():

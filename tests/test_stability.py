@@ -1,11 +1,15 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poisson_stencils.quadrature import LambdaPoly
-from poisson_stencils.scheme import SchemeSpec, named_scheme
+from poisson_stencils.scheme import SchemeSpec, evaluate_table, generate_scheme, named_scheme
+from poisson_stencils.simulator import SimConfig, run
 from poisson_stencils.stability import NeverStableError, envelope, lambda_max, symbol
 
 SQRT2 = math.sqrt(2.0)
@@ -71,7 +75,7 @@ def test_lambda_max_rejects_bad_tolerance(schemes):
 def test_min_symbol_envelope_is_monotone_in_lambda(schemes):
     for name in ("P5", "P9", "C9", "P13"):
         spec = schemes[name]
-        lows = [envelope(spec, lam, grid=128).low.value for lam in np.linspace(0.05, 1.0, 12)]
+        lows = [envelope(spec, lam).low.value for lam in np.linspace(0.05, 1.0, 12)]
         assert all(a >= b - 1e-12 for a, b in zip(lows, lows[1:]))
 
 
@@ -126,3 +130,98 @@ def test_envelope_rejects_nonpositive_lambda(schemes):
             envelope(schemes["P5"], lam)
         with pytest.raises(ValueError, match="lambda must be positive"):
             symbol(schemes["P5"], lam, 0.1, 0.2)
+
+
+ORACLE_SCHEMES = ("P5", "C5", "P9", "C9", "P13", "C13", 6, 11, 14, 15)
+
+
+@functools.cache
+def oracle_spec(key):
+    return named_scheme(key) if isinstance(key, str) else generate_scheme(key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.sampled_from(ORACLE_SCHEMES),
+    lam=st.floats(min_value=0.0, max_value=1.2, exclude_min=True),
+    theta1=st.floats(min_value=-2 * math.pi, max_value=2 * math.pi),
+    theta2=st.floats(min_value=-2 * math.pi, max_value=2 * math.pi),
+)
+def test_envelope_bounds_the_cosine_sum(key, lam, theta1, theta2):
+    # symbol() is the cosine sum over the table, independent of the
+    # Chebyshev quadratic behind envelope().
+    spec = oracle_spec(key)
+    env = envelope(spec, lam)
+    assert env.low.value - 1e-12 <= symbol(spec, lam, theta1, theta2) <= env.high.value + 1e-12
+    for extreme in (env.low, env.high):
+        assert 0.0 <= extreme.theta1 <= math.pi and 0.0 <= extreme.theta2 <= math.pi
+        at_angles = symbol(spec, lam, extreme.theta1, extreme.theta2)
+        assert at_angles == pytest.approx(extreme.value, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=6, max_size=6),
+    lam=st.sampled_from((0.25, 0.5, 1.0)),
+)
+def test_envelope_of_random_quadratic_symbols(weights, lam):
+    # Random tables of the supported form, whose extremes may sit at an edge
+    # vertex or in the interior, against the cosine sum on a phase grid.
+    two_step = {}
+    for (q1, q2), (c0, c2) in zip(((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)), weights):
+        poly = LambdaPoly({0: Fraction(c0, 4), 2: Fraction(c2, 4)})
+        if poly:
+            two_step.update({(s1 * q1, s2 * q2): poly for s1 in (1, -1) for s2 in (1, -1)})
+    assume(two_step)
+    spec = SchemeSpec(name="random", first_u={}, first_v={}, two_step=two_step)
+    thetas = np.linspace(0.0, math.pi, 97)
+    t1, t2 = np.meshgrid(thetas, thetas, indexing="ij")
+    values = 0.5 * sum(
+        coeff * np.cos(q1 * t1 + q2 * t2) for (q1, q2), coeff in evaluate_table(two_step, lam)
+    )
+    env = envelope(spec, lam)
+    assert env.low.value <= values.min() + 1e-12
+    assert env.high.value >= values.max() - 1e-12
+    for extreme in (env.low, env.high):
+        at_angles = symbol(spec, lam, extreme.theta1, extreme.theta2)
+        assert at_angles == pytest.approx(extreme.value, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name,limit",
+    [
+        ("P5", 1 / SQRT2),
+        ("C5", 1 / SQRT2),
+        ("P13", 1 / SQRT2),
+        ("C13", 1 / SQRT2),
+        ("P9", math.sqrt((3 - math.sqrt(3)) / 2)),
+        ("C9", math.sqrt(3) / 2),
+    ],
+)
+def test_envelope_is_sharp_at_the_closed_form_limit(name, limit):
+    spec = named_scheme(name)
+    assert envelope(spec, limit * (1 - 1e-9)).stable
+    assert not envelope(spec, limit * (1 + 1e-9)).stable
+
+
+def _p5_with(extra):
+    p5 = named_scheme("P5")
+    table = dict(p5.two_step)
+    table.update(extra)
+    return SchemeSpec(name="extended", first_u=p5.first_u, first_v=p5.first_v, two_step=table)
+
+
+def test_table_outside_the_chebyshev_form_is_rejected():
+    # Real symbols (q -> -q symmetric) that are not a quadratic in the cosines:
+    # one diagonal only, and an offset with |q1| + |q2| = 3.
+    diagonal = _p5_with({(1, 1): LambdaPoly({2: 1}), (-1, -1): LambdaPoly({2: 1})})
+    knight = LambdaPoly({4: Fraction(1, 12)})
+    wide = _p5_with({(2, 1): knight, (-2, 1): knight, (2, -1): knight, (-2, -1): knight})
+    requirement = r"unchanged by q1 -> -q1 and by q2 -> -q2 separately, with \|q1\| \+ \|q2\| <= 2"
+    for spec in (diagonal, wide):
+        with pytest.raises(ValueError, match=requirement):
+            envelope(spec, 0.5)
+        with pytest.raises(ValueError, match=requirement):
+            lambda_max(spec)
+    with pytest.raises(ValueError, match=requirement):
+        run(SimConfig(scheme=diagonal, n=8, n_t=2, lam=0.5, bc="periodic"))
