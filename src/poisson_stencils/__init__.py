@@ -37,7 +37,6 @@ from .scheme import (
 )
 from .simulator import (
     DegenerateNormError,
-    RadiusUnsupportedError,
     SimConfig,
     SimReport,
     dump_grid_csv,
@@ -85,7 +84,6 @@ __all__ = [
     "lambda_max",
     "symbol",
     "DegenerateNormError",
-    "RadiusUnsupportedError",
     "SimConfig",
     "SimReport",
     "dump_grid_csv",

@@ -10,26 +10,19 @@ import time
 from . import __version__
 from .benchmarks import TABLE_BC, TABLE_SCHEMES, run_table
 from .scheme import NAMED_SCHEMES, UnknownSchemeError, named_scheme, serialize_tables
-from .simulator import (
-    DegenerateNormError,
-    RadiusUnsupportedError,
-    SimConfig,
-    dump_grid_csv,
-    run,
-)
+from .simulator import BOUNDARY_CONDITIONS, DegenerateNormError, SimConfig, dump_grid_csv, run
 from .stability import NeverStableError, lambda_max
 
 EXIT_OK = 0
 EXIT_INVALID_ARGUMENT = 2  # argparse's usage error
 EXIT_UNKNOWN_SCHEME = 3
-EXIT_RADIUS_UNSUPPORTED = 4
+# 4 (radius unsupported for the boundary condition) is retired and not reused.
 EXIT_DEGENERATE_NORM = 5
 EXIT_NEVER_STABLE = 6
 
 _EXIT_CODES = {
     argparse.ArgumentTypeError: EXIT_INVALID_ARGUMENT,
     UnknownSchemeError: EXIT_UNKNOWN_SCHEME,
-    RadiusUnsupportedError: EXIT_RADIUS_UNSUPPORTED,
     DegenerateNormError: EXIT_DEGENERATE_NORM,
     NeverStableError: EXIT_NEVER_STABLE,
 }
@@ -167,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, required=True, help="grid subdivisions per axis")
     p_sim.add_argument("--nt", type=int, required=True, help="number of time steps")
     p_sim.add_argument("--lambda", dest="lam", type=_positive_float, required=True)
-    p_sim.add_argument("--bc", choices=("dirichlet", "periodic"), default="dirichlet")
+    p_sim.add_argument("--bc", choices=BOUNDARY_CONDITIONS, default="dirichlet")
     p_sim.add_argument(
         "--dump-every",
         type=_nonnegative_int,

@@ -2,11 +2,12 @@
 
 Fields live on an (n+1) x (n+1) node grid with spacing h = 1/n; the value at
 (i, j) sits at coordinates (i*h, j*h).  Dirichlet mode pins the boundary rows
-to exact zeros and updates the interior (radius-1 schemes only); periodic
-mode updates n independent nodes per axis and keeps index n as an alias of
-index 0, so error sums over the full 0..n range never double-count a physical
-node inside the update loop.  ``run()``, ``first_step`` and ``two_step``
-all apply the schemes through one stencil kernel on halo-padded buffers.
+to exact zeros and updates the interior of the field's odd extension (the
+method of images), so schemes of any radius apply; periodic mode updates n
+independent nodes per axis and keeps index n as an alias of index 0, so error
+sums over the full 0..n range never double-count a physical node inside the
+update loop.  ``run()``, ``first_step`` and ``two_step`` all apply the
+schemes through one stencil kernel on halo-padded buffers.
 
 The quality measure is the relative L2 error over all steps and nodes:
 
@@ -39,10 +40,6 @@ BOUNDARY_CONDITIONS = ("dirichlet", "periodic")
 _ROW_BLOCK = 64
 
 
-class RadiusUnsupportedError(Exception):
-    """Dirichlet boundaries only support schemes of stencil radius 1."""
-
-
 class DegenerateNormError(Exception):
     """The reference solution vanishes at every sampled point; E is undefined."""
 
@@ -70,16 +67,18 @@ def standing_wave_initial_v(x1, x2, c: float = 1.0):
     return 2.0 * _SQRT2 * np.pi * c * np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
 
 
-def _check_radius(spec: SchemeSpec, bc: str):
-    if bc == "dirichlet" and spec.radius > 1:
-        raise RadiusUnsupportedError(
-            f"scheme {spec.name!r} has radius {spec.radius}; "
-            "Dirichlet boundaries support radius 1 only"
-        )
+def _check_int(value, name: str, least: int) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _grid_n(a: np.ndarray, b: np.ndarray) -> int:
+    """n of two fields on one (n+1) x (n+1) grid; ``ValueError`` otherwise."""
+    shape = np.shape(a)
+    if shape != np.shape(b) or len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"need two square 2-D fields of one shape, got {shape}, {np.shape(b)}")
+    return _check_int(shape[0] - 1, "n", 2)
 
 
 @dataclass(frozen=True)
@@ -103,15 +102,12 @@ class SimConfig:
     exact: Callable | None = None
 
     def __post_init__(self):
-        if not _is_int(self.n) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        if not _is_int(self.n_t) or self.n_t < 1:
-            raise ValueError(f"n_t must be an integer >= 1, got {self.n_t!r}")
+        _check_int(self.n, "n", 2)
+        _check_int(self.n_t, "n_t", 1)
         check_positive(self.lam, "lambda")
         check_positive(self.c, "wave speed")
         if self.bc not in BOUNDARY_CONDITIONS:
             raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {self.bc!r}")
-        _check_radius(self.scheme, self.bc)
 
     @property
     def h(self) -> float:
@@ -154,12 +150,15 @@ def _squared_sums(field_k: np.ndarray, reference: np.ndarray, work: np.ndarray):
 class _Stepper:
     """The stencil kernel of one scheme, Courant number, grid and boundary.
 
-    A buffer holds the (n+1) x (n+1) field at ``origin`` inside a ring of
-    ghost cells, so that every offset of the stencil is a slice.  A periodic
-    buffer has a ring as wide as the radius (at least 1, for the aliased
-    index n), refilled from the n x n core by wrap after every update.  A
-    Dirichlet buffer is the field itself: its boundary rows and columns are
-    the ghost cells and are pinned to zero after every update.
+    A buffer holds the core that an update writes, field indices first ..
+    n - 1 per axis, inside a ring of r = max(radius, 1) ghost cells, so that
+    every offset of the stencil is a slice.  One rule fills the ghosts: field
+    index i reads index j = i mod p with sign +1 when j <= n, and index
+    2n - j with sign -1 otherwise.  A periodic grid has first = 0 and p = n,
+    so index n aliases index 0.  A Dirichlet grid has first = 1 and p = 2n:
+    the odd extension of the field, whose mirror lines are the boundary ring
+    i in {0, n}.  The rule maps the ring onto itself, and after every update
+    it is pinned to +0.0.
 
     At each node the stencil sum starts from 0.0 and adds coeff * value over
     the table's offsets in table order.  That order fixes the last bits of
@@ -168,18 +167,26 @@ class _Stepper:
     """
 
     def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str):
-        self.n = n
-        self.periodic = bc == "periodic"
-        if self.periodic:
-            self.origin = max(spec.radius, 1)
-            self.lo, self.size = self.origin, n
-            ghosts = np.r_[0 : self.origin, n + self.origin : n + 2 * self.origin]
-            self._wrap = (ghosts, self.origin + (ghosts - self.origin) % n)
-            width = n + 2 * self.origin
-        else:
-            self.origin, self.lo, self.size = 0, 1, n - 1
-            width = n + 1
+        first, period = (0, n) if bc == "periodic" else (1, 2 * n)
+        r = max(spec.radius, 1)
+        self.n, self.lo, self.size = n, r, n - first
+        self.origin = r - first  # the buffer index of field index 0
+        width = self.size + 2 * r
         self.shape = (width, width)
+        # Per sign, zeros first since a source may lie on a mirror line: the
+        # (ghost, source) buffer index pairs of one axis.
+        pairs = {0: [], 1: [], -1: []}
+        for b in [*range(r), *range(r + self.size, width)]:
+            i = b - self.origin
+            j = i % period
+            source, sign = (j, 1) if j <= n else (2 * n - j, -1)
+            pairs[0 if source == i else sign].append((b, source + self.origin))
+        # Ghost rows over the core columns, then ghost columns over all rows.
+        groups = [(sign, *np.array(p).T) for sign, p in pairs.items() if p]
+        core, every = slice(r, r + self.size), slice(None)
+        self._ghosts = [(s, (g, core), (f, core)) for s, g, f in groups] + [
+            (s, (every, g), (every, f)) for s, g, f in groups
+        ]
         self.first_u = evaluate_table(spec.first_u, lam)
         self.first_v = evaluate_table(spec.first_v, lam)
         self.two_step = evaluate_table(spec.two_step, lam)
@@ -193,28 +200,25 @@ class _Stepper:
         return buf[o : o + self.n + 1, o : o + self.n + 1]
 
     def buffer(self, values: np.ndarray | None = None) -> np.ndarray:
-        """A new buffer, zero or holding ``values``.
+        """A new buffer, zero or holding ``values`` with its ghosts filled.
 
-        A periodic field's aliased last row and column are replaced by the
-        core's; a Dirichlet field keeps its boundary values for the first
-        stencil application to read.
+        The boundary ring is not pinned: a Dirichlet field keeps its own for
+        the first stencil application to read.
         """
         buf = np.zeros(self.shape)
         if values is not None:
             self.field(buf)[...] = values
-            if self.periodic:
-                self._fill_ghosts(buf)
+            self._fill_ghosts(buf, pin=False)
         return buf
 
-    def _fill_ghosts(self, buf: np.ndarray):
-        if self.periodic:
-            ghosts, sources = self._wrap
-            core = slice(self.origin, self.origin + self.n)
-            buf[ghosts, core] = buf[sources, core]
-            buf[:, ghosts] = buf[:, sources]
-        else:
-            buf[[0, -1], :] = 0.0
-            buf[:, [0, -1]] = 0.0
+    def _fill_ghosts(self, buf: np.ndarray, pin: bool = True):
+        for sign, ghosts, sources in self._ghosts:
+            if sign > 0:
+                buf[ghosts] = buf[sources]
+            elif sign < 0:
+                buf[ghosts] = -buf[sources]
+            elif pin:
+                buf[ghosts] = 0.0
 
     def _blocks(self, buf: np.ndarray):
         """(first row, end row, core rows of ``buf``) per row block of the update."""
@@ -260,10 +264,7 @@ def first_step(
     bc: str = "dirichlet",
 ) -> np.ndarray:
     """First update: combine initial displacement and velocity fields."""
-    _check_radius(spec, bc)
-    if u0.shape != v0.shape:
-        raise ValueError(f"field shapes differ: {u0.shape} vs {v0.shape}")
-    stepper = _Stepper(spec, lam, u0.shape[0] - 1, bc)
+    stepper = _Stepper(spec, lam, _grid_n(u0, v0), bc)
     out = stepper.buffer()
     stepper.first(stepper.buffer(u0), stepper.buffer(v0), out, tau)
     return stepper.field(out).copy()
@@ -281,10 +282,7 @@ def two_step(
     Periodic fields are read on their n x n core; the result's aliased last
     row and column repeat its first.
     """
-    _check_radius(spec, bc)
-    if u_k.shape != u_km1.shape:
-        raise ValueError(f"field shapes differ: {u_k.shape} vs {u_km1.shape}")
-    stepper = _Stepper(spec, lam, u_k.shape[0] - 1, bc)
+    stepper = _Stepper(spec, lam, _grid_n(u_k, u_km1), bc)
     out = stepper.buffer(u_km1)
     stepper.two(stepper.buffer(u_k), out)
     return stepper.field(out).copy()

@@ -62,13 +62,29 @@ def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
     """One-step amplification symbol a(theta) of the scheme's two-step table.
 
     Evaluated as the cosine sum 1/2 sum_q c_q cos(q1 theta1 + q2 theta2),
-    independently of the Chebyshev form that :func:`envelope` uses.
+    independently of the Chebyshev form that :func:`envelope` uses.  Raises
+    ``ValueError`` for a table whose symbol is not real.
     """
     check_positive(lam, "lambda")
+    _check_real(spec)
     total = 0.0
     for (q1, q2), coeff in evaluate_table(spec.two_step, lam):
         total += coeff * math.cos(q1 * theta1 + q2 * theta2)
     return 0.5 * total
+
+
+def _check_real(spec: SchemeSpec):
+    """Raise ``ValueError`` unless the scheme's symbol is real.
+
+    The sine parts cancel, and the symbol is the real cosine sum, exactly
+    when every offset q has a partner -q with an equal polynomial.
+    """
+    table = spec.two_step
+    if any(poly != table.get((-q1, -q2)) for (q1, q2), poly in table.items()):
+        raise ValueError(
+            f"scheme {spec.name!r} has a non-real symbol "
+            "(its two-step table is not symmetric under q -> -q)"
+        )
 
 
 def _symbol_coefficients(spec: SchemeSpec) -> tuple[LambdaPoly, ...]:
@@ -80,13 +96,7 @@ def _symbol_coefficients(spec: SchemeSpec) -> tuple[LambdaPoly, ...]:
     table = spec.two_step
     if not table:
         raise ValueError(f"scheme {spec.name!r} has an empty two-step table")
-    # The sine parts cancel, and the symbol is the real cosine sum, exactly
-    # when every offset q has a partner -q with an equal polynomial.
-    if any(poly != table.get((-q1, -q2)) for (q1, q2), poly in table.items()):
-        raise ValueError(
-            f"scheme {spec.name!r} has a non-real symbol "
-            "(its two-step table is not symmetric under q -> -q)"
-        )
+    _check_real(spec)
     # Given that, q1 -> -q1 symmetry implies q2 -> -q2 symmetry too.
     if any(
         (abs(q1), abs(q2)) not in _CLASSES or poly != table.get((-q1, q2))

@@ -7,7 +7,6 @@ from poisson_stencils import cli
 from poisson_stencils.cli import (
     EXIT_DEGENERATE_NORM,
     EXIT_INVALID_ARGUMENT,
-    EXIT_RADIUS_UNSUPPORTED,
     EXIT_UNKNOWN_SCHEME,
     main,
 )
@@ -103,18 +102,21 @@ def test_simulate_five_point_fine_grid(capsys):
     assert error == pytest.approx(6.5824e-7, rel=5e-2)
 
 
-def test_simulate_radius_exit_code(capsys):
-    code, _, err = run_cli(
+def test_simulate_radius_two_dirichlet(capsys):
+    code, out, _ = run_cli(
         capsys,
         "simulate",
         "--scheme", "P13",
         "--n", "10",
-        "--nt", "5",
+        "--nt", "10",
         "--lambda", "0.707",
         "--bc", "dirichlet",
     )
-    assert code == EXIT_RADIUS_UNSUPPORTED
-    assert "radius" in err
+    assert code == 0
+    # Table 3's n = 10 row, whose published value is periodic: the standing
+    # wave is odd about both boundaries, so Dirichlet gives the same error.
+    error = float(re.search(r"error: ([0-9.e+-]+)", out).group(1))
+    assert error == pytest.approx(4.2146e-5, rel=1e-3)
 
 
 def test_simulate_zero_ic_degenerate_norm(capsys):

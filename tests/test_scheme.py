@@ -18,7 +18,7 @@ from poisson_stencils.scheme import (
     named_scheme,
     serialize_tables,
 )
-from poisson_stencils.simulator import RadiusUnsupportedError, SimConfig
+from poisson_stencils.simulator import SimConfig, run
 
 AXES = [(-1, 0), (0, -1), (1, 0), (0, 1)]
 CORNERS = [(-1, -1), (1, -1), (-1, 1), (1, 1)]
@@ -243,6 +243,10 @@ def test_radius_is_derived_from_the_tables():
         name="hand-built", first_u=p13.first_u, first_v=p13.first_v, two_step=p13.two_step
     )
     assert hand_built.radius == 2
-    with pytest.raises(RadiusUnsupportedError):
-        SimConfig(scheme=hand_built, n=16, n_t=4, lam=0.5, bc="dirichlet")
+    # The simulator sizes its ghost cells from the derived radius.
+    errors = [
+        run(SimConfig(scheme=spec, n=16, n_t=4, lam=0.5, bc="dirichlet")).error
+        for spec in (hand_built, p13)
+    ]
+    assert errors[0] == errors[1]
     assert SchemeSpec(name="empty", first_u={}, first_v={}, two_step={}).radius == 0

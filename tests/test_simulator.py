@@ -8,7 +8,6 @@ import pytest
 from poisson_stencils.scheme import named_scheme
 from poisson_stencils.simulator import (
     DegenerateNormError,
-    RadiusUnsupportedError,
     SimConfig,
     dump_grid_csv,
     exact_standing_wave,
@@ -63,10 +62,27 @@ class TestFirstStep:
         report = run(SimConfig(scheme=p5, n=10, n_t=1, lam=0.707))
         assert report.error == pytest.approx(9.0843e-4, rel=1e-2)
 
-    def test_dirichlet_rejects_radius_two(self, p13):
-        z = np.zeros((11, 11))
-        with pytest.raises(RadiusUnsupportedError):
-            first_step(z, z, p13, 0.707, 0.00707, "dirichlet")
+    def test_dirichlet_radius_two_first_step(self, p13):
+        # The standing wave's first step at n = 10, to within P13's error
+        # there, with the boundary ring at exact +0.0.
+        x1, x2 = np.meshgrid(np.arange(11) / 10, np.arange(11) / 10, indexing="ij")
+        out = first_step(np.zeros((11, 11)), standing_wave_initial_v(x1, x2), p13, 0.707, 0.0707)
+        assert out == pytest.approx(exact_standing_wave(x1, x2, 0.0707), abs=1e-4)
+        ring = np.r_[out[[0, -1], :].ravel(), out[:, [0, -1]].ravel()]
+        assert not ring.any() and not np.signbit(ring).any()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (2, 2, 2)])
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+    def test_fields_must_be_square_grids(self, p5, shape, bc):
+        field = np.ones(shape)
+        with pytest.raises(ValueError):
+            first_step(field, np.zeros(shape), p5, 0.5, 0.1, bc)
+        with pytest.raises(ValueError):
+            two_step(field, field, p5, 0.5, bc)
+
+    def test_field_shapes_must_agree(self, p5):
+        with pytest.raises(ValueError, match="one shape"):
+            first_step(np.ones((5, 5)), np.zeros((6, 6)), p5, 0.5, 0.1)
 
 
 class TestTwoStep:
@@ -115,9 +131,17 @@ class TestRun:
         assert report.config is config
         assert report.wall_time_s > 0
 
-    def test_dirichlet_requires_radius_one(self, p13):
-        with pytest.raises(RadiusUnsupportedError):
-            SimConfig(scheme=p13, n=10, n_t=1, lam=0.707, bc="dirichlet")
+    def test_radius_two_dirichlet_equals_periodic(self):
+        # The standing wave is odd about both boundaries, so on table 3's
+        # rows a Dirichlet run repeats the periodic one up to roundoff.
+        for name in ("P13", "C13"):
+            spec = named_scheme(name)
+            for n in (10, 20, 40, 80):
+                errors = [
+                    run(SimConfig(scheme=spec, n=n, n_t=n, lam=0.707, bc=bc)).error
+                    for bc in ("dirichlet", "periodic")
+                ]
+                assert errors[0] == pytest.approx(errors[1], rel=1e-5)
 
     def test_degenerate_norm_reported(self, p5):
         zero = lambda x1, x2, *_: 0.0 * (x1 + x2)

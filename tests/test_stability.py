@@ -98,16 +98,20 @@ def test_never_stable_scheme_is_reported():
         lambda_max(bad)
 
 
+# A lone off-center offset leaves an uncancelled sine part.
+LOPSIDED = SchemeSpec(
+    name="lopsided",
+    first_u={(0, 0): LambdaPoly({0: 1})},
+    first_v={(0, 0): LambdaPoly({0: 1})},
+    two_step={(0, 0): LambdaPoly({0: 1}), (1, 0): LambdaPoly({0: 1})},
+)
+
+
 def test_asymmetric_table_rejected_by_real_symbol_formula():
-    # a lone off-center offset leaves an uncancelled sine part
-    lopsided = SchemeSpec(
-        name="lopsided",
-        first_u={(0, 0): LambdaPoly({0: 1})},
-        first_v={(0, 0): LambdaPoly({0: 1})},
-        two_step={(0, 0): LambdaPoly({0: 1}), (1, 0): LambdaPoly({0: 1})},
-    )
     with pytest.raises(ValueError, match="non-real symbol"):
-        envelope(lopsided, 0.5)
+        envelope(LOPSIDED, 0.5)
+    with pytest.raises(ValueError, match="non-real symbol"):
+        symbol(LOPSIDED, 0.5, 1.0, 0.0)
 
 
 def test_table_asymmetric_below_float_resolution_is_rejected():
@@ -225,3 +229,6 @@ def test_table_outside_the_chebyshev_form_is_rejected():
             lambda_max(spec)
     with pytest.raises(ValueError, match=requirement):
         run(SimConfig(scheme=diagonal, n=8, n_t=2, lam=0.5, bc="periodic"))
+    # symbol() is the cosine sum and needs a real symbol only.
+    p5_value = symbol(named_scheme("P5"), 0.5, 0.3, 0.2)
+    assert symbol(diagonal, 0.5, 0.3, 0.2) == pytest.approx(p5_value + 0.25 * math.cos(0.5))

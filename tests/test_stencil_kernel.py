@@ -21,20 +21,31 @@ def spec_of(name):
     return named_scheme(name)
 
 
-def roll_apply(table, lam, values, bc):
-    """Sum of coefficient * shifted field, shifting the periodic core by np.roll."""
+def odd_extension(values):
+    """The 2n x 2n period of a field's odd extension about both boundaries.
+
+    Rows 0..n are the field as given and row n + k is -row(n - k); columns
+    are extended the same way.
+    """
     n = values.shape[0] - 1
+    rows = np.concatenate([values, -values[n - 1 : 0 : -1]])
+    return np.concatenate([rows, -rows[:, n - 1 : 0 : -1]], axis=1)
+
+
+def roll_apply(table, lam, values, bc):
+    """Sum of coefficient * shifted field, shifting one period by np.roll.
+
+    The period is a periodic field's n x n core, or a Dirichlet field's odd
+    extension, of which the update keeps the interior.
+    """
+    n = values.shape[0] - 1
+    first, period = (0, values[:n, :n]) if bc == "periodic" else (1, odd_extension(values))
+    acc = np.zeros_like(period)
+    for (q1, q2), poly in table.items():
+        acc += poly(lam) * np.roll(period, (-q1, -q2), axis=(0, 1))
     out = np.zeros_like(values)
-    if bc == "dirichlet":
-        acc = np.zeros((n - 1, n - 1))
-        for (q1, q2), poly in table.items():
-            acc += poly(lam) * values[1 + q1 : n + q1, 1 + q2 : n + q2]
-        out[1:n, 1:n] = acc
-    else:
-        acc = np.zeros((n, n))
-        for (q1, q2), poly in table.items():
-            acc += poly(lam) * np.roll(values[:n, :n], (-q1, -q2), axis=(0, 1))
-        out[:n, :n] = acc
+    out[first:n, first:n] = acc[first:n, first:n]
+    if bc == "periodic":
         alias_edges(out)
     return out
 
@@ -67,15 +78,15 @@ def assert_same_bits(got, want):
 
 
 @st.composite
-def step_cases(draw):
-    """A scheme, a boundary it supports, n, lambda in (0, 1] and three fields.
+def step_cases(draw, bcs=("dirichlet", "periodic")):
+    """A scheme, a boundary, n, lambda in (0, 1] and three fields.
 
     About a third of the entries are signed zeros, so that sums of zero
     terms are covered.
     """
     name = draw(st.sampled_from(NAMED_SCHEMES))
     spec = spec_of(name)
-    bc = draw(st.sampled_from(("dirichlet", "periodic") if spec.radius == 1 else ("periodic",)))
+    bc = draw(st.sampled_from(bcs))
     n = draw(st.integers(min_value=2, max_value=12))
     lam = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -106,6 +117,28 @@ def test_two_step_matches_roll_reference(case):
     assert_same_bits(
         two_step(u_k, u_km1, spec, lam, bc), roll_two_step(u_k, u_km1, spec, lam, bc)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_cases(bcs=("dirichlet",)))
+def test_dirichlet_step_is_the_periodic_step_of_the_odd_extension(case):
+    spec, _, n, lam, fields = case
+    # Dirichlet fields: a zero ring.  Their odd extensions, closed by an
+    # aliased last row and column, are periodic fields on the 2n grid.
+    fields[:, [0, -1], :] = 0.0
+    fields[:, :, [0, -1]] = 0.0
+    extended = [np.pad(odd_extension(f), ((0, 1), (0, 1)), mode="wrap") for f in fields]
+    tau = lam / n
+    dirichlet_steps = (first_step(*fields[:2], spec, lam, tau), two_step(*fields[1:], spec, lam))
+    periodic_steps = (
+        first_step(*extended[:2], spec, lam, tau, "periodic"),
+        two_step(*extended[1:], spec, lam, "periodic"),
+    )
+    scale = np.abs(fields).max()
+    for dirichlet, periodic in zip(dirichlet_steps, periodic_steps):
+        assert np.array_equal(periodic[1:n, 1:n], dirichlet[1:n, 1:n])
+        assert np.abs(periodic[[0, n], : n + 1]).max() <= 1e-15 * scale
+        assert np.abs(periodic[: n + 1, [0, n]]).max() <= 1e-15 * scale
 
 
 def test_table_3_roundoff_digit():
