@@ -6,8 +6,9 @@ to exact zeros and updates the interior of the field's odd extension (the
 method of images), so schemes of any radius apply; periodic mode updates n
 independent nodes per axis and keeps index n as an alias of index 0, so error
 sums over the full 0..n range never double-count a physical node inside the
-update loop.  ``run()``, ``first_step`` and ``two_step`` all apply the
-schemes through one stencil kernel on halo-padded buffers.
+update loop.  ``run()`` marches through one stencil kernel on halo-padded
+buffers, of which ``first_step`` and ``two_step`` are one-shot uses.  The
+time step is tau = lam * h: c enters only through lam = c * tau / h.
 
 The quality measure is the relative L2 error over all steps and nodes:
 
@@ -44,7 +45,7 @@ class DegenerateNormError(Exception):
     """The reference solution vanishes at every sampled point; E is undefined."""
 
 
-def exact_standing_wave(x1, x2, t, c: float = 1.0):
+def exact_standing_wave(x1, x2, t):
     """Separable standing wave solving the wave equation on the unit square.
 
     Vanishes on the boundary for all times and at t = 0 everywhere, so it
@@ -53,7 +54,7 @@ def exact_standing_wave(x1, x2, t, c: float = 1.0):
     return (
         np.sin(2.0 * np.pi * x1)
         * np.sin(2.0 * np.pi * x2)
-        * np.sin(2.0 * _SQRT2 * np.pi * c * t)
+        * np.sin(2.0 * _SQRT2 * np.pi * t)
     )
 
 
@@ -62,15 +63,22 @@ def standing_wave_initial_u(x1, x2):
     return np.zeros(np.broadcast(np.asarray(x1), np.asarray(x2)).shape)
 
 
-def standing_wave_initial_v(x1, x2, c: float = 1.0):
+def standing_wave_initial_v(x1, x2):
     """Initial velocity of the standing-wave benchmark."""
-    return 2.0 * _SQRT2 * np.pi * c * np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
+    return 2.0 * _SQRT2 * np.pi * np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
 
 
-def _check_int(value, name: str, least: int) -> int:
+def _check_int(value, name: str, least: int) -> None:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return value
+
+
+def _check_grid(n, lam, bc: str) -> None:
+    """``ValueError`` unless n, the Courant number and ``bc`` can be stepped."""
+    _check_int(n, "n", 2)
+    check_positive(lam, "lambda")
+    if bc not in BOUNDARY_CONDITIONS:
+        raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
 
 
 def _grid_n(a: np.ndarray, b: np.ndarray) -> int:
@@ -78,36 +86,31 @@ def _grid_n(a: np.ndarray, b: np.ndarray) -> int:
     shape = np.shape(a)
     if shape != np.shape(b) or len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"need two square 2-D fields of one shape, got {shape}, {np.shape(b)}")
-    return _check_int(shape[0] - 1, "n", 2)
+    return shape[0] - 1
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation: scheme, grid, step count, Courant number, boundaries.
 
-    The time step is always derived as tau = lam * h / c.  ``initial_u`` and
-    ``initial_v`` are functions of (x1, x2); ``exact`` is the reference
-    solution (x1, x2, t) used for the error metric.  All three default to the
-    standing-wave benchmark.
+    The time step is always derived as tau = lam * h, as lam = c * tau / h
+    carries the wave speed.  ``initial_u`` and ``initial_v`` are functions
+    of (x1, x2); ``exact`` is the reference solution (x1, x2, t) used for
+    the error metric.  All three default to the standing-wave benchmark.
     """
 
     scheme: SchemeSpec
     n: int
     n_t: int
     lam: float
-    c: float = 1.0
     bc: str = "dirichlet"
     initial_u: Callable = standing_wave_initial_u
-    initial_v: Callable | None = None
-    exact: Callable | None = None
+    initial_v: Callable = standing_wave_initial_v
+    exact: Callable = exact_standing_wave
 
     def __post_init__(self):
-        _check_int(self.n, "n", 2)
+        _check_grid(self.n, self.lam, self.bc)
         _check_int(self.n_t, "n_t", 1)
-        check_positive(self.lam, "lambda")
-        check_positive(self.c, "wave speed")
-        if self.bc not in BOUNDARY_CONDITIONS:
-            raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {self.bc!r}")
 
     @property
     def h(self) -> float:
@@ -115,7 +118,7 @@ class SimConfig:
 
     @property
     def tau(self) -> float:
-        return self.lam * self.h / self.c
+        return self.lam * self.h
 
 
 @dataclass(frozen=True)
@@ -140,13 +143,6 @@ def _sample(func, x1: np.ndarray, x2: np.ndarray, *args) -> np.ndarray:
     return np.broadcast_to(values, (x1.shape[0], x2.shape[1]))
 
 
-def _squared_sums(field_k: np.ndarray, reference: np.ndarray, work: np.ndarray):
-    """sum((field - reference)^2) and sum(reference^2), using ``work``."""
-    np.subtract(field_k, reference, out=work)
-    num = float(np.square(work, out=work).sum())
-    return num, float(np.square(reference, out=work).sum())
-
-
 class _Stepper:
     """The stencil kernel of one scheme, Courant number, grid and boundary.
 
@@ -167,6 +163,7 @@ class _Stepper:
     """
 
     def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str):
+        _check_grid(n, lam, bc)
         first, period = (0, n) if bc == "periodic" else (1, 2 * n)
         r = max(spec.radius, 1)
         self.n, self.lo, self.size = n, r, n - first
@@ -265,6 +262,8 @@ def first_step(
 ) -> np.ndarray:
     """First update: combine initial displacement and velocity fields."""
     stepper = _Stepper(spec, lam, _grid_n(u0, v0), bc)
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     out = stepper.buffer()
     stepper.first(stepper.buffer(u0), stepper.buffer(v0), out, tau)
     return stepper.field(out).copy()
@@ -288,6 +287,48 @@ def two_step(
     return stepper.field(out).copy()
 
 
+def _march(config: SimConfig):
+    """Yield (k, u^k) for k = 1..n_t: the first step, then the two-step update.
+
+    Each field is a view of a buffer that the step after next overwrites.
+    """
+    x1, x2 = _axes(config.n)
+    stepper = _Stepper(config.scheme, config.lam, config.n, config.bc)
+    prev = stepper.buffer(_sample(config.initial_u, x1, x2))
+    curr = stepper.buffer()
+    stepper.first(prev, stepper.buffer(_sample(config.initial_v, x1, x2)), curr, config.tau)
+    yield 1, stepper.field(curr)
+    for k in range(2, config.n_t + 1):
+        stepper.two(curr, prev)
+        prev, curr = curr, prev
+        yield k, stepper.field(curr)
+
+
+def _error(steps, exact: Callable, tau: float, n: int, on_step: Callable | None = None):
+    """E and the per-step errors of (k, u^k) pairs against ``exact`` at k*tau.
+
+    ``on_step(k, copy of u^k)`` follows each step's sums.  A step whose
+    reference vanishes has error nan; if all do, raise DegenerateNormError.
+    """
+    x1, x2 = _axes(n)
+    work = np.empty((n + 1, n + 1))
+    num = den = 0.0
+    per_step = []
+    for k, u_k in steps:
+        reference = _sample(exact, x1, x2, k * tau)
+        np.subtract(u_k, reference, out=work)
+        step_num = float(np.square(work, out=work).sum())
+        step_den = float(np.square(reference, out=work).sum())
+        num += step_num
+        den += step_den
+        per_step.append(math.sqrt(step_num / step_den) if step_den > 0.0 else math.nan)
+        if on_step is not None:
+            on_step(k, u_k.copy())
+    if den == 0.0:
+        raise DegenerateNormError("exact solution vanishes at all sampled points")
+    return math.sqrt(num / den), tuple(per_step)
+
+
 def relative_l2_error(computed: Sequence[np.ndarray], exact: Callable, tau: float) -> float:
     """Space-time relative L2 error of fields for steps k = 1..n_t.
 
@@ -297,69 +338,28 @@ def relative_l2_error(computed: Sequence[np.ndarray], exact: Callable, tau: floa
     """
     if not computed:
         raise ValueError("need at least one computed field")
-    n = computed[0].shape[0] - 1
-    x1, x2 = _axes(n)
-    work = np.empty((n + 1, n + 1))
-    num = 0.0
-    den = 0.0
-    for k, field_k in enumerate(computed, start=1):
-        step_num, step_den = _squared_sums(field_k, _sample(exact, x1, x2, k * tau), work)
-        num += step_num
-        den += step_den
-    if den == 0.0:
-        raise DegenerateNormError("exact solution vanishes at all sampled points")
-    return math.sqrt(num / den)
+    return _error(enumerate(computed, start=1), exact, tau, computed[0].shape[0] - 1)[0]
 
 
 def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     """Run a full simulation and measure the benchmark error.
 
-    Samples the initial conditions on the grid, applies the first step once
-    and the two-step update n_t - 1 times, and accumulates the space-time
-    error sums against the reference solution.  ``on_step(k, field)`` is
-    called with a copy of the field after each step.  An unstable Courant
-    number only warns; marginal (|symbol| = 1) values are silent.
+    Marches n_t steps and sums the space-time error against the reference;
+    ``on_step(k, field)`` gets a copy of each step's field.  An unstable
+    Courant number only warns; marginal (|symbol| = 1) values are silent.
     """
     started = time.perf_counter()
-    spec = config.scheme
-    n, lam, tau = config.n, config.lam, config.tau
-    initial_v = config.initial_v or (lambda x1, x2: standing_wave_initial_v(x1, x2, config.c))
-    exact = config.exact or (lambda x1, x2, t: exact_standing_wave(x1, x2, t, config.c))
-
-    env = stability.envelope(spec, lam)
+    env = stability.envelope(config.scheme, config.lam)
     if not env.stable:
         warnings.warn(
-            f"lambda = {lam} is outside the stable range of scheme {spec.name!r} "
+            f"lambda = {config.lam} is outside the stable range of scheme {config.scheme.name!r} "
             f"(symbol range [{env.low.value:.6f}, {env.high.value:.6f}])",
             stacklevel=2,
         )
-
-    x1, x2 = _axes(n)
-    stepper = _Stepper(spec, lam, n, config.bc)
-    prev = stepper.buffer(_sample(config.initial_u, x1, x2))
-    curr = stepper.buffer()
-    stepper.first(prev, stepper.buffer(_sample(initial_v, x1, x2)), curr, tau)
-    work = np.empty((n + 1, n + 1))
-
-    num = 0.0
-    den = 0.0
-    per_step = []
-    for k in range(1, config.n_t + 1):
-        if k > 1:
-            stepper.two(curr, prev)
-            prev, curr = curr, prev
-        u_k = stepper.field(curr)
-        step_num, step_den = _squared_sums(u_k, _sample(exact, x1, x2, k * tau), work)
-        num += step_num
-        den += step_den
-        per_step.append(math.sqrt(step_num / step_den) if step_den > 0.0 else math.nan)
-        if on_step is not None:
-            on_step(k, u_k.copy())
-    if den == 0.0:
-        raise DegenerateNormError("exact solution vanishes at all sampled points")
+    error, per_step = _error(_march(config), config.exact, config.tau, config.n, on_step)
     return SimReport(
-        error=math.sqrt(num / den),
-        per_step_errors=tuple(per_step),
+        error=error,
+        per_step_errors=per_step,
         wall_time_s=time.perf_counter() - started,
         config=config,
     )

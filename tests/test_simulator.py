@@ -250,9 +250,6 @@ def test_sim_config_validation(p5):
         {"lam": -0.5},
         {"lam": math.nan},
         {"lam": math.inf},
-        {"c": 0.0},
-        {"c": math.nan},
-        {"c": math.inf},
         {"bc": "reflecting"},
     )
     for bad in bad_inputs:
@@ -262,6 +259,47 @@ def test_sim_config_validation(p5):
     config = SimConfig(scheme=p5, n=10, n_t=1, lam=0.5)
     assert config.tau == pytest.approx(0.05)
     assert SimConfig(scheme=p5, n=np.int64(10), n_t=np.int32(1), lam=0.5).n == 10
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("bc", "Periodic"),
+        ("bc", "reflecting"),
+        ("lam", math.nan),
+        ("lam", math.inf),
+        ("lam", -0.5),
+        ("lam", 0.0),
+        ("tau", math.nan),
+        ("tau", math.inf),
+        ("tau", -math.inf),
+    ],
+)
+def test_public_steps_validate_like_sim_config(p5, key, value):
+    # The steps share SimConfig's checks on lambda and bc, and first_step
+    # also rejects a non-finite time step, instead of returning nan fields.
+    args = {"spec": p5, "lam": 0.5, "bc": "periodic", "tau": 0.1, key: value}
+    field = np.ones((5, 5))
+    with pytest.raises(ValueError):
+        first_step(field, field, **args)
+    if key != "tau":
+        del args["tau"]
+        with pytest.raises(ValueError):
+            two_step(field, field, **args)
+
+
+@pytest.mark.parametrize("name, bc", [("P5", "dirichlet"), ("P13", "periodic")])
+def test_run_error_is_relative_l2_error_of_its_fields(name, bc):
+    # run() and relative_l2_error share one error sum, bit for bit: the whole
+    # run, and step k alone as a one-field run with time step k * tau.
+    config = SimConfig(scheme=named_scheme(name), n=12, n_t=7, lam=0.6, bc=bc)
+    captured = []
+    report = run(config, on_step=lambda k, f: captured.append(f))
+    assert report.error == relative_l2_error(captured, exact_standing_wave, config.tau)
+    assert report.per_step_errors == tuple(
+        relative_l2_error([f], exact_standing_wave, k * config.tau)
+        for k, f in enumerate(captured, start=1)
+    )
 
 
 def test_sim_config_copies_and_pickles(p13):
