@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import stability
+from . import _kernel, stability
 from .quadrature import check_positive
 from .scheme import SchemeSpec, evaluate_table
 
@@ -36,7 +36,7 @@ _SQRT2 = math.sqrt(2.0)
 
 BOUNDARY_CONDITIONS = ("dirichlet", "periodic")
 
-# Rows of the update per block of the stencil sum, so that its two
+# Rows of the update per block of the numpy stencil sum, so that its two
 # temporaries stay in cache on large grids.
 _ROW_BLOCK = 64
 
@@ -111,6 +111,9 @@ class SimConfig:
     def __post_init__(self):
         _check_grid(self.n, self.lam, self.bc)
         _check_int(self.n_t, "n_t", 1)
+        for name in ("initial_u", "initial_v", "exact"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"{name} must be a function, got {getattr(self, name)!r}")
 
     @property
     def h(self) -> float:
@@ -159,7 +162,10 @@ class _Stepper:
     At each node the stencil sum starts from 0.0 and adds coeff * value over
     the table's offsets in table order.  That order fixes the last bits of
     the published errors (table 3's E_P13 at n = 80), so offsets sharing a
-    coefficient are not grouped and no multiply-add is fused.
+    coefficient are not grouped and no multiply-add is fused.  The compiled
+    kernel of ``_kernel`` makes one pass per node in that order; without it,
+    the numpy path makes two passes (multiply, then add) per offset over
+    blocks of rows, with the same bits.
     """
 
     def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str):
@@ -187,9 +193,22 @@ class _Stepper:
         self.first_u = evaluate_table(spec.first_u, lam)
         self.first_v = evaluate_table(spec.first_v, lam)
         self.two_step = evaluate_table(spec.two_step, lam)
-        rows = (min(_ROW_BLOCK, self.size), self.size)
-        self._acc = np.empty(rows)
-        self._term = np.empty(rows)
+        self._lib = _kernel.load()
+        if self._lib is None:
+            rows = (min(_ROW_BLOCK, self.size), self.size)
+            self._acc = np.empty(rows)
+            self._term = np.empty(rows)
+        else:
+            # Per table, its linear buffer offsets q1 * width + q2 and its
+            # coefficients, held here while the kernel reads their addresses.
+            self._packed = [
+                (np.array([q1 * width + q2 for (q1, q2), _ in table], dtype=np.intp),
+                 np.array([coeff for _, coeff in table]))
+                for table in (self.first_u, self.first_v, self.two_step)
+            ]
+            args = [(o.ctypes.data, c.ctypes.data, len(o)) for o, c in self._packed]
+            self._first_args = (width, r, self.size, *args[0], *args[1])
+            self._two_args = (width, r, self.size, *args[2])
 
     def field(self, buf: np.ndarray) -> np.ndarray:
         """The (n+1) x (n+1) field of a buffer, as a view."""
@@ -233,22 +252,35 @@ class _Stepper:
             np.multiply(src[lo + q1 + a : lo + q1 + b, lo + q2 : lo + q2 + size], coeff, out=term)
             acc += term
 
+    def _address(self, buf: np.ndarray) -> int:
+        """The data address of one of this stepper's buffers, for the kernel."""
+        if buf.shape != self.shape or buf.dtype != np.float64 or not buf.flags.c_contiguous:
+            raise ValueError(f"need a C-contiguous float64 buffer of shape {self.shape}")
+        return buf.ctypes.data
+
     def first(self, u0: np.ndarray, v0: np.ndarray, out: np.ndarray, tau: float):
         """out = S_u u0 + tau * S_v v0."""
-        for a, b, core in self._blocks(out):
-            acc = self._acc[: b - a]
-            self._sum(self.first_u, u0, a, b, core)
-            self._sum(self.first_v, v0, a, b, acc)
-            acc *= tau
-            core += acc
+        if self._lib is not None:
+            buffers = (self._address(u0), self._address(v0), self._address(out))
+            self._lib.stencil_first(*buffers, tau, *self._first_args)
+        else:
+            for a, b, core in self._blocks(out):
+                acc = self._acc[: b - a]
+                self._sum(self.first_u, u0, a, b, core)
+                self._sum(self.first_v, v0, a, b, acc)
+                acc *= tau
+                core += acc
         self._fill_ghosts(out)
 
     def two(self, curr: np.ndarray, prev: np.ndarray):
         """prev = S curr - prev, in place: ``prev`` becomes the next field."""
-        for a, b, core in self._blocks(prev):
-            acc = self._acc[: b - a]
-            self._sum(self.two_step, curr, a, b, acc)
-            np.subtract(acc, core, out=core)
+        if self._lib is not None:
+            self._lib.stencil_two(self._address(curr), self._address(prev), *self._two_args)
+        else:
+            for a, b, core in self._blocks(prev):
+                acc = self._acc[: b - a]
+                self._sum(self.two_step, curr, a, b, acc)
+                np.subtract(acc, core, out=core)
         self._fill_ghosts(prev)
 
 

@@ -251,6 +251,10 @@ def test_sim_config_validation(p5):
         {"lam": math.nan},
         {"lam": math.inf},
         {"bc": "reflecting"},
+        {"initial_u": None},
+        {"initial_v": None},
+        {"exact": None},
+        {"exact": 0.0},
     )
     for bad in bad_inputs:
         kwargs = {"scheme": p5, "n": 10, "n_t": 1, "lam": 0.5, **bad}
@@ -289,17 +293,23 @@ def test_public_steps_validate_like_sim_config(p5, key, value):
 
 
 @pytest.mark.parametrize("name, bc", [("P5", "dirichlet"), ("P13", "periodic")])
-def test_run_error_is_relative_l2_error_of_its_fields(name, bc):
+def test_run_error_is_relative_l2_error_of_its_fields(kernels, name, bc):
     # run() and relative_l2_error share one error sum, bit for bit: the whole
-    # run, and step k alone as a one-field run with time step k * tau.
+    # run, and step k alone as a one-field run with time step k * tau; and
+    # both kernels give the same run.
     config = SimConfig(scheme=named_scheme(name), n=12, n_t=7, lam=0.6, bc=bc)
-    captured = []
-    report = run(config, on_step=lambda k, f: captured.append(f))
-    assert report.error == relative_l2_error(captured, exact_standing_wave, config.tau)
-    assert report.per_step_errors == tuple(
-        relative_l2_error([f], exact_standing_wave, k * config.tau)
-        for k, f in enumerate(captured, start=1)
-    )
+    reports = []
+    for _, path in kernels:
+        captured = []
+        with path():
+            report = run(config, on_step=lambda k, f: captured.append(f))
+        assert report.error == relative_l2_error(captured, exact_standing_wave, config.tau)
+        assert report.per_step_errors == tuple(
+            relative_l2_error([f], exact_standing_wave, k * config.tau)
+            for k, f in enumerate(captured, start=1)
+        )
+        reports.append((report.error, report.per_step_errors))
+    assert len(set(reports)) == 1
 
 
 def test_sim_config_copies_and_pickles(p13):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from poisson_stencils.quadrature import LambdaPoly
 from poisson_stencils.scheme import SchemeSpec, evaluate_table, generate_scheme, named_scheme
 from poisson_stencils.simulator import SimConfig, run
-from poisson_stencils.stability import NeverStableError, envelope, lambda_max, symbol
+from poisson_stencils.stability import (
+    NeverStableError,
+    _symbol_coefficients,
+    envelope,
+    lambda_max,
+    symbol,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -232,3 +238,31 @@ def test_table_outside_the_chebyshev_form_is_rejected():
     # symbol() is the cosine sum and needs a real symbol only.
     p5_value = symbol(named_scheme("P5"), 0.5, 0.3, 0.2)
     assert symbol(diagonal, 0.5, 0.3, 0.2) == pytest.approx(p5_value + 0.25 * math.cos(0.5))
+
+
+def _at_half_lambda_squared(poly):
+    """A LambdaPoly, even in lambda, at lambda^2 = 1/2, exactly."""
+    assert all(power % 2 == 0 for power in poly.powers())
+    return sum((c * Fraction(1, 2) ** (p // 2) for p, c in poly.items()), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "name,constant",
+    [
+        ("P5", 0),
+        ("C5", 0),
+        ("P13", 0),
+        ("C13", 0),
+        ("P9", Fraction(1, 12)),
+        ("C9", Fraction(1, 6)),
+    ],
+)
+def test_diagonal_symbol_at_half_lambda_squared(name, constant):
+    # On theta1 = theta2 at lambda^2 = 1/2 the exact symbol is cos(theta),
+    # a(X, X) = X as a polynomial, for P5, C5, P13 and C13: the benchmark's
+    # diagonal mode then only accumulates roundoff.  P9 and C9 miss it.
+    coefficients = _symbol_coefficients(named_scheme(name))
+    c1, cx, cy, cxy, cxx, cyy = map(_at_half_lambda_squared, coefficients)
+    diagonal = (c1, cx + cy, cxy + cxx + cyy)  # a(X, X) = c1 + (cx + cy) X + (...) X^2
+    assert c1 == constant
+    assert (diagonal == (0, 1, 0)) == (constant == 0)

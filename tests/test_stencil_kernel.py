@@ -1,8 +1,10 @@
-"""The stencil kernel against a naive np.roll reference, bit for bit.
+"""The stencil kernels against a naive np.roll reference, bit for bit.
 
 The simulator sums each stencil node by node over the table's offsets in
 table order, starting from 0.0.  That order is part of its contract, so the
-public steps must equal the reference exactly, signed zeros included.
+public steps must equal the reference exactly, signed zeros included, on the
+compiled kernel and on the numpy path alike: each test runs both, through
+the ``kernels`` fixture.
 """
 
 import functools
@@ -97,31 +99,33 @@ def step_cases(draw, bcs=("dirichlet", "periodic")):
 
 
 @settings(max_examples=300, deadline=None)
-@given(step_cases())
-def test_first_step_matches_roll_reference(case):
+@given(case=step_cases())
+def test_first_step_matches_roll_reference(kernels, case):
     spec, bc, n, lam, (u0, v0, _) = case
     tau = lam / n
-    assert_same_bits(
-        first_step(u0, v0, spec, lam, tau, bc), roll_first_step(u0, v0, spec, lam, tau, bc)
-    )
+    want = roll_first_step(u0, v0, spec, lam, tau, bc)
+    for _, path in kernels:
+        with path():
+            assert_same_bits(first_step(u0, v0, spec, lam, tau, bc), want)
 
 
 @settings(max_examples=300, deadline=None)
-@given(step_cases())
-def test_two_step_matches_roll_reference(case):
+@given(case=step_cases())
+def test_two_step_matches_roll_reference(kernels, case):
     spec, bc, n, lam, (u_k, u_km1, _) = case
     if bc == "periodic":
         # The previous field enters node by node, aliased last row and
         # column included, so it must be a periodic field.
         alias_edges(u_km1)
-    assert_same_bits(
-        two_step(u_k, u_km1, spec, lam, bc), roll_two_step(u_k, u_km1, spec, lam, bc)
-    )
+    want = roll_two_step(u_k, u_km1, spec, lam, bc)
+    for _, path in kernels:
+        with path():
+            assert_same_bits(two_step(u_k, u_km1, spec, lam, bc), want)
 
 
 @settings(max_examples=100, deadline=None)
-@given(step_cases(bcs=("dirichlet",)))
-def test_dirichlet_step_is_the_periodic_step_of_the_odd_extension(case):
+@given(case=step_cases(bcs=("dirichlet",)))
+def test_dirichlet_step_is_the_periodic_step_of_the_odd_extension(kernels, case):
     spec, _, n, lam, fields = case
     # Dirichlet fields: a zero ring.  Their odd extensions, closed by an
     # aliased last row and column, are periodic fields on the 2n grid.
@@ -129,22 +133,29 @@ def test_dirichlet_step_is_the_periodic_step_of_the_odd_extension(case):
     fields[:, :, [0, -1]] = 0.0
     extended = [np.pad(odd_extension(f), ((0, 1), (0, 1)), mode="wrap") for f in fields]
     tau = lam / n
-    dirichlet_steps = (first_step(*fields[:2], spec, lam, tau), two_step(*fields[1:], spec, lam))
-    periodic_steps = (
-        first_step(*extended[:2], spec, lam, tau, "periodic"),
-        two_step(*extended[1:], spec, lam, "periodic"),
-    )
     scale = np.abs(fields).max()
-    for dirichlet, periodic in zip(dirichlet_steps, periodic_steps):
-        assert np.array_equal(periodic[1:n, 1:n], dirichlet[1:n, 1:n])
-        assert np.abs(periodic[[0, n], : n + 1]).max() <= 1e-15 * scale
-        assert np.abs(periodic[: n + 1, [0, n]]).max() <= 1e-15 * scale
+    for _, path in kernels:
+        with path():
+            dirichlet_steps = (
+                first_step(*fields[:2], spec, lam, tau),
+                two_step(*fields[1:], spec, lam),
+            )
+            periodic_steps = (
+                first_step(*extended[:2], spec, lam, tau, "periodic"),
+                two_step(*extended[1:], spec, lam, "periodic"),
+            )
+        for dirichlet, periodic in zip(dirichlet_steps, periodic_steps):
+            assert np.array_equal(periodic[1:n, 1:n], dirichlet[1:n, 1:n])
+            assert np.abs(periodic[[0, n], : n + 1]).max() <= 1e-15 * scale
+            assert np.abs(periodic[: n + 1, [0, n]]).max() <= 1e-15 * scale
 
 
-def test_table_3_roundoff_digit():
+def test_table_3_roundoff_digit(kernels):
     # E_P13 at n = 80 is pure roundoff.  Reordering or grouping the stencil
     # sum (for example adding offsets that share a coefficient first) turns
     # it into 2.8884e-10.
-    row = run_table(3)[-1]
-    assert row["n"] == 80
-    assert f"{row['E_P13']:.4e}" == "2.8883e-10"
+    for name, path in kernels:
+        with path():
+            row = run_table(3)[-1]
+        assert row["n"] == 80
+        assert f"{row['E_P13']:.4e}" == "2.8883e-10", name
