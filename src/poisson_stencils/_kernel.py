@@ -1,4 +1,4 @@
-"""The stencil sums of ``simulator._Stepper`` as a compiled C loop.
+"""The stencil sums of ``simulator._Stepper`` and its error sums as compiled C.
 
 The C source below is built once per user with the system C compiler (GCC
 or Clang, for the vector extension) and cached as a shared library;
@@ -10,6 +10,17 @@ sums coeff * value over the table's offsets in table order, starting from
 compiler from fusing them into multiply-adds (clang and aarch64 gcc would
 otherwise), and the flags stay portable, with no ``-march=native`` or
 ``-ffast-math``, so a cached library runs on any CPU of its architecture.
+
+``error_sums`` makes one pass over a field u and a reference r = s * c and
+returns the sums of (u - r)^2 and r^2, which the numpy path gets from
+``ndarray.sum()``.  To give numpy's bits it replays numpy's pairwise
+summation order (``pairwise_sum_DOUBLE``: runs of at most 128 values, 8
+partial sums each) over the flattened field.  That order is numpy's, not a
+documented contract: ``tests/test_error_sums.py`` checks both kernels
+against numpy's own sums bit for bit, at the order's seams too, and
+``tests/test_stencil_kernel.py`` checks that both kernels give every table
+row and the benchmark marches the same errors.  The flag above also keeps
+u - s * c from fusing.
 
 The cache directory is ``$XDG_CACHE_HOME/poisson_stencils`` (default
 ``~/.cache``), mode 0700.  A directory that another user owns, or that others
@@ -120,6 +131,82 @@ void stencil_two(const double *restrict curr, double *restrict prev,
             z[j] = sum_one(x + j, off, c, count) - z[j];
     }
 }
+
+/* numpy's pairwise summation (pairwise_sum_DOUBLE), replayed term for term:
+   runs of at most BLOCK values, each summed by 8 running partial sums
+   combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then its
+   leftover values; fewer than 8 values are summed from 0.0; longer runs
+   split at half their length rounded down to a multiple of 8. */
+#define BLOCK 128
+
+static double block_sum(const double *a, ptrdiff_t n)
+{
+    double res = 0.0;
+    ptrdiff_t i = 0;
+    if (n >= 8) {
+        pair r[VECTORS];
+        for (int k = 0; k < VECTORS; k++)
+            r[k] = load_pair(a + 2 * k);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < VECTORS; k++)
+                r[k] += load_pair(a + i + 2 * k);
+        res = ((r[0][0] + r[0][1]) + (r[1][0] + r[1][1]))
+            + ((r[2][0] + r[2][1]) + (r[3][0] + r[3][1]));
+    }
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+/* An (rows x cols) field u with unit column stride, and the reference s * c
+   with s C-contiguous. */
+struct fields {
+    const double *u, *s;
+    ptrdiff_t u_row_stride, cols;
+    double c;
+};
+
+/* sums = the pairwise sums of (u - r)^2 and r^2, r = s * c, over the run of
+   n values from flat index start. */
+static void pairwise_sums(const struct fields *f, ptrdiff_t start, ptrdiff_t n, double sums[2])
+{
+    if (n > BLOCK) {
+        ptrdiff_t half = n / 2;
+        double a[2], b[2];
+        half -= half % 8;
+        pairwise_sums(f, start, half, a);
+        pairwise_sums(f, start + half, n - half, b);
+        sums[0] = a[0] + b[0];
+        sums[1] = a[1] + b[1];
+        return;
+    }
+    double d2[BLOCK], r2[BLOCK];
+    ptrdiff_t row = start / f->cols, col = start % f->cols;
+    for (ptrdiff_t i = 0; i < n; row++, col = 0) {
+        const double *u = f->u + row * f->u_row_stride + col, *s = f->s + row * f->cols + col;
+        ptrdiff_t take = f->cols - col < n - i ? f->cols - col : n - i;
+        for (ptrdiff_t j = 0; j < take; j++) {
+            const double r = s[j] * f->c, d = u[j] - r;
+            d2[i + j] = d * d;
+            r2[i + j] = r * r;
+        }
+        i += take;
+    }
+    sums[0] = block_sum(d2, n);
+    sums[1] = block_sum(r2, n);
+}
+
+/* out = {sum of (u - s * c)^2, sum of (s * c)^2} over the field, in the order
+   of numpy's sum() of the flattened (rows x cols) array. */
+void error_sums(const double *u, ptrdiff_t u_row_stride, const double *s, double c,
+                ptrdiff_t rows, ptrdiff_t cols, double *out)
+{
+    const struct fields f = {u, s, u_row_stride, cols, c};
+    double sums[2];
+    pairwise_sums(&f, 0, rows * cols, sums);
+    out[0] = 0.0 + sums[0];
+    out[1] = 0.0 + sums[1];
+}
 """
 
 COMMAND = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
@@ -128,6 +215,7 @@ _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 _SIGNATURES = {
     "stencil_first": (_P, _P, _P, _D, _N, _N, _N, _P, _P, _N, _P, _P, _N),
     "stencil_two": (_P, _P, _N, _N, _N, _P, _P, _N),
+    "error_sums": (_P, _N, _P, _D, _N, _N, _P),
 }
 
 

@@ -15,7 +15,11 @@ The quality measure is the relative L2 error over all steps and nodes:
     E(n, n_t) = sqrt( sum_{k,i,j} (u^k_ij - exact(ih, jh, k*tau))^2
                       / sum_{k,i,j} exact(ih, jh, k*tau)^2 )
 
-with k = 1..n_t and i, j = 0..n.
+with k = 1..n_t and i, j = 0..n.  Each step's two sums are numpy's
+``sum()`` of the flattened squares, bit for bit, on the compiled kernel and
+the numpy path alike.  The benchmark's standing wave is sampled as a space
+field once per run times a time factor per step, with the bits of sampling
+it whole.
 """
 
 from __future__ import annotations
@@ -51,11 +55,17 @@ def exact_standing_wave(x1, x2, t):
     Vanishes on the boundary for all times and at t = 0 everywhere, so it
     doubles as a Dirichlet and a periodic benchmark.
     """
-    return (
-        np.sin(2.0 * np.pi * x1)
-        * np.sin(2.0 * np.pi * x2)
-        * np.sin(2.0 * _SQRT2 * np.pi * t)
-    )
+    return _standing_space(x1, x2) * _standing_time(t)
+
+
+def _standing_space(x1, x2):
+    """The standing wave's space factor sin(2 pi x1) sin(2 pi x2)."""
+    return np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
+
+
+def _standing_time(t):
+    """The standing wave's time factor sin(2 sqrt(2) pi t)."""
+    return np.sin(2.0 * _SQRT2 * np.pi * t)
 
 
 def standing_wave_initial_u(x1, x2):
@@ -81,11 +91,15 @@ def _check_grid(n, lam, bc: str) -> None:
         raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
 
 
-def _grid_n(a: np.ndarray, b: np.ndarray) -> int:
-    """n of two fields on one (n+1) x (n+1) grid; ``ValueError`` otherwise."""
-    shape = np.shape(a)
-    if shape != np.shape(b) or len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"need two square 2-D fields of one shape, got {shape}, {np.shape(b)}")
+def _grid_n(*fields) -> int:
+    """n >= 1 of fields on one (n+1) x (n+1) grid; ``ValueError`` otherwise."""
+    shape = np.shape(fields[0])
+    for values in fields:
+        if np.shape(values) != shape:
+            other = np.shape(values)
+            raise ValueError(f"need square 2-D fields of one shape, got {shape}, {other}")
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
+        raise ValueError(f"need square 2-D fields of at least 2 x 2 nodes, got {shape}")
     return shape[0] - 1
 
 
@@ -336,21 +350,75 @@ def _march(config: SimConfig):
         yield k, stepper.field(curr)
 
 
+class _ErrorSums:
+    """One step's error sums on an (n+1) x (n+1) grid against r = s * c.
+
+    A call returns the sums of (u - r)^2 and of r^2 over the grid, each in
+    the order of numpy's ``sum()`` of the flattened squares: pairwise, in
+    runs of at most 128 values.  The compiled kernel of ``_kernel`` makes
+    one pass in that order; without it, numpy forms r, subtracts, squares
+    and sums, with the same bits.  A field whose shape is not the grid's
+    raises ``ValueError``; one of another dtype or layout is copied first.
+    """
+
+    def __init__(self, n: int):
+        self.shape = (n + 1, n + 1)
+        self._lib = _kernel.load()
+        if self._lib is None:
+            self._ref = np.empty(self.shape)
+            self._work = np.empty(self.shape)
+        else:
+            self._out = np.empty(2)
+
+    def _field(self, values) -> np.ndarray:
+        """``values`` as float64 with whole-element strides and unit column stride."""
+        if np.shape(values) != self.shape:
+            raise ValueError(f"need a field of shape {self.shape}, got {np.shape(values)}")
+        values = np.asarray(values)
+        size = values.itemsize
+        rows, cols = values.strides
+        if values.dtype != np.float64 or cols != size or rows % size or not values.flags.aligned:
+            values = values.astype(np.float64, order="C", casting="same_kind")
+        return values
+
+    def __call__(self, u, s, c: float) -> tuple[float, float]:
+        u, s = self._field(u), self._field(s)
+        if self._lib is not None:
+            s = np.ascontiguousarray(s)
+            self._lib.error_sums(u.ctypes.data, u.strides[0] // u.itemsize, s.ctypes.data,
+                                 float(c), *self.shape, self._out.ctypes.data)
+            return float(self._out[0]), float(self._out[1])
+        ref, work = self._ref, self._work
+        np.multiply(s, c, out=ref)
+        np.subtract(u, ref, out=work)
+        return float(np.square(work, out=work).sum()), float(np.square(ref, out=ref).sum())
+
+
 def _error(steps, exact: Callable, tau: float, n: int, on_step: Callable | None = None):
     """E and the per-step errors of (k, u^k) pairs against ``exact`` at k*tau.
 
-    ``on_step(k, copy of u^k)`` follows each step's sums.  A step whose
-    reference vanishes has error nan; if all do, raise DegenerateNormError.
+    The benchmark's standing wave, recognised by identity, is the product of
+    a space field, sampled once, and a time factor per step, which keeps the
+    bits of its (space * space) * time product.  Any other reference is
+    sampled whole per step, with time factor 1.0.  ``on_step(k, copy of
+    u^k)`` follows each step's sums.  A step whose reference vanishes has
+    error nan; if all do, raise DegenerateNormError.
     """
     x1, x2 = _axes(n)
-    work = np.empty((n + 1, n + 1))
+    sums = _ErrorSums(n)
+    if exact is exact_standing_wave:
+        space = _standing_space(x1, x2)
+
+        def reference(t):
+            return space, _standing_time(t)
+    else:
+        def reference(t):
+            return _sample(exact, x1, x2, t), 1.0
+
     num = den = 0.0
     per_step = []
     for k, u_k in steps:
-        reference = _sample(exact, x1, x2, k * tau)
-        np.subtract(u_k, reference, out=work)
-        step_num = float(np.square(work, out=work).sum())
-        step_den = float(np.square(reference, out=work).sum())
+        step_num, step_den = sums(u_k, *reference(k * tau))
         num += step_num
         den += step_den
         per_step.append(math.sqrt(step_num / step_den) if step_den > 0.0 else math.nan)
@@ -364,13 +432,17 @@ def _error(steps, exact: Callable, tau: float, n: int, on_step: Callable | None 
 def relative_l2_error(computed: Sequence[np.ndarray], exact: Callable, tau: float) -> float:
     """Space-time relative L2 error of fields for steps k = 1..n_t.
 
-    ``computed[k-1]`` is the field at time k*tau; ``exact`` is sampled at the
-    node coordinates.  Raises :class:`DegenerateNormError` when the exact
-    solution vanishes at every sampled point.
+    ``computed[k-1]`` is the field at time k*tau, all on one (n+1) x (n+1)
+    grid; ``exact`` is sampled at the node coordinates.  Raises
+    ``ValueError`` for fields of another shape or a non-finite ``tau``, and
+    :class:`DegenerateNormError` when the exact solution vanishes at every
+    sampled point.
     """
     if not computed:
         raise ValueError("need at least one computed field")
-    return _error(enumerate(computed, start=1), exact, tau, computed[0].shape[0] - 1)[0]
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    return _error(enumerate(computed, start=1), exact, tau, _grid_n(*computed))[0]
 
 
 def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:

@@ -2,6 +2,8 @@ import copy
 import math
 import pickle
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from poisson_stencils.scheme import named_scheme
 from poisson_stencils.simulator import (
     DegenerateNormError,
     SimConfig,
+    _ErrorSums,
     dump_grid_csv,
     exact_standing_wave,
     first_step,
@@ -228,6 +231,42 @@ class TestRelativeL2Error:
         with pytest.raises(DegenerateNormError):
             relative_l2_error(fields, zero, 0.1)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            [np.ones((5, 5)), np.ones((1, 5))],
+            [np.ones((5, 5)), np.ones(5)],
+            [np.ones((5, 5)), 1.0],
+            [np.ones((5, 5)), np.ones((6, 6))],
+            [np.ones(5)],
+            [1.0],
+            [np.ones((1, 1))],
+            [np.ones((4, 5))],
+        ],
+    )
+    def test_fields_must_share_one_square_grid(self, kernels, fields):
+        # A (1, 5) row used to broadcast against the 5 x 5 grid (E = 3.0017).
+        for _, path in kernels:
+            with path(), mock.patch.object(_ErrorSums, "__call__", side_effect=AssertionError):
+                with pytest.raises(ValueError, match="square 2-D fields"):
+                    relative_l2_error(fields, exact_standing_wave, 0.1)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5,), (), (6, 6), (5, 4)])
+    def test_error_sums_reject_a_field_off_the_grid(self, kernels, shape):
+        grid = np.ones((5, 5))
+        for _, path in kernels:
+            with path():
+                sums = _ErrorSums(4)
+                assert sums(grid, grid, 1.0) == (0.0, 25.0)
+                for u, s in ((np.ones(shape), grid), (grid, np.ones(shape))):
+                    with pytest.raises(ValueError, match="shape"):
+                        sums(u, s, 1.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_tau_must_be_finite(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            relative_l2_error([np.ones((5, 5))], exact_standing_wave, tau)
+
 
 def test_dump_grid_csv_round_trips(tmp_path):
     rng = np.random.default_rng(11)
@@ -310,6 +349,25 @@ def test_run_error_is_relative_l2_error_of_its_fields(kernels, name, bc):
         )
         reports.append((report.error, report.per_step_errors))
     assert len(set(reports)) == 1
+
+
+@pytest.mark.parametrize("name, bc", [("P5", "dirichlet"), ("P13", "periodic")])
+def test_any_reference_callable_gives_the_standing_wave_bits(kernels, name, bc):
+    # run() samples its default reference as a space field, once, times a
+    # time factor per step, and any other callable whole per step: a wrapper
+    # of the default takes the second path and must give the same bits.
+    def wrapped(x1, x2, t):
+        return exact_standing_wave(x1, x2, t)
+
+    spec = named_scheme(name)
+    for _, path in kernels:
+        with path():
+            default = run(SimConfig(scheme=spec, n=24, n_t=9, lam=0.7, bc=bc))
+            generic = run(SimConfig(scheme=spec, n=24, n_t=9, lam=0.7, bc=bc, exact=wrapped))
+        assert generic.error.hex() == default.error.hex()
+        assert [e.hex() for e in generic.per_step_errors] == [
+            e.hex() for e in default.per_step_errors
+        ]
 
 
 def test_sim_config_copies_and_pickles(p13):

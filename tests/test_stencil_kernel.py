@@ -13,9 +13,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_stencils.benchmarks import run_table
+from poisson_stencils.benchmarks import TABLE_BC, TABLES, run_table
 from poisson_stencils.scheme import NAMED_SCHEMES, named_scheme
-from poisson_stencils.simulator import first_step, two_step
+from poisson_stencils.simulator import SimConfig, first_step, run, two_step
 
 
 @functools.cache
@@ -159,3 +159,26 @@ def test_table_3_roundoff_digit(kernels):
             row = run_table(3)[-1]
         assert row["n"] == 80
         assert f"{row['E_P13']:.4e}" == "2.8883e-10", name
+
+
+def test_kernels_agree_on_every_table_row_and_march(kernels):
+    # Every published row, and the benchmark's two n = 512 marches: the
+    # compiled and the numpy kernel give the same E and per-step errors,
+    # bit for bit (stencil sums and error sums alike).
+    configs = [
+        SimConfig(scheme=spec_of(name), n=case.n, n_t=case.n_t, lam=case.lam, bc=TABLE_BC[table])
+        for table, cases in TABLES.items()
+        for case in cases
+        for name in case.reference
+    ]
+    assert len(configs) == 48
+    configs += [
+        SimConfig(scheme=spec_of(name), n=512, n_t=32, lam=0.707, bc=bc)
+        for name, bc in (("P13", "periodic"), ("P5", "dirichlet"))
+    ]
+    results = []
+    for _, path in kernels:
+        with path():
+            reports = [run(config) for config in configs]
+        results.append([(r.error.hex(), [e.hex() for e in r.per_step_errors]) for r in reports])
+    assert len(kernels) == 1 or results[0] == results[1]
