@@ -1,4 +1,4 @@
-"""The stencil sums of ``simulator._Stepper`` and its error sums as compiled C.
+"""The march of ``simulator._Stepper`` as compiled C: stencil sums, ghosts, error sums.
 
 The C source below is built once per user with the system C compiler (GCC
 or Clang, for the vector extension) and cached as a shared library;
@@ -10,6 +10,17 @@ sums coeff * value over the table's offsets in table order, starting from
 compiler from fusing them into multiply-adds (clang and aarch64 gcc would
 otherwise), and the flags stay portable, with no ``-march=native`` or
 ``-ffast-math``, so a cached library runs on any CPU of its architecture.
+
+Two routines are exported.  ``march`` runs a whole march in one call: the
+first step if asked, then the two-step update, each step followed by the
+ghost fill and, if asked, the step's error sums into one row of an
+(steps x 2) array.  The ghost fill writes the lines of
+``_Stepper._fill_ghosts`` in its order and only copies, negates or writes
++0.0, so it cannot change a bit.  ``march`` takes a plan, an array of
+integers packed once per stepper: the buffer geometry, the three tables'
+linear offsets and the ghost lines (layout in the source).  The one call
+holds no state of its own and releases the GIL, so runs in several threads
+overlap.
 
 ``error_sums`` makes one pass over a field u and a reference r = s * c and
 returns the sums of (u - r)^2 and r^2, which the numpy path gets from
@@ -89,7 +100,7 @@ static inline double sum_one(const double *restrict x, const ptrdiff_t *restrict
 }
 
 /* Core nodes of width x width buffers: out = S_u u + tau * S_v v. */
-void stencil_first(const double *restrict u, const double *restrict v, double *restrict out,
+static void stencil_first(const double *restrict u, const double *restrict v, double *restrict out,
                    double tau, ptrdiff_t width, ptrdiff_t lo, ptrdiff_t size,
                    const ptrdiff_t *off_u, const double *c_u, ptrdiff_t n_u,
                    const ptrdiff_t *off_v, const double *c_v, ptrdiff_t n_v)
@@ -112,7 +123,7 @@ void stencil_first(const double *restrict u, const double *restrict v, double *r
 }
 
 /* Core nodes of width x width buffers: prev = S curr - prev. */
-void stencil_two(const double *restrict curr, double *restrict prev,
+static void stencil_two(const double *restrict curr, double *restrict prev,
                  ptrdiff_t width, ptrdiff_t lo, ptrdiff_t size,
                  const ptrdiff_t *off, const double *c, ptrdiff_t count)
 {
@@ -207,14 +218,66 @@ void error_sums(const double *u, ptrdiff_t u_row_stride, const double *s, double
     out[0] = 0.0 + sums[0];
     out[1] = 0.0 + sums[1];
 }
+
+/* The plan of a march, as ptrdiff_t: a header indexed by the names below,
+   then the linear buffer offsets of the first_u, first_v and two_step
+   tables, then LINES ghost lines of (axis, ghost, source, sign).  The
+   coefficients of the three tables follow one another in coeffs. */
+enum { WIDTH, LO, SIZE, ORIGIN, SIDE, COUNT_U, COUNT_V, COUNT_TWO, LINES, HEADER };
+
+/* Each ghost line in order: axis 0 is a row over the core columns, axis 1
+   a column over all rows; it becomes its source line (sign 1), the source
+   negated (sign -1) or +0.0 (sign 0).  Exact, so it cannot change a bit. */
+static void fill_ghosts(double *buf, const ptrdiff_t *plan, const ptrdiff_t *line)
+{
+    const ptrdiff_t width = plan[WIDTH];
+    for (ptrdiff_t m = 0; m < plan[LINES]; m++, line += 4) {
+        const int row = line[0] == 0;
+        const ptrdiff_t step = row ? 1 : width, count = row ? plan[SIZE] : width;
+        double *g = buf + (row ? line[1] * width + plan[LO] : line[1]);
+        const double *f = buf + (row ? line[2] * width + plan[LO] : line[2]);
+        for (ptrdiff_t i = 0; i < count; i++)
+            g[i * step] = line[3] > 0 ? f[i * step] : line[3] < 0 ? -f[i * step] : 0.0;
+    }
+}
+
+/* Advance the fields of prev and curr by steps steps.  With v, the first
+   step is curr = S_u prev + tau * S_v v; every other step is prev = S curr
+   - prev followed by a swap, so that curr holds the newest field.  After
+   each step the ghosts are filled and, with sums, row k of the (steps x 2)
+   array sums gets error_sums of the (side x side) field against
+   s * factors[k]. */
+void march(const ptrdiff_t *plan, const double *coeffs, double *prev, double *curr,
+           const double *v, double tau, ptrdiff_t steps,
+           const double *s, const double *factors, double *sums)
+{
+    const ptrdiff_t width = plan[WIDTH], lo = plan[LO], size = plan[SIZE];
+    const ptrdiff_t n_u = plan[COUNT_U], n_v = plan[COUNT_V], n_two = plan[COUNT_TWO];
+    const ptrdiff_t *off_u = plan + HEADER, *off_v = off_u + n_u, *off_two = off_v + n_v;
+    const double *c_u = coeffs, *c_v = c_u + n_u, *c_two = c_v + n_v;
+    for (ptrdiff_t k = 0; k < steps; k++) {
+        if (k == 0 && v) {
+            stencil_first(prev, v, curr, tau, width, lo, size, off_u, c_u, n_u, off_v, c_v, n_v);
+        } else {
+            double *next = prev;
+            stencil_two(curr, next, width, lo, size, off_two, c_two, n_two);
+            prev = curr;
+            curr = next;
+        }
+        fill_ghosts(curr, plan, off_two + n_two);
+        if (sums) {
+            const double *field = curr + plan[ORIGIN] * (width + 1);
+            error_sums(field, width, s, factors[k], plan[SIDE], plan[SIDE], sums + 2 * k);
+        }
+    }
+}
 """
 
 COMMAND = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 _SIGNATURES = {
-    "stencil_first": (_P, _P, _P, _D, _N, _N, _N, _P, _P, _N, _P, _P, _N),
-    "stencil_two": (_P, _P, _N, _N, _N, _P, _P, _N),
+    "march": (_P, _P, _P, _P, _P, _D, _N, _P, _P, _P),
     "error_sums": (_P, _N, _P, _D, _N, _N, _P),
 }
 

@@ -10,6 +10,13 @@ update loop.  ``run()`` marches through one stencil kernel on halo-padded
 buffers, of which ``first_step`` and ``two_step`` are one-shot uses.  The
 time step is tau = lam * h: c enters only through lam = c * tau / h.
 
+With the compiled kernel, a default ``run()`` (the standing-wave reference,
+no ``on_step``) is one call of ``_kernel``'s ``march``: stencil sums, ghost
+fill and each step's error sums all run in C, and Python keeps the sampling,
+the time factors and the final square roots.  An ``on_step`` callback or
+another reference makes the same call once per step.  Without a compiler,
+the same steps run in numpy.
+
 The quality measure is the relative L2 error over all steps and nodes:
 
     E(n, n_t) = sqrt( sum_{k,i,j} (u^k_ij - exact(ih, jh, k*tau))^2
@@ -110,7 +117,9 @@ class SimConfig:
     The time step is always derived as tau = lam * h, as lam = c * tau / h
     carries the wave speed.  ``initial_u`` and ``initial_v`` are functions
     of (x1, x2); ``exact`` is the reference solution (x1, x2, t) used for
-    the error metric.  All three default to the standing-wave benchmark.
+    the error metric.  All three default to the standing-wave benchmark;
+    ``run()`` raises ``ValueError`` if one gives a complex, nan or infinite
+    value.
     """
 
     scheme: SchemeSpec
@@ -140,12 +149,20 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Result of one simulation run."""
+    """Result of one simulation run.
+
+    ``phases`` holds (name, wall seconds) for the phases of ``run()`` in
+    order: "envelope", the stability envelope; "sample", the initial fields
+    and the reference's space field; "march", the steps with their error
+    sums, per-step samples of a reference other than the standing wave
+    included.  Their sum is at most ``wall_time_s``.
+    """
 
     error: float
     per_step_errors: tuple[float, ...]
     wall_time_s: float
     config: SimConfig = field(repr=False)
+    phases: tuple[tuple[str, float], ...] = ()
 
 
 def _axes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,9 +171,18 @@ def _axes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return coords[:, None], coords[None, :]
 
 
-def _sample(func, x1: np.ndarray, x2: np.ndarray, *args) -> np.ndarray:
-    """Evaluate a field function on the grid, accepting scalar-valued callables."""
-    values = np.asarray(func(x1, x2, *args), dtype=float)
+def _sample(func, name: str, x1: np.ndarray, x2: np.ndarray, *args) -> np.ndarray:
+    """Evaluate the field function ``name`` on the grid, accepting scalar values.
+
+    Complex or non-finite values raise ``ValueError``: cast or summed, they
+    would end in a wrong or nan error without one.
+    """
+    values = func(x1, x2, *args)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must return real values, got {np.asarray(values).dtype}")
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must return finite values, got nan or infinity")
     return np.broadcast_to(values, (x1.shape[0], x2.shape[1]))
 
 
@@ -177,9 +203,11 @@ class _Stepper:
     the table's offsets in table order.  That order fixes the last bits of
     the published errors (table 3's E_P13 at n = 80), so offsets sharing a
     coefficient are not grouped and no multiply-add is fused.  The compiled
-    kernel of ``_kernel`` makes one pass per node in that order; without it,
-    the numpy path makes two passes (multiply, then add) per offset over
-    blocks of rows, with the same bits.
+    kernel of ``_kernel`` makes one pass per node in that order and fills
+    the ghosts from a plan of lines packed once here; without it, the numpy
+    path makes two passes (multiply, then add) per offset over blocks of
+    rows, with the same bits.  Either way ``march`` is the only stepping
+    routine, of which ``two`` is a one-step use.
     """
 
     def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str):
@@ -212,17 +240,27 @@ class _Stepper:
             rows = (min(_ROW_BLOCK, self.size), self.size)
             self._acc = np.empty(rows)
             self._term = np.empty(rows)
+            self._sums = _ErrorSums(n)
         else:
-            # Per table, its linear buffer offsets q1 * width + q2 and its
-            # coefficients, held here while the kernel reads their addresses.
-            self._packed = [
-                (np.array([q1 * width + q2 for (q1, q2), _ in table], dtype=np.intp),
-                 np.array([coeff for _, coeff in table]))
-                for table in (self.first_u, self.first_v, self.two_step)
+            # The plan of the compiled march (see ``_kernel.SOURCE``): the
+            # geometry, each table's linear buffer offsets q1 * width + q2,
+            # and the ghost lines in the order of ``_fill_ghosts``.  The
+            # arrays are held here while the kernel reads their addresses.
+            tables = (self.first_u, self.first_v, self.two_step)
+            lines = [
+                (axis, g, f, sign)
+                for axis in (0, 1)
+                for sign, ghost, source in groups
+                for g, f in zip(ghost, source)
             ]
-            args = [(o.ctypes.data, c.ctypes.data, len(o)) for o, c in self._packed]
-            self._first_args = (width, r, self.size, *args[0], *args[1])
-            self._two_args = (width, r, self.size, *args[2])
+            self._plan = np.array(
+                [width, r, self.size, self.origin, n + 1, *map(len, tables), len(lines),
+                 *(q1 * width + q2 for table in tables for (q1, q2), _ in table),
+                 *(value for line in lines for value in line)],
+                dtype=np.intp,
+            )
+            self._coeffs = np.array([coeff for table in tables for _, coeff in table])
+            self._plan_args = (self._plan.ctypes.data, self._coeffs.ctypes.data)
 
     def field(self, buf: np.ndarray) -> np.ndarray:
         """The (n+1) x (n+1) field of a buffer, as a view."""
@@ -266,36 +304,56 @@ class _Stepper:
             np.multiply(src[lo + q1 + a : lo + q1 + b, lo + q2 : lo + q2 + size], coeff, out=term)
             acc += term
 
-    def _address(self, buf: np.ndarray) -> int:
-        """The data address of one of this stepper's buffers, for the kernel."""
-        if buf.shape != self.shape or buf.dtype != np.float64 or not buf.flags.c_contiguous:
-            raise ValueError(f"need a C-contiguous float64 buffer of shape {self.shape}")
-        return buf.ctypes.data
-
-    def first(self, u0: np.ndarray, v0: np.ndarray, out: np.ndarray, tau: float):
-        """out = S_u u0 + tau * S_v v0."""
-        if self._lib is not None:
-            buffers = (self._address(u0), self._address(v0), self._address(out))
-            self._lib.stencil_first(*buffers, tau, *self._first_args)
-        else:
-            for a, b, core in self._blocks(out):
-                acc = self._acc[: b - a]
-                self._sum(self.first_u, u0, a, b, core)
-                self._sum(self.first_v, v0, a, b, acc)
-                acc *= tau
-                core += acc
-        self._fill_ghosts(out)
-
     def two(self, curr: np.ndarray, prev: np.ndarray):
         """prev = S curr - prev, in place: ``prev`` becomes the next field."""
+        self.march(prev, curr, 1)
+
+    def march(self, prev, curr, steps: int, v=None, tau: float = 0.0,
+              space=None, factors=None, sums=None):
+        """Advance the fields of buffers (prev, curr) by ``steps`` steps.
+
+        With ``v``, the first step is curr = S_u prev + tau * S_v v; every
+        other step is prev = S curr - prev, after which the two swap, so that
+        ``curr`` holds the newest field.  Ghosts are filled after each step,
+        and with ``sums``, its row k gets step k's error sums against
+        ``space * factors[k]`` (see ``_ErrorSums``).  Returns the buffers as
+        (prev, curr).  The compiled kernel runs all the steps in one call.
+        Every array must be C-contiguous float64: the buffers of this
+        stepper's shape, ``space`` of the field's; ``ValueError`` otherwise.
+        """
+        wanted = [(prev, self.shape), (curr, self.shape)]
+        if v is not None:
+            wanted.append((v, self.shape))
+        if sums is not None:
+            wanted += [(space, (self.n + 1, self.n + 1)), (factors[:steps], (steps,)),
+                       (sums[:steps], (steps, 2))]
+        for values, shape in wanted:
+            if values.shape != shape or values.dtype != np.float64 or not values.flags.c_contiguous:
+                raise ValueError(f"need a C-contiguous float64 array of shape {shape}")
+        swaps = steps - (v is not None)
         if self._lib is not None:
-            self._lib.stencil_two(self._address(curr), self._address(prev), *self._two_args)
-        else:
-            for a, b, core in self._blocks(prev):
-                acc = self._acc[: b - a]
-                self._sum(self.two_step, curr, a, b, acc)
-                np.subtract(acc, core, out=core)
-        self._fill_ghosts(prev)
+            address = [a if a is None else a.ctypes.data for a in (v, space, factors, sums)]
+            self._lib.march(*self._plan_args, prev.ctypes.data, curr.ctypes.data,
+                            address[0], tau, steps, *address[1:])
+            return (prev, curr) if swaps % 2 == 0 else (curr, prev)
+        for k in range(steps):
+            if k == 0 and v is not None:
+                for a, b, core in self._blocks(curr):
+                    acc = self._acc[: b - a]
+                    self._sum(self.first_u, prev, a, b, core)
+                    self._sum(self.first_v, v, a, b, acc)
+                    acc *= tau
+                    core += acc
+            else:
+                for a, b, core in self._blocks(prev):
+                    acc = self._acc[: b - a]
+                    self._sum(self.two_step, curr, a, b, acc)
+                    np.subtract(acc, core, out=core)
+                prev, curr = curr, prev
+            self._fill_ghosts(curr)
+            if sums is not None:
+                sums[k] = self._sums(self.field(curr), space, factors[k])
+        return prev, curr
 
 
 def first_step(
@@ -311,7 +369,7 @@ def first_step(
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     out = stepper.buffer()
-    stepper.first(stepper.buffer(u0), stepper.buffer(v0), out, tau)
+    stepper.march(stepper.buffer(u0), out, 1, v=stepper.buffer(v0), tau=tau)
     return stepper.field(out).copy()
 
 
@@ -331,23 +389,6 @@ def two_step(
     out = stepper.buffer(u_km1)
     stepper.two(stepper.buffer(u_k), out)
     return stepper.field(out).copy()
-
-
-def _march(config: SimConfig):
-    """Yield (k, u^k) for k = 1..n_t: the first step, then the two-step update.
-
-    Each field is a view of a buffer that the step after next overwrites.
-    """
-    x1, x2 = _axes(config.n)
-    stepper = _Stepper(config.scheme, config.lam, config.n, config.bc)
-    prev = stepper.buffer(_sample(config.initial_u, x1, x2))
-    curr = stepper.buffer()
-    stepper.first(prev, stepper.buffer(_sample(config.initial_v, x1, x2)), curr, config.tau)
-    yield 1, stepper.field(curr)
-    for k in range(2, config.n_t + 1):
-        stepper.two(curr, prev)
-        prev, curr = curr, prev
-        yield k, stepper.field(curr)
 
 
 class _ErrorSums:
@@ -394,36 +435,37 @@ class _ErrorSums:
         return float(np.square(work, out=work).sum()), float(np.square(ref, out=ref).sum())
 
 
-def _error(steps, exact: Callable, tau: float, n: int, on_step: Callable | None = None):
-    """E and the per-step errors of (k, u^k) pairs against ``exact`` at k*tau.
+def _reference(exact: Callable, space, x1: np.ndarray, x2: np.ndarray, t: float):
+    """(field, factor) whose product is the reference ``exact`` at time t.
 
-    The benchmark's standing wave, recognised by identity, is the product of
-    a space field, sampled once, and a time factor per step, which keeps the
-    bits of its (space * space) * time product.  Any other reference is
-    sampled whole per step, with time factor 1.0.  ``on_step(k, copy of
-    u^k)`` follows each step's sums.  A step whose reference vanishes has
-    error nan; if all do, raise DegenerateNormError.
+    ``space`` is the space field of the benchmark's standing wave, when
+    ``exact`` is that function (recognised by identity): times the wave's
+    time factor it keeps the bits of its (space * space) * time product.
+    Otherwise ``space`` is None and ``exact`` is sampled whole, with factor
+    1.0.
     """
-    x1, x2 = _axes(n)
-    sums = _ErrorSums(n)
-    if exact is exact_standing_wave:
-        space = _standing_space(x1, x2)
+    if space is not None:
+        return space, _standing_time(t)
+    return np.ascontiguousarray(_sample(exact, "exact", x1, x2, t)), 1.0
 
-        def reference(t):
-            return space, _standing_time(t)
-    else:
-        def reference(t):
-            return _sample(exact, x1, x2, t), 1.0
 
+def _standing(exact: Callable, x1: np.ndarray, x2: np.ndarray):
+    """The standing wave's space field if ``exact`` is the standing wave, else None."""
+    return _standing_space(x1, x2) if exact is exact_standing_wave else None
+
+
+def _relative_error(sums) -> tuple[float, tuple[float, ...]]:
+    """E and the per-step errors from each step's two error sums, in step order.
+
+    A step whose reference vanishes has error nan; if all do, raise
+    DegenerateNormError.
+    """
     num = den = 0.0
     per_step = []
-    for k, u_k in steps:
-        step_num, step_den = sums(u_k, *reference(k * tau))
+    for step_num, step_den in sums:
         num += step_num
         den += step_den
         per_step.append(math.sqrt(step_num / step_den) if step_den > 0.0 else math.nan)
-        if on_step is not None:
-            on_step(k, u_k.copy())
     if den == 0.0:
         raise DegenerateNormError("exact solution vanishes at all sampled points")
     return math.sqrt(num / den), tuple(per_step)
@@ -442,7 +484,14 @@ def relative_l2_error(computed: Sequence[np.ndarray], exact: Callable, tau: floa
         raise ValueError("need at least one computed field")
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    return _error(enumerate(computed, start=1), exact, tau, _grid_n(*computed))[0]
+    n = _grid_n(*computed)
+    x1, x2 = _axes(n)
+    space = _standing(exact, x1, x2)
+    error_sums = _ErrorSums(n)
+    return _relative_error(
+        error_sums(u, *_reference(exact, space, x1, x2, k * tau))
+        for k, u in enumerate(computed, start=1)
+    )[0]
 
 
 def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
@@ -451,6 +500,10 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     Marches n_t steps and sums the space-time error against the reference;
     ``on_step(k, field)`` gets a copy of each step's field.  An unstable
     Courant number only warns; marginal (|symbol| = 1) values are silent.
+
+    With the default reference and no ``on_step``, the compiled kernel runs
+    the whole march in one call; otherwise the same march goes one step at
+    a time, sampling any other reference between steps.
     """
     started = time.perf_counter()
     env = stability.envelope(config.scheme, config.lam)
@@ -460,12 +513,38 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
             f"(symbol range [{env.low.value:.6f}, {env.high.value:.6f}])",
             stacklevel=2,
         )
-    error, per_step = _error(_march(config), config.exact, config.tau, config.n, on_step)
+    enveloped = time.perf_counter()
+    n, n_t, tau = config.n, config.n_t, config.tau
+    x1, x2 = _axes(n)
+    stepper = _Stepper(config.scheme, config.lam, n, config.bc)
+    prev = stepper.buffer(_sample(config.initial_u, "initial_u", x1, x2))
+    v = stepper.buffer(_sample(config.initial_v, "initial_v", x1, x2))
+    curr = stepper.buffer()
+    space = _standing(config.exact, x1, x2)
+    sampled = time.perf_counter()
+    sums = np.empty((n_t, 2))
+    if space is not None and on_step is None:
+        factors = np.array([_standing_time(k * tau) for k in range(1, n_t + 1)])
+        stepper.march(prev, curr, n_t, v, tau, space, factors, sums)
+    else:
+        for k in range(1, n_t + 1):
+            reference, factor = _reference(config.exact, space, x1, x2, k * tau)
+            prev, curr = stepper.march(prev, curr, 1, v if k == 1 else None, tau,
+                                       reference, np.array([factor]), sums[k - 1 :])
+            if on_step is not None:
+                on_step(k, stepper.field(curr).copy())
+    error, per_step = _relative_error(sums.tolist())
+    marched = time.perf_counter()
     return SimReport(
         error=error,
         per_step_errors=per_step,
         wall_time_s=time.perf_counter() - started,
         config=config,
+        phases=(
+            ("envelope", enveloped - started),
+            ("sample", sampled - enveloped),
+            ("march", marched - sampled),
+        ),
     )
 
 

@@ -5,12 +5,14 @@ loader's in-process memo before and after, so the rest of the session keeps
 the session's kernel.
 """
 
+import contextlib
 import os
 import shutil
 import stat
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -130,3 +132,37 @@ def test_kernel_takes_only_whole_buffers_of_its_stepper():
             stepper.two(wrong, buf)
         with pytest.raises(ValueError):
             stepper.two(buf, wrong)
+    # The error sums read a whole field, two factors and two rows of sums.
+    field, factors, sums = np.zeros((9, 9)), np.ones(2), np.empty((2, 2))
+    for space in (np.zeros((8, 8)), np.zeros((9, 10))[:, :9], field.astype(np.float32)):
+        with pytest.raises(ValueError):
+            stepper.march(buf, stepper.buffer(), 2, space=space, factors=factors, sums=sums)
+    for factors, sums in ((np.ones(1), sums), (factors, np.empty((1, 2)))):
+        with pytest.raises(ValueError):
+            stepper.march(buf, stepper.buffer(), 2, space=field, factors=factors, sums=sums)
+
+
+@needs_cc
+@pytest.mark.parametrize("n_t", [1, 2, 40])
+def test_default_run_is_one_compiled_call(n_t):
+    # The whole default run (first step, two-steps, ghost fills and error
+    # sums) is one call of the compiled march; with on_step it is one call
+    # per step.  No other compiled routine is called from Python, and the
+    # stencil loops are not exported at all.
+    lib = _kernel.load()
+    assert lib is not None
+    config = simulator.SimConfig(scheme=named_scheme("P13"), n=10, n_t=n_t, lam=0.7, bc="periodic")
+    with contextlib.ExitStack() as stack:
+        spies = {
+            name: stack.enter_context(mock.patch.object(lib, name, wraps=getattr(lib, name)))
+            for name in _kernel._SIGNATURES
+        }
+        simulator.run(config)
+        assert {name: spy.call_count for name, spy in spies.items()} == {"march": 1, "error_sums": 0}
+        simulator.run(config, on_step=lambda k, field: None)
+        assert {name: spy.call_count for name, spy in spies.items()} == {
+            "march": 1 + n_t,
+            "error_sums": 0,
+        }
+    for name in ("stencil_first", "stencil_two", "fill_ghosts"):
+        assert not hasattr(lib, name)

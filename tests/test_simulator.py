@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import warnings
 
 from unittest import mock
 
@@ -11,6 +12,7 @@ from poisson_stencils.scheme import named_scheme
 from poisson_stencils.simulator import (
     DegenerateNormError,
     SimConfig,
+    SimReport,
     _ErrorSums,
     dump_grid_csv,
     exact_standing_wave,
@@ -396,3 +398,50 @@ def test_on_step_fields_match_public_steps(p5, p13):
         assert len(captured) == len(expected)
         for got, want in zip(captured, expected):
             assert np.array_equal(got, want)
+
+
+def growing_reference(x1, x2, t):
+    return 0.0 * x1 + t
+
+
+def test_run_reports_its_phases(p5, p13):
+    # Fixed phase names in order, each a wall time >= 0, summing to at most
+    # the run's wall time, on the one-call march and on the step-by-step one.
+    configs = (
+        SimConfig(scheme=p5, n=12, n_t=5, lam=0.6),
+        SimConfig(scheme=p13, n=12, n_t=5, lam=0.6, bc="periodic", exact=growing_reference),
+    )
+    for config in configs:
+        for on_step in (None, lambda k, field: None):
+            report = run(config, on_step=on_step)
+            assert [name for name, _ in report.phases] == ["envelope", "sample", "march"]
+            assert all(seconds >= 0.0 for _, seconds in report.phases)
+            assert sum(seconds for _, seconds in report.phases) <= report.wall_time_s
+            assert pickle.loads(pickle.dumps(report)).phases == report.phases
+    bare = SimReport(error=0.0, per_step_errors=(), wall_time_s=0.0, config=configs[0])
+    assert bare.phases == ()
+
+
+@pytest.mark.parametrize(
+    "name, function",
+    [
+        ("initial_u", lambda x1, x2: (x1 + x2) * (1 + 1j)),
+        ("initial_u", lambda x1, x2: np.full(np.broadcast(x1, x2).shape, math.nan)),
+        ("initial_v", lambda x1, x2: 1j),
+        ("initial_v", lambda x1, x2: x1 / (x2 - x2)),
+        ("exact", lambda x1, x2, t: math.inf),
+        ("exact", lambda x1, x2, t: x1 + x2 + 0j),
+    ],
+)
+def test_sampled_fields_must_be_real_and_finite(kernels, p5, name, function):
+    # A complex field was cast with only a ComplexWarning (E = 1.9785 for
+    # the first case), and a nan or infinite one gave E = nan.
+    config = SimConfig(scheme=p5, n=8, n_t=3, lam=0.6, **{name: function})
+    for _, path in kernels:
+        with path(), warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=name):
+                run(config)
+            if name == "exact":
+                with pytest.raises(ValueError, match=name):
+                    relative_l2_error([np.ones((9, 9))], function, 0.1)

@@ -8,6 +8,9 @@ the ``kernels`` fixture.
 """
 
 import functools
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,7 +18,13 @@ from hypothesis import strategies as st
 
 from poisson_stencils.benchmarks import TABLE_BC, TABLES, run_table
 from poisson_stencils.scheme import NAMED_SCHEMES, named_scheme
-from poisson_stencils.simulator import SimConfig, first_step, run, two_step
+from poisson_stencils.simulator import (
+    SimConfig,
+    exact_standing_wave,
+    first_step,
+    run,
+    two_step,
+)
 
 
 @functools.cache
@@ -161,10 +170,8 @@ def test_table_3_roundoff_digit(kernels):
         assert f"{row['E_P13']:.4e}" == "2.8883e-10", name
 
 
-def test_kernels_agree_on_every_table_row_and_march(kernels):
-    # Every published row, and the benchmark's two n = 512 marches: the
-    # compiled and the numpy kernel give the same E and per-step errors,
-    # bit for bit (stencil sums and error sums alike).
+def table_and_march_configs():
+    """Every published row's config, then the benchmark's two n = 512 marches."""
     configs = [
         SimConfig(scheme=spec_of(name), n=case.n, n_t=case.n_t, lam=case.lam, bc=TABLE_BC[table])
         for table, cases in TABLES.items()
@@ -172,13 +179,60 @@ def test_kernels_agree_on_every_table_row_and_march(kernels):
         for name in case.reference
     ]
     assert len(configs) == 48
-    configs += [
+    return configs + [
         SimConfig(scheme=spec_of(name), n=512, n_t=32, lam=0.707, bc=bc)
         for name, bc in (("P13", "periodic"), ("P5", "dirichlet"))
     ]
+
+
+def report_bits(report):
+    return report.error.hex(), [e.hex() for e in report.per_step_errors]
+
+
+def test_kernels_agree_on_every_table_row_and_march(kernels):
+    # Every published row, and the benchmark's two n = 512 marches: the
+    # compiled and the numpy kernel give the same E and per-step errors,
+    # bit for bit (stencil sums and error sums alike).
+    configs = table_and_march_configs()
     results = []
     for _, path in kernels:
         with path():
-            reports = [run(config) for config in configs]
-        results.append([(r.error.hex(), [e.hex() for e in r.per_step_errors]) for r in reports])
+            results.append([report_bits(run(config)) for config in configs])
     assert len(kernels) == 1 or results[0] == results[1]
+
+
+def test_whole_and_chunked_marches_agree(kernels):
+    # The default run marches in one kernel call; an on_step callback, or a
+    # reference other than the standing wave itself (here a wrapper of it),
+    # makes the same march go one step at a time.  All three give the same
+    # bits on every row and march.
+    def wrapped(x1, x2, t):
+        return exact_standing_wave(x1, x2, t)
+
+    for name, path in kernels:
+        with path():
+            for config in table_and_march_configs():
+                whole = report_bits(run(config))
+                assert report_bits(run(config, on_step=lambda k, f: None)) == whole, name
+                assert report_bits(run(replace(config, exact=wrapped))) == whole, name
+
+
+def test_concurrent_runs_give_the_sequential_bits(kernels):
+    # A compiled march releases the GIL for the whole run, so two runs in
+    # two threads overlap; each must still give its sequential bits.
+    configs = [
+        SimConfig(scheme=spec_of(name), n=128, n_t=64, lam=0.707, bc=bc)
+        for name, bc in (("P13", "periodic"), ("P5", "dirichlet"))
+    ]
+    start = threading.Barrier(len(configs))
+
+    def together(config):
+        start.wait(timeout=60)
+        return report_bits(run(config))
+
+    for name, path in kernels:
+        with path():
+            sequential = [report_bits(run(config)) for config in configs]
+            for _ in range(3):
+                with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+                    assert list(pool.map(together, configs, timeout=120)) == sequential, name
