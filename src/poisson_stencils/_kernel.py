@@ -11,27 +11,26 @@ compiler from fusing them into multiply-adds (clang and aarch64 gcc would
 otherwise), and the flags stay portable, with no ``-march=native`` or
 ``-ffast-math``, so a cached library runs on any CPU of its architecture.
 
-Two routines are exported.  ``march`` runs a whole march in one call: the
-first step if asked, then the two-step update, each step followed by the
-ghost fill and, if asked, the step's error sums into one row of an
-(steps x 2) array.  The ghost fill writes the lines of
-``_Stepper._fill_ghosts`` in its order and only copies, negates or writes
-+0.0, so it cannot change a bit.  ``march`` takes a plan, an array of
-integers packed once per stepper: the buffer geometry, the three tables'
-linear offsets and the ghost lines (layout in the source).  The one call
-holds no state of its own and releases the GIL, so runs in several threads
-overlap.
+``march`` is the simulator's one entry point: it runs a whole march in one
+call, the first step if asked, then the two-step update, each step followed
+by the ghost fill and, if asked, the step's error sums into one row of an
+(steps x 2) array.  It takes a plan, an array of integers packed once per
+stepper: the buffer geometry, the three tables' linear offsets and the ghost
+lines (layout in the source).  The ghost fill writes those lines in the
+order that ``_Stepper._fill_ghosts`` writes them and only copies, negates
+or writes +0.0, so it cannot change a bit.  The one call holds no state of
+its own and releases the GIL, so runs in several threads overlap.
 
-``error_sums`` makes one pass over a field u and a reference r = s * c and
-returns the sums of (u - r)^2 and r^2, which the numpy path gets from
-``ndarray.sum()``.  To give numpy's bits it replays numpy's pairwise
-summation order (``pairwise_sum_DOUBLE``: runs of at most 128 values, 8
-partial sums each) over the flattened field.  That order is numpy's, not a
-documented contract: ``tests/test_error_sums.py`` checks both kernels
-against numpy's own sums bit for bit, at the order's seams too, and
-``tests/test_stencil_kernel.py`` checks that both kernels give every table
-row and the benchmark marches the same errors.  The flag above also keeps
-u - s * c from fusing.
+Each step's ``error_sums`` makes one pass over the field u and a reference
+r = s * c and returns the sums of (u - r)^2 and r^2, which the numpy march
+and ``relative_l2_error`` get from ``ndarray.sum()``.  To give numpy's bits
+it replays numpy's pairwise summation order (``pairwise_sum_DOUBLE``: runs
+of at most 128 values, 8 partial sums each) over the flattened field.  That
+order is numpy's, not a documented contract: ``tests/test_error_sums.py``
+checks the compiled sums against numpy's own bit for bit, at the order's
+seams too, and ``tests/test_stencil_kernel.py`` checks that both kernels
+give every table row and the benchmark marches the same errors.  The flag
+above also keeps u - s * c from fusing.
 
 The cache directory is ``$XDG_CACHE_HOME/poisson_stencils`` (default
 ``~/.cache``), mode 0700.  A directory that another user owns, or that others
@@ -276,6 +275,9 @@ void march(const ptrdiff_t *plan, const double *coeffs, double *prev, double *cu
 COMMAND = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+# The simulator calls only ``march``.  ``error_sums`` is exported for the
+# tests alone: they reach the pairwise order through it at run lengths such
+# as 8, 128 and 129 values, which no (n+1)^2 field of a march has.
 _SIGNATURES = {
     "march": (_P, _P, _P, _P, _P, _D, _N, _P, _P, _P),
     "error_sums": (_P, _N, _P, _D, _N, _N, _P),

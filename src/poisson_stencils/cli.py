@@ -25,6 +25,7 @@ _EXIT_CODES = {
     UnknownSchemeError: EXIT_UNKNOWN_SCHEME,
     DegenerateNormError: EXIT_DEGENERATE_NORM,
     NeverStableError: EXIT_NEVER_STABLE,
+    OSError: EXIT_INVALID_ARGUMENT,  # an --out or --dump-prefix path that cannot be written
 }
 
 
@@ -191,26 +192,26 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         flags, body, written = args.func(args)
+        # The reproducibility manifest, as comments ahead of the body.
+        manifest = [
+            f"tool_version: poisson-stencils {__version__}",
+            f"command: {args.command}",
+            f"flags: {flags}",
+            "determinism: seed-free; identical flags reproduce identical output"
+            " except the wall_time_s line",
+            f"outputs: {', '.join([args.out or 'stdout', *written])}",
+            f"wall_time_s: {time.perf_counter() - started:.3f}",
+        ]
+        opening, closing = ("<!-- ", " -->") if getattr(args, "format", "") == "md" else ("# ", "")
+        header = "".join(f"{opening}{line}{closing}\n" for line in manifest)
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(header + body)
+        else:
+            sys.stdout.write(header + body)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
-    # The reproducibility manifest, as comments ahead of the body.
-    manifest = [
-        f"tool_version: poisson-stencils {__version__}",
-        f"command: {args.command}",
-        f"flags: {flags}",
-        "determinism: seed-free; identical flags reproduce identical output"
-        " except the wall_time_s line",
-        f"outputs: {', '.join([args.out or 'stdout', *written])}",
-        f"wall_time_s: {time.perf_counter() - started:.3f}",
-    ]
-    opening, closing = ("<!-- ", " -->") if getattr(args, "format", "") == "md" else ("# ", "")
-    header = "".join(f"{opening}{line}{closing}\n" for line in manifest)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(header + body)
-    else:
-        sys.stdout.write(header + body)
     return EXIT_OK
 
 

@@ -10,12 +10,12 @@ update loop.  ``run()`` marches through one stencil kernel on halo-padded
 buffers, of which ``first_step`` and ``two_step`` are one-shot uses.  The
 time step is tau = lam * h: c enters only through lam = c * tau / h.
 
-With the compiled kernel, a default ``run()`` (the standing-wave reference,
-no ``on_step``) is one call of ``_kernel``'s ``march``: stencil sums, ghost
-fill and each step's error sums all run in C, and Python keeps the sampling,
-the time factors and the final square roots.  An ``on_step`` callback or
-another reference makes the same call once per step.  Without a compiler,
-the same steps run in numpy.
+``run()`` is one loop of ``_Stepper.march`` calls: one call for a default
+run (the standing-wave reference, no ``on_step``), else one call per step.
+With the compiled kernel, each call runs stencil sums, ghost fill and each
+step's error sums in C, and Python keeps the sampling, the time factors and
+the final square roots.  Without a compiler, the same steps run in numpy.
+``_Stepper`` is the only code here that loads the compiled kernel.
 
 The quality measure is the relative L2 error over all steps and nodes:
 
@@ -23,8 +23,9 @@ The quality measure is the relative L2 error over all steps and nodes:
                       / sum_{k,i,j} exact(ih, jh, k*tau)^2 )
 
 with k = 1..n_t and i, j = 0..n.  Each step's two sums are numpy's
-``sum()`` of the flattened squares, bit for bit, on the compiled kernel and
-the numpy path alike.  The benchmark's standing wave is sampled as a space
+``sum()`` of the flattened squares (``_error_sums``), which the compiled
+march replays bit for bit; ``relative_l2_error`` and the numpy march call
+``_error_sums`` itself.  The benchmark's standing wave is sampled as a space
 field once per run times a time factor per step, with the bits of sampling
 it whole.
 """
@@ -171,19 +172,35 @@ def _axes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return coords[:, None], coords[None, :]
 
 
-def _sample(func, name: str, x1: np.ndarray, x2: np.ndarray, *args) -> np.ndarray:
-    """Evaluate the field function ``name`` on the grid, accepting scalar values.
+def _real_finite(values, name: str) -> np.ndarray:
+    """``values`` as a float array; ``ValueError`` if complex, nan or infinite.
 
-    Complex or non-finite values raise ``ValueError``: cast or summed, they
-    would end in a wrong or nan error without one.
+    Cast or summed, such values would end in a wrong or nan error without it.
     """
-    values = func(x1, x2, *args)
     if np.iscomplexobj(values):
-        raise ValueError(f"{name} must return real values, got {np.asarray(values).dtype}")
+        raise ValueError(f"{name} must be real, got {np.asarray(values).dtype}")
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
-        raise ValueError(f"{name} must return finite values, got nan or infinity")
+        raise ValueError(f"{name} must be finite, got nan or infinity")
+    return values
+
+
+def _sample(func, name: str, x1: np.ndarray, x2: np.ndarray, *args) -> np.ndarray:
+    """Evaluate the field function ``name`` on the grid, accepting scalar values."""
+    values = _real_finite(func(x1, x2, *args), name)
     return np.broadcast_to(values, (x1.shape[0], x2.shape[1]))
+
+
+def _error_sums(u, s, c) -> tuple[float, float]:
+    """The sums of (u - r)^2 and of r^2 over the grid, r = s * c.
+
+    Each is numpy's ``sum()`` of the flattened squares: pairwise, in runs
+    of at most 128 values, an order that the compiled march replays.  The
+    squares overwrite their operands, which saves two field allocations.
+    """
+    r = s * c
+    d = u - r
+    return float(np.square(d, out=d).sum()), float(np.square(r, out=r).sum())
 
 
 class _Stepper:
@@ -197,17 +214,18 @@ class _Stepper:
     so index n aliases index 0.  A Dirichlet grid has first = 1 and p = 2n:
     the odd extension of the field, whose mirror lines are the boundary ring
     i in {0, n}.  The rule maps the ring onto itself, and after every update
-    it is pinned to +0.0.
+    it is pinned to +0.0.  The ghost lines, rows over the core columns and
+    then columns over all rows, are listed once as (axis, ghost, source,
+    sign); the numpy fill and the compiled plan write them in that order.
 
     At each node the stencil sum starts from 0.0 and adds coeff * value over
     the table's offsets in table order.  That order fixes the last bits of
     the published errors (table 3's E_P13 at n = 80), so offsets sharing a
     coefficient are not grouped and no multiply-add is fused.  The compiled
-    kernel of ``_kernel`` makes one pass per node in that order and fills
-    the ghosts from a plan of lines packed once here; without it, the numpy
-    path makes two passes (multiply, then add) per offset over blocks of
-    rows, with the same bits.  Either way ``march`` is the only stepping
-    routine, of which ``two`` is a one-step use.
+    kernel of ``_kernel`` makes one pass per node in that order; without it,
+    the numpy path makes two passes (multiply, then add) per offset over
+    blocks of rows, with the same bits.  Either way ``march`` is the only
+    stepping routine, of which ``two`` is a one-step use.
     """
 
     def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str):
@@ -226,11 +244,8 @@ class _Stepper:
             j = i % period
             source, sign = (j, 1) if j <= n else (2 * n - j, -1)
             pairs[0 if source == i else sign].append((b, source + self.origin))
-        # Ghost rows over the core columns, then ghost columns over all rows.
-        groups = [(sign, *np.array(p).T) for sign, p in pairs.items() if p]
-        core, every = slice(r, r + self.size), slice(None)
-        self._ghosts = [(s, (g, core), (f, core)) for s, g, f in groups] + [
-            (s, (every, g), (every, f)) for s, g, f in groups
+        self._lines = [
+            (axis, g, f, sign) for axis in (0, 1) for sign, p in pairs.items() for g, f in p
         ]
         self.first_u = evaluate_table(spec.first_u, lam)
         self.first_v = evaluate_table(spec.first_v, lam)
@@ -240,23 +255,16 @@ class _Stepper:
             rows = (min(_ROW_BLOCK, self.size), self.size)
             self._acc = np.empty(rows)
             self._term = np.empty(rows)
-            self._sums = _ErrorSums(n)
         else:
             # The plan of the compiled march (see ``_kernel.SOURCE``): the
             # geometry, each table's linear buffer offsets q1 * width + q2,
-            # and the ghost lines in the order of ``_fill_ghosts``.  The
-            # arrays are held here while the kernel reads their addresses.
+            # and the ghost lines.  The arrays are held here while the kernel
+            # reads their addresses.
             tables = (self.first_u, self.first_v, self.two_step)
-            lines = [
-                (axis, g, f, sign)
-                for axis in (0, 1)
-                for sign, ghost, source in groups
-                for g, f in zip(ghost, source)
-            ]
             self._plan = np.array(
-                [width, r, self.size, self.origin, n + 1, *map(len, tables), len(lines),
+                [width, r, self.size, self.origin, n + 1, *map(len, tables), len(self._lines),
                  *(q1 * width + q2 for table in tables for (q1, q2), _ in table),
-                 *(value for line in lines for value in line)],
+                 *(value for line in self._lines for value in line)],
                 dtype=np.intp,
             )
             self._coeffs = np.array([coeff for table in tables for _, coeff in table])
@@ -280,13 +288,16 @@ class _Stepper:
         return buf
 
     def _fill_ghosts(self, buf: np.ndarray, pin: bool = True):
-        for sign, ghosts, sources in self._ghosts:
+        """Copy or negate each ghost line's source, or, with ``pin``, zero it."""
+        core = slice(self.lo, self.lo + self.size)
+        for axis, ghost, source, sign in self._lines:
+            g, f = ((ghost, core), (source, core)) if axis == 0 else ((..., ghost), (..., source))
             if sign > 0:
-                buf[ghosts] = buf[sources]
+                buf[g] = buf[f]
             elif sign < 0:
-                buf[ghosts] = -buf[sources]
+                np.negative(buf[f], out=buf[g])
             elif pin:
-                buf[ghosts] = 0.0
+                buf[g] = 0.0
 
     def _blocks(self, buf: np.ndarray):
         """(first row, end row, core rows of ``buf``) per row block of the update."""
@@ -316,7 +327,7 @@ class _Stepper:
         other step is prev = S curr - prev, after which the two swap, so that
         ``curr`` holds the newest field.  Ghosts are filled after each step,
         and with ``sums``, its row k gets step k's error sums against
-        ``space * factors[k]`` (see ``_ErrorSums``).  Returns the buffers as
+        ``space * factors[k]`` (see ``_error_sums``).  Returns the buffers as
         (prev, curr).  The compiled kernel runs all the steps in one call.
         Every array must be C-contiguous float64: the buffers of this
         stepper's shape, ``space`` of the field's; ``ValueError`` otherwise.
@@ -352,7 +363,7 @@ class _Stepper:
                 prev, curr = curr, prev
             self._fill_ghosts(curr)
             if sums is not None:
-                sums[k] = self._sums(self.field(curr), space, factors[k])
+                sums[k] = _error_sums(self.field(curr), space, factors[k])
         return prev, curr
 
 
@@ -391,62 +402,19 @@ def two_step(
     return stepper.field(out).copy()
 
 
-class _ErrorSums:
-    """One step's error sums on an (n+1) x (n+1) grid against r = s * c.
-
-    A call returns the sums of (u - r)^2 and of r^2 over the grid, each in
-    the order of numpy's ``sum()`` of the flattened squares: pairwise, in
-    runs of at most 128 values.  The compiled kernel of ``_kernel`` makes
-    one pass in that order; without it, numpy forms r, subtracts, squares
-    and sums, with the same bits.  A field whose shape is not the grid's
-    raises ``ValueError``; one of another dtype or layout is copied first.
-    """
-
-    def __init__(self, n: int):
-        self.shape = (n + 1, n + 1)
-        self._lib = _kernel.load()
-        if self._lib is None:
-            self._ref = np.empty(self.shape)
-            self._work = np.empty(self.shape)
-        else:
-            self._out = np.empty(2)
-
-    def _field(self, values) -> np.ndarray:
-        """``values`` as float64 with whole-element strides and unit column stride."""
-        if np.shape(values) != self.shape:
-            raise ValueError(f"need a field of shape {self.shape}, got {np.shape(values)}")
-        values = np.asarray(values)
-        size = values.itemsize
-        rows, cols = values.strides
-        if values.dtype != np.float64 or cols != size or rows % size or not values.flags.aligned:
-            values = values.astype(np.float64, order="C", casting="same_kind")
-        return values
-
-    def __call__(self, u, s, c: float) -> tuple[float, float]:
-        u, s = self._field(u), self._field(s)
-        if self._lib is not None:
-            s = np.ascontiguousarray(s)
-            self._lib.error_sums(u.ctypes.data, u.strides[0] // u.itemsize, s.ctypes.data,
-                                 float(c), *self.shape, self._out.ctypes.data)
-            return float(self._out[0]), float(self._out[1])
-        ref, work = self._ref, self._work
-        np.multiply(s, c, out=ref)
-        np.subtract(u, ref, out=work)
-        return float(np.square(work, out=work).sum()), float(np.square(ref, out=ref).sum())
-
-
-def _reference(exact: Callable, space, x1: np.ndarray, x2: np.ndarray, t: float):
-    """(field, factor) whose product is the reference ``exact`` at time t.
+def _reference(exact: Callable, space, x1: np.ndarray, x2: np.ndarray, times):
+    """(field, factors) whose products are the reference ``exact`` at ``times``.
 
     ``space`` is the space field of the benchmark's standing wave, when
     ``exact`` is that function (recognised by identity): times the wave's
     time factor it keeps the bits of its (space * space) * time product.
-    Otherwise ``space`` is None and ``exact`` is sampled whole, with factor
-    1.0.
+    Otherwise ``space`` is None and ``exact`` is sampled whole at the one
+    time in ``times``, with factor 1.0.
     """
     if space is not None:
-        return space, _standing_time(t)
-    return np.ascontiguousarray(_sample(exact, "exact", x1, x2, t)), 1.0
+        return space, np.array([_standing_time(t) for t in times])
+    (t,) = times
+    return np.ascontiguousarray(_sample(exact, "exact", x1, x2, t)), np.ones(1)
 
 
 def _standing(exact: Callable, x1: np.ndarray, x2: np.ndarray):
@@ -476,22 +444,25 @@ def relative_l2_error(computed: Sequence[np.ndarray], exact: Callable, tau: floa
 
     ``computed[k-1]`` is the field at time k*tau, all on one (n+1) x (n+1)
     grid; ``exact`` is sampled at the node coordinates.  Raises
-    ``ValueError`` for fields of another shape or a non-finite ``tau``, and
-    :class:`DegenerateNormError` when the exact solution vanishes at every
-    sampled point.
+    ``ValueError`` for fields of another shape, complex, nan or infinite
+    fields, or a non-finite ``tau``, and :class:`DegenerateNormError` when
+    the exact solution vanishes at every sampled point.  The sums are
+    ``run()``'s, made in numpy.
     """
     if not computed:
         raise ValueError("need at least one computed field")
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     n = _grid_n(*computed)
+    fields = [_real_finite(u, f"computed field {k}") for k, u in enumerate(computed, start=1)]
     x1, x2 = _axes(n)
     space = _standing(exact, x1, x2)
-    error_sums = _ErrorSums(n)
-    return _relative_error(
-        error_sums(u, *_reference(exact, space, x1, x2, k * tau))
-        for k, u in enumerate(computed, start=1)
-    )[0]
+
+    def sums(k, u):
+        reference, (factor,) = _reference(exact, space, x1, x2, [k * tau])
+        return _error_sums(u, reference, factor)
+
+    return _relative_error(sums(k, u) for k, u in enumerate(fields, start=1))[0]
 
 
 def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
@@ -501,9 +472,9 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     ``on_step(k, field)`` gets a copy of each step's field.  An unstable
     Courant number only warns; marginal (|symbol| = 1) values are silent.
 
-    With the default reference and no ``on_step``, the compiled kernel runs
-    the whole march in one call; otherwise the same march goes one step at
-    a time, sampling any other reference between steps.
+    With the default reference and no ``on_step``, the whole march is one
+    ``_Stepper.march`` call; otherwise the same march goes one step at a
+    time, sampling any other reference between steps.
     """
     started = time.perf_counter()
     env = stability.envelope(config.scheme, config.lam)
@@ -522,17 +493,15 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     curr = stepper.buffer()
     space = _standing(config.exact, x1, x2)
     sampled = time.perf_counter()
+    steps = n_t if space is not None and on_step is None else 1
     sums = np.empty((n_t, 2))
-    if space is not None and on_step is None:
-        factors = np.array([_standing_time(k * tau) for k in range(1, n_t + 1)])
-        stepper.march(prev, curr, n_t, v, tau, space, factors, sums)
-    else:
-        for k in range(1, n_t + 1):
-            reference, factor = _reference(config.exact, space, x1, x2, k * tau)
-            prev, curr = stepper.march(prev, curr, 1, v if k == 1 else None, tau,
-                                       reference, np.array([factor]), sums[k - 1 :])
-            if on_step is not None:
-                on_step(k, stepper.field(curr).copy())
+    for k in range(1, n_t + 1, steps):
+        times = [j * tau for j in range(k, k + steps)]
+        reference, factors = _reference(config.exact, space, x1, x2, times)
+        prev, curr = stepper.march(prev, curr, steps, v if k == 1 else None, tau,
+                                   reference, factors, sums[k - 1 :])
+        if on_step is not None:
+            on_step(k, stepper.field(curr).copy())
     error, per_step = _relative_error(sums.tolist())
     marched = time.perf_counter()
     return SimReport(

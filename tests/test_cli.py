@@ -183,6 +183,23 @@ def test_simulate_rejects_negative_dump_every(capsys, tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def test_unwritable_out_path_is_an_invalid_argument(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "generate", "P5", "--out", str(tmp_path / "no" / "x.txt"))
+    assert code == EXIT_INVALID_ARGUMENT
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_unwritable_dump_prefix_is_an_invalid_argument(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "simulate", "--scheme", "P5", "--n", "8", "--nt", "4", "--lambda", "0.5",
+        "--dump-every", "1", "--dump-prefix", str(tmp_path / "no" / "snap"),
+    )
+    assert code == EXIT_INVALID_ARGUMENT
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_stability_rejects_zero_tol(capsys):
     code, err = usage_error(capsys, "stability", "P5", "--tol", "0")
     assert code == EXIT_INVALID_ARGUMENT

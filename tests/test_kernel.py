@@ -166,3 +166,35 @@ def test_default_run_is_one_compiled_call(n_t):
         }
     for name in ("stencil_first", "stencil_two", "fill_ghosts"):
         assert not hasattr(lib, name)
+
+
+@needs_cc
+@pytest.mark.parametrize("name, bc", [("P5", "dirichlet"), ("P13", "periodic")])
+def test_relative_l2_error_makes_no_compiled_call(name, bc):
+    # The march owns the compiled error sums; relative_l2_error sums the
+    # same fields in numpy, to run()'s bits.
+    lib = _kernel.load()
+    assert lib is not None
+    config = simulator.SimConfig(scheme=named_scheme(name), n=12, n_t=5, lam=0.6, bc=bc)
+    fields = []
+    report = simulator.run(config, on_step=lambda k, field: fields.append(field))
+    with contextlib.ExitStack() as stack:
+        spies = [
+            stack.enter_context(mock.patch.object(lib, export, wraps=getattr(lib, export)))
+            for export in _kernel._SIGNATURES
+        ]
+        error = simulator.relative_l2_error(fields, simulator.exact_standing_wave, config.tau)
+        assert [spy.call_count for spy in spies] == [0] * len(spies)
+    assert error.hex() == report.error.hex()
+
+
+@needs_cc
+def test_source_compiles_without_warnings(tmp_path):
+    done = subprocess.run(
+        [*_kernel.COMMAND, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernel.so"),
+         "-x", "c", "-"],
+        input=_kernel.SOURCE.encode(),
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()

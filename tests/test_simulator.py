@@ -8,12 +8,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from poisson_stencils import simulator
 from poisson_stencils.scheme import named_scheme
 from poisson_stencils.simulator import (
     DegenerateNormError,
     SimConfig,
     SimReport,
-    _ErrorSums,
+    _Stepper,
     dump_grid_csv,
     exact_standing_wave,
     first_step,
@@ -249,20 +250,32 @@ class TestRelativeL2Error:
     def test_fields_must_share_one_square_grid(self, kernels, fields):
         # A (1, 5) row used to broadcast against the 5 x 5 grid (E = 3.0017).
         for _, path in kernels:
-            with path(), mock.patch.object(_ErrorSums, "__call__", side_effect=AssertionError):
+            with path(), mock.patch.object(simulator, "_error_sums", side_effect=AssertionError):
                 with pytest.raises(ValueError, match="square 2-D fields"):
                     relative_l2_error(fields, exact_standing_wave, 0.1)
 
     @pytest.mark.parametrize("shape", [(1, 5), (5,), (), (6, 6), (5, 4)])
-    def test_error_sums_reject_a_field_off_the_grid(self, kernels, shape):
+    def test_error_sums_reject_a_field_off_the_grid(self, kernels, p5, shape):
+        # A field reaches the sums through relative_l2_error's grid check,
+        # and the reference's space field through the march's; neither
+        # broadcasts.
         grid = np.ones((5, 5))
+        assert simulator._error_sums(grid, grid, 1.0) == (0.0, 25.0)
         for _, path in kernels:
             with path():
-                sums = _ErrorSums(4)
-                assert sums(grid, grid, 1.0) == (0.0, 25.0)
-                for u, s in ((np.ones(shape), grid), (grid, np.ones(shape))):
-                    with pytest.raises(ValueError, match="shape"):
-                        sums(u, s, 1.0)
+                with pytest.raises(ValueError, match="shape"):
+                    relative_l2_error([grid, np.ones(shape)], exact_standing_wave, 0.1)
+                stepper = _Stepper(p5, 0.5, 4, "dirichlet")
+                sums = np.empty((1, 2))
+
+                def march(space):
+                    stepper.march(stepper.buffer(), stepper.buffer(), 1, space=space,
+                                  factors=np.ones(1), sums=sums)
+
+                march(grid)  # a zero field against ones
+                assert sums.tolist() == [[25.0, 25.0]]
+                with pytest.raises(ValueError, match="shape"):
+                    march(np.ones(shape))
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_tau_must_be_finite(self, tau):
@@ -445,3 +458,17 @@ def test_sampled_fields_must_be_real_and_finite(kernels, p5, name, function):
             if name == "exact":
                 with pytest.raises(ValueError, match=name):
                     relative_l2_error([np.ones((9, 9))], function, 0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1j])
+def test_computed_fields_must_be_real_and_finite(kernels, value):
+    # A nan field gave E = nan, and a complex one a TypeError from a cast.
+    good = np.ones((5, 5))
+    bad = np.ones((5, 5), dtype=type(value))
+    bad[2, 3] = value
+    for _, path in kernels:
+        with path(), warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            with mock.patch.object(simulator, "_error_sums", side_effect=AssertionError):
+                with pytest.raises(ValueError, match="computed field 2 must be"):
+                    relative_l2_error([good, bad], exact_standing_wave, 0.1)

@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from poisson_stencils.benchmarks import TABLE_BC, TABLES, run_table
 from poisson_stencils.scheme import NAMED_SCHEMES, named_scheme
 from poisson_stencils.simulator import (
     SimConfig,
+    _Stepper,
     exact_standing_wave,
     first_step,
     run,
@@ -157,6 +159,28 @@ def test_dirichlet_step_is_the_periodic_step_of_the_odd_extension(kernels, case)
             assert np.array_equal(periodic[1:n, 1:n], dirichlet[1:n, 1:n])
             assert np.abs(periodic[[0, n], : n + 1]).max() <= 1e-15 * scale
             assert np.abs(periodic[: n + 1, [0, n]]).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16])
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("name", NAMED_SCHEMES)
+def test_kernels_leave_identical_whole_buffers(kernels, name, bc, n):
+    # The whole buffers after 1, 2 and 3 steps, ghost ring and corners
+    # included, where the public steps compare only the field: the numpy
+    # ghost fill and the compiled plan write the same lines in one order.
+    if len(kernels) == 1:
+        pytest.skip("no compiled kernel")
+    rng = np.random.default_rng(n)
+    u0, v0 = rng.standard_normal((2, n + 1, n + 1))
+    for steps in (1, 2, 3):
+        buffers = []
+        for _, path in kernels:
+            with path():
+                stepper = _Stepper(spec_of(name), 0.6, n, bc)
+                prev, curr = stepper.buffer(u0), stepper.buffer()
+                buffers.append(stepper.march(prev, curr, steps, stepper.buffer(v0), 0.6 / n))
+        for compiled, numpy in zip(*buffers):
+            assert_same_bits(compiled, numpy)
 
 
 def test_table_3_roundoff_digit(kernels):
