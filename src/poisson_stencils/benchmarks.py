@@ -9,6 +9,8 @@ Dirichlet boundaries, table 3 the thirteen-point pair on periodic boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .scheme import named_scheme
 from .simulator import SimConfig, run
@@ -16,12 +18,21 @@ from .simulator import SimConfig, run
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One published table row: grid, step count, Courant number, reference errors."""
+    """One published table row: grid, step count, Courant number, reference errors.
+
+    ``reference`` is a read-only copy of the mapping passed in.
+    """
 
     n: int
     n_t: int
     lam: float
-    reference: dict[str, float]
+    reference: Mapping[str, float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "reference", MappingProxyType(dict(self.reference)))
+
+    def __reduce__(self):
+        return BenchCase, (self.n, self.n_t, self.lam, dict(self.reference))
 
 
 # table 1, five-point schemes, lambda = 0.707, Dirichlet
@@ -60,9 +71,9 @@ TABLE_3 = (
     BenchCase(80, 80, 0.707, {"P13": 2.8884e-10, "C13": 1.0285e-3}),
 )
 
-TABLES = {1: TABLE_1, 2: TABLE_2, 3: TABLE_3}
-TABLE_BC = {1: "dirichlet", 2: "dirichlet", 3: "periodic"}
-TABLE_SCHEMES = {1: ("P5", "C5"), 2: ("P9", "C9"), 3: ("P13", "C13")}
+TABLES = MappingProxyType({1: TABLE_1, 2: TABLE_2, 3: TABLE_3})
+TABLE_BC = MappingProxyType({1: "dirichlet", 2: "dirichlet", 3: "periodic"})
+TABLE_SCHEMES = MappingProxyType({1: ("P5", "C5"), 2: ("P9", "C9"), 3: ("P13", "C13")})
 
 
 def run_table(table: int) -> list[dict]:

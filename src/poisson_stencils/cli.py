@@ -41,7 +41,11 @@ def cmd_generate(args):
 
 def cmd_stability(args):
     spec = named_scheme(args.scheme)
-    value = lambda_max(spec, tol=args.tol)
+    try:
+        value = lambda_max(spec, tol=args.tol)
+    except ValueError as exc:
+        # A named scheme's table is always analysable, so only --tol can be at fault.
+        raise argparse.ArgumentTypeError(f"--tol: {exc}") from None
     flags = f"scheme={args.scheme} " + _flags_echo(args, ["tol", "out"])
     return flags, f"scheme: {spec.name}\nlambda_max: {value:.6f}\n", []
 

@@ -72,12 +72,17 @@ def _monomial_at(mu: Monomial, node: Offset) -> int:
     return q1**a1 * q2**a2
 
 
-def _invert_exact(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], Fraction]:
-    """Gauss-Jordan inverse over exact rationals; returns (inverse, determinant)."""
+def _invert_exact(matrix: list[list[int]]) -> tuple[list[list[Fraction]], Fraction]:
+    """Fraction-free Gauss-Jordan (Bareiss) inverse; returns (inverse, determinant).
+
+    Eliminates on the one integer matrix [matrix | I]: each step sets every
+    other row to (p * x - f * y) // last, with p the pivot and last the one
+    before it.  Sylvester's identity makes that division exact, and the left
+    half ends as last * I, so last times the swaps' sign is the determinant.
+    """
     n = len(matrix)
-    work = [row[:] for row in matrix]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
+    work = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)]
+    last, sign = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:
@@ -86,18 +91,15 @@ def _invert_exact(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], F
             )
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            det = -det
-        p = work[col][col]
-        det *= p
-        work[col] = [x / p for x in work[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv, det
+            sign = -sign
+        top = work[col]
+        p = top[col]
+        for r, row in enumerate(work):
+            if r != col:
+                f = row[col]
+                work[r] = [(p * x - f * y) // last for x, y in zip(row, top)]
+        last = p
+    return [[Fraction(x, last) for x in row[n:]] for row in work], Fraction(sign * last)
 
 
 @dataclass(frozen=True)
@@ -133,15 +135,13 @@ def lagrange_basis(m: int) -> LagrangeBasis:
     """Build the exact Lagrange basis of size m.
 
     The evaluation matrix holds every monomial's integer value at every node;
-    it is inverted exactly over rationals.  Raises
+    it is inverted exactly by fraction-free integer elimination.  Raises
     :class:`SingularMatrixError` when the node set is not unisolvent for the
     monomial space (the determinant vanishes).
     """
     monomials = monomial_segment(m)
     nodes = stencil_nodes(m)
-    evaluation = [
-        [Fraction(_monomial_at(mu, node)) for mu in monomials] for node in nodes
-    ]
+    evaluation = [[_monomial_at(mu, node) for mu in monomials] for node in nodes]
     inverse, det = _invert_exact(evaluation)
     # Column s of the inverse expands basis function s over the monomials.
     coeffs = tuple(tuple(inverse[r][s] for r in range(m)) for s in range(m))

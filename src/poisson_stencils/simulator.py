@@ -191,15 +191,17 @@ def _sample(func, name: str, x1: np.ndarray, x2: np.ndarray, *args) -> np.ndarra
     return np.broadcast_to(values, (x1.shape[0], x2.shape[1]))
 
 
-def _error_sums(u, s, c) -> tuple[float, float]:
+def _error_sums(u, s, c, scratch) -> tuple[float, float]:
     """The sums of (u - r)^2 and of r^2 over the grid, r = s * c.
 
     Each is numpy's ``sum()`` of the flattened squares: pairwise, in runs
     of at most 128 values, an order that the compiled march replays.  The
-    squares overwrite their operands, which saves two field allocations.
+    products, differences and squares go into ``scratch``, a (2, *shape)
+    array of two C-order fields, which the caller keeps across steps.
     """
-    r = s * c
-    d = u - r
+    r, d = scratch
+    np.multiply(s, c, out=r)
+    np.subtract(u, r, out=d)
     return float(np.square(d, out=d).sum()), float(np.square(r, out=r).sum())
 
 
@@ -255,6 +257,7 @@ class _Stepper:
             rows = (min(_ROW_BLOCK, self.size), self.size)
             self._acc = np.empty(rows)
             self._term = np.empty(rows)
+            self._scratch = np.empty((2, n + 1, n + 1))
         else:
             # The plan of the compiled march (see ``_kernel.SOURCE``): the
             # geometry, each table's linear buffer offsets q1 * width + q2,
@@ -363,7 +366,7 @@ class _Stepper:
                 prev, curr = curr, prev
             self._fill_ghosts(curr)
             if sums is not None:
-                sums[k] = _error_sums(self.field(curr), space, factors[k])
+                sums[k] = _error_sums(self.field(curr), space, factors[k], self._scratch)
         return prev, curr
 
 
@@ -457,10 +460,11 @@ def relative_l2_error(computed: Sequence[np.ndarray], exact: Callable, tau: floa
     fields = [_real_finite(u, f"computed field {k}") for k, u in enumerate(computed, start=1)]
     x1, x2 = _axes(n)
     space = _standing(exact, x1, x2)
+    scratch = np.empty((2, n + 1, n + 1))
 
     def sums(k, u):
         reference, (factor,) = _reference(exact, space, x1, x2, [k * tau])
-        return _error_sums(u, reference, factor)
+        return _error_sums(u, reference, factor, scratch)
 
     return _relative_error(sums(k, u) for k, u in enumerate(fields, start=1))[0]
 

@@ -167,10 +167,13 @@ def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
     """Largest stable Courant number, to within tol, by bisection on (0, 2].
 
     Stability is inclusive: |symbol| = 1 (the marginal double-root case) still
-    counts as stable.  Raises :class:`NeverStableError` when even lambda =
-    tol violates the bound.
+    counts as stable.  A tol below the spacing of doubles near the limit
+    stops at adjacent doubles.  Raises ``ValueError`` unless 0 < tol < 2,
+    and :class:`NeverStableError` when even lambda = tol violates the bound.
     """
     check_positive(tol, "tol")
+    if tol >= 2.0:
+        raise ValueError(f"tol must be below 2, the top of the search range, got {tol}")
     coeffs = _symbol_coefficients(spec)
     if not _envelope(coeffs, tol).stable:
         raise NeverStableError(
@@ -181,6 +184,8 @@ def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent doubles
+            break
         if _envelope(coeffs, mid).stable:
             lo = mid
         else:

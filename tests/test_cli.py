@@ -1,9 +1,16 @@
+import copy
+import os
+import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poisson_stencils import cli
+from poisson_stencils.benchmarks import TABLE_1, TABLE_BC, TABLE_SCHEMES, TABLES
 from poisson_stencils.cli import (
     EXIT_DEGENERATE_NORM,
     EXIT_INVALID_ARGUMENT,
@@ -16,6 +23,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, killed after 30 s so that a hang fails."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "poisson_stencils", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
 
 
 def strip_wall_time(text):
@@ -206,6 +220,25 @@ def test_stability_rejects_zero_tol(capsys):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize("tol", ["1e-16", "5e-324"])
+def test_stability_tol_below_the_double_spacing_returns(tol):
+    # The bisection used to loop for ever once lo and hi were adjacent
+    # doubles: their midpoint is one of them, and hi - lo stays above tol.
+    done = run_cli_process("stability", "P5", "--tol", tol)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("lambda_max: 0.707107\n")
+
+
+@pytest.mark.parametrize("tol", ["2", "3", "1e300"])
+def test_stability_rejects_tol_at_the_top_of_the_search_range(tol):
+    # These used to exit 6 ("amplifies even at lambda = 2.0"), blaming the
+    # scheme, or, for 1e300, end in an OverflowError traceback.
+    done = run_cli_process("stability", "P5", "--tol", tol)
+    assert done.returncode == EXIT_INVALID_ARGUMENT
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: --tol") and len(done.stderr.splitlines()) == 1
+
+
 def test_simulate_rejects_too_small_grid_and_step_count(capsys):
     # SimConfig holds these bounds; the CLI reports them as bad arguments.
     for n, nt, name in (("1", "2", "n"), ("8", "0", "n_t")):
@@ -261,6 +294,26 @@ def test_bench_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert out_path.read_text().count("\n") >= 5
+
+
+def test_published_tables_are_read_only(capsys):
+    # A write to a reference value used to change every later run_table(1)
+    # in the process: ref_P5 = 1.0, dev_P5 = 0.9991.
+    _, before, _ = run_cli(capsys, "bench", "1")
+    writes = [
+        (TABLE_1[0].reference, "P5", 1.0),
+        (TABLES, 1, TABLES[2]),
+        (TABLE_BC, 1, "periodic"),
+        (TABLE_SCHEMES, 1, ("P9", "C9")),
+    ]
+    for mapping, key, value in writes:
+        with pytest.raises(TypeError):
+            mapping[key] = value
+    _, after, _ = run_cli(capsys, "bench", "1")
+    assert strip_wall_time(after) == strip_wall_time(before)
+    case = TABLE_1[0]
+    for clone in (copy.deepcopy(case), pickle.loads(pickle.dumps(case))):
+        assert clone == case
 
 
 def test_reruns_are_identical_modulo_wall_time(capsys):

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_stencils.interpolation import (
     SingularMatrixError,
     _invert_exact,
+    _monomial_at,
     alpha_of_q,
     lagrange_basis,
     monomial_segment,
@@ -149,3 +152,86 @@ def test_singular_system_is_reported():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     with pytest.raises(SingularMatrixError):
         _invert_exact(rows)
+
+
+def gauss_jordan_reference(matrix):
+    """(inverse, determinant) by Gauss-Jordan over Fraction, normalising each pivot row.
+
+    An independent reference for the fraction-free ``_invert_exact``: it
+    divides as it goes, keeps the inverse in a second matrix and multiplies
+    the determinant up pivot by pivot.  It raises the same
+    ``SingularMatrixError`` message at the first column without a pivot.
+    """
+    n = len(matrix)
+    work = [[Fraction(x) for x in row] for row in matrix]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise SingularMatrixError(
+                f"evaluation matrix is singular at column {col + 1} of {n}"
+            )
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            inv[col], inv[pivot] = inv[pivot], inv[col]
+            det = -det
+        p = work[col][col]
+        det *= p
+        work[col] = [x / p for x in work[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv, det
+
+
+def outcome(invert, matrix):
+    """(inverse, determinant) of ``invert``, or the message of its singular error."""
+    try:
+        return invert(matrix)
+    except SingularMatrixError as exc:
+        return str(exc)
+
+
+def assert_matches_reference(matrix):
+    expected = outcome(gauss_jordan_reference, matrix)
+    got = outcome(_invert_exact, matrix)
+    assert got == expected
+    if isinstance(got, str):
+        return
+    inverse, det = got
+    assert type(det) is Fraction and all(type(x) is Fraction for row in inverse for x in row)
+    n = len(matrix)
+    product = [
+        [sum(matrix[i][k] * inverse[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def small_integer_matrices(draw):
+    # Entries in -3..3 leave many of the matrices singular, some only at a
+    # late column; the square of a drawn matrix adds larger entries.
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rows)] for row in rows]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_integer_matrices())
+def test_elimination_matches_fraction_reference(matrix):
+    assert_matches_reference(matrix)
+
+
+@pytest.mark.parametrize("m", range(1, 29))
+def test_node_matrix_elimination_matches_fraction_reference(m):
+    nodes = stencil_nodes(m)
+    assert_matches_reference([[_monomial_at(mu, node) for mu in monomial_segment(m)]
+                              for node in nodes])

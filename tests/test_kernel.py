@@ -198,3 +198,61 @@ def test_source_compiles_without_warnings(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()
+
+
+# Prints the float.hex of E and of every per-step error of run() for all six
+# schemes, both boundaries and n in {2, 3, 7, 16}, with n_t = 3, on the
+# compiled kernel: the library named by argv[1], else the one load() builds.
+_EVERY_SCHEME_RUN = """
+import sys
+from pathlib import Path
+from poisson_stencils import _kernel, simulator
+from poisson_stencils.scheme import NAMED_SCHEMES, named_scheme
+
+lib = _kernel._bind(Path(sys.argv[1])) if len(sys.argv) > 1 else _kernel.load()
+assert lib is not None, "the compiled kernel did not load"
+_kernel.load = lambda: lib
+for name in NAMED_SCHEMES:
+    for bc in simulator.BOUNDARY_CONDITIONS:
+        for n in (2, 3, 7, 16):
+            config = simulator.SimConfig(named_scheme(name), n=n, n_t=3, lam=0.5, bc=bc)
+            report = simulator.run(config)
+            print(name, bc, n, report.error.hex(), *(e.hex() for e in report.per_step_errors))
+"""
+
+
+@needs_cc
+def test_kernel_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+    # An out-of-bounds read or write, or undefined behaviour, in the march,
+    # the ghost fill or the error sums aborts the instrumented run with a
+    # report; clean, it gives the plain library's bits.
+    cc = _kernel.COMMAND[0]
+    asan = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True, text=True)
+    runtime = asan.stdout.strip()
+    if asan.returncode != 0 or not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("no AddressSanitizer runtime for the C compiler")
+    library = tmp_path / "kernel-sanitized.so"
+    built = subprocess.run(
+        [*_kernel.COMMAND, "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+         "-o", str(library), "-x", "c", "-"],
+        input=_kernel.SOURCE.encode(),
+        capture_output=True,
+        timeout=120,
+    )
+    assert built.returncode == 0, built.stderr.decode()
+    src = str(Path(poisson_stencils.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    sanitized = subprocess.run(
+        [sys.executable, "-c", _EVERY_SCHEME_RUN, str(library)],
+        env=dict(env, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert sanitized.returncode == 0, sanitized.stderr
+    assert "Sanitizer" not in sanitized.stderr and "runtime error" not in sanitized.stderr
+    plain = subprocess.run([sys.executable, "-c", _EVERY_SCHEME_RUN], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert plain.returncode == 0, plain.stderr
+    assert len(plain.stdout.splitlines()) == 48
+    assert sanitized.stdout == plain.stdout

@@ -260,7 +260,7 @@ class TestRelativeL2Error:
         # and the reference's space field through the march's; neither
         # broadcasts.
         grid = np.ones((5, 5))
-        assert simulator._error_sums(grid, grid, 1.0) == (0.0, 25.0)
+        assert simulator._error_sums(grid, grid, 1.0, np.empty((2, 5, 5))) == (0.0, 25.0)
         for _, path in kernels:
             with path():
                 with pytest.raises(ValueError, match="shape"):

@@ -76,6 +76,11 @@ def test_lambda_max_rejects_bad_tolerance(schemes):
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be positive"):
             lambda_max(schemes["P5"], tol=tol)
+    # 2 is the top of the search range: a larger tol once blamed the scheme
+    # ("amplifies even at lambda = 2.0") or overflowed.
+    for tol in (2.0, 3.0, 1e300):
+        with pytest.raises(ValueError, match="tol must be below 2"):
+            lambda_max(schemes["P5"], tol=tol)
 
 
 def test_min_symbol_envelope_is_monotone_in_lambda(schemes):
