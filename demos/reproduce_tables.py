@@ -9,7 +9,7 @@ two give the same errors up to roundoff.
 
 Note: the published E_P9 column of table 2 is known not to be reproducible
 from the paper's own displayed nine-point scheme; its deviations grow with
-grid refinement.  See the acceptance suite for the details.
+grid refinement.  docs/table2_p9.md gives the diagnosis and its numbers.
 """
 
 from poisson_stencils import cli

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
@@ -14,17 +13,18 @@ from .simulator import BOUNDARY_CONDITIONS, DegenerateNormError, SimConfig, dump
 from .stability import NeverStableError, lambda_max
 
 EXIT_OK = 0
-EXIT_INVALID_ARGUMENT = 2  # argparse's usage error
+EXIT_INVALID_ARGUMENT = 2  # argparse's usage error, and the library's ValueError
 EXIT_UNKNOWN_SCHEME = 3
 # 4 (radius unsupported for the boundary condition) is retired and not reused.
 EXIT_DEGENERATE_NORM = 5
 EXIT_NEVER_STABLE = 6
 
+# The library checks every input it is given, so the CLI keeps no check of its own.
 _EXIT_CODES = {
-    argparse.ArgumentTypeError: EXIT_INVALID_ARGUMENT,
     UnknownSchemeError: EXIT_UNKNOWN_SCHEME,
     DegenerateNormError: EXIT_DEGENERATE_NORM,
     NeverStableError: EXIT_NEVER_STABLE,
+    ValueError: EXIT_INVALID_ARGUMENT,
     OSError: EXIT_INVALID_ARGUMENT,  # an --out or --dump-prefix path that cannot be written
 }
 
@@ -45,20 +45,9 @@ def cmd_stability(args):
         value = lambda_max(spec, tol=args.tol)
     except ValueError as exc:
         # A named scheme's table is always analysable, so only --tol can be at fault.
-        raise argparse.ArgumentTypeError(f"--tol: {exc}") from None
+        raise ValueError(f"--tol: {exc}") from None
     flags = f"scheme={args.scheme} " + _flags_echo(args, ["tol", "out"])
     return flags, f"scheme: {spec.name}\nlambda_max: {value:.6f}\n", []
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number greater than zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
 
 
 def _nonnegative_int(text: str) -> int:
@@ -80,13 +69,7 @@ def cmd_simulate(args):
     spec = named_scheme(args.scheme)
     fields = ("initial_u", "initial_v", "exact")
     overrides = dict.fromkeys(fields, _zero_field) if args.zero_ic else {}
-    try:
-        config = SimConfig(
-            scheme=spec, n=args.n, n_t=args.nt, lam=args.lam, bc=args.bc, **overrides
-        )
-    except ValueError as exc:
-        # SimConfig holds the bounds on --n and --nt: a violation is bad input.
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    config = SimConfig(scheme=spec, n=args.n, n_t=args.nt, lam=args.lam, bc=args.bc, **overrides)
 
     dumped = []
 
@@ -156,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stab = sub.add_parser("stability", help="search the maximal stable Courant number")
     p_stab.add_argument("scheme", help=f"one of {', '.join(NAMED_SCHEMES)}")
-    p_stab.add_argument("--tol", type=_positive_float, default=1e-6, help="bisection tolerance")
+    p_stab.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance")
     p_stab.add_argument("--out", default=None)
     p_stab.set_defaults(func=cmd_stability)
 
@@ -164,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scheme", required=True)
     p_sim.add_argument("--n", type=int, required=True, help="grid subdivisions per axis")
     p_sim.add_argument("--nt", type=int, required=True, help="number of time steps")
-    p_sim.add_argument("--lambda", dest="lam", type=_positive_float, required=True)
+    p_sim.add_argument("--lambda", dest="lam", type=float, required=True)
     p_sim.add_argument("--bc", choices=BOUNDARY_CONDITIONS, default="dirichlet")
     p_sim.add_argument(
         "--dump-every",

@@ -14,6 +14,7 @@ as an independent oracle.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -31,12 +32,24 @@ def check_positive(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
+def finite_at(value, lam: float) -> float:
+    """``value``, a number reached at Courant number ``lam``, as a finite double.
+
+    Raises ``ValueError`` naming ``lam`` when it is nan or beyond the
+    doubles, as a coefficient or a symbol value can be at a huge ``lam``.
+    """
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"lambda = {lam} gives a scheme value that is not a finite double")
+    return float(value)
+
+
 class LambdaPoly:
     """Univariate polynomial in the Courant number with exact rational coefficients.
 
     Immutable; zero coefficients are never stored.  Supports addition,
-    subtraction, scaling by integers or Fractions, evaluation at a float, and
-    exact comparison (also against bare numbers, read as constants).
+    subtraction, scaling by integers or Fractions, evaluation at a float (a
+    ``ValueError`` unless the value is a finite double), and exact
+    comparison (also against bare numbers, read as constants).
     """
 
     __slots__ = ("_coeffs",)
@@ -114,7 +127,11 @@ class LambdaPoly:
         return hash(tuple(sorted(self._coeffs.items())))
 
     def __call__(self, lam: float) -> float:
-        return float(sum(float(c) * lam**p for p, c in sorted(self._coeffs.items())))
+        try:
+            value = sum(float(c) * lam**p for p, c in sorted(self._coeffs.items()))
+        except OverflowError:  # lam**p beyond the doubles
+            value = math.inf
+        return finite_at(value, lam)
 
     def __repr__(self):
         if not self._coeffs:

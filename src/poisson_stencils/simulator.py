@@ -99,18 +99,6 @@ def _check_grid(n, lam, bc: str) -> None:
         raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
 
 
-def _grid_n(*fields) -> int:
-    """n >= 1 of fields on one (n+1) x (n+1) grid; ``ValueError`` otherwise."""
-    shape = np.shape(fields[0])
-    for values in fields:
-        if np.shape(values) != shape:
-            other = np.shape(values)
-            raise ValueError(f"need square 2-D fields of one shape, got {shape}, {other}")
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
-        raise ValueError(f"need square 2-D fields of at least 2 x 2 nodes, got {shape}")
-    return shape[0] - 1
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation: scheme, grid, step count, Courant number, boundaries.
@@ -183,6 +171,22 @@ def _real_finite(values, name: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite, got nan or infinity")
     return values
+
+
+def _grid_fields(fields: dict, tau: float = 0.0) -> tuple[int, list[np.ndarray]]:
+    """n and the float arrays of ``fields``, a dict of name: values, in order.
+
+    ``ValueError`` unless ``tau`` is finite and the fields lie on one square
+    (n+1) x (n+1) grid, n >= 1, and are real and finite.
+    """
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    shape, *others = (np.shape(values) for values in fields.values())
+    if any(other != shape for other in others):
+        raise ValueError(f"need square 2-D fields of one shape, got {[shape, *others]}")
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
+        raise ValueError(f"need square 2-D fields of at least 2 x 2 nodes, got {shape}")
+    return shape[0] - 1, [_real_finite(values, name) for name, values in fields.items()]
 
 
 def _sample(func, name: str, x1: np.ndarray, x2: np.ndarray, *args) -> np.ndarray:
@@ -378,10 +382,13 @@ def first_step(
     tau: float,
     bc: str = "dirichlet",
 ) -> np.ndarray:
-    """First update: combine initial displacement and velocity fields."""
-    stepper = _Stepper(spec, lam, _grid_n(u0, v0), bc)
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
+    """First update: combine initial displacement and velocity fields.
+
+    Raises ``ValueError`` unless ``tau`` is finite and ``u0`` and ``v0`` are
+    real, finite fields on one (n+1) x (n+1) grid.
+    """
+    n, (u0, v0) = _grid_fields({"u0": u0, "v0": v0}, tau)
+    stepper = _Stepper(spec, lam, n, bc)
     out = stepper.buffer()
     stepper.march(stepper.buffer(u0), out, 1, v=stepper.buffer(v0), tau=tau)
     return stepper.field(out).copy()
@@ -397,9 +404,11 @@ def two_step(
     """Two-step update: weighted current field minus the previous field.
 
     Periodic fields are read on their n x n core; the result's aliased last
-    row and column repeat its first.
+    row and column repeat its first.  Raises ``ValueError`` unless ``u_k``
+    and ``u_km1`` are real, finite fields on one (n+1) x (n+1) grid.
     """
-    stepper = _Stepper(spec, lam, _grid_n(u_k, u_km1), bc)
+    n, (u_k, u_km1) = _grid_fields({"u_k": u_k, "u_km1": u_km1})
+    stepper = _Stepper(spec, lam, n, bc)
     out = stepper.buffer(u_km1)
     stepper.two(stepper.buffer(u_k), out)
     return stepper.field(out).copy()
@@ -454,10 +463,8 @@ def relative_l2_error(computed: Sequence[np.ndarray], exact: Callable, tau: floa
     """
     if not computed:
         raise ValueError("need at least one computed field")
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
-    n = _grid_n(*computed)
-    fields = [_real_finite(u, f"computed field {k}") for k, u in enumerate(computed, start=1)]
+    named = {f"computed field {k}": u for k, u in enumerate(computed, start=1)}
+    n, fields = _grid_fields(named, tau)
     x1, x2 = _axes(n)
     space = _standing(exact, x1, x2)
     scratch = np.empty((2, n + 1, n + 1))

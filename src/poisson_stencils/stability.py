@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadrature import LambdaPoly, check_positive
+from .quadrature import LambdaPoly, check_positive, finite_at
 from .scheme import SchemeSpec, evaluate_table
 
 _BOUND_SLACK = 1e-12
@@ -70,7 +70,7 @@ def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
     total = 0.0
     for (q1, q2), coeff in evaluate_table(spec.two_step, lam):
         total += coeff * math.cos(q1 * theta1 + q2 * theta2)
-    return 0.5 * total
+    return finite_at(0.5 * total, lam)
 
 
 def _check_real(spec: SchemeSpec):
@@ -140,6 +140,7 @@ def _envelope(coeffs: tuple[LambdaPoly, ...], lam: float) -> Envelope:
         if -1 <= x <= 1 and -1 <= y <= 1
     ]
     low, high = min(scored), max(scored)
+    finite_at(max(-low[0], high[0]), lam)  # it bounds |value| for every scored value
     # (X, Y) = (1, 1) is the constant mode, at exactly +1 for any consistent table.
     marginal = abs(float(low[0]) + 1.0) <= _BOUND_SLACK or any(
         abs(float(value) - 1.0) <= _BOUND_SLACK and (x, y) != (1, 1) for value, x, y in scored
@@ -156,7 +157,8 @@ def envelope(spec: SchemeSpec, lam: float, grid: int | None = None) -> Envelope:
 
     ``grid`` is accepted for callers of the former phase-grid scan and
     ignored.  Raises ``ValueError`` for a two-step table outside the
-    precondition of the module docstring.
+    precondition of the module docstring, or for a ``lam`` at which the
+    symbol's range is beyond the doubles.
     """
     coeffs = _symbol_coefficients(spec)
     check_positive(lam, "lambda")
@@ -168,18 +170,20 @@ def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
 
     Stability is inclusive: |symbol| = 1 (the marginal double-root case) still
     counts as stable.  A tol below the spacing of doubles near the limit
-    stops at adjacent doubles.  Raises ``ValueError`` unless 0 < tol < 2,
-    and :class:`NeverStableError` when even lambda = tol violates the bound.
+    stops at adjacent doubles.  A tol above the limit halves lambda = tol
+    until it is stable, which is then within tol of the limit.  Raises
+    ``ValueError`` unless 0 < tol < 2, and :class:`NeverStableError` when
+    every halving down to the smallest double violates the bound.
     """
     check_positive(tol, "tol")
     if tol >= 2.0:
         raise ValueError(f"tol must be below 2, the top of the search range, got {tol}")
     coeffs = _symbol_coefficients(spec)
-    if not _envelope(coeffs, tol).stable:
-        raise NeverStableError(
-            f"scheme {spec.name!r} amplifies even at lambda = {tol}"
-        )
     lo, hi = tol, 2.0
+    while not _envelope(coeffs, lo).stable:  # a tol above the limit: halve it
+        lo *= 0.5
+        if lo == 0.0:
+            raise NeverStableError(f"scheme {spec.name!r} amplifies at all lambda = {tol} / 2**k")
     if _envelope(coeffs, hi).stable:
         return hi
     while hi - lo > tol:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from poisson_stencils import cli
-from poisson_stencils.benchmarks import TABLE_1, TABLE_BC, TABLE_SCHEMES, TABLES
+from poisson_stencils.benchmarks import TABLE_1, TABLE_BC, TABLE_SCHEMES, TABLES, run_table
 from poisson_stencils.cli import (
     EXIT_DEGENERATE_NORM,
     EXIT_INVALID_ARGUMENT,
@@ -174,11 +174,43 @@ def usage_error(capsys, *argv):
 
 
 def test_simulate_rejects_nan_lambda(capsys):
-    code, err = usage_error(
+    # SimConfig checks lambda; the CLI passes the float through and reports
+    # the library's ValueError as one line.
+    code, out, err = run_cli(
         capsys, "simulate", "--scheme", "P5", "--n", "8", "--nt", "2", "--lambda", "nan"
     )
     assert code == EXIT_INVALID_ARGUMENT
-    assert "--lambda" in err
+    assert out == ""
+    assert err == "error: lambda must be positive and finite, got nan\n"
+
+
+@pytest.mark.parametrize("lam", ["inf", "0", "-1"])
+def test_simulate_rejects_bad_lambda_in_one_line(capsys, lam):
+    code, out, err = run_cli(
+        capsys, "simulate", "--scheme", "P5", "--n", "8", "--nt", "2", "--lambda", lam
+    )
+    assert code == EXIT_INVALID_ARGUMENT
+    assert out == ""
+    assert err.startswith("error: lambda must be positive") and len(err.splitlines()) == 1
+
+
+def test_huge_lambda_is_an_invalid_argument():
+    # This ended in an OverflowError traceback from the stability envelope.
+    done = run_cli_process("simulate", "--scheme", "P5", "--n", "8", "--nt", "50",
+                           "--lambda", "1e200")
+    assert done.returncode == EXIT_INVALID_ARGUMENT
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: lambda = 1e+200 gives a scheme value that is not a finite double\n"
+    )
+
+
+def test_unknown_scheme_is_reported_before_lambda(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--scheme", "P7", "--n", "8", "--nt", "2", "--lambda", "nan"
+    )
+    assert code == EXIT_UNKNOWN_SCHEME
+    assert out == "" and err.startswith("error: unknown scheme 'P7'")
 
 
 def test_simulate_rejects_negative_dump_every(capsys, tmp_path, monkeypatch):
@@ -215,9 +247,29 @@ def test_unwritable_dump_prefix_is_an_invalid_argument(capsys, tmp_path):
 
 
 def test_stability_rejects_zero_tol(capsys):
-    code, err = usage_error(capsys, "stability", "P5", "--tol", "0")
+    # lambda_max checks tol; the CLI prefixes the flag to its ValueError.
+    code, out, err = run_cli(capsys, "stability", "P5", "--tol", "0")
     assert code == EXIT_INVALID_ARGUMENT
-    assert "--tol" in err
+    assert out == ""
+    assert err == "error: --tol: tol must be positive and finite, got 0.0\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_stability_rejects_bad_tol_in_one_line(capsys, tol):
+    code, out, err = run_cli(capsys, "stability", "P5", "--tol", tol)
+    assert code == EXIT_INVALID_ARGUMENT
+    assert out == ""
+    assert err.startswith("error: --tol: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("tol", ["0.8", "1.5", "1.99"])
+def test_stability_tol_above_the_limit_returns_a_stable_lambda(capsys, tol):
+    # These exited 6, "amplifies even at lambda = 0.8", though P5 is stable
+    # up to 1/sqrt(2).
+    code, out, err = run_cli(capsys, "stability", "P5", "--tol", tol)
+    assert code == 0, err
+    value = float(out.splitlines()[-1].removeprefix("lambda_max: "))
+    assert abs(value - 0.707107) <= float(tol)
 
 
 @pytest.mark.parametrize("tol", ["1e-16", "5e-324"])
@@ -314,6 +366,12 @@ def test_published_tables_are_read_only(capsys):
     case = TABLE_1[0]
     for clone in (copy.deepcopy(case), pickle.loads(pickle.dumps(case))):
         assert clone == case
+
+
+def test_run_table_rejects_an_unpublished_table():
+    for table in (0, 4):
+        with pytest.raises(ValueError, match="table must be one of"):
+            run_table(table)
 
 
 def test_reruns_are_identical_modulo_wall_time(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,36 @@ class TestLambdaPoly:
     def test_scalar_comparison_and_sum(self):
         assert LambdaPoly({0: 1}) == 1
         assert sum([LambdaPoly({2: 1}), LambdaPoly({2: -1})]) == 0
+
+    def test_is_immutable(self):
+        poly = LambdaPoly({2: 1})
+        with pytest.raises(AttributeError, match="immutable"):
+            poly._coeffs = {}
+        with pytest.raises(AttributeError, match="immutable"):
+            poly.extra = 1
+        assert poly == LambdaPoly({2: 1})
+
+    def test_evaluation_beyond_the_doubles_is_a_value_error(self):
+        # lam**p raised OverflowError, and a product past the doubles gave inf.
+        cases = [({4: 1}, 1e100), ({2: 1}, 1e200), ({0: 1, 2: 10**300}, 1e10), ({2: 1}, math.nan)]
+        for coeffs, lam in cases:
+            message = re.escape(f"lambda = {lam} gives a scheme value")
+            with pytest.raises(ValueError, match=message):
+                LambdaPoly(coeffs)(lam)
+        assert LambdaPoly({2: 1})(1e150) == 1e150**2
+
+    def test_stored_zeros_do_not_change_equality_or_hash(self):
+        third = LambdaPoly({2: Fraction(1, 3), 0: 0})
+        assert third == LambdaPoly({2: Fraction(1, 3)})
+        assert hash(third) == hash(LambdaPoly({2: Fraction(1, 3)}))
+        zero = LambdaPoly({1: 0})
+        assert zero == 0 and not zero
+
+
+def test_b_on_monomial_rejects_negative_exponents():
+    for mu in ((-1, 0), (0, -2)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            b_on_monomial(mu)
 
 
 def test_a_on_monomial_known_values():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from poisson_stencils import simulator
+from poisson_stencils.benchmarks import TABLE_BC, TABLES
 from poisson_stencils.scheme import named_scheme
 from poisson_stencils.simulator import (
     DegenerateNormError,
@@ -277,6 +278,10 @@ class TestRelativeL2Error:
                 with pytest.raises(ValueError, match="shape"):
                     march(np.ones(shape))
 
+    def test_needs_a_field(self):
+        with pytest.raises(ValueError, match="at least one computed field"):
+            relative_l2_error([], exact_standing_wave, 0.1)
+
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_tau_must_be_finite(self, tau):
         with pytest.raises(ValueError, match="tau"):
@@ -472,3 +477,69 @@ def test_computed_fields_must_be_real_and_finite(kernels, value):
             with mock.patch.object(simulator, "_error_sums", side_effect=AssertionError):
                 with pytest.raises(ValueError, match="computed field 2 must be"):
                     relative_l2_error([good, bad], exact_standing_wave, 0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1j])
+def test_public_steps_reject_nonfinite_and_complex_fields(kernels, p5, value):
+    # A nan or infinite node came back as nan or inf, and a complex field
+    # was cast with only a ComplexWarning, dropping its imaginary part.
+    good = np.ones((5, 5))
+    bad = np.ones((5, 5), dtype=type(value))
+    bad[2, 3] = value
+    steps = {
+        "u0": lambda: first_step(bad, good, p5, 0.5, 0.1),
+        "v0": lambda: first_step(good, bad, p5, 0.5, 0.1),
+        "u_k": lambda: two_step(bad, good, p5, 0.5),
+        "u_km1": lambda: two_step(good, bad, p5, 0.5),
+    }
+    for _, path in kernels:
+        with path(), warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            for name, step in steps.items():
+                with pytest.raises(ValueError, match=f"^{name} must be"):
+                    step()
+
+
+def closed_form_error(spec, n, n_t, lam):
+    """E of the standing-wave benchmark from its one mode, with no simulator.
+
+    sin 2 pi x1 sin 2 pi x2 is an eigenfunction of every symmetric stencil on
+    both boundaries, with eigenvalue the cosine sum of the table at theta =
+    2 pi / n.  So u^k = a_k times the mode, a_{k+1} = S a_k - a_{k-1} with
+    a_0 = 0 and a_1 = tau omega V, and the space sums cancel from E.
+    """
+    theta, omega, tau = 2 * math.pi / n, 2 * SQRT2 * math.pi, lam / n
+
+    def cosine_sum(table):
+        return sum(poly(lam) * math.cos(q1 * theta) * math.cos(q2 * theta)
+                   for (q1, q2), poly in table.items())
+
+    gain = cosine_sum(spec.two_step)
+    prev, a = 0.0, tau * omega * cosine_sum(spec.first_v)
+    num = den = 0.0
+    for k in range(1, n_t + 1):
+        if k > 1:
+            prev, a = a, gain * a - prev
+        exact = math.sin(omega * k * tau)
+        num += (a - exact) ** 2
+        den += exact**2
+    return math.sqrt(num / den)
+
+
+def test_every_table_row_matches_the_closed_form():
+    # A plain 1e-9 relative bound fails on 8 rows whose E is mostly roundoff
+    # (worst 2.8e-4 relative on P13 at n = 80); the second term allows one
+    # rounding per offset and step.
+    rows = 0
+    for table, cases in TABLES.items():
+        for case in cases:
+            for name in case.reference:
+                spec = named_scheme(name)
+                config = SimConfig(scheme=spec, n=case.n, n_t=case.n_t, lam=case.lam,
+                                   bc=TABLE_BC[table])
+                computed = run(config).error
+                expected = closed_form_error(spec, case.n, case.n_t, case.lam)
+                bound = 1e-9 * expected + len(spec.two_step) * case.n_t * 2.0**-52
+                assert abs(computed - expected) <= bound, (table, case, name)
+                rows += 1
+    assert rows == 48

@@ -1,5 +1,7 @@
 import functools
 import math
+import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poisson_stencils.quadrature import LambdaPoly
-from poisson_stencils.scheme import SchemeSpec, evaluate_table, generate_scheme, named_scheme
+from poisson_stencils.scheme import (
+    NAMED_SCHEMES,
+    SchemeSpec,
+    evaluate_table,
+    generate_scheme,
+    named_scheme,
+)
 from poisson_stencils.simulator import SimConfig, run
 from poisson_stencils.stability import (
     NeverStableError,
@@ -107,6 +115,70 @@ def test_never_stable_scheme_is_reported():
     )
     with pytest.raises(NeverStableError):
         lambda_max(bad)
+
+
+def test_never_stable_search_ends_within_a_second():
+    # A tol above the limit halves lambda down to the smallest double before
+    # the scheme is blamed; that search stays short, also for a table whose
+    # exact values grow with the powers of a tiny lambda.
+    for table in ({(0, 0): LambdaPoly({0: 3})}, {(0, 0): LambdaPoly({0: 3, 2: 1})}):
+        bad = SchemeSpec(name="amplifier", first_u={}, first_v={}, two_step=table)
+        started = time.perf_counter()
+        with pytest.raises(NeverStableError, match="amplifies at all lambda"):
+            lambda_max(bad)
+        assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("tol", [0.8, 1.5, 1.99])
+def test_lambda_max_with_a_tolerance_above_the_limit(schemes, tol):
+    # lambda = tol is unstable here; this raised NeverStableError, blaming
+    # P5, which is stable for every lambda <= 1/sqrt(2).
+    value = lambda_max(schemes["P5"], tol=tol)
+    assert envelope(schemes["P5"], value).stable
+    assert abs(value - 1 / SQRT2) <= tol
+
+
+def test_lambda_max_of_a_scheme_stable_on_the_whole_range():
+    # The symbol is 1 at every phase and lambda: the search range's top.
+    flat = SchemeSpec(name="flat", first_u={}, first_v={}, two_step={(0, 0): LambdaPoly({0: 2})})
+    assert lambda_max(flat) == 2.0
+
+
+def test_empty_two_step_table_is_rejected():
+    empty = SchemeSpec(name="empty", first_u={}, first_v={}, two_step={})
+    for check in (lambda: envelope(empty, 0.5), lambda: lambda_max(empty)):
+        with pytest.raises(ValueError, match="empty two-step table"):
+            check()
+
+
+# The smallest tested lambda at which the exact symbol range leaves the doubles.
+FIRST_OVERFLOW = {"P5": 1e154, "C5": 1e154, "C9": 1e154, "P9": 1e103, "P13": 1e77, "C13": 1e77}
+
+
+@pytest.mark.parametrize("name", NAMED_SCHEMES)
+def test_huge_lambda_is_a_value_error(name):
+    # float() of an exact symbol value, or lam**p, used to end in an
+    # OverflowError.  Below the overflow, an unstable lambda still runs.
+    spec = named_scheme(name)
+    for lam in (1e77, 1e103, 1e154, 1e200, 1e300):
+        config = SimConfig(scheme=spec, n=4, n_t=2, lam=lam)
+        calls = {
+            "envelope": lambda: envelope(spec, lam),
+            "symbol": lambda: symbol(spec, lam, 1.0, 0.5),
+            "run": lambda: run(config),
+        }
+        raised = set()
+        for what, call in calls.items():
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                try:
+                    call()
+                except ValueError as exc:
+                    assert str(exc).startswith(f"lambda = {lam} gives a scheme value"), what
+                    raised.add(what)
+        overflows = lam >= FIRST_OVERFLOW[name]
+        assert ("envelope" in raised) == ("run" in raised) == overflows
+        assert "symbol" in raised or lam < 1e154
 
 
 # A lone off-center offset leaves an uncancelled sine part.
