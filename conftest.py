@@ -6,7 +6,6 @@ once from cold, exercising the compile path, and never writes to the user's
 own cache.  Subprocesses started by tests inherit the setting.
 """
 
-import contextlib
 import os
 import shutil
 import tempfile
@@ -37,17 +36,19 @@ def pytest_unconfigure(config):
 
 @pytest.fixture(scope="session")
 def kernels():
-    """(name, context factory) per stencil kernel to test: compiled, then numpy.
+    """(name, context factory) per stencil kernel to test: each compiled
+    variant this host runs (``_kernel.variants()``, widest first), then numpy.
 
-    Inside a factory's context, ``simulator._Stepper`` runs that kernel; the
-    numpy path is chosen by patching the loader to return None.  The compiled
-    kernel is left out only where no C compiler is installed.
+    Inside a factory's context, ``simulator._Stepper`` runs that kernel, as
+    the loader is patched to return it, or None for the numpy path.  The
+    compiled variants are left out only where no C compiler is installed.
     """
     from poisson_stencils import _kernel
 
-    numpy_path = ("numpy", lambda: mock.patch.object(_kernel, "load", lambda: None))
-    if _kernel.load() is not None:
-        return ("compiled", contextlib.nullcontext), numpy_path
-    if shutil.which(_kernel.COMMAND[0]):
+    def using(kernel):
+        return lambda: mock.patch.object(_kernel, "load", lambda: kernel)
+
+    compiled = _kernel.variants()
+    if not compiled and shutil.which(_kernel.COMMAND[0]):
         pytest.fail(f"{_kernel.COMMAND[0]} is installed but the compiled kernel did not load")
-    return (numpy_path,)
+    return (*((kernel.isa, using(kernel)) for kernel in compiled), ("numpy", using(None)))

@@ -1,15 +1,24 @@
 """The march of ``simulator._Stepper`` as compiled C: stencil sums, ghosts, error sums.
 
 The C source below is built once per user with the system C compiler (GCC
-or Clang, for the vector extension) and cached as a shared library;
-``load()`` returns it bound through ctypes, or None off POSIX, when no
-compiler is present, or when the build or load fails, in which case the
-simulator runs its numpy path.  Both paths give the same bits: each node
-sums coeff * value over the table's offsets in table order, starting from
-0.0, one rounding per multiply and per add.  ``-ffp-contract=off`` keeps the
-compiler from fusing them into multiply-adds (clang and aarch64 gcc would
-otherwise), and the flags stay portable, with no ``-march=native`` or
-``-ffast-math``, so a cached library runs on any CPU of its architecture.
+or Clang, for the vector extension) and cached as a shared library.  Its
+vector loops are written once and compiled once per instruction set of
+``ISAS``: the baseline (SSE2 on x86-64, NEON on arm64) everywhere, and on
+x86-64 also AVX2 and AVX-512F copies under ``__attribute__((target))``.  When
+the library loads, its ``isa_level()`` asks the CPU (``__builtin_cpu_supports``)
+which of them it runs; ``variants()`` binds those through ctypes, widest
+first, and ``load()`` returns the first.  Nothing else chooses a variant.
+Without POSIX, a compiler, or a working build or load, there is none, and
+the simulator runs its numpy path.
+
+Every variant and the numpy path give the same bits: each node sums coeff *
+value over the table's offsets in table order, starting from 0.0, one
+rounding per multiply and per add, and IEEE arithmetic rounds each vector
+lane as it would a lone double, whatever the width.  ``-ffp-contract=off``
+keeps the compiler from fusing them into multiply-adds (clang and aarch64
+gcc would otherwise, and AVX-512F has them), no target names ``fma``, and
+the flags stay portable, with no ``-march=native`` or ``-ffast-math``, so a
+cached library runs on any CPU of its architecture.
 
 ``march`` is the simulator's one entry point: it runs a whole march in one
 call, the first step if asked, then the two-step update, each step followed
@@ -25,12 +34,13 @@ Each step's ``error_sums`` makes one pass over the field u and a reference
 r = s * c and returns the sums of (u - r)^2 and r^2, which the numpy march
 and ``relative_l2_error`` get from ``ndarray.sum()``.  To give numpy's bits
 it replays numpy's pairwise summation order (``pairwise_sum_DOUBLE``: runs
-of at most 128 values, 8 partial sums each) over the flattened field.  That
+of at most 128 values, 8 partial sums each) over the flattened field; the 8
+partial sums are the lanes of 8 / W vector registers of W doubles.  That
 order is numpy's, not a documented contract: ``tests/test_error_sums.py``
-checks the compiled sums against numpy's own bit for bit, at the order's
-seams too, and ``tests/test_stencil_kernel.py`` checks that both kernels
-give every table row and the benchmark marches the same errors.  The flag
-above also keeps u - s * c from fusing.
+checks each variant's sums against numpy's own bit for bit, at the order's
+seams too, and ``tests/test_stencil_kernel.py`` checks that every variant
+and the numpy path give every table row and the benchmark marches the same
+errors.  The contract flag also keeps u - s * c from fusing.
 
 The cache directory is ``$XDG_CACHE_HOME/poisson_stencils`` (default
 ``~/.cache``), mode 0700.  A directory that another user owns, or that others
@@ -50,173 +60,13 @@ import stat
 import tempfile
 import zlib
 from pathlib import Path
+from typing import Callable
 
-SOURCE = r"""
+# The part of the C source that has no vectors: the plan's layout, the ghost
+# fill, the one-node sum of a row's leftover nodes, the error sums' fields,
+# and the choice of instruction set.
+_SHARED = r"""
 #include <stddef.h>
-#include <string.h>
-
-/* Two doubles in one vector register (SSE2, NEON), with elementwise IEEE
-   arithmetic; LANES nodes of a row are VECTORS of them. */
-typedef double pair __attribute__((vector_size(16)));
-#define VECTORS 4
-#define LANES (2 * VECTORS)
-
-static inline pair load_pair(const double *p)
-{
-    pair v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static inline void store_pair(double *p, pair v)
-{
-    memcpy(p, &v, sizeof v);
-}
-
-/* Lane k of acc = the sum of c[m] * x[k + off[m]] over m in table order,
-   from 0.0. */
-static inline void sum_lanes(const double *restrict x, const ptrdiff_t *restrict off,
-                             const double *restrict c, ptrdiff_t count,
-                             pair acc[VECTORS])
-{
-    for (int k = 0; k < VECTORS; k++)
-        acc[k] = (pair){0.0, 0.0};
-    for (ptrdiff_t m = 0; m < count; m++) {
-        const double *p = x + off[m];
-        const pair cm = {c[m], c[m]};
-        for (int k = 0; k < VECTORS; k++)
-            acc[k] += cm * load_pair(p + 2 * k);
-    }
-}
-
-static inline double sum_one(const double *restrict x, const ptrdiff_t *restrict off,
-                             const double *restrict c, ptrdiff_t count)
-{
-    double a = 0.0;
-    for (ptrdiff_t m = 0; m < count; m++)
-        a += c[m] * x[off[m]];
-    return a;
-}
-
-/* Core nodes of width x width buffers: out = S_u u + tau * S_v v. */
-static void stencil_first(const double *restrict u, const double *restrict v, double *restrict out,
-                   double tau, ptrdiff_t width, ptrdiff_t lo, ptrdiff_t size,
-                   const ptrdiff_t *off_u, const double *c_u, ptrdiff_t n_u,
-                   const ptrdiff_t *off_v, const double *c_v, ptrdiff_t n_v)
-{
-    for (ptrdiff_t i = 0; i < size; i++) {
-        const ptrdiff_t row = (lo + i) * width + lo;
-        const double *x = u + row, *y = v + row;
-        double *z = out + row;
-        ptrdiff_t j = 0;
-        for (; j + LANES <= size; j += LANES) {
-            pair s[VECTORS], t[VECTORS];
-            sum_lanes(x + j, off_u, c_u, n_u, s);
-            sum_lanes(y + j, off_v, c_v, n_v, t);
-            for (int k = 0; k < VECTORS; k++)
-                store_pair(z + j + 2 * k, s[k] + t[k] * tau);
-        }
-        for (; j < size; j++)
-            z[j] = sum_one(x + j, off_u, c_u, n_u) + sum_one(y + j, off_v, c_v, n_v) * tau;
-    }
-}
-
-/* Core nodes of width x width buffers: prev = S curr - prev. */
-static void stencil_two(const double *restrict curr, double *restrict prev,
-                 ptrdiff_t width, ptrdiff_t lo, ptrdiff_t size,
-                 const ptrdiff_t *off, const double *c, ptrdiff_t count)
-{
-    for (ptrdiff_t i = 0; i < size; i++) {
-        const ptrdiff_t row = (lo + i) * width + lo;
-        const double *x = curr + row;
-        double *z = prev + row;
-        ptrdiff_t j = 0;
-        for (; j + LANES <= size; j += LANES) {
-            pair s[VECTORS];
-            sum_lanes(x + j, off, c, count, s);
-            for (int k = 0; k < VECTORS; k++)
-                store_pair(z + j + 2 * k, s[k] - load_pair(z + j + 2 * k));
-        }
-        for (; j < size; j++)
-            z[j] = sum_one(x + j, off, c, count) - z[j];
-    }
-}
-
-/* numpy's pairwise summation (pairwise_sum_DOUBLE), replayed term for term:
-   runs of at most BLOCK values, each summed by 8 running partial sums
-   combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then its
-   leftover values; fewer than 8 values are summed from 0.0; longer runs
-   split at half their length rounded down to a multiple of 8. */
-#define BLOCK 128
-
-static double block_sum(const double *a, ptrdiff_t n)
-{
-    double res = 0.0;
-    ptrdiff_t i = 0;
-    if (n >= 8) {
-        pair r[VECTORS];
-        for (int k = 0; k < VECTORS; k++)
-            r[k] = load_pair(a + 2 * k);
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int k = 0; k < VECTORS; k++)
-                r[k] += load_pair(a + i + 2 * k);
-        res = ((r[0][0] + r[0][1]) + (r[1][0] + r[1][1]))
-            + ((r[2][0] + r[2][1]) + (r[3][0] + r[3][1]));
-    }
-    for (; i < n; i++)
-        res += a[i];
-    return res;
-}
-
-/* An (rows x cols) field u with unit column stride, and the reference s * c
-   with s C-contiguous. */
-struct fields {
-    const double *u, *s;
-    ptrdiff_t u_row_stride, cols;
-    double c;
-};
-
-/* sums = the pairwise sums of (u - r)^2 and r^2, r = s * c, over the run of
-   n values from flat index start. */
-static void pairwise_sums(const struct fields *f, ptrdiff_t start, ptrdiff_t n, double sums[2])
-{
-    if (n > BLOCK) {
-        ptrdiff_t half = n / 2;
-        double a[2], b[2];
-        half -= half % 8;
-        pairwise_sums(f, start, half, a);
-        pairwise_sums(f, start + half, n - half, b);
-        sums[0] = a[0] + b[0];
-        sums[1] = a[1] + b[1];
-        return;
-    }
-    double d2[BLOCK], r2[BLOCK];
-    ptrdiff_t row = start / f->cols, col = start % f->cols;
-    for (ptrdiff_t i = 0; i < n; row++, col = 0) {
-        const double *u = f->u + row * f->u_row_stride + col, *s = f->s + row * f->cols + col;
-        ptrdiff_t take = f->cols - col < n - i ? f->cols - col : n - i;
-        for (ptrdiff_t j = 0; j < take; j++) {
-            const double r = s[j] * f->c, d = u[j] - r;
-            d2[i + j] = d * d;
-            r2[i + j] = r * r;
-        }
-        i += take;
-    }
-    sums[0] = block_sum(d2, n);
-    sums[1] = block_sum(r2, n);
-}
-
-/* out = {sum of (u - s * c)^2, sum of (s * c)^2} over the field, in the order
-   of numpy's sum() of the flattened (rows x cols) array. */
-void error_sums(const double *u, ptrdiff_t u_row_stride, const double *s, double c,
-                ptrdiff_t rows, ptrdiff_t cols, double *out)
-{
-    const struct fields f = {u, s, u_row_stride, cols, c};
-    double sums[2];
-    pairwise_sums(&f, 0, rows * cols, sums);
-    out[0] = 0.0 + sums[0];
-    out[1] = 0.0 + sums[1];
-}
 
 /* The plan of a march, as ptrdiff_t: a header indexed by the names below,
    then the linear buffer offsets of the first_u, first_v and two_step
@@ -240,15 +90,207 @@ static void fill_ghosts(double *buf, const ptrdiff_t *plan, const ptrdiff_t *lin
     }
 }
 
+/* The sum of c[m] * x[off[m]] over m in table order, from 0.0. */
+static inline double sum_one(const double *restrict x, const ptrdiff_t *restrict off,
+                             const double *restrict c, ptrdiff_t count)
+{
+    double a = 0.0;
+    for (ptrdiff_t m = 0; m < count; m++)
+        a += c[m] * x[off[m]];
+    return a;
+}
+
+/* numpy's pairwise summation (pairwise_sum_DOUBLE), replayed term for term:
+   runs of at most BLOCK values, each summed by 8 running partial sums
+   combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then its
+   leftover values; fewer than 8 values are summed from 0.0; longer runs
+   split at half their length rounded down to a multiple of 8. */
+#define BLOCK 128
+
+/* An (rows x cols) field u with unit column stride, and the reference s * c
+   with s C-contiguous. */
+struct fields {
+    const double *u, *s;
+    ptrdiff_t u_row_stride, cols;
+    double c;
+};
+
+/* The index in ISAS of the widest instruction set that this library holds
+   and this CPU runs: 0 (baseline) off x86-64, else 1 for AVX2 and 2 for
+   AVX-512F, which needs AVX2 too, since the avx512f target implies it. */
+int isa_level(void)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        return __builtin_cpu_supports("avx512f") ? 2 : 1;
+#endif
+    return 0;
+}
+"""
+
+# The vector loops, written once and expanded per row of ISAS: @ISA@ is the
+# name, @TARGET@ the function attribute (empty for the baseline), @W@ the
+# doubles per vector register and @VECTORS@ the registers per row step.
+# Every node still sums its offsets in table order from 0.0, one rounding
+# per multiply and per add, whatever W is.
+_VECTOR_LOOPS = r"""
+#define W @W@
+#define VECTORS @VECTORS@
+#define LANES (W * VECTORS)
+
+/* W doubles in one vector register, with elementwise IEEE arithmetic; a row
+   step sums LANES nodes, VECTORS registers of them.  block_sum's 8 partial
+   sums take 8 / W registers, lane k of register j holding partial sum
+   j * W + k. */
+typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
+
+@TARGET@ static inline vec_@ISA@ load_@ISA@(const double *p)
+{
+    vec_@ISA@ v;
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+}
+
+@TARGET@ static inline void store_@ISA@(double *p, vec_@ISA@ v)
+{
+    __builtin_memcpy(p, &v, sizeof v);
+}
+
+/* Lane k of acc = the sum of c[m] * x[k + off[m]] over m in table order,
+   from 0.0. */
+@TARGET@ static inline void sum_lanes_@ISA@(const double *restrict x,
+                                            const ptrdiff_t *restrict off,
+                                            const double *restrict c, ptrdiff_t count,
+                                            vec_@ISA@ acc[VECTORS])
+{
+    for (int k = 0; k < VECTORS; k++)
+        acc[k] = (vec_@ISA@){0.0};
+    for (ptrdiff_t m = 0; m < count; m++) {
+        const double *p = x + off[m], cm = c[m];
+        for (int k = 0; k < VECTORS; k++)
+            acc[k] += cm * load_@ISA@(p + W * k);
+    }
+}
+
+/* Core nodes of width x width buffers: out = S_u u + tau * S_v v. */
+@TARGET@ static void stencil_first_@ISA@(const double *restrict u, const double *restrict v,
+                                         double *restrict out, double tau, ptrdiff_t width,
+                                         ptrdiff_t lo, ptrdiff_t size,
+                                         const ptrdiff_t *off_u, const double *c_u, ptrdiff_t n_u,
+                                         const ptrdiff_t *off_v, const double *c_v, ptrdiff_t n_v)
+{
+    for (ptrdiff_t i = 0; i < size; i++) {
+        const ptrdiff_t row = (lo + i) * width + lo;
+        const double *x = u + row, *y = v + row;
+        double *z = out + row;
+        ptrdiff_t j = 0;
+        for (; j + LANES <= size; j += LANES) {
+            vec_@ISA@ s[VECTORS], t[VECTORS];
+            sum_lanes_@ISA@(x + j, off_u, c_u, n_u, s);
+            sum_lanes_@ISA@(y + j, off_v, c_v, n_v, t);
+            for (int k = 0; k < VECTORS; k++)
+                store_@ISA@(z + j + W * k, s[k] + t[k] * tau);
+        }
+        for (; j < size; j++)
+            z[j] = sum_one(x + j, off_u, c_u, n_u) + sum_one(y + j, off_v, c_v, n_v) * tau;
+    }
+}
+
+/* Core nodes of width x width buffers: prev = S curr - prev. */
+@TARGET@ static void stencil_two_@ISA@(const double *restrict curr, double *restrict prev,
+                                       ptrdiff_t width, ptrdiff_t lo, ptrdiff_t size,
+                                       const ptrdiff_t *off, const double *c, ptrdiff_t count)
+{
+    for (ptrdiff_t i = 0; i < size; i++) {
+        const ptrdiff_t row = (lo + i) * width + lo;
+        const double *x = curr + row;
+        double *z = prev + row;
+        ptrdiff_t j = 0;
+        for (; j + LANES <= size; j += LANES) {
+            vec_@ISA@ s[VECTORS];
+            sum_lanes_@ISA@(x + j, off, c, count, s);
+            for (int k = 0; k < VECTORS; k++)
+                store_@ISA@(z + j + W * k, s[k] - load_@ISA@(z + j + W * k));
+        }
+        for (; j < size; j++)
+            z[j] = sum_one(x + j, off, c, count) - z[j];
+    }
+}
+
+/* One run of n values by numpy's 8 partial sums (see BLOCK). */
+@TARGET@ static double block_sum_@ISA@(const double *a, ptrdiff_t n)
+{
+    double res = 0.0;
+    ptrdiff_t i = 0;
+    if (n >= 8) {
+        vec_@ISA@ r[8 / W];
+        double l[8];
+        for (int k = 0; k < 8 / W; k++)
+            r[k] = load_@ISA@(a + W * k);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8 / W; k++)
+                r[k] += load_@ISA@(a + i + W * k);
+        __builtin_memcpy(l, r, sizeof l);
+        res = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+    }
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+/* sums = the pairwise sums of (u - r)^2 and r^2, r = s * c, over the run of
+   n values from flat index start. */
+@TARGET@ static void pairwise_sums_@ISA@(const struct fields *f, ptrdiff_t start, ptrdiff_t n,
+                                         double sums[2])
+{
+    if (n > BLOCK) {
+        ptrdiff_t half = n / 2;
+        double a[2], b[2];
+        half -= half % 8;
+        pairwise_sums_@ISA@(f, start, half, a);
+        pairwise_sums_@ISA@(f, start + half, n - half, b);
+        sums[0] = a[0] + b[0];
+        sums[1] = a[1] + b[1];
+        return;
+    }
+    double d2[BLOCK], r2[BLOCK];
+    ptrdiff_t row = start / f->cols, col = start % f->cols;
+    for (ptrdiff_t i = 0; i < n; row++, col = 0) {
+        const double *u = f->u + row * f->u_row_stride + col, *s = f->s + row * f->cols + col;
+        ptrdiff_t take = f->cols - col < n - i ? f->cols - col : n - i;
+        for (ptrdiff_t j = 0; j < take; j++) {
+            const double r = s[j] * f->c, d = u[j] - r;
+            d2[i + j] = d * d;
+            r2[i + j] = r * r;
+        }
+        i += take;
+    }
+    sums[0] = block_sum_@ISA@(d2, n);
+    sums[1] = block_sum_@ISA@(r2, n);
+}
+
+/* out = {sum of (u - s * c)^2, sum of (s * c)^2} over the field, in the order
+   of numpy's sum() of the flattened (rows x cols) array. */
+@TARGET@ void error_sums_@ISA@(const double *u, ptrdiff_t u_row_stride, const double *s,
+                               double c, ptrdiff_t rows, ptrdiff_t cols, double *out)
+{
+    const struct fields f = {u, s, u_row_stride, cols, c};
+    double sums[2];
+    pairwise_sums_@ISA@(&f, 0, rows * cols, sums);
+    out[0] = 0.0 + sums[0];
+    out[1] = 0.0 + sums[1];
+}
+
 /* Advance the fields of prev and curr by steps steps.  With v, the first
    step is curr = S_u prev + tau * S_v v; every other step is prev = S curr
    - prev followed by a swap, so that curr holds the newest field.  After
    each step the ghosts are filled and, with sums, row k of the (steps x 2)
    array sums gets error_sums of the (side x side) field against
    s * factors[k]. */
-void march(const ptrdiff_t *plan, const double *coeffs, double *prev, double *curr,
-           const double *v, double tau, ptrdiff_t steps,
-           const double *s, const double *factors, double *sums)
+@TARGET@ void march_@ISA@(const ptrdiff_t *plan, const double *coeffs, double *prev,
+                          double *curr, const double *v, double tau, ptrdiff_t steps,
+                          const double *s, const double *factors, double *sums)
 {
     const ptrdiff_t width = plan[WIDTH], lo = plan[LO], size = plan[SIZE];
     const ptrdiff_t n_u = plan[COUNT_U], n_v = plan[COUNT_V], n_two = plan[COUNT_TWO];
@@ -256,32 +298,67 @@ void march(const ptrdiff_t *plan, const double *coeffs, double *prev, double *cu
     const double *c_u = coeffs, *c_v = c_u + n_u, *c_two = c_v + n_v;
     for (ptrdiff_t k = 0; k < steps; k++) {
         if (k == 0 && v) {
-            stencil_first(prev, v, curr, tau, width, lo, size, off_u, c_u, n_u, off_v, c_v, n_v);
+            stencil_first_@ISA@(prev, v, curr, tau, width, lo, size,
+                                off_u, c_u, n_u, off_v, c_v, n_v);
         } else {
             double *next = prev;
-            stencil_two(curr, next, width, lo, size, off_two, c_two, n_two);
+            stencil_two_@ISA@(curr, next, width, lo, size, off_two, c_two, n_two);
             prev = curr;
             curr = next;
         }
         fill_ghosts(curr, plan, off_two + n_two);
         if (sums) {
             const double *field = curr + plan[ORIGIN] * (width + 1);
-            error_sums(field, width, s, factors[k], plan[SIDE], plan[SIDE], sums + 2 * k);
+            error_sums_@ISA@(field, width, s, factors[k], plan[SIDE], plan[SIDE], sums + 2 * k);
         }
     }
 }
+
+#undef LANES
+#undef VECTORS
+#undef W
 """
+
+# (name, doubles per vector, vectors per row step), in the order of
+# isa_level().  The baseline is SSE2 on x86-64 and NEON on arm64; the others
+# are GCC target names, never "fma", and -ffp-contract=off holds inside them.
+# 16 nodes per row step ran the n = 512 marches fastest on an AVX-512F Xeon.
+ISAS = (("baseline", 2, 4), ("avx2", 4, 4), ("avx512f", 8, 2))
+
+
+def _expand(isa: str, width: int, vectors: int) -> str:
+    """The vector loops of one instruction set."""
+    target = "" if isa == "baseline" else f'__attribute__((target("{isa}")))'
+    text = _VECTOR_LOOPS
+    for token, value in (("@ISA@", isa), ("@TARGET@", target), ("@W@", str(width)),
+                         ("@VECTORS@", str(vectors))):
+        text = text.replace(token, value)
+    return text
+
+
+SOURCE = "".join(
+    (_SHARED, _expand(*ISAS[0]), "\n#if defined(__x86_64__)\n",
+     *(_expand(*isa) for isa in ISAS[1:]), "#endif\n")
+)
 
 COMMAND = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-# The simulator calls only ``march``.  ``error_sums`` is exported for the
-# tests alone: they reach the pairwise order through it at run lengths such
-# as 8, 128 and 129 values, which no (n+1)^2 field of a march has.
+# Each instruction set exports these, suffixed by its name.  The simulator
+# calls only ``march``.  ``error_sums`` is exported for the tests alone: they
+# reach the pairwise order through it at run lengths such as 8, 128 and 129
+# values, which no (n+1)^2 field of a march has.
 _SIGNATURES = {
     "march": (_P, _P, _P, _P, _P, _D, _N, _P, _P, _P),
     "error_sums": (_P, _N, _P, _D, _N, _N, _P),
 }
+
+
+class Kernel:
+    """The bound entry points of one instruction set's loops (see ``ISAS``)."""
+
+    def __init__(self, isa: str, march: Callable, error_sums: Callable):
+        self.isa, self.march, self.error_sums = isa, march, error_sums
 
 
 def _cache_dir() -> Path | None:
@@ -326,15 +403,21 @@ def _build(target: Path) -> bool:
                 os.unlink(partial)
 
 
-def _bind(path: Path) -> ctypes.CDLL | None:
+def _bind(path: Path) -> tuple[Kernel, ...] | None:
+    """The library's kernels that this host runs, best first; None if unloadable."""
     try:
         lib = ctypes.CDLL(str(path))
-        for name, argtypes in _SIGNATURES.items():
-            function = getattr(lib, name)
-            function.argtypes, function.restype = argtypes, None
+        lib.isa_level.argtypes, lib.isa_level.restype = (), ctypes.c_int
+        kernels = []
+        for isa, *_ in ISAS[: lib.isa_level() + 1]:
+            functions = {}
+            for name, argtypes in _SIGNATURES.items():
+                function = functions[name] = getattr(lib, f"{name}_{isa}")
+                function.argtypes, function.restype = argtypes, None
+            kernels.append(Kernel(isa, **functions))
     except (OSError, AttributeError):
         return None
-    return lib
+    return tuple(reversed(kernels))
 
 
 def library_name() -> str:
@@ -343,30 +426,39 @@ def library_name() -> str:
     return f"stencil-{key:08x}.so"
 
 
-def _load_from(directory: Path) -> ctypes.CDLL | None:
-    """The library in ``directory``, built there first if missing or unloadable."""
+def _load_from(directory: Path) -> tuple[Kernel, ...] | None:
+    """The kernels of the library in ``directory``, built there first if
+    missing or unloadable."""
     target = directory / library_name()
     if target.exists():
-        lib = _bind(target)
-        if lib is not None:
-            return lib
+        kernels = _bind(target)
+        if kernels is not None:
+            return kernels
     return _bind(target) if _build(target) else None
 
 
 @functools.cache
-def load() -> ctypes.CDLL | None:
-    """The compiled kernel, built on first use; None when it cannot be had.
+def variants() -> tuple[Kernel, ...]:
+    """The compiled kernels this host runs, widest instruction set first.
 
-    Writes nothing to the terminal: a missing compiler or a failed build
-    only selects the numpy path.
+    Built on first use; empty when they cannot be had.  Writes nothing to
+    the terminal: a missing compiler or a failed build only selects the
+    numpy path.
     """
     if os.name != "posix":
-        return None
+        return ()
     cache = _cache_dir()
     if cache is not None:
-        return _load_from(cache)
+        return _load_from(cache) or ()
     try:
         with tempfile.TemporaryDirectory() as scratch:
-            return _load_from(Path(scratch))
+            return _load_from(Path(scratch)) or ()
     except OSError:
-        return None
+        return ()
+
+
+def load() -> Kernel | None:
+    """The compiled kernel that the simulator runs: the first of ``variants()``,
+    or None when there is none."""
+    kernels = variants()
+    return kernels[0] if kernels else None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -65,6 +66,21 @@ def _zero_field(x1, x2, *_):
     return 0.0 * (x1 + x2)
 
 
+def _overflow(report) -> str:
+    """The error line of a run whose E is not finite: the fields overflowed.
+
+    E's denominator is positive and each field is finite when sampled, so
+    only overflowed error sums make E inf or nan.
+    """
+    steps = [k for k, e in enumerate(report.per_step_errors, start=1) if not math.isfinite(e)]
+    config = report.config
+    where = f"step {steps[0]}" if steps else f"all {config.n_t} steps together"
+    return (
+        f"lambda = {config.lam} overflows scheme {config.scheme.name!r}: "
+        f"the error of {where} is not finite"
+    )
+
+
 def cmd_simulate(args):
     spec = named_scheme(args.scheme)
     fields = ("initial_u", "initial_v", "exact")
@@ -80,6 +96,8 @@ def cmd_simulate(args):
             dumped.append(path)
 
     report = run(config, on_step=on_step if args.dump_every else None)
+    if not math.isfinite(report.error):
+        raise ValueError(_overflow(report))
     flags = (
         f"--scheme={args.scheme} --n={args.n} --nt={args.nt} --lambda={args.lam} "
         f"--bc={args.bc} --dump-every={args.dump_every} --zero-ic={args.zero_ic} "

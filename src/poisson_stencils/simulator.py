@@ -144,7 +144,9 @@ class SimReport:
     order: "envelope", the stability envelope; "sample", the initial fields
     and the reference's space field; "march", the steps with their error
     sums, per-step samples of a reference other than the standing wave
-    included.  Their sum is at most ``wall_time_s``.
+    included.  Their sum is at most ``wall_time_s``.  ``kernel`` names what
+    marched: a compiled variant's instruction set ("avx512f", "avx2" or
+    "baseline", see ``_kernel.ISAS``) or "numpy"; "" if not recorded.
     """
 
     error: float
@@ -152,6 +154,7 @@ class SimReport:
     wall_time_s: float
     config: SimConfig = field(repr=False)
     phases: tuple[tuple[str, float], ...] = ()
+    kernel: str = ""
 
 
 def _axes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -482,6 +485,7 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     Marches n_t steps and sums the space-time error against the reference;
     ``on_step(k, field)`` gets a copy of each step's field.  An unstable
     Courant number only warns; marginal (|symbol| = 1) values are silent.
+    If its fields overflow, E is inf or nan (the CLI refuses such a run).
 
     With the default reference and no ``on_step``, the whole march is one
     ``_Stepper.march`` call; otherwise the same march goes one step at a
@@ -525,6 +529,7 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
             ("sample", sampled - enveloped),
             ("march", marched - sampled),
         ),
+        kernel="numpy" if stepper._lib is None else stepper._lib.isa,
     )
 
 

@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import pickle
 import re
@@ -17,6 +18,8 @@ from poisson_stencils.cli import (
     EXIT_UNKNOWN_SCHEME,
     main,
 )
+from poisson_stencils.scheme import named_scheme
+from poisson_stencils.simulator import SimConfig, SimReport
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +206,56 @@ def test_huge_lambda_is_an_invalid_argument():
     assert done.stderr == (
         "error: lambda = 1e+200 gives a scheme value that is not a finite double\n"
     )
+
+
+# (lambda, n, n_t) of unstable P5 marches whose fields overflow, with the
+# first step whose error is not finite.  These printed "error: nan" and
+# exited 0.
+OVERFLOWS = [("1e100", "8", "50", 1), ("0.8", "16", "3000", 396)]
+
+
+def overflow_line(lam, step):
+    return (f"error: lambda = {float(lam)} overflows scheme 'P5': "
+            f"the error of step {step} is not finite")
+
+
+@pytest.mark.parametrize("lam, n, nt, step", OVERFLOWS)
+def test_overflowed_march_is_an_invalid_argument(lam, n, nt, step):
+    done = run_cli_process("simulate", "--scheme", "P5", "--n", n, "--nt", nt, "--lambda", lam)
+    assert done.returncode == EXIT_INVALID_ARGUMENT
+    assert done.stdout == ""
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [overflow_line(lam, step)]
+    assert done.stderr.endswith(errors[0] + "\n")
+    assert "outside the stable range of scheme 'P5'" in done.stderr
+
+
+def test_overflow_of_the_total_alone_names_every_step():
+    # Every step's error can be finite while their sum overflows.
+    config = SimConfig(scheme=named_scheme("P5"), n=8, n_t=2, lam=0.5)
+    report = SimReport(error=math.inf, per_step_errors=(1e300, 1e300), wall_time_s=0.0,
+                       config=config)
+    assert cli._overflow(report) == (
+        "lambda = 0.5 overflows scheme 'P5': the error of all 2 steps together is not finite"
+    )
+
+
+def test_overflow_is_refused_on_every_kernel(capsys, kernels):
+    # Each compiled variant and the numpy path march the same bits, so they
+    # fail at the same step; an unstable march that stays finite still
+    # prints its error, with the stability warning.
+    for name, path in kernels:
+        with path(), np.errstate(all="ignore"):
+            for lam, n, nt, step in OVERFLOWS:
+                with pytest.warns(UserWarning, match="stable range"):
+                    code, out, err = run_cli(capsys, "simulate", "--scheme", "P5", "--n", n,
+                                             "--nt", nt, "--lambda", lam)
+                assert code == EXIT_INVALID_ARGUMENT and out == "", name
+                assert err == overflow_line(lam, step) + "\n", name
+            with pytest.warns(UserWarning, match="stable range"):
+                code, out, _ = run_cli(capsys, "simulate", "--scheme", "P5", "--n", "16",
+                                       "--nt", "30", "--lambda", "0.8")
+            assert code == 0 and out.endswith("error: 1.5371e-02\n"), name
 
 
 def test_unknown_scheme_is_reported_before_lambda(capsys):

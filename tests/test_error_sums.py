@@ -4,8 +4,8 @@
 of numpy's ``sum()`` over the flattened field: pairwise, in runs of at most
 128 values of 8 partial sums each.  The numpy march and ``relative_l2_error``
 call numpy's sums themselves (``simulator._error_sums``); the compiled march
-replays that order term for term through ``_kernel``'s exported
-``error_sums``.  Both must give numpy's exact bits for any field, including
+replays that order term for term through each variant's exported
+``error_sums``.  All must give numpy's exact bits for any field, including
 sizes at the order's seams (8, 128, 129 and 256 values), strided views,
 signed zeros, infinities and nans.  A numpy that changed its order would
 fail here first.
@@ -88,14 +88,16 @@ def test_error_sums_are_numpys_sums(kernels, case):
                    st.sampled_from([7, 8, 9, 64, 127, 128, 129, 255, 256, 257])),
     data=st.data(),
 )
-def test_compiled_order_holds_for_any_run_length(rows, cols, data):
+def test_compiled_order_holds_for_any_run_length(kernels, rows, cols, data):
     # Rectangular fields put the flattened length exactly on the seams,
-    # for example 1 x 8, 1 x 128, 1 x 129 and 2 x 128.
-    lib = _kernel.load()
-    if lib is None:
+    # for example 1 x 8, 1 x 128, 1 x 129 and 2 x 128, for every variant.
+    if len(kernels) == 1:
         pytest.skip("no compiled kernel")
     u = data.draw(fields((rows, cols + 3)))[:, 1 : cols + 1]
     s = data.draw(fields((rows, cols)))
     c = data.draw(st.sampled_from([1.0, 0.5, -0.75]))
     with np.errstate(all="ignore"):
-        assert bits(kernel_sums(u, s, c)) == bits(numpy_sums(u, s, c))
+        want = bits(numpy_sums(u, s, c))
+        for name, path in kernels[:-1]:
+            with path():
+                assert bits(kernel_sums(u, s, c)) == want, name

@@ -6,7 +6,10 @@ the session's kernel.
 """
 
 import contextlib
+import ctypes
 import os
+import platform
+import re
 import shutil
 import stat
 import subprocess
@@ -30,9 +33,9 @@ needs_cc = pytest.mark.skipif(
 def cache(tmp_path, monkeypatch):
     """An empty XDG cache home for a fresh load; returns the kernel's directory."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    _kernel.load.cache_clear()
+    _kernel.variants.cache_clear()
     yield tmp_path / "poisson_stencils"
-    _kernel.load.cache_clear()
+    _kernel.variants.cache_clear()
 
 
 def errors(config):
@@ -49,7 +52,7 @@ def test_failed_compile_falls_back_to_the_same_errors(cache, monkeypatch, capfd)
     assert _kernel.load() is not None
     built = _kernel.library_name()
     compiled = [errors(config) for config in configs]
-    _kernel.load.cache_clear()
+    _kernel.variants.cache_clear()
     monkeypatch.setattr(_kernel, "COMMAND", (*_kernel.COMMAND, "-no-such-compiler-flag"))
     assert _kernel.load() is None
     assert simulator._Stepper(named_scheme("P5"), 0.6, 20, "dirichlet")._lib is None
@@ -69,7 +72,7 @@ def test_missing_compiler_falls_back(cache, monkeypatch, capfd):
 @needs_cc
 def test_second_load_starts_no_compiler(cache, monkeypatch):
     assert _kernel.load() is not None
-    _kernel.load.cache_clear()
+    _kernel.variants.cache_clear()
 
     def no_compiler(*args, **kwargs):
         raise AssertionError(f"started {args[0]}")
@@ -142,30 +145,49 @@ def test_kernel_takes_only_whole_buffers_of_its_stepper():
             stepper.march(buf, stepper.buffer(), 2, space=field, factors=factors, sums=sums)
 
 
+def session_library():
+    """The path of the library that the session's kernels were bound from."""
+    assert _kernel.load() is not None
+    return _kernel._cache_dir() / _kernel.library_name()
+
+
+def spy_on_every_export(stack):
+    """{(isa, routine): spy} over every routine of every variant this host runs."""
+    return {
+        (kernel.isa, name): stack.enter_context(
+            mock.patch.object(kernel, name, wraps=getattr(kernel, name))
+        )
+        for kernel in _kernel.variants()
+        for name in _kernel._SIGNATURES
+    }
+
+
 @needs_cc
 @pytest.mark.parametrize("n_t", [1, 2, 40])
 def test_default_run_is_one_compiled_call(n_t):
     # The whole default run (first step, two-steps, ghost fills and error
-    # sums) is one call of the compiled march; with on_step it is one call
-    # per step.  No other compiled routine is called from Python, and the
-    # stencil loops are not exported at all.
-    lib = _kernel.load()
-    assert lib is not None
+    # sums) is one call of the best variant's compiled march; with on_step
+    # it is one call per step.  No other compiled routine of any variant is
+    # called from Python, and the stencil loops are not exported at all.
+    best = _kernel.load()
+    assert best is not None
     config = simulator.SimConfig(scheme=named_scheme("P13"), n=10, n_t=n_t, lam=0.7, bc="periodic")
+
+    def calls(march):
+        return {key: march if key == (best.isa, "march") else 0 for key in spies}
+
     with contextlib.ExitStack() as stack:
-        spies = {
-            name: stack.enter_context(mock.patch.object(lib, name, wraps=getattr(lib, name)))
-            for name in _kernel._SIGNATURES
-        }
+        spies = spy_on_every_export(stack)
+        assert len(spies) == 2 * len(_kernel.variants())
         simulator.run(config)
-        assert {name: spy.call_count for name, spy in spies.items()} == {"march": 1, "error_sums": 0}
+        assert {key: spy.call_count for key, spy in spies.items()} == calls(1)
         simulator.run(config, on_step=lambda k, field: None)
-        assert {name: spy.call_count for name, spy in spies.items()} == {
-            "march": 1 + n_t,
-            "error_sums": 0,
-        }
-    for name in ("stencil_first", "stencil_two", "fill_ghosts"):
-        assert not hasattr(lib, name)
+        assert {key: spy.call_count for key, spy in spies.items()} == calls(1 + n_t)
+    lib = ctypes.CDLL(str(session_library()))
+    for isa, *_ in _kernel.ISAS:
+        for name in ("stencil_first", "stencil_two", "block_sum", "pairwise_sums"):
+            assert not hasattr(lib, f"{name}_{isa}")
+    assert not hasattr(lib, "fill_ghosts")
 
 
 @needs_cc
@@ -173,18 +195,14 @@ def test_default_run_is_one_compiled_call(n_t):
 def test_relative_l2_error_makes_no_compiled_call(name, bc):
     # The march owns the compiled error sums; relative_l2_error sums the
     # same fields in numpy, to run()'s bits.
-    lib = _kernel.load()
-    assert lib is not None
+    assert _kernel.load() is not None
     config = simulator.SimConfig(scheme=named_scheme(name), n=12, n_t=5, lam=0.6, bc=bc)
     fields = []
     report = simulator.run(config, on_step=lambda k, field: fields.append(field))
     with contextlib.ExitStack() as stack:
-        spies = [
-            stack.enter_context(mock.patch.object(lib, export, wraps=getattr(lib, export)))
-            for export in _kernel._SIGNATURES
-        ]
+        spies = spy_on_every_export(stack)
         error = simulator.relative_l2_error(fields, simulator.exact_standing_wave, config.tau)
-        assert [spy.call_count for spy in spies] == [0] * len(spies)
+        assert [spy.call_count for spy in spies.values()] == [0] * len(spies)
     assert error.hex() == report.error.hex()
 
 
@@ -200,32 +218,97 @@ def test_source_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr.decode()
 
 
+def cpu_flags():
+    """The CPU flags that Linux reports (those the OS also enables), or None."""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            return next(line for line in handle if line.startswith("flags")).split()
+    except (OSError, StopIteration):
+        return None
+
+
+@needs_cc
+def test_the_cpu_runs_every_variant_offered_widest_first():
+    isas = [kernel.isa for kernel in _kernel.variants()]
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        assert isas == ["baseline"]
+        return
+    flags = cpu_flags()
+    if flags is None:
+        pytest.skip("no /proc/cpuinfo to read the CPU flags from")
+    wanted = ["baseline"]
+    if "avx2" in flags:
+        wanted.insert(0, "avx2")
+        if "avx512f" in flags:
+            wanted.insert(0, "avx512f")
+    assert isas == wanted
+
+
+@needs_cc
+def test_source_off_x86_64_offers_only_the_baseline(tmp_path):
+    # Another architecture compiles the baseline loops alone, without a
+    # warning, and its library offers only them.
+    library = tmp_path / "kernel.so"
+    done = subprocess.run(
+        [*_kernel.COMMAND, "-U__x86_64__", "-Wall", "-Wextra", "-Werror", "-o", str(library),
+         "-x", "c", "-"],
+        input=_kernel.SOURCE.encode(),
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert [kernel.isa for kernel in _kernel._bind(library)] == ["baseline"]
+    lib = ctypes.CDLL(str(library))
+    for isa, *_ in _kernel.ISAS[1:]:
+        assert not hasattr(lib, f"march_{isa}")
+
+
+@needs_cc
+def test_targets_never_fuse_a_multiply_and_an_add():
+    # No flag or target enables FMA or a CPU, and the contract flag holds
+    # inside the target functions: the library has no fused multiply-add.
+    targets = re.findall(r"target\(([^)]*)\)", _kernel.SOURCE)
+    assert sorted(set(targets)) == ['"avx2"', '"avx512f"']
+    assert not any(flag.startswith(("-march", "-mavx", "-mfma", "-ffast-math"))
+                   for flag in _kernel.COMMAND)
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("no objdump to read the library")
+    code = subprocess.run([objdump, "-d", str(session_library())], capture_output=True,
+                          text=True, timeout=120).stdout
+    assert "march_baseline" in code
+    assert not any(fused in code for fused in ("fmadd", "fmsub", "fmla", "fmls"))
+
+
 # Prints the float.hex of E and of every per-step error of run() for all six
-# schemes, both boundaries and n in {2, 3, 7, 16}, with n_t = 3, on the
-# compiled kernel: the library named by argv[1], else the one load() builds.
+# schemes, both boundaries and n in {2, 3, 7, 16}, with n_t = 3, on each
+# compiled variant: of the library named by argv[1], else of load()'s build.
 _EVERY_SCHEME_RUN = """
 import sys
 from pathlib import Path
 from poisson_stencils import _kernel, simulator
 from poisson_stencils.scheme import NAMED_SCHEMES, named_scheme
 
-lib = _kernel._bind(Path(sys.argv[1])) if len(sys.argv) > 1 else _kernel.load()
-assert lib is not None, "the compiled kernel did not load"
-_kernel.load = lambda: lib
-for name in NAMED_SCHEMES:
-    for bc in simulator.BOUNDARY_CONDITIONS:
-        for n in (2, 3, 7, 16):
-            config = simulator.SimConfig(named_scheme(name), n=n, n_t=3, lam=0.5, bc=bc)
-            report = simulator.run(config)
-            print(name, bc, n, report.error.hex(), *(e.hex() for e in report.per_step_errors))
+kernels = _kernel._bind(Path(sys.argv[1])) if len(sys.argv) > 1 else _kernel.variants()
+assert kernels, "the compiled kernel did not load"
+for kernel in kernels:
+    _kernel.load = lambda: kernel
+    for name in NAMED_SCHEMES:
+        for bc in simulator.BOUNDARY_CONDITIONS:
+            for n in (2, 3, 7, 16):
+                config = simulator.SimConfig(named_scheme(name), n=n, n_t=3, lam=0.5, bc=bc)
+                report = simulator.run(config)
+                print(report.kernel, name, bc, n, report.error.hex(),
+                      *(e.hex() for e in report.per_step_errors))
 """
 
 
 @needs_cc
 def test_kernel_is_clean_under_address_and_undefined_sanitizers(tmp_path):
     # An out-of-bounds read or write, or undefined behaviour, in the march,
-    # the ghost fill or the error sums aborts the instrumented run with a
-    # report; clean, it gives the plain library's bits.
+    # the ghost fill or the error sums of any variant aborts the instrumented
+    # run with a report; clean, each variant gives the plain library's bits,
+    # which are the same for all variants.
     cc = _kernel.COMMAND[0]
     asan = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True, text=True)
     runtime = asan.stdout.strip()
@@ -254,5 +337,8 @@ def test_kernel_is_clean_under_address_and_undefined_sanitizers(tmp_path):
     plain = subprocess.run([sys.executable, "-c", _EVERY_SCHEME_RUN], env=env,
                            capture_output=True, text=True, timeout=300)
     assert plain.returncode == 0, plain.stderr
-    assert len(plain.stdout.splitlines()) == 48
+    isas = [kernel.isa for kernel in _kernel.variants()]
+    rows = [line.split(" ", 1) for line in plain.stdout.splitlines()]
+    assert [isa for isa, _ in rows] == [isa for isa in isas for _ in range(48)]
+    assert {bits for _, bits in rows} == {bits for _, bits in rows[:48]}
     assert sanitized.stdout == plain.stdout

@@ -355,7 +355,7 @@ def test_public_steps_validate_like_sim_config(p5, key, value):
 def test_run_error_is_relative_l2_error_of_its_fields(kernels, name, bc):
     # run() and relative_l2_error share one error sum, bit for bit: the whole
     # run, and step k alone as a one-field run with time step k * tau; and
-    # both kernels give the same run.
+    # every kernel gives the same run.
     config = SimConfig(scheme=named_scheme(name), n=12, n_t=7, lam=0.6, bc=bc)
     reports = []
     for _, path in kernels:
@@ -438,6 +438,18 @@ def test_run_reports_its_phases(p5, p13):
             assert pickle.loads(pickle.dumps(report)).phases == report.phases
     bare = SimReport(error=0.0, per_step_errors=(), wall_time_s=0.0, config=configs[0])
     assert bare.phases == ()
+
+
+def test_report_names_the_kernel_that_ran(kernels, p13):
+    # Each compiled variant reports its instruction set, the numpy path
+    # "numpy", on the one-call march and on the step-by-step one.
+    config = SimConfig(scheme=p13, n=12, n_t=3, lam=0.6, bc="periodic")
+    for name, path in kernels:
+        with path():
+            assert run(config).kernel == name
+            assert run(config, on_step=lambda k, field: None).kernel == name
+    assert kernels[-1][0] == "numpy"
+    assert SimReport(error=0.0, per_step_errors=(), wall_time_s=0.0, config=config).kernel == ""
 
 
 @pytest.mark.parametrize(

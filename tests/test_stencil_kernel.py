@@ -2,9 +2,9 @@
 
 The simulator sums each stencil node by node over the table's offsets in
 table order, starting from 0.0.  That order is part of its contract, so the
-public steps must equal the reference exactly, signed zeros included, on the
-compiled kernel and on the numpy path alike: each test runs both, through
-the ``kernels`` fixture.
+public steps must equal the reference exactly, signed zeros included, on
+every compiled variant and on the numpy path alike: each test runs them
+all, through the ``kernels`` fixture.
 """
 
 import functools
@@ -167,7 +167,8 @@ def test_dirichlet_step_is_the_periodic_step_of_the_odd_extension(kernels, case)
 def test_kernels_leave_identical_whole_buffers(kernels, name, bc, n):
     # The whole buffers after 1, 2 and 3 steps, ghost ring and corners
     # included, where the public steps compare only the field: the numpy
-    # ghost fill and the compiled plan write the same lines in one order.
+    # ghost fill and each variant's compiled plan write the same lines in
+    # one order.
     if len(kernels) == 1:
         pytest.skip("no compiled kernel")
     rng = np.random.default_rng(n)
@@ -179,8 +180,10 @@ def test_kernels_leave_identical_whole_buffers(kernels, name, bc, n):
                 stepper = _Stepper(spec_of(name), 0.6, n, bc)
                 prev, curr = stepper.buffer(u0), stepper.buffer()
                 buffers.append(stepper.march(prev, curr, steps, stepper.buffer(v0), 0.6 / n))
-        for compiled, numpy in zip(*buffers):
-            assert_same_bits(compiled, numpy)
+        *compiled, numpy = buffers
+        for variant in compiled:
+            for got, want in zip(variant, numpy):
+                assert_same_bits(got, want)
 
 
 def test_table_3_roundoff_digit(kernels):
@@ -214,15 +217,16 @@ def report_bits(report):
 
 
 def test_kernels_agree_on_every_table_row_and_march(kernels):
-    # Every published row, and the benchmark's two n = 512 marches: the
-    # compiled and the numpy kernel give the same E and per-step errors,
-    # bit for bit (stencil sums and error sums alike).
+    # Every published row, and the benchmark's two n = 512 marches: each
+    # compiled variant and the numpy kernel give the same E and per-step
+    # errors, bit for bit (stencil sums and error sums alike).
     configs = table_and_march_configs()
-    results = []
-    for _, path in kernels:
+    results = {}
+    for name, path in kernels:
         with path():
-            results.append([report_bits(run(config)) for config in configs])
-    assert len(kernels) == 1 or results[0] == results[1]
+            results[name] = [report_bits(run(config)) for config in configs]
+    for name, bits in results.items():
+        assert bits == results["numpy"], name
 
 
 def test_whole_and_chunked_marches_agree(kernels):
