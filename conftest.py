@@ -52,3 +52,15 @@ def kernels():
     if not compiled and shutil.which(_kernel.COMMAND[0]):
         pytest.fail(f"{_kernel.COMMAND[0]} is installed but the compiled kernel did not load")
     return (*((kernel.isa, using(kernel)) for kernel in compiled), ("numpy", using(None)))
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the library's shared caches of named schemes, symbol
+    coefficients and (scheme, lambda) evaluations, as in a fresh process."""
+    from poisson_stencils import scheme, stability
+
+    caches = (scheme._named_scheme, stability._symbol_coefficients, stability._evaluated)
+    for cache in caches:
+        cache.cache_clear()
+    return caches

@@ -428,13 +428,26 @@ def library_name() -> str:
 
 def _load_from(directory: Path) -> tuple[Kernel, ...] | None:
     """The kernels of the library in ``directory``, built there first if
-    missing or unloadable."""
+    missing or unloadable.
+
+    A fresh build that loads deletes the directory's other ``stencil-*.so``
+    libraries, left by earlier sources or flags, so the cache holds one
+    library.  A load that finds its library deletes nothing.  The price: two
+    versions that share a cache and are used alternately rebuild once per
+    switch.
+    """
     target = directory / library_name()
     if target.exists():
         kernels = _bind(target)
         if kernels is not None:
             return kernels
-    return _bind(target) if _build(target) else None
+    kernels = _bind(target) if _build(target) else None
+    if kernels is not None:
+        for stale in directory.glob("stencil-????????.so"):
+            if stale.name != target.name:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
+    return kernels
 
 
 @functools.cache

@@ -12,6 +12,7 @@ test, not a tolerance test.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
@@ -140,22 +141,27 @@ def named_scheme(name: str) -> SchemeSpec:
 
     P-variants derive both procedures from the Lagrange basis; C-variants use
     the conventional central-difference first step (C9 on the isotropic
-    two-step table, C5/C13 on the matching P-table).
+    two-step table, C5/C13 on the matching P-table).  Names are matched
+    case-insensitively, and each scheme is derived once per process: every
+    call with one name returns the same immutable spec.
     """
     key = name.upper()
+    if key not in NAMED_SCHEMES:
+        raise UnknownSchemeError(f"unknown scheme {name!r}; expected one of {NAMED_SCHEMES}")
+    return _named_scheme(key)
+
+
+@functools.cache  # at most the six NAMED_SCHEMES
+def _named_scheme(key: str) -> SchemeSpec:
     if key == "P5":
         return generate_scheme(6, "P5")
-    if key == "C5":
-        return conventional_first_step(generate_scheme(6, "P5"), "C5")
     if key == "P9":
         return generate_scheme(11, "P9")
-    if key == "C9":
-        return conventional_first_step(isotropic_nine_point(), "C9")
     if key == "P13":
         return generate_scheme(15, "P13")
-    if key == "C13":
-        return conventional_first_step(generate_scheme(15, "P13"), "C13")
-    raise UnknownSchemeError(f"unknown scheme {name!r}; expected one of {NAMED_SCHEMES}")
+    if key == "C9":
+        return conventional_first_step(isotropic_nine_point(), "C9")
+    return conventional_first_step(_named_scheme(f"P{key[1:]}"), key)
 
 
 def serialize_tables(spec: SchemeSpec) -> str:

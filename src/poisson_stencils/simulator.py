@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _kernel, stability
 from .quadrature import check_positive
-from .scheme import SchemeSpec, evaluate_table
+from .scheme import SchemeSpec
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -256,9 +256,9 @@ class _Stepper:
         self._lines = [
             (axis, g, f, sign) for axis in (0, 1) for sign, p in pairs.items() for g, f in p
         ]
-        self.first_u = evaluate_table(spec.first_u, lam)
-        self.first_v = evaluate_table(spec.first_v, lam)
-        self.two_step = evaluate_table(spec.two_step, lam)
+        # The tables at lam, evaluated once per (spec, lam) and shared.
+        shared = stability.evaluated(spec, lam)
+        self.first_u, self.first_v, self.two_step = shared.first_u, shared.first_v, shared.two_step
         self._lib = _kernel.load()
         if self._lib is None:
             rows = (min(_ROW_BLOCK, self.size), self.size)

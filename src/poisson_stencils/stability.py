@@ -9,14 +9,23 @@ a = 1/2 sum_q c_q(lam) T_|q1|(X) T_|q2|(Y) in X = cos theta1, Y = cos theta2
 (T_k the Chebyshev polynomials).  Its extremes over [-1, 1]^2 lie among at
 most nine points, found in exact rationals at the Courant number; the
 maximal stable Courant number is a bisection in lambda on them.
+
+What depends only on a scheme, or only on a scheme and a Courant number, is
+computed once per process and shared: a spec's symbol coefficients, and
+:func:`evaluated`, its float tables and envelope at one lambda, which
+:func:`symbol`, :func:`envelope` and the simulator read.  Both caches are
+bounded, keyed by the spec (its tables, not only its name) and hold
+immutable values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .interpolation import Offset
 from .quadrature import LambdaPoly, check_positive, finite_at
 from .scheme import SchemeSpec, evaluate_table
 
@@ -68,7 +77,7 @@ def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
     check_positive(lam, "lambda")
     _check_real(spec)
     total = 0.0
-    for (q1, q2), coeff in evaluate_table(spec.two_step, lam):
+    for (q1, q2), coeff in _evaluated(spec, lam).two_step:
         total += coeff * math.cos(q1 * theta1 + q2 * theta2)
     return finite_at(0.5 * total, lam)
 
@@ -87,11 +96,12 @@ def _check_real(spec: SchemeSpec):
         )
 
 
+@functools.lru_cache(maxsize=32)
 def _symbol_coefficients(spec: SchemeSpec) -> tuple[LambdaPoly, ...]:
     """Exact coefficients of 1, X, Y, XY, X^2, Y^2 in the symbol a(X, Y).
 
-    Raises ``ValueError`` for a table whose symbol is not real, or is real
-    but not a quadratic in the cosines.
+    Computed once per spec.  Raises ``ValueError`` for a table whose symbol
+    is not real, or is real but not a quadratic in the cosines.
     """
     table = spec.two_step
     if not table:
@@ -160,9 +170,49 @@ def envelope(spec: SchemeSpec, lam: float, grid: int | None = None) -> Envelope:
     precondition of the module docstring, or for a ``lam`` at which the
     symbol's range is beyond the doubles.
     """
-    coeffs = _symbol_coefficients(spec)
+    _symbol_coefficients(spec)  # refuses the table before lam, as it always did
     check_positive(lam, "lambda")
-    return _envelope(coeffs, lam)
+    return _evaluated(spec, lam).envelope
+
+
+@dataclass(frozen=True)
+class Evaluated:
+    """A scheme at one Courant number: its float tables and its envelope.
+
+    ``first_u``, ``first_v`` and ``two_step`` are the spec's tables as
+    (offset, coefficient) pairs in table order, the output of
+    :func:`~poisson_stencils.scheme.evaluate_table`.  ``envelope`` is
+    computed on first use, so that a spec outside the exact analysis still
+    has tables; it raises as :func:`envelope` does.
+    """
+
+    spec: SchemeSpec = field(repr=False)
+    lam: float
+    first_u: tuple[tuple[Offset, float], ...]
+    first_v: tuple[tuple[Offset, float], ...]
+    two_step: tuple[tuple[Offset, float], ...]
+
+    @functools.cached_property
+    def envelope(self) -> Envelope:
+        return _envelope(_symbol_coefficients(self.spec), self.lam)
+
+
+def evaluated(spec: SchemeSpec, lam: float) -> Evaluated:
+    """The shared :class:`Evaluated` of ``spec`` at ``lam``.
+
+    Raises ``ValueError`` unless ``lam`` is positive and finite and every
+    coefficient at it is a finite double.
+    """
+    check_positive(lam, "lambda")
+    return _evaluated(spec, lam)
+
+
+# ``lam`` is checked before a lookup; ``typed`` keeps a numpy or an integer
+# lambda apart from a float one, as their coefficients may differ in bits.
+@functools.lru_cache(maxsize=128, typed=True)
+def _evaluated(spec: SchemeSpec, lam: float) -> Evaluated:
+    tables = (spec.first_u, spec.first_v, spec.two_step)
+    return Evaluated(spec, lam, *(tuple(evaluate_table(table, lam)) for table in tables))
 
 
 def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:

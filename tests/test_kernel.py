@@ -126,6 +126,24 @@ def test_concurrent_builds_leave_one_library(cache):
 
 
 @needs_cc
+def test_fresh_build_removes_only_stale_libraries(cache):
+    # Libraries of other sources or flags go once a new build loads; files
+    # of any other name stay.  A load that finds its library deletes nothing.
+    cache.mkdir(mode=0o700)
+    stale = ["stencil-0000abcd.so", "stencil-deadbeef.so"]
+    kept = ["stencil-12345.so", "stencil-deadbeef.so.txt", "tmpab12cd34.so", "notes-00000000.so"]
+    for name in stale + kept:
+        (cache / name).write_bytes(b"x")
+    assert _kernel.load() is not None
+    built = _kernel.library_name()
+    assert sorted(path.name for path in cache.iterdir()) == sorted([built, *kept])
+    _kernel.variants.cache_clear()
+    (cache / stale[0]).write_bytes(b"x")
+    assert _kernel.load() is not None
+    assert sorted(path.name for path in cache.iterdir()) == sorted([built, stale[0], *kept])
+
+
+@needs_cc
 def test_kernel_takes_only_whole_buffers_of_its_stepper():
     stepper = simulator._Stepper(named_scheme("P13"), 0.5, 8, "periodic")
     assert stepper._lib is not None

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from poisson_stencils import scheme
 from poisson_stencils.interpolation import (
     SingularMatrixError,
     lagrange_basis,
@@ -126,8 +128,25 @@ def test_c9_pairs_conventional_first_step_with_isotropic_table(schemes):
 
 
 def test_named_scheme_rejects_unknown_name():
-    with pytest.raises(UnknownSchemeError):
-        named_scheme("P7")
+    for _ in range(2):  # a refusal is never cached
+        with pytest.raises(UnknownSchemeError, match="'p7'"):
+            named_scheme("p7")
+
+
+def test_named_schemes_are_shared_and_derive_four_bases(cold_caches):
+    # A cold process derives P5, P9 and P13 from Lagrange bases and C9 from
+    # the isotropic table; C5 and C13 reuse the shared P5 and P13.
+    generated = mock.Mock(wraps=scheme.generate_scheme)
+    with mock.patch.object(scheme, "generate_scheme", generated):
+        specs = {name: named_scheme(name) for name in NAMED_SCHEMES}
+        assert all(named_scheme(name.lower()) is specs[name] for name in NAMED_SCHEMES)
+    assert [call.args[0] for call in generated.call_args_list] == [6, 11, 15]
+    assert named_scheme("p5") is named_scheme("P5")
+    for p, c in (("P5", "C5"), ("P13", "C13")):
+        assert all(
+            poly is specs[p].two_step[offset] for offset, poly in specs[c].two_step.items()
+        )
+    assert scheme._named_scheme.cache_info().currsize == len(NAMED_SCHEMES)
 
 
 @pytest.mark.parametrize("m", [6, 11, 15])

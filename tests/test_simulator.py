@@ -1,6 +1,8 @@
 import copy
 import math
 import pickle
+import sys
+import threading
 import warnings
 
 from unittest import mock
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 from poisson_stencils import simulator
-from poisson_stencils.benchmarks import TABLE_BC, TABLES
+from poisson_stencils.benchmarks import TABLE_BC, TABLES, run_table
+from poisson_stencils.quadrature import LambdaPoly
 from poisson_stencils.scheme import named_scheme
 from poisson_stencils.simulator import (
     DegenerateNormError,
@@ -555,3 +558,80 @@ def test_every_table_row_matches_the_closed_form():
                 assert abs(computed - expected) <= bound, (table, case, name)
                 rows += 1
     assert rows == 48
+
+
+def test_public_steps_evaluate_the_tables_once(cold_caches, p5):
+    # Repeated one-shot steps at one (scheme, lambda) share one evaluation.
+    calls = []
+    evaluate = LambdaPoly.__call__
+
+    def counted(poly, lam):
+        calls.append(lam)
+        return evaluate(poly, lam)
+
+    u = np.zeros((9, 9))
+    u[4, 4] = 1.0
+    with mock.patch.object(LambdaPoly, "__call__", counted):
+        for _ in range(10):
+            two_step(u, u, p5, 0.6)
+        assert len(calls) == len(p5.first_u) + len(p5.first_v) + len(p5.two_step)
+        for _ in range(10):
+            first_step(u, u, p5, 0.6, 0.1)
+            two_step(u, u, p5, 0.6, "periodic")
+    assert len(calls) == len(p5.first_u) + len(p5.first_v) + len(p5.two_step)
+
+
+def _table_bits():
+    """float.hex of E and of every per-step error, for all 48 table rows."""
+    bits = []
+    for table, cases in TABLES.items():
+        for case in cases:
+            for name in case.reference:
+                config = SimConfig(named_scheme(name), case.n, case.n_t, case.lam, TABLE_BC[table])
+                report = run(config)
+                bits.append([report.error.hex(), *map(float.hex, report.per_step_errors)])
+    return bits
+
+
+def test_shared_evaluations_keep_every_table_bit(cold_caches):
+    cold = _table_bits()
+    assert len(cold) == 48
+    assert _table_bits() == cold  # warm
+    for cache in cold_caches:
+        cache.cache_clear()
+    assert _table_bits() == cold
+
+
+def _e_bits(rows):
+    return [[value.hex() for key, value in row.items() if key.startswith("E_")] for row in rows]
+
+
+def test_threads_share_the_caches_with_the_sequential_bits(cold_caches):
+    # Tables 1 and 3 from cold caches at once, twice each in four threads
+    # (more than this host's cores) that switch often: each gets the bits
+    # of running alone.
+    sequential = {table: _e_bits(run_table(table)) for table in (1, 3)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            for cache in cold_caches:
+                cache.cache_clear()
+            start, results = threading.Barrier(4), {}
+
+            def worker(slot, table):
+                start.wait(timeout=60)
+                results[slot] = _e_bits(run_table(table))
+
+            threads = [
+                threading.Thread(target=worker, args=(slot, table))
+                for slot, table in enumerate((1, 3, 1, 3))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert results == {slot: sequential[table] for slot, table in enumerate((1, 3, 1, 3))}
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import time
@@ -20,8 +21,11 @@ from poisson_stencils.scheme import (
 from poisson_stencils.simulator import SimConfig, run
 from poisson_stencils.stability import (
     NeverStableError,
+    _envelope,
+    _evaluated,
     _symbol_coefficients,
     envelope,
+    evaluated,
     lambda_max,
     symbol,
 )
@@ -343,3 +347,81 @@ def test_diagonal_symbol_at_half_lambda_squared(name, constant):
     diagonal = (c1, cx + cy, cxy + cxx + cyy)  # a(X, X) = c1 + (cx + cy) X + (...) X^2
     assert c1 == constant
     assert (diagonal == (0, 1, 0)) == (constant == 0)
+
+
+def test_specs_sharing_a_name_never_share_an_entry(cold_caches):
+    # SchemeSpec hashes by name alone, so two P5 tables collide in every
+    # cache; equality compares the tables, which keeps their entries apart.
+    p5 = named_scheme("P5")
+    table = dict(p5.two_step)
+    table[(0, 0)] = table[(0, 0)] + LambdaPoly({4: Fraction(1, 7)})
+    other = dataclasses.replace(p5, two_step=table)
+    assert other.name == p5.name and hash(other) == hash(p5) and other != p5
+    for _ in range(2):  # cold, then warm
+        for spec in (p5, other):
+            fresh = _envelope(_symbol_coefficients.__wrapped__(spec), 0.5)
+            assert envelope(spec, 0.5) == fresh
+            assert evaluated(spec, 0.5).two_step == tuple(evaluate_table(spec.two_step, 0.5))
+        assert envelope(p5, 0.5) != envelope(other, 0.5)
+        assert _symbol_coefficients(p5) != _symbol_coefficients(other)
+        assert evaluated(p5, 0.5) is not evaluated(other, 0.5)
+        assert symbol(p5, 0.5, 0.3, 0.2) != symbol(other, 0.5, 0.3, 0.2)
+
+
+def test_caches_stay_bounded(cold_caches):
+    p5 = named_scheme("P5")
+    size = _evaluated.cache_info().maxsize
+    for k in range(size + 50):
+        envelope(p5, 0.25 + k / 1024)
+    assert _evaluated.cache_info().currsize <= size
+    size = _symbol_coefficients.cache_info().maxsize
+    for k in range(size + 50):
+        envelope(dataclasses.replace(p5, name=f"P5-{k}"), 0.5)
+    assert _symbol_coefficients.cache_info().currsize <= size
+    assert _evaluated.cache_info().currsize <= _evaluated.cache_info().maxsize
+
+
+def test_lambda_max_leaves_the_evaluations_alone(cold_caches):
+    # The bisection's one-off lambdas go to _envelope directly: they neither
+    # evict nor add (scheme, lambda) entries.
+    p5 = named_scheme("P5")
+    kept = evaluated(p5, 0.707)
+    before = _evaluated.cache_info()
+    lambda_max(p5)
+    assert _evaluated.cache_info() == before
+    assert evaluated(p5, 0.707) is kept
+
+
+def test_shared_evaluation_is_immutable(schemes):
+    shared = evaluated(schemes["P13"], 0.707)
+    assert isinstance(shared.two_step, tuple)
+    assert all(isinstance(pair, tuple) for table in (shared.first_u, shared.first_v,
+                                                      shared.two_step) for pair in table)
+    env = shared.envelope
+    with pytest.raises(TypeError):
+        shared.two_step[0] = ((0, 0), 0.0)
+    for name, value in (("two_step", ()), ("lam", 0.5), ("envelope", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(shared, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        env.low.value = 0.0
+    assert evaluated(schemes["P13"], 0.707) is shared and shared.envelope is env
+
+
+def test_refusals_are_never_cached(cold_caches, schemes):
+    p5 = schemes["P5"]
+    for _ in range(2):
+        for lam in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="lambda must be positive"):
+                evaluated(p5, lam)
+        with pytest.raises(ValueError, match="not a finite double"):
+            evaluated(p5, 1e200)
+        with pytest.raises(ValueError, match="non-real symbol"):
+            envelope(LOPSIDED, 0.5)
+    assert _evaluated.cache_info().currsize == 0
+    assert _symbol_coefficients.cache_info().currsize == 0
+    # A table outside the exact analysis still has its tables; its envelope
+    # raises on every use.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-real symbol"):
+            evaluated(LOPSIDED, 0.5).envelope
