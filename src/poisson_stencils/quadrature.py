@@ -18,8 +18,6 @@ import sys
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from .interpolation import Monomial
 
 _DISC_START_ORDER = 64  # Gauss-Legendre order of the first disc-quadrature rule
@@ -209,7 +207,11 @@ def _disc_average(integrand) -> float:
     the weight and the Jacobian combine into a plain sin(phi) factor, leaving
     a smooth integrand on [0, pi/2] x [0, 2pi).  Tensor Gauss-Legendre rules
     are doubled until two successive refinements agree to ``_DISC_AGREE_TOL``.
+    The oracle alone uses numpy, so it imports it here: the exact operators
+    never load it.
     """
+    import numpy as np
+
     previous = None
     order = _DISC_START_ORDER
     for _ in range(6):

@@ -23,9 +23,18 @@ from .quadrature import LambdaPoly, b_on_polynomial, poisson_identity
 
 NAMED_SCHEMES = ("P5", "C5", "P9", "C9", "P13", "C13")
 
+# The boundary conditions the simulator marches a scheme under.  This and
+# DegenerateNormError live here, not in the simulator, so that the CLI can
+# name them without loading numpy.
+BOUNDARY_CONDITIONS = ("dirichlet", "periodic")
+
 
 class UnknownSchemeError(Exception):
     """Requested scheme name is not one of the bundled schemes."""
+
+
+class DegenerateNormError(Exception):
+    """The reference solution vanishes at every sampled point; E is undefined."""
 
 
 @dataclass(frozen=True)

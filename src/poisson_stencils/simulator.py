@@ -42,19 +42,13 @@ import numpy as np
 
 from . import _kernel, stability
 from .quadrature import check_positive
-from .scheme import SchemeSpec
+from .scheme import BOUNDARY_CONDITIONS, DegenerateNormError, SchemeSpec
 
 _SQRT2 = math.sqrt(2.0)
-
-BOUNDARY_CONDITIONS = ("dirichlet", "periodic")
 
 # Rows of the update per block of the numpy stencil sum, so that its two
 # temporaries stay in cache on large grids.
 _ROW_BLOCK = 64
-
-
-class DegenerateNormError(Exception):
-    """The reference solution vanishes at every sampled point; E is undefined."""
 
 
 def exact_standing_wave(x1, x2, t):
@@ -479,13 +473,28 @@ def relative_l2_error(computed: Sequence[np.ndarray], exact: Callable, tau: floa
     return _relative_error(sums(k, u) for k, u in enumerate(fields, start=1))[0]
 
 
+def _overflow(config: SimConfig, steps: Sequence[int]) -> str:
+    """The error message of a run whose fields overflowed.
+
+    ``steps`` are the steps whose error is not finite, in order; the fields
+    are finite when sampled, so only overflowed error sums make them so.
+    With no such step, only the sum over all steps overflowed.
+    """
+    where = f"step {steps[0]}" if steps else f"all {config.n_t} steps together"
+    return (
+        f"lambda = {config.lam} overflows scheme {config.scheme.name!r}: "
+        f"the error of {where} is not finite"
+    )
+
+
 def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     """Run a full simulation and measure the benchmark error.
 
     Marches n_t steps and sums the space-time error against the reference;
     ``on_step(k, field)`` gets a copy of each step's field.  An unstable
     Courant number only warns; marginal (|symbol| = 1) values are silent.
-    If its fields overflow, E is inf or nan (the CLI refuses such a run).
+    Raises ``ValueError`` if the fields overflow, so that E or a step's
+    error is not finite; a step whose reference vanishes keeps error nan.
 
     With the default reference and no ``on_step``, the whole march is one
     ``_Stepper.march`` call; otherwise the same march goes one step at a
@@ -517,7 +526,12 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
                                    reference, factors, sums[k - 1 :])
         if on_step is not None:
             on_step(k, stepper.field(curr).copy())
-    error, per_step = _relative_error(sums.tolist())
+    rows = sums.tolist()
+    error, per_step = _relative_error(rows)
+    overflowed = [k for k, (e, (_, den)) in enumerate(zip(per_step, rows), start=1)
+                  if den > 0.0 and not math.isfinite(e)]
+    if overflowed or not math.isfinite(error):
+        raise ValueError(_overflow(config, overflowed))
     marched = time.perf_counter()
     return SimReport(
         error=error,

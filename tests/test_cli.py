@@ -1,5 +1,4 @@
 import copy
-import math
 import os
 import pickle
 import re
@@ -10,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poisson_stencils import cli
+from poisson_stencils import cli, simulator
 from poisson_stencils.benchmarks import TABLE_1, TABLE_BC, TABLE_SCHEMES, TABLES, run_table
 from poisson_stencils.cli import (
     EXIT_DEGENERATE_NORM,
@@ -19,7 +18,7 @@ from poisson_stencils.cli import (
     main,
 )
 from poisson_stencils.scheme import named_scheme
-from poisson_stencils.simulator import SimConfig, SimReport
+from poisson_stencils.simulator import SimConfig, run
 
 
 def run_cli(capsys, *argv):
@@ -231,11 +230,17 @@ def test_overflowed_march_is_an_invalid_argument(lam, n, nt, step):
 
 
 def test_overflow_of_the_total_alone_names_every_step():
-    # Every step's error can be finite while their sum overflows.
-    config = SimConfig(scheme=named_scheme("P5"), n=8, n_t=2, lam=0.5)
-    report = SimReport(error=math.inf, per_step_errors=(1e300, 1e300), wall_time_s=0.0,
-                       config=config)
-    assert cli._overflow(report) == (
+    # Every step's error can be finite while their sum overflows: P5 keeps a
+    # constant field constant, and each step sums 25 squares of about 2e153
+    # against a reference of ones, just below the largest double.
+    def field(value):
+        return lambda x1, x2, *_: np.full(np.broadcast(x1, x2).shape, value)
+
+    config = SimConfig(scheme=named_scheme("P5"), n=4, n_t=2, lam=0.5, bc="periodic",
+                       initial_u=field(2e153), initial_v=field(0.0), exact=field(1.0))
+    with pytest.raises(ValueError) as raised:
+        run(config)
+    assert str(raised.value) == (
         "lambda = 0.5 overflows scheme 'P5': the error of all 2 steps together is not finite"
     )
 
@@ -357,13 +362,13 @@ def test_simulate_rejects_too_small_grid_and_step_count(capsys):
 
 def test_simulate_without_dump_passes_no_callback(capsys, monkeypatch):
     callbacks = []
-    original_run = cli.run
+    original_run = simulator.run
 
     def recording_run(config, on_step=None):
         callbacks.append(on_step)
         return original_run(config, on_step)
 
-    monkeypatch.setattr(cli, "run", recording_run)
+    monkeypatch.setattr(simulator, "run", recording_run)
     code, _, _ = run_cli(
         capsys, "simulate", "--scheme", "P5", "--n", "8", "--nt", "2", "--lambda", "0.5"
     )

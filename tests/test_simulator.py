@@ -161,6 +161,16 @@ class TestRun:
         with pytest.raises(DegenerateNormError):
             run(config)
 
+    def test_a_step_whose_reference_vanishes_is_not_an_overflow(self, p5):
+        # The reference is zero at step 1 only, so that step's error is nan
+        # and run() still reports, where an overflowed step is refused.
+        def exact(x1, x2, t):
+            return exact_standing_wave(x1, x2, t) * (t - 0.0625)
+
+        report = run(SimConfig(scheme=p5, n=8, n_t=3, lam=0.5, exact=exact))
+        assert math.isnan(report.per_step_errors[0])
+        assert all(map(math.isfinite, (report.error, *report.per_step_errors[1:])))
+
     def test_unstable_lambda_warns(self, p5):
         with pytest.warns(UserWarning, match="stable range"):
             run(SimConfig(scheme=p5, n=8, n_t=2, lam=0.9))

@@ -162,7 +162,9 @@ FIRST_OVERFLOW = {"P5": 1e154, "C5": 1e154, "C9": 1e154, "P9": 1e103, "P13": 1e7
 @pytest.mark.parametrize("name", NAMED_SCHEMES)
 def test_huge_lambda_is_a_value_error(name):
     # float() of an exact symbol value, or lam**p, used to end in an
-    # OverflowError.  Below the overflow, an unstable lambda still runs.
+    # OverflowError.  Below that overflow an unstable lambda still marches,
+    # and run() refuses the march once its fields overflow: it used to
+    # return E = inf or nan.
     spec = named_scheme(name)
     for lam in (1e77, 1e103, 1e154, 1e200, 1e300):
         config = SimConfig(scheme=spec, n=4, n_t=2, lam=lam)
@@ -171,18 +173,23 @@ def test_huge_lambda_is_a_value_error(name):
             "symbol": lambda: symbol(spec, lam, 1.0, 0.5),
             "run": lambda: run(config),
         }
-        raised = set()
+        raised = {}
         for what, call in calls.items():
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("ignore")
                 try:
                     call()
                 except ValueError as exc:
-                    assert str(exc).startswith(f"lambda = {lam} gives a scheme value"), what
-                    raised.add(what)
+                    raised[what] = str(exc)
         overflows = lam >= FIRST_OVERFLOW[name]
-        assert ("envelope" in raised) == ("run" in raised) == overflows
+        not_a_double = f"lambda = {lam} gives a scheme value that is not a finite double"
+        assert all(raised[what] == not_a_double for what in raised if what != "run")
+        assert ("envelope" in raised) == overflows
         assert "symbol" in raised or lam < 1e154
+        if overflows:
+            assert raised["run"] == not_a_double
+        else:
+            assert raised["run"].startswith(f"lambda = {lam} overflows scheme {name!r}: ")
 
 
 # A lone off-center offset leaves an uncancelled sine part.
