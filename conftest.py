@@ -57,10 +57,11 @@ def kernels():
 @pytest.fixture
 def cold_caches():
     """Empty the library's shared caches of named schemes, symbol
-    coefficients and (scheme, lambda) evaluations, as in a fresh process."""
+    coefficients (as integer rows) and (scheme, lambda) evaluations, as in a
+    fresh process."""
     from poisson_stencils import scheme, stability
 
-    caches = (scheme._named_scheme, stability._symbol_coefficients, stability._evaluated)
+    caches = (scheme._named_scheme, stability._scaled_symbol, stability._evaluated)
     for cache in caches:
         cache.cache_clear()
     return caches

@@ -37,8 +37,13 @@ def finite_at(value, lam: float) -> float:
     doubles, as a coefficient or a symbol value can be at a huge ``lam``.
     """
     if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"lambda = {lam} gives a scheme value that is not a finite double")
+        raise not_a_double(lam)
     return float(value)
+
+
+def not_a_double(lam: float) -> ValueError:
+    """The error of :func:`finite_at` for a value that is nan or beyond the doubles."""
+    return ValueError(f"lambda = {lam} gives a scheme value that is not a finite double")
 
 
 class LambdaPoly:

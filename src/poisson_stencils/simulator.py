@@ -431,11 +431,14 @@ def _standing(exact: Callable, x1: np.ndarray, x2: np.ndarray):
     return _standing_space(x1, x2) if exact is exact_standing_wave else None
 
 
-def _relative_error(sums) -> tuple[float, tuple[float, ...]]:
+def _relative_error(sums, overflows: str) -> tuple[float, tuple[float, ...]]:
     """E and the per-step errors from each step's two error sums, in step order.
 
     A step whose reference vanishes has error nan; if all do, raise
-    DegenerateNormError.
+    DegenerateNormError.  The fields are finite, so only overflowed sums
+    make any other error not finite: then raise ``ValueError``, the message
+    ``overflows`` followed by the first such step, or by all steps together
+    when only E is not finite.
     """
     num = den = 0.0
     per_step = []
@@ -445,7 +448,13 @@ def _relative_error(sums) -> tuple[float, tuple[float, ...]]:
         per_step.append(math.sqrt(step_num / step_den) if step_den > 0.0 else math.nan)
     if den == 0.0:
         raise DegenerateNormError("exact solution vanishes at all sampled points")
-    return math.sqrt(num / den), tuple(per_step)
+    error = math.sqrt(num / den)
+    steps = [k for k, ((_, step_den), e) in enumerate(zip(sums, per_step), start=1)
+             if step_den > 0.0 and not math.isfinite(e)]
+    if steps or not math.isfinite(error):
+        where = f"step {steps[0]}" if steps else f"all {len(per_step)} steps together"
+        raise ValueError(f"{overflows}: the error of {where} is not finite")
+    return error, tuple(per_step)
 
 
 def relative_l2_error(computed: Sequence[np.ndarray], exact: Callable, tau: float) -> float:
@@ -454,9 +463,9 @@ def relative_l2_error(computed: Sequence[np.ndarray], exact: Callable, tau: floa
     ``computed[k-1]`` is the field at time k*tau, all on one (n+1) x (n+1)
     grid; ``exact`` is sampled at the node coordinates.  Raises
     ``ValueError`` for fields of another shape, complex, nan or infinite
-    fields, or a non-finite ``tau``, and :class:`DegenerateNormError` when
-    the exact solution vanishes at every sampled point.  The sums are
-    ``run()``'s, made in numpy.
+    fields, a non-finite ``tau`` or fields whose error sums overflow, and
+    :class:`DegenerateNormError` when the exact solution vanishes at every
+    sampled point.  The sums are ``run()``'s, made in numpy.
     """
     if not computed:
         raise ValueError("need at least one computed field")
@@ -470,21 +479,9 @@ def relative_l2_error(computed: Sequence[np.ndarray], exact: Callable, tau: floa
         reference, (factor,) = _reference(exact, space, x1, x2, [k * tau])
         return _error_sums(u, reference, factor, scratch)
 
-    return _relative_error(sums(k, u) for k, u in enumerate(fields, start=1))[0]
-
-
-def _overflow(config: SimConfig, steps: Sequence[int]) -> str:
-    """The error message of a run whose fields overflowed.
-
-    ``steps`` are the steps whose error is not finite, in order; the fields
-    are finite when sampled, so only overflowed error sums make them so.
-    With no such step, only the sum over all steps overflowed.
-    """
-    where = f"step {steps[0]}" if steps else f"all {config.n_t} steps together"
-    return (
-        f"lambda = {config.lam} overflows scheme {config.scheme.name!r}: "
-        f"the error of {where} is not finite"
-    )
+    with np.errstate(over="ignore"):  # _relative_error refuses an overflow
+        rows = [sums(k, u) for k, u in enumerate(fields, start=1)]
+    return _relative_error(rows, "the computed fields overflow")[0]
 
 
 def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
@@ -526,12 +523,8 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
                                    reference, factors, sums[k - 1 :])
         if on_step is not None:
             on_step(k, stepper.field(curr).copy())
-    rows = sums.tolist()
-    error, per_step = _relative_error(rows)
-    overflowed = [k for k, (e, (_, den)) in enumerate(zip(per_step, rows), start=1)
-                  if den > 0.0 and not math.isfinite(e)]
-    if overflowed or not math.isfinite(error):
-        raise ValueError(_overflow(config, overflowed))
+    overflows = f"lambda = {config.lam} overflows scheme {config.scheme.name!r}"
+    error, per_step = _relative_error(sums.tolist(), overflows)
     marched = time.perf_counter()
     return SimReport(
         error=error,

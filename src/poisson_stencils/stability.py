@@ -7,29 +7,40 @@ a two-step table unchanged by q1 -> -q1 and by q2 -> -q2 separately, with
 |q1| + |q2| <= 2 on every offset, the symbol is the quadratic
 a = 1/2 sum_q c_q(lam) T_|q1|(X) T_|q2|(Y) in X = cos theta1, Y = cos theta2
 (T_k the Chebyshev polynomials).  Its extremes over [-1, 1]^2 lie among at
-most nine points, found in exact rationals at the Courant number; the
-maximal stable Courant number is a bisection in lambda on them.
+most nine points; the maximal stable Courant number is a bisection in lambda
+on them.
+
+The extremes are exact and found in integers.  Once per spec, the six
+coefficient polynomials go over one common denominator D as integer rows.
+At lambda = m/k a homogeneous Horner pass gives integers N_i with
+c_i = N_i / (D k^deg).  That scale cancels in every candidate point, and
+every score is an integer over one positive denominator, so the least and
+the largest (value, x, y) are found by comparing integer tuples.  Their
+floats come from integer true division, correctly rounded as ``float()`` of
+a ``Fraction`` is.
 
 What depends only on a scheme, or only on a scheme and a Courant number, is
-computed once per process and shared: a spec's symbol coefficients, and
-:func:`evaluated`, its float tables and envelope at one lambda, which
-:func:`symbol`, :func:`envelope` and the simulator read.  Both caches are
-bounded, keyed by the spec (its tables, not only its name) and hold
-immutable values.
+computed once per process and shared: a spec's symbol coefficients as
+integer rows, and :func:`evaluated`, its float tables and envelope at
+one lambda, which :func:`symbol`, :func:`envelope` and the simulator read.
+The caches are bounded, keyed by the spec (its tables, not only its name)
+and hold immutable values.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .interpolation import Offset
-from .quadrature import LambdaPoly, check_positive, finite_at
+from .quadrature import LambdaPoly, check_positive, finite_at, not_a_double
 from .scheme import SchemeSpec, evaluate_table
 
 _BOUND_SLACK = 1e-12
+_FLOAT_MAX = int(sys.float_info.max)
 
 # (|q1|, |q2|) of the offsets the Chebyshev form covers: |q1| + |q2| <= 2.
 _CLASSES = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
@@ -96,11 +107,10 @@ def _check_real(spec: SchemeSpec):
         )
 
 
-@functools.lru_cache(maxsize=32)
 def _symbol_coefficients(spec: SchemeSpec) -> tuple[LambdaPoly, ...]:
     """Exact coefficients of 1, X, Y, XY, X^2, Y^2 in the symbol a(X, Y).
 
-    Computed once per spec.  Raises ``ValueError`` for a table whose symbol
+    Raises ``ValueError`` for a table whose symbol
     is not real, or is real but not a quadratic in the cosines.
     """
     table = spec.two_step
@@ -126,40 +136,103 @@ def _symbol_coefficients(spec: SchemeSpec) -> tuple[LambdaPoly, ...]:
     return ((s00 - s20 - s02) * half, s10 * half, s01 * half, s11 * half, s20, s02)
 
 
-def _exact_value(poly: LambdaPoly, lam: Fraction) -> Fraction:
-    return sum((c * lam**p for p, c in poly.items()), Fraction(0))
+@dataclass(frozen=True)
+class _ScaledSymbol:
+    """The six symbol coefficients as integer rows over one common denominator.
+
+    c_i = sum_j rows[i][j] lam^(high - j) / denominator: row entry j holds
+    the power high - j, from ``high`` down to ``low``, and low <= 0 <= high.
+    """
+
+    denominator: int
+    low: int
+    high: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def at(self, lam: float) -> tuple[int, list[int]]:
+        """(S, [N_i]) with c_i(lam) = N_i / S exactly and S > 0.
+
+        For lam = m/k, S = denominator k^high m^-low, and a homogeneous
+        Horner pass in (m, k) gives each N_i.
+        """
+        m, k = Fraction(lam).as_integer_ratio()
+        k_powers = [1]
+        for _ in range(self.high - self.low):
+            k_powers.append(k_powers[-1] * k)
+        numerators = []
+        for row in self.rows:
+            total = 0
+            for a, k_power in zip(row, k_powers):
+                total = total * m + a * k_power
+            numerators.append(total)
+        return self.denominator * k**self.high * m**-self.low, numerators
 
 
-def _envelope(coeffs: tuple[LambdaPoly, ...], lam: float) -> Envelope:
-    """Exact extremes of the quadratic symbol over [-1, 1]^2 at ``lam``."""
-    exact_lam = Fraction(lam)
-    c0, cx, cy, cxy, cxx, cyy = (_exact_value(poly, exact_lam) for poly in coeffs)
-    points = [(x, y) for x in (1, -1) for y in (1, -1)]
-    for x in (1, -1):  # edge X = x: a quadratic in Y
-        if cyy:
-            points.append((x, -(cy + cxy * x) / (2 * cyy)))
-    for y in (1, -1):
-        if cxx:
-            points.append((-(cx + cxy * y) / (2 * cxx), y))
+@functools.lru_cache(maxsize=32)
+def _scaled_symbol(spec: SchemeSpec) -> _ScaledSymbol:
+    """:func:`_symbol_coefficients` as a :class:`_ScaledSymbol`, once per spec."""
+    coeffs = [poly.coeffs for poly in _symbol_coefficients(spec)]
+    powers = {0}.union(*coeffs)
+    low, high = min(powers), max(powers)
+    denominator = math.lcm(*(c.denominator for poly in coeffs for c in poly.values()))
+    rows = tuple(
+        tuple(int(poly.get(power, 0) * denominator) for power in range(high, low - 1, -1))
+        for poly in coeffs
+    )
+    return _ScaledSymbol(denominator, low, high, rows)
+
+
+def _envelope(symbol: _ScaledSymbol, lam: float) -> Envelope:
+    """Exact extremes of the quadratic symbol over [-1, 1]^2 at ``lam``.
+
+    All arithmetic is on integers.  A candidate point is (x/q, y/q) with
+    q > 0, as the common scale S of the coefficients cancels in it; a score
+    is an integer over S q^2.  Over the common denominator of all points,
+    the (value, x, y) tuples compare as the rationals they stand for.
+    """
+    scale, (c0, cx, cy, cxy, cxx, cyy) = symbol.at(lam)
+    points = [(x, y, 1) for x in (1, -1) for y in (1, -1)]
+    if cyy:  # edge X = x: a quadratic in Y, with its vertex at -(cy + cxy x) / (2 cyy)
+        points += ((x * 2 * cyy, -(cy + cxy * x), 2 * cyy) for x in (1, -1))
+    if cxx:
+        points += ((-(cx + cxy * y), y * 2 * cxx, 2 * cxx) for y in (1, -1))
     det = 4 * cxx * cyy - cxy * cxy
     if det:  # the one critical point of the gradient's 2x2 linear system
-        points.append(((cxy * cy - 2 * cyy * cx) / det, (cxy * cx - 2 * cxx * cy) / det))
-    scored = [
-        (c0 + x * (cx + cxx * x + cxy * y) + y * (cy + cyy * y), x, y)
-        for x, y in points
-        if -1 <= x <= 1 and -1 <= y <= 1
-    ]
+        points.append((cxy * cy - 2 * cyy * cx, cxy * cx - 2 * cxx * cy, det))
+    inside = []
+    for x, y, q in points:
+        if q < 0:
+            x, y, q = -x, -y, -q
+        if -q <= x <= q and -q <= y <= q:
+            inside.append((x, y, q))
+    common = math.lcm(*(q for _, _, q in inside))
+    scored = []
+    for x, y, q in inside:
+        value = c0 * q * q + x * (cx * q + cxx * x + cxy * y) + y * (cy * q + cyy * y)
+        r = common // q
+        scored.append((value * r * r, x * r, y * r))
     low, high = min(scored), max(scored)
-    finite_at(max(-low[0], high[0]), lam)  # it bounds |value| for every scored value
+    denominator = scale * common * common
+    # Exactly |value| <= the largest double, for every scored value.
+    if max(-low[0], high[0]) > _FLOAT_MAX * denominator:
+        raise not_a_double(lam)
     # (X, Y) = (1, 1) is the constant mode, at exactly +1 for any consistent table.
-    marginal = abs(float(low[0]) + 1.0) <= _BOUND_SLACK or any(
-        abs(float(value) - 1.0) <= _BOUND_SLACK and (x, y) != (1, 1) for value, x, y in scored
+    # Integer true division rounds correctly, as float() of a Fraction does.
+    marginal = abs(low[0] / denominator + 1.0) <= _BOUND_SLACK or any(
+        abs(value / denominator - 1.0) <= _BOUND_SLACK and (x, y) != (common, common)
+        for value, x, y in scored
     )
-    return Envelope(low=_sample(*low), high=_sample(*high), marginal=marginal)
+    return Envelope(
+        low=_sample(low, common, denominator), high=_sample(high, common, denominator),
+        marginal=marginal,
+    )
 
 
-def _sample(value: Fraction, x: Fraction, y: Fraction) -> SymbolSample:
-    return SymbolSample(theta1=math.acos(x), theta2=math.acos(y), value=float(value))
+def _sample(scored: tuple[int, int, int], common: int, denominator: int) -> SymbolSample:
+    value, x, y = scored
+    return SymbolSample(
+        theta1=math.acos(x / common), theta2=math.acos(y / common), value=value / denominator
+    )
 
 
 def envelope(spec: SchemeSpec, lam: float, grid: int | None = None) -> Envelope:
@@ -170,7 +243,7 @@ def envelope(spec: SchemeSpec, lam: float, grid: int | None = None) -> Envelope:
     precondition of the module docstring, or for a ``lam`` at which the
     symbol's range is beyond the doubles.
     """
-    _symbol_coefficients(spec)  # refuses the table before lam, as it always did
+    _scaled_symbol(spec)  # refuses the table before lam, as it always did
     check_positive(lam, "lambda")
     return _evaluated(spec, lam).envelope
 
@@ -194,7 +267,7 @@ class Evaluated:
 
     @functools.cached_property
     def envelope(self) -> Envelope:
-        return _envelope(_symbol_coefficients(self.spec), self.lam)
+        return _envelope(_scaled_symbol(self.spec), self.lam)
 
 
 def evaluated(spec: SchemeSpec, lam: float) -> Evaluated:
@@ -228,19 +301,19 @@ def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
     check_positive(tol, "tol")
     if tol >= 2.0:
         raise ValueError(f"tol must be below 2, the top of the search range, got {tol}")
-    coeffs = _symbol_coefficients(spec)
+    symbol = _scaled_symbol(spec)
     lo, hi = tol, 2.0
-    while not _envelope(coeffs, lo).stable:  # a tol above the limit: halve it
+    while not _envelope(symbol, lo).stable:  # a tol above the limit: halve it
         lo *= 0.5
         if lo == 0.0:
             raise NeverStableError(f"scheme {spec.name!r} amplifies at all lambda = {tol} / 2**k")
-    if _envelope(coeffs, hi).stable:
+    if _envelope(symbol, hi).stable:
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # lo and hi are adjacent doubles
             break
-        if _envelope(coeffs, mid).stable:
+        if _envelope(symbol, mid).stable:
             lo = mid
         else:
             hi = mid

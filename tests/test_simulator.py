@@ -242,6 +242,24 @@ class TestRelativeL2Error:
         fields = [2.0 * exact_standing_wave(x1, x2, k * tau) for k in range(1, 4)]
         assert relative_l2_error(fields, exact_standing_wave, tau) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "fields,where",
+        [
+            ([np.full((9, 9), 1e200)], "step 1"),
+            # Each step's sum of squares is finite (8.1e307), their total is not.
+            ([np.full((9, 9), 1e153)] * 3, "all 3 steps together"),
+        ],
+    )
+    def test_overflowed_sums_are_refused(self, fields, where):
+        # Finite fields whose squares overflow returned inf, with a numpy
+        # "overflow encountered in square" warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                relative_l2_error(fields, exact_standing_wave, 0.1)
+        expected = f"the computed fields overflow: the error of {where} is not finite"
+        assert str(refused.value) == expected
+
     def test_degenerate_norm(self):
         fields = [np.ones((5, 5))]
         zero = lambda x1, x2, t: 0.0 * (x1 + x2)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -19,10 +20,15 @@ from poisson_stencils.scheme import (
     named_scheme,
 )
 from poisson_stencils.simulator import SimConfig, run
+from poisson_stencils.quadrature import finite_at
 from poisson_stencils.stability import (
+    _BOUND_SLACK,
+    Envelope,
     NeverStableError,
+    SymbolSample,
     _envelope,
     _evaluated,
+    _scaled_symbol,
     _symbol_coefficients,
     envelope,
     evaluated,
@@ -366,11 +372,12 @@ def test_specs_sharing_a_name_never_share_an_entry(cold_caches):
     assert other.name == p5.name and hash(other) == hash(p5) and other != p5
     for _ in range(2):  # cold, then warm
         for spec in (p5, other):
-            fresh = _envelope(_symbol_coefficients.__wrapped__(spec), 0.5)
+            fresh = fraction_envelope(_symbol_coefficients(spec), 0.5)
             assert envelope(spec, 0.5) == fresh
             assert evaluated(spec, 0.5).two_step == tuple(evaluate_table(spec.two_step, 0.5))
         assert envelope(p5, 0.5) != envelope(other, 0.5)
         assert _symbol_coefficients(p5) != _symbol_coefficients(other)
+        assert _scaled_symbol(p5) != _scaled_symbol(other)
         assert evaluated(p5, 0.5) is not evaluated(other, 0.5)
         assert symbol(p5, 0.5, 0.3, 0.2) != symbol(other, 0.5, 0.3, 0.2)
 
@@ -381,10 +388,10 @@ def test_caches_stay_bounded(cold_caches):
     for k in range(size + 50):
         envelope(p5, 0.25 + k / 1024)
     assert _evaluated.cache_info().currsize <= size
-    size = _symbol_coefficients.cache_info().maxsize
+    size = _scaled_symbol.cache_info().maxsize
     for k in range(size + 50):
         envelope(dataclasses.replace(p5, name=f"P5-{k}"), 0.5)
-    assert _symbol_coefficients.cache_info().currsize <= size
+    assert _scaled_symbol.cache_info().currsize <= size
     assert _evaluated.cache_info().currsize <= _evaluated.cache_info().maxsize
 
 
@@ -426,9 +433,190 @@ def test_refusals_are_never_cached(cold_caches, schemes):
         with pytest.raises(ValueError, match="non-real symbol"):
             envelope(LOPSIDED, 0.5)
     assert _evaluated.cache_info().currsize == 0
-    assert _symbol_coefficients.cache_info().currsize == 0
+    assert _scaled_symbol.cache_info().currsize == 0
     # A table outside the exact analysis still has its tables; its envelope
     # raises on every use.
     for _ in range(2):
         with pytest.raises(ValueError, match="non-real symbol"):
             evaluated(LOPSIDED, 0.5).envelope
+
+
+def _exact_value(poly, lam):
+    return sum((c * lam**p for p, c in poly.items()), Fraction(0))
+
+
+def fraction_envelope(coeffs, lam):
+    """The envelope in Fraction arithmetic: the oracle of the integer one.
+
+    ``coeffs`` are :func:`_symbol_coefficients`; each candidate point and
+    score is a reduced rational, and the extremes are the least and the
+    largest (value, x, y).
+    """
+    exact_lam = Fraction(lam)
+    c0, cx, cy, cxy, cxx, cyy = (_exact_value(poly, exact_lam) for poly in coeffs)
+    points = [(x, y) for x in (1, -1) for y in (1, -1)]
+    for x in (1, -1):  # edge X = x: a quadratic in Y
+        if cyy:
+            points.append((x, -(cy + cxy * x) / (2 * cyy)))
+    for y in (1, -1):
+        if cxx:
+            points.append((-(cx + cxy * y) / (2 * cxx), y))
+    det = 4 * cxx * cyy - cxy * cxy
+    if det:  # the one critical point of the gradient's 2x2 linear system
+        points.append(((cxy * cy - 2 * cyy * cx) / det, (cxy * cx - 2 * cxx * cy) / det))
+    scored = [
+        (c0 + x * (cx + cxx * x + cxy * y) + y * (cy + cyy * y), x, y)
+        for x, y in points
+        if -1 <= x <= 1 and -1 <= y <= 1
+    ]
+    low, high = min(scored), max(scored)
+    finite_at(max(-low[0], high[0]), lam)  # it bounds |value| for every scored value
+    # (X, Y) = (1, 1) is the constant mode, at exactly +1 for any consistent table.
+    marginal = abs(float(low[0]) + 1.0) <= _BOUND_SLACK or any(
+        abs(float(value) - 1.0) <= _BOUND_SLACK and (x, y) != (1, 1) for value, x, y in scored
+    )
+    return Envelope(low=_fraction_sample(*low), high=_fraction_sample(*high), marginal=marginal)
+
+
+def _fraction_sample(value, x, y):
+    return SymbolSample(theta1=math.acos(x), theta2=math.acos(y), value=float(value))
+
+
+def _outcome(envelope_at, lam):
+    """repr of the envelope at lam, which tells -0.0 from 0.0, or the
+    type and message of what it raised."""
+    try:
+        return repr(envelope_at(lam))
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+
+
+def oracle_lambda_max(coeffs, tol):
+    """lambda_max's bisection on the Fraction envelope: (limit, each lambda tried)."""
+    tried = []
+
+    def stable(lam):
+        tried.append(lam)
+        return fraction_envelope(coeffs, lam).stable
+
+    lo, hi = tol, 2.0
+    while not stable(lo):
+        lo *= 0.5
+        assert lo > 0.0
+    if stable(hi):
+        return hi, tried
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, tried
+
+
+BISECTION_TOLS = (0.5, 1.9, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-17)
+
+
+@pytest.mark.parametrize("tol", BISECTION_TOLS)
+@pytest.mark.parametrize("name", NAMED_SCHEMES)
+def test_integer_envelope_equals_the_fraction_oracle_on_the_bisection(name, tol):
+    spec = named_scheme(name)
+    coeffs = _symbol_coefficients(spec)
+    limit, tried = oracle_lambda_max(coeffs, tol)
+    for lam in tried:
+        assert _outcome(functools.partial(_envelope, _scaled_symbol(spec)), lam) == _outcome(
+            functools.partial(fraction_envelope, coeffs), lam
+        )
+    assert lambda_max(spec, tol).hex() == limit.hex()
+
+
+# Log-uniform over the positive doubles up to 1e300: 2**-1074 is the least.
+LOG_UNIFORM_LAMBDA = st.floats(min_value=-1074.0, max_value=math.log2(1e300)).map(
+    lambda e: 2.0**e
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(ORACLE_SCHEMES), lam=LOG_UNIFORM_LAMBDA)
+def test_integer_envelope_equals_the_fraction_oracle(key, lam):
+    # Past about 1e77 the symbol's range leaves the doubles: both raise the
+    # same "not a finite double" ValueError.
+    spec = oracle_spec(key)
+    assert _outcome(functools.partial(_envelope, _scaled_symbol(spec)), lam) == _outcome(
+        functools.partial(fraction_envelope, _symbol_coefficients(spec)), lam
+    )
+
+
+RANDOM_POLY = st.dictionaries(
+    st.integers(-3, 5),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    max_size=3,
+).map(LambdaPoly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    polys=st.lists(RANDOM_POLY, min_size=6, max_size=6),
+    lam=st.one_of(st.sampled_from((0.25, 0.5, 1.0, 2.0)), LOG_UNIFORM_LAMBDA),
+)
+def test_integer_envelope_equals_the_fraction_oracle_on_random_tables(polys, lam):
+    # Odd, negative and missing powers, signs that put the candidate points
+    # anywhere, and the zero coefficients that drop them.
+    two_step = {}
+    for (q1, q2), poly in zip(((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)), polys):
+        if poly:
+            two_step.update({(s1 * q1, s2 * q2): poly for s1 in (1, -1) for s2 in (1, -1)})
+    assume(two_step)
+    spec = SchemeSpec(name="random", first_u={}, first_v={}, two_step=two_step)
+    assert _outcome(functools.partial(_envelope, _scaled_symbol.__wrapped__(spec)), lam) == (
+        _outcome(functools.partial(fraction_envelope, _symbol_coefficients(spec)), lam)
+    )
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_integer_envelope_at_the_largest_double(excess):
+    # The symbol is the constant M + excess, M the largest double: the
+    # finite check is exact at that edge, as it was on Fractions.
+    value = int(sys.float_info.max) + excess
+    table = {(0, 0): LambdaPoly({0: 2 * value})}
+    spec = SchemeSpec(name="edge", first_u={}, first_v={}, two_step=table)
+    outcome = _outcome(functools.partial(_envelope, _scaled_symbol.__wrapped__(spec)), 0.5)
+    assert outcome == _outcome(
+        functools.partial(fraction_envelope, _symbol_coefficients(spec)), 0.5
+    )
+    assert isinstance(outcome, tuple) == bool(excess)
+
+
+def _below_p9_limit(s):
+    """s < (3 - sqrt(3)) / 2 for a rational s, decided exactly.
+
+    That is 3 - 2s > sqrt(3): 3 - 2s positive and its square above 3.
+    """
+    return 3 - 2 * s > 0 and (3 - 2 * s) ** 2 > 3
+
+
+# below(s) for a rational s: s < lambda*^2.  Every lambda* is irrational, so
+# no double lambda has lambda^2 equal to it.
+BELOW_THE_LIMIT = {
+    "P5": lambda s: s < Fraction(1, 2),
+    "C5": lambda s: s < Fraction(1, 2),
+    "P13": lambda s: s < Fraction(1, 2),
+    "C13": lambda s: s < Fraction(1, 2),
+    "C9": lambda s: s < Fraction(3, 4),
+    "P9": _below_p9_limit,
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+@pytest.mark.parametrize("name", NAMED_SCHEMES)
+def test_lambda_max_brackets_the_exact_limit(name, tol):
+    # lo <= lambda* < lo + tol, decided on exact squares, never in floats.
+    # Envelope.stable admits |symbol| up to 1 + 1e-12, so a bisection that
+    # fine may end just above lambda*: C9 at tol 1e-12 ends 2.1e-13 above
+    # it, where the symbol's least value is -1 - 9.6e-13.
+    lo = Fraction(lambda_max(named_scheme(name), tol))
+    below = BELOW_THE_LIMIT[name]
+    assert below(lo**2) == ((name, tol) != ("C9", 1e-12))
+    assert not below((lo + Fraction(tol)) ** 2)
