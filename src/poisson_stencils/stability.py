@@ -110,8 +110,8 @@ def _check_real(spec: SchemeSpec):
 def _symbol_coefficients(spec: SchemeSpec) -> tuple[LambdaPoly, ...]:
     """Exact coefficients of 1, X, Y, XY, X^2, Y^2 in the symbol a(X, Y).
 
-    Raises ``ValueError`` for a table whose symbol
-    is not real, or is real but not a quadratic in the cosines.
+    Raises ``ValueError`` for a table whose symbol is not real, or is real
+    but not a quadratic in the cosines.
     """
     table = spec.two_step
     if not table:
