@@ -61,7 +61,7 @@ def cold_caches():
     fresh process."""
     from poisson_stencils import scheme, stability
 
-    caches = (scheme._named_scheme, stability._scaled_symbol, stability._evaluated)
+    caches = (scheme._named_scheme, stability._scaled_symbol, stability.evaluated)
     for cache in caches:
         cache.cache_clear()
     return caches

@@ -72,6 +72,7 @@ def __getattr__(name):
 def __dir__():
     return sorted({*globals(), *_SIMULATOR_NAMES})
 
+
 __all__ = [
     "LagrangeBasis",
     "SingularMatrixError",
@@ -104,15 +105,6 @@ __all__ = [
     "lambda_max",
     "symbol",
     "DegenerateNormError",
-    "SimConfig",
-    "SimReport",
-    "dump_grid_csv",
-    "exact_standing_wave",
-    "first_step",
-    "relative_l2_error",
-    "run",
-    "standing_wave_initial_u",
-    "standing_wave_initial_v",
-    "two_step",
+    *_SIMULATOR_NAMES,
     "__version__",
 ]

@@ -24,10 +24,15 @@ _DISC_START_ORDER = 64  # Gauss-Legendre order of the first disc-quadrature rule
 _DISC_AGREE_TOL = 1e-13
 
 
-def check_positive(value: float, what: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is a finite number above zero."""
-    if not (math.isfinite(value) and value > 0):
+def check_positive(value: float, what: str) -> float:
+    """``value`` as a float; ``ValueError`` unless that float is finite and above zero.
+
+    Callers keep the float, so that no other numeric type reaches a table.
+    """
+    number = float(value) if math.isfinite(value) else math.nan
+    if not number > 0:
         raise ValueError(f"{what} must be positive and finite, got {value}")
+    return number
 
 
 def finite_at(value, lam: float) -> float:
@@ -244,7 +249,7 @@ def quad_oracle(mu: Monomial, lam: float) -> float:
     as an independent check of :func:`a_on_monomial`; absolute accuracy is at
     quadrature level (~1e-12).
     """
-    check_positive(lam, "lambda")
+    lam = check_positive(lam, "lambda")
     a1, a2 = mu
 
     def integrand(z1, z2):
@@ -266,7 +271,7 @@ def quad_oracle_b(mu: Monomial, lam: float) -> float:
     Same weight as :func:`quad_oracle` but without the gradient term; checks
     :func:`b_on_monomial`.
     """
-    check_positive(lam, "lambda")
+    lam = check_positive(lam, "lambda")
     a1, a2 = mu
 
     def integrand(z1, z2):

@@ -36,7 +36,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -85,12 +85,13 @@ def _check_int(value, name: str, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_grid(n, lam, bc: str) -> None:
-    """``ValueError`` unless n, the Courant number and ``bc`` can be stepped."""
+def _check_grid(n, lam, bc: str) -> float:
+    """The Courant number as a float; ``ValueError`` unless n, it and ``bc`` can be stepped."""
     _check_int(n, "n", 2)
-    check_positive(lam, "lambda")
+    lam = check_positive(lam, "lambda")
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class SimConfig:
     of (x1, x2); ``exact`` is the reference solution (x1, x2, t) used for
     the error metric.  All three default to the standing-wave benchmark;
     ``run()`` raises ``ValueError`` if one gives a complex, nan or infinite
-    value.
+    value.  ``lam`` is stored as a float.
     """
 
     scheme: SchemeSpec
@@ -115,7 +116,7 @@ class SimConfig:
     exact: Callable = exact_standing_wave
 
     def __post_init__(self):
-        _check_grid(self.n, self.lam, self.bc)
+        object.__setattr__(self, "lam", _check_grid(self.n, self.lam, self.bc))
         _check_int(self.n_t, "n_t", 1)
         for name in ("initial_u", "initial_v", "exact"):
             if not callable(getattr(self, name)):
@@ -228,11 +229,11 @@ class _Stepper:
     kernel of ``_kernel`` makes one pass per node in that order; without it,
     the numpy path makes two passes (multiply, then add) per offset over
     blocks of rows, with the same bits.  Either way ``march`` is the only
-    stepping routine, of which ``two`` is a one-step use.
+    stepping routine.
     """
 
     def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str):
-        _check_grid(n, lam, bc)
+        lam = _check_grid(n, lam, bc)
         first, period = (0, n) if bc == "periodic" else (1, 2 * n)
         r = max(spec.radius, 1)
         self.n, self.lo, self.size = n, r, n - first
@@ -319,10 +320,6 @@ class _Stepper:
             np.multiply(src[lo + q1 + a : lo + q1 + b, lo + q2 : lo + q2 + size], coeff, out=term)
             acc += term
 
-    def two(self, curr: np.ndarray, prev: np.ndarray):
-        """prev = S curr - prev, in place: ``prev`` becomes the next field."""
-        self.march(prev, curr, 1)
-
     def march(self, prev, curr, steps: int, v=None, tau: float = 0.0,
               space=None, factors=None, sums=None):
         """Advance the fields of buffers (prev, curr) by ``steps`` steps.
@@ -407,7 +404,7 @@ def two_step(
     n, (u_k, u_km1) = _grid_fields({"u_k": u_k, "u_km1": u_km1})
     stepper = _Stepper(spec, lam, n, bc)
     out = stepper.buffer(u_km1)
-    stepper.two(stepper.buffer(u_k), out)
+    stepper.march(out, stepper.buffer(u_k), 1)  # out = S u_k - out, in place
     return stepper.field(out).copy()
 
 
@@ -457,19 +454,19 @@ def _relative_error(sums, overflows: str) -> tuple[float, tuple[float, ...]]:
     return error, tuple(per_step)
 
 
-def relative_l2_error(computed: Sequence[np.ndarray], exact: Callable, tau: float) -> float:
+def relative_l2_error(computed: Iterable[np.ndarray], exact: Callable, tau: float) -> float:
     """Space-time relative L2 error of fields for steps k = 1..n_t.
 
-    ``computed[k-1]`` is the field at time k*tau, all on one (n+1) x (n+1)
-    grid; ``exact`` is sampled at the node coordinates.  Raises
-    ``ValueError`` for fields of another shape, complex, nan or infinite
-    fields, a non-finite ``tau`` or fields whose error sums overflow, and
-    :class:`DegenerateNormError` when the exact solution vanishes at every
-    sampled point.  The sums are ``run()``'s, made in numpy.
+    The k-th item of ``computed`` is the field at time k*tau, all on one
+    (n+1) x (n+1) grid; ``exact`` is sampled at the node coordinates.  Raises
+    ``ValueError`` for no fields, fields of another shape, complex, nan or
+    infinite fields, a non-finite ``tau`` or fields whose error sums
+    overflow, and :class:`DegenerateNormError` when the exact solution
+    vanishes at every sampled point.  The sums are ``run()``'s, made in numpy.
     """
-    if not computed:
-        raise ValueError("need at least one computed field")
     named = {f"computed field {k}": u for k, u in enumerate(computed, start=1)}
+    if not named:
+        raise ValueError("need at least one computed field")
     n, fields = _grid_fields(named, tau)
     x1, x2 = _axes(n)
     space = _standing(exact, x1, x2)

@@ -24,7 +24,10 @@ computed once per process and shared: a spec's symbol coefficients as
 integer rows, and :func:`evaluated`, its float tables and envelope at
 one lambda, which :func:`symbol`, :func:`envelope` and the simulator read.
 The caches are bounded, keyed by the spec (its tables, not only its name)
-and hold immutable values.
+and hold immutable values.  A lambda of any real type becomes a float where
+it is checked, before anything is evaluated at it, so an integer, a numpy
+scalar, a ``Fraction`` or a ``Decimal`` gives the bits of its float; equal
+lambdas of different types may share one entry.
 """
 
 from __future__ import annotations
@@ -85,10 +88,10 @@ def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
     independently of the Chebyshev form that :func:`envelope` uses.  Raises
     ``ValueError`` for a table whose symbol is not real.
     """
-    check_positive(lam, "lambda")
+    lam = check_positive(lam, "lambda")
     _check_real(spec)
     total = 0.0
-    for (q1, q2), coeff in _evaluated(spec, lam).two_step:
+    for (q1, q2), coeff in evaluated(spec, lam).two_step:
         total += coeff * math.cos(q1 * theta1 + q2 * theta2)
     return finite_at(0.5 * total, lam)
 
@@ -244,8 +247,7 @@ def envelope(spec: SchemeSpec, lam: float, grid: int | None = None) -> Envelope:
     symbol's range is beyond the doubles.
     """
     _scaled_symbol(spec)  # refuses the table before lam, as it always did
-    check_positive(lam, "lambda")
-    return _evaluated(spec, lam).envelope
+    return evaluated(spec, lam).envelope
 
 
 @dataclass(frozen=True)
@@ -270,20 +272,14 @@ class Evaluated:
         return _envelope(_scaled_symbol(self.spec), self.lam)
 
 
+@functools.lru_cache(maxsize=128)
 def evaluated(spec: SchemeSpec, lam: float) -> Evaluated:
-    """The shared :class:`Evaluated` of ``spec`` at ``lam``.
+    """The shared :class:`Evaluated` of ``spec`` at ``lam``, evaluated at ``float(lam)``.
 
     Raises ``ValueError`` unless ``lam`` is positive and finite and every
-    coefficient at it is a finite double.
+    coefficient at it is a finite double; a refusal is never cached.
     """
-    check_positive(lam, "lambda")
-    return _evaluated(spec, lam)
-
-
-# ``lam`` is checked before a lookup; ``typed`` keeps a numpy or an integer
-# lambda apart from a float one, as their coefficients may differ in bits.
-@functools.lru_cache(maxsize=128, typed=True)
-def _evaluated(spec: SchemeSpec, lam: float) -> Evaluated:
+    lam = check_positive(lam, "lambda")
     tables = (spec.first_u, spec.first_v, spec.two_step)
     return Evaluated(spec, lam, *(tuple(evaluate_table(table, lam)) for table in tables))
 
@@ -292,13 +288,17 @@ def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
     """Largest stable Courant number, to within tol, by bisection on (0, 2].
 
     Stability is inclusive: |symbol| = 1 (the marginal double-root case) still
-    counts as stable.  A tol below the spacing of doubles near the limit
+    counts as stable, and :attr:`Envelope.stable` admits |symbol| up to
+    1 + 1e-12.  So for a tol below about 1e-12 the result can lie up to
+    about 3e-13 above the exact limit: C9 at tol 1e-12 ends 2.1e-13 above
+    sqrt(3)/2, and all six named schemes at tol 1e-15 end 1.8e-13 to 2.7e-13
+    above theirs.  A tol below the spacing of doubles near the limit
     stops at adjacent doubles.  A tol above the limit halves lambda = tol
     until it is stable, which is then within tol of the limit.  Raises
     ``ValueError`` unless 0 < tol < 2, and :class:`NeverStableError` when
     every halving down to the smallest double violates the bound.
     """
-    check_positive(tol, "tol")
+    tol = check_positive(tol, "tol")
     if tol >= 2.0:
         raise ValueError(f"tol must be below 2, the top of the search range, got {tol}")
     symbol = _scaled_symbol(spec)

@@ -150,9 +150,9 @@ def test_kernel_takes_only_whole_buffers_of_its_stepper():
     buf = stepper.buffer()
     for wrong in (np.zeros((5, 5)), stepper.buffer()[:, ::-1], stepper.buffer().astype(np.float32)):
         with pytest.raises(ValueError):
-            stepper.two(wrong, buf)
+            stepper.march(buf, wrong, 1)
         with pytest.raises(ValueError):
-            stepper.two(buf, wrong)
+            stepper.march(wrong, buf, 1)
     # The error sums read a whole field, two factors and two rows of sums.
     field, factors, sums = np.zeros((9, 9)), np.ones(2), np.empty((2, 2))
     for space in (np.zeros((8, 8)), np.zeros((9, 10))[:, :9], field.astype(np.float32)):

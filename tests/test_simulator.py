@@ -4,7 +4,8 @@ import pickle
 import sys
 import threading
 import warnings
-
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from poisson_stencils import simulator
 from poisson_stencils.benchmarks import TABLE_BC, TABLES, run_table
 from poisson_stencils.quadrature import LambdaPoly
 from poisson_stencils.scheme import named_scheme
+from poisson_stencils.stability import envelope, lambda_max, symbol
 from poisson_stencils.simulator import (
     DegenerateNormError,
     SimConfig,
@@ -313,6 +315,12 @@ class TestRelativeL2Error:
         with pytest.raises(ValueError, match="at least one computed field"):
             relative_l2_error([], exact_standing_wave, 0.1)
 
+    def test_needs_a_field_from_any_iterable(self):
+        # An empty iterator once failed to unpack the fields' shapes instead.
+        for empty in ((), iter([]), (field for field in [])):
+            with pytest.raises(ValueError, match="need at least one computed field"):
+                relative_l2_error(empty, exact_standing_wave, 0.1)
+
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_tau_must_be_finite(self, tau):
         with pytest.raises(ValueError, match="tau"):
@@ -385,8 +393,8 @@ def test_public_steps_validate_like_sim_config(p5, key, value):
 @pytest.mark.parametrize("name, bc", [("P5", "dirichlet"), ("P13", "periodic")])
 def test_run_error_is_relative_l2_error_of_its_fields(kernels, name, bc):
     # run() and relative_l2_error share one error sum, bit for bit: the whole
-    # run, and step k alone as a one-field run with time step k * tau; and
-    # every kernel gives the same run.
+    # run, from a list or a generator of its fields, and step k alone as a
+    # one-field run with time step k * tau; and every kernel gives the same run.
     config = SimConfig(scheme=named_scheme(name), n=12, n_t=7, lam=0.6, bc=bc)
     reports = []
     for _, path in kernels:
@@ -394,6 +402,8 @@ def test_run_error_is_relative_l2_error_of_its_fields(kernels, name, bc):
         with path():
             report = run(config, on_step=lambda k, f: captured.append(f))
         assert report.error == relative_l2_error(captured, exact_standing_wave, config.tau)
+        generated = relative_l2_error((f for f in captured), exact_standing_wave, config.tau)
+        assert generated.hex() == report.error.hex()
         assert report.per_step_errors == tuple(
             relative_l2_error([f], exact_standing_wave, k * config.tau)
             for k, f in enumerate(captured, start=1)
@@ -663,3 +673,54 @@ def test_threads_share_the_caches_with_the_sequential_bits(cold_caches):
             assert results == {slot: sequential[table] for slot, table in enumerate((1, 3, 1, 3))}
     finally:
         sys.setswitchinterval(interval)
+
+
+def _bits_at(lam):
+    """float.hex of everything computed at ``lam``: run(), the public steps,
+    the symbol and the envelope, for P5 Dirichlet and P13 periodic."""
+    bits = []
+    coords = np.arange(9) / 8
+    x1, x2 = np.meshgrid(coords, coords, indexing="ij")
+    u, v = exact_standing_wave(x1, x2, 0.3), standing_wave_initial_v(x1, x2)
+    for name, bc in (("P5", "dirichlet"), ("P13", "periodic")):
+        spec = named_scheme(name)
+        report = run(SimConfig(scheme=spec, n=8, n_t=6, lam=lam, bc=bc))
+        bits.append([report.error.hex(), *map(float.hex, report.per_step_errors)])
+        for field in (first_step(u, v, spec, lam, 0.1, bc), two_step(u, v, spec, lam, bc)):
+            bits.append([value.hex() for value in field.ravel().tolist()])
+        bits.append([symbol(spec, lam, 0.3, 1.1).hex(), repr(envelope(spec, lam))])
+    return bits
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [np.float32(0.7071), np.float64(0.707), Fraction(707, 1000), Decimal("0.707")],
+    ids=lambda lam: type(lam).__name__,
+)
+def test_every_numeric_lambda_gives_its_floats_bits(cold_caches, lam):
+    # A numpy float32 lambda once made float32 tables in the public steps and
+    # the symbol, with an "overflow encountered in cast" warning per
+    # coefficient, and a TypeError in run(), envelope() and lambda_max(); a
+    # Decimal one a TypeError everywhere.  Each side starts from cold caches.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = _bits_at(float(lam))
+        for cache in cold_caches:
+            cache.cache_clear()
+        assert _bits_at(lam) == expected
+        config = SimConfig(scheme=named_scheme("P5"), n=8, n_t=6, lam=lam)
+        assert type(config.lam) is float and config.lam.hex() == float(lam).hex()
+
+
+def test_integer_lambda_and_numpy_tol_give_their_floats_bits(cold_caches):
+    p5, c9 = named_scheme("P5"), named_scheme("C9")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tol = np.float32(1e-3)
+        assert lambda_max(c9, tol).hex() == lambda_max(c9, float(tol)).hex()
+        assert SimConfig(scheme=p5, n=8, n_t=6, lam=1).lam.hex() == (1.0).hex()
+        for spec in (p5, c9):
+            at_int = (repr(envelope(spec, 1)), symbol(spec, 1, 0.3, 1.1).hex())
+            for cache in cold_caches:
+                cache.cache_clear()
+            assert at_int == (repr(envelope(spec, 1.0)), symbol(spec, 1.0, 0.3, 1.1).hex())

@@ -4,6 +4,7 @@ import math
 import sys
 import time
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,6 @@ from poisson_stencils.stability import (
     NeverStableError,
     SymbolSample,
     _envelope,
-    _evaluated,
     _scaled_symbol,
     _symbol_coefficients,
     envelope,
@@ -228,6 +228,31 @@ def test_table_asymmetric_below_float_resolution_is_rejected():
             check()
 
 
+def test_symbol_checks_realness_before_evaluating_the_table():
+    # At lambda = 1e200 the table has no finite coefficients, but a non-real
+    # table is refused for that first: lambda, then realness, then the table.
+    p5 = named_scheme("P5")
+    table = dict(p5.two_step)
+    del table[(1, 0)]
+    lopsided_p5 = dataclasses.replace(p5, name="P5-1", two_step=table)
+    with pytest.raises(ValueError, match="non-real symbol"):
+        symbol(lopsided_p5, 1e200, 0.1, 0.2)
+    with pytest.raises(ValueError, match="not a finite double"):
+        symbol(p5, 1e200, 0.1, 0.2)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        symbol(lopsided_p5, math.nan, 0.1, 0.2)
+
+
+def test_lambda_that_rounds_to_zero_is_refused(schemes):
+    # lambda is checked as the float it becomes, which here is 0.0.
+    for lam in (Fraction(1, 10**400), Decimal("1e-400")):
+        for check in (lambda: envelope(schemes["P5"], lam),
+                      lambda: symbol(schemes["P5"], lam, 0.1, 0.2),
+                      lambda: evaluated(schemes["P5"], lam)):
+            with pytest.raises(ValueError, match="lambda must be positive"):
+                check()
+
+
 def test_envelope_rejects_nonpositive_lambda(schemes):
     for lam in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="lambda must be positive"):
@@ -384,15 +409,15 @@ def test_specs_sharing_a_name_never_share_an_entry(cold_caches):
 
 def test_caches_stay_bounded(cold_caches):
     p5 = named_scheme("P5")
-    size = _evaluated.cache_info().maxsize
+    size = evaluated.cache_info().maxsize
     for k in range(size + 50):
         envelope(p5, 0.25 + k / 1024)
-    assert _evaluated.cache_info().currsize <= size
+    assert evaluated.cache_info().currsize <= size
     size = _scaled_symbol.cache_info().maxsize
     for k in range(size + 50):
         envelope(dataclasses.replace(p5, name=f"P5-{k}"), 0.5)
     assert _scaled_symbol.cache_info().currsize <= size
-    assert _evaluated.cache_info().currsize <= _evaluated.cache_info().maxsize
+    assert evaluated.cache_info().currsize <= evaluated.cache_info().maxsize
 
 
 def test_lambda_max_leaves_the_evaluations_alone(cold_caches):
@@ -400,9 +425,9 @@ def test_lambda_max_leaves_the_evaluations_alone(cold_caches):
     # evict nor add (scheme, lambda) entries.
     p5 = named_scheme("P5")
     kept = evaluated(p5, 0.707)
-    before = _evaluated.cache_info()
+    before = evaluated.cache_info()
     lambda_max(p5)
-    assert _evaluated.cache_info() == before
+    assert evaluated.cache_info() == before
     assert evaluated(p5, 0.707) is kept
 
 
@@ -432,7 +457,7 @@ def test_refusals_are_never_cached(cold_caches, schemes):
             evaluated(p5, 1e200)
         with pytest.raises(ValueError, match="non-real symbol"):
             envelope(LOPSIDED, 0.5)
-    assert _evaluated.cache_info().currsize == 0
+    assert evaluated.cache_info().currsize == 0
     assert _scaled_symbol.cache_info().currsize == 0
     # A table outside the exact analysis still has its tables; its envelope
     # raises on every use.
