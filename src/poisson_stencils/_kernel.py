@@ -30,9 +30,13 @@ order that ``_Stepper._fill_ghosts`` writes them and only copies, negates
 or writes +0.0, so it cannot change a bit.  The one call holds no state of
 its own and releases the GIL, so runs in several threads overlap.
 
-Each step's ``error_sums`` makes one pass over the field u and a reference
-r = s * c and returns the sums of (u - r)^2 and r^2, which the numpy march
-and ``relative_l2_error`` get from ``ndarray.sum()``.  To give numpy's bits
+Each step's ``error_sums`` makes one pass over the field u and returns the
+sums of (u - r)^2 and r^2, which the numpy march and ``relative_l2_error``
+get from ``ndarray.sum()``.  The reference is the benchmark's standing wave,
+r = (a_i * b_j) * c: it is formed from two vectors of sines, one value per
+row and one per column, with the bits of numpy's (a[:, None] * b[None, :]) *
+c, so no (n+1)^2 reference field is read.  Other references are summed in
+numpy by the simulator, after a march without sums.  To give numpy's bits
 it replays numpy's pairwise summation order (``pairwise_sum_DOUBLE``: runs
 of at most 128 values, 8 partial sums each) over the flattened field; the 8
 partial sums are the lanes of 8 / W vector registers of W doubles.  That
@@ -40,7 +44,7 @@ order is numpy's, not a documented contract: ``tests/test_error_sums.py``
 checks each variant's sums against numpy's own bit for bit, at the order's
 seams too, and ``tests/test_stencil_kernel.py`` checks that every variant
 and the numpy path give every table row and the benchmark marches the same
-errors.  The contract flag also keeps u - s * c from fusing.
+errors.  The contract flag also keeps u - (a * b) * c from fusing.
 
 The cache directory is ``$XDG_CACHE_HOME/poisson_stencils`` (default
 ``~/.cache``), mode 0700.  A directory that another user owns, or that others
@@ -107,10 +111,10 @@ static inline double sum_one(const double *restrict x, const ptrdiff_t *restrict
    split at half their length rounded down to a multiple of 8. */
 #define BLOCK 128
 
-/* An (rows x cols) field u with unit column stride, and the reference s * c
-   with s C-contiguous. */
+/* An (rows x cols) field u with unit column stride, and the reference
+   r = (a[row] * b[col]) * c of the sines a per row and b per column. */
 struct fields {
-    const double *u, *s;
+    const double *u, *a, *b;
     ptrdiff_t u_row_stride, cols;
     double c;
 };
@@ -239,8 +243,8 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
     return res;
 }
 
-/* sums = the pairwise sums of (u - r)^2 and r^2, r = s * c, over the run of
-   n values from flat index start. */
+/* sums = the pairwise sums of (u - r)^2 and r^2, r = (a * b) * c, over the
+   run of n values from flat index start. */
 @TARGET@ static void pairwise_sums_@ISA@(const struct fields *f, ptrdiff_t start, ptrdiff_t n,
                                          double sums[2])
 {
@@ -257,10 +261,10 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
     double d2[BLOCK], r2[BLOCK];
     ptrdiff_t row = start / f->cols, col = start % f->cols;
     for (ptrdiff_t i = 0; i < n; row++, col = 0) {
-        const double *u = f->u + row * f->u_row_stride + col, *s = f->s + row * f->cols + col;
+        const double *u = f->u + row * f->u_row_stride + col, *b = f->b + col, a = f->a[row];
         ptrdiff_t take = f->cols - col < n - i ? f->cols - col : n - i;
         for (ptrdiff_t j = 0; j < take; j++) {
-            const double r = s[j] * f->c, d = u[j] - r;
+            const double r = (a * b[j]) * f->c, d = u[j] - r;
             d2[i + j] = d * d;
             r2[i + j] = r * r;
         }
@@ -270,12 +274,14 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
     sums[1] = block_sum_@ISA@(r2, n);
 }
 
-/* out = {sum of (u - s * c)^2, sum of (s * c)^2} over the field, in the order
-   of numpy's sum() of the flattened (rows x cols) array. */
-@TARGET@ void error_sums_@ISA@(const double *u, ptrdiff_t u_row_stride, const double *s,
-                               double c, ptrdiff_t rows, ptrdiff_t cols, double *out)
+/* out = {sum of (u - r)^2, sum of r^2} over the field, r = (a * b) * c with
+   a one value per row and b one per column, in the order of numpy's sum()
+   of the flattened (rows x cols) array. */
+@TARGET@ void error_sums_@ISA@(const double *u, ptrdiff_t u_row_stride, const double *a,
+                               const double *b, double c, ptrdiff_t rows, ptrdiff_t cols,
+                               double *out)
 {
-    const struct fields f = {u, s, u_row_stride, cols, c};
+    const struct fields f = {u, a, b, u_row_stride, cols, c};
     double sums[2];
     pairwise_sums_@ISA@(&f, 0, rows * cols, sums);
     out[0] = 0.0 + sums[0];
@@ -287,10 +293,11 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
    - prev followed by a swap, so that curr holds the newest field.  After
    each step the ghosts are filled and, with sums, row k of the (steps x 2)
    array sums gets error_sums of the (side x side) field against
-   s * factors[k]. */
+   (a * b) * factors[k], a and b of side values each. */
 @TARGET@ void march_@ISA@(const ptrdiff_t *plan, const double *coeffs, double *prev,
                           double *curr, const double *v, double tau, ptrdiff_t steps,
-                          const double *s, const double *factors, double *sums)
+                          const double *a, const double *b, const double *factors,
+                          double *sums)
 {
     const ptrdiff_t width = plan[WIDTH], lo = plan[LO], size = plan[SIZE];
     const ptrdiff_t n_u = plan[COUNT_U], n_v = plan[COUNT_V], n_two = plan[COUNT_TWO];
@@ -309,7 +316,8 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
         fill_ghosts(curr, plan, off_two + n_two);
         if (sums) {
             const double *field = curr + plan[ORIGIN] * (width + 1);
-            error_sums_@ISA@(field, width, s, factors[k], plan[SIDE], plan[SIDE], sums + 2 * k);
+            error_sums_@ISA@(field, width, a, b, factors[k], plan[SIDE], plan[SIDE],
+                             sums + 2 * k);
         }
     }
 }
@@ -349,8 +357,8 @@ _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 # reach the pairwise order through it at run lengths such as 8, 128 and 129
 # values, which no (n+1)^2 field of a march has.
 _SIGNATURES = {
-    "march": (_P, _P, _P, _P, _P, _D, _N, _P, _P, _P),
-    "error_sums": (_P, _N, _P, _D, _N, _N, _P),
+    "march": (_P, _P, _P, _P, _P, _D, _N, _P, _P, _P, _P),
+    "error_sums": (_P, _N, _P, _P, _D, _N, _N, _P),
 }
 
 

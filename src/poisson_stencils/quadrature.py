@@ -28,7 +28,11 @@ def check_positive(value: float, what: str) -> float:
     """``value`` as a float; ``ValueError`` unless that float is finite and above zero.
 
     Callers keep the float, so that no other numeric type reaches a table.
+    A bool, Python's or numpy's (recognised by its type's name, so that this
+    module needs no numpy), is not a number here: ``ValueError``.
     """
+    if type(value).__name__ in ("bool", "bool_"):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     number = float(value) if math.isfinite(value) else math.nan
     if not number > 0:
         raise ValueError(f"{what} must be positive and finite, got {value}")

@@ -13,9 +13,10 @@ time step is tau = lam * h: c enters only through lam = c * tau / h.
 ``run()`` is one loop of ``_Stepper.march`` calls: one call for a default
 run (the standing-wave reference, no ``on_step``), else one call per step.
 With the compiled kernel, each call runs stencil sums, ghost fill and each
-step's error sums in C, and Python keeps the sampling, the time factors and
-the final square roots.  Without a compiler, the same steps run in numpy.
-``_Stepper`` is the only code here that loads the compiled kernel.
+step's error sums against the standing wave in C, and Python keeps the
+sampling, the time factors and the final square roots.  Without a compiler,
+the same steps run in numpy.  ``_Stepper`` is the only code here that loads
+the compiled kernel.
 
 The quality measure is the relative L2 error over all steps and nodes:
 
@@ -25,9 +26,13 @@ The quality measure is the relative L2 error over all steps and nodes:
 with k = 1..n_t and i, j = 0..n.  Each step's two sums are numpy's
 ``sum()`` of the flattened squares (``_error_sums``), which the compiled
 march replays bit for bit; ``relative_l2_error`` and the numpy march call
-``_error_sums`` itself.  The benchmark's standing wave is sampled as a space
-field once per run times a time factor per step, with the bits of sampling
-it whole.
+``_error_sums`` itself.  The benchmark's standing wave is sampled once per
+run as two vectors of sines, one value per row and one per column, and a
+time factor per step: (a_i * b_j) * c has the bits of sampling it whole.
+The compiled march forms that product per node and reads no (n+1)^2
+reference field; the numpy paths build the field from the same two vectors
+by one broadcast multiply.  Any other reference is sampled whole per step
+and summed by ``_error_sums``, after a march without sums.
 """
 
 from __future__ import annotations
@@ -62,7 +67,12 @@ def exact_standing_wave(x1, x2, t):
 
 def _standing_space(x1, x2):
     """The standing wave's space factor sin(2 pi x1) sin(2 pi x2)."""
-    return np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
+    return _sine(x1) * _sine(x2)
+
+
+def _sine(x):
+    """sin(2 pi x), one of the standing wave's two space factors."""
+    return np.sin(2.0 * np.pi * x)
 
 
 def _standing_time(t):
@@ -137,8 +147,8 @@ class SimReport:
 
     ``phases`` holds (name, wall seconds) for the phases of ``run()`` in
     order: "envelope", the stability envelope; "sample", the initial fields
-    and the reference's space field; "march", the steps with their error
-    sums, per-step samples of a reference other than the standing wave
+    and the standing wave's sines; "march", the steps with their error sums,
+    per-step samples and sums of a reference other than the standing wave
     included.  Their sum is at most ``wall_time_s``.  ``kernel`` names what
     marched: a compiled variant's instruction set ("avx512f", "avx2" or
     "baseline", see ``_kernel.ISAS``) or "numpy"; "" if not recorded.
@@ -171,14 +181,19 @@ def _real_finite(values, name: str) -> np.ndarray:
     return values
 
 
-def _grid_fields(fields: dict, tau: float = 0.0) -> tuple[int, list[np.ndarray]]:
-    """n and the float arrays of ``fields``, a dict of name: values, in order.
-
-    ``ValueError`` unless ``tau`` is finite and the fields lie on one square
-    (n+1) x (n+1) grid, n >= 1, and are real and finite.
-    """
+def _check_tau(tau) -> float:
+    """``tau`` as a float; ``ValueError`` unless it is finite."""
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
+    return float(tau)
+
+
+def _grid_fields(fields: dict) -> tuple[int, list[np.ndarray]]:
+    """n and the float arrays of ``fields``, a dict of name: values, in order.
+
+    ``ValueError`` unless the fields lie on one square (n+1) x (n+1) grid,
+    n >= 1, and are real and finite.
+    """
     shape, *others = (np.shape(values) for values in fields.values())
     if any(other != shape for other in others):
         raise ValueError(f"need square 2-D fields of one shape, got {[shape, *others]}")
@@ -197,7 +212,8 @@ def _error_sums(u, s, c, scratch) -> tuple[float, float]:
     """The sums of (u - r)^2 and of r^2 over the grid, r = s * c.
 
     Each is numpy's ``sum()`` of the flattened squares: pairwise, in runs
-    of at most 128 values, an order that the compiled march replays.  The
+    of at most 128 values, an order that the compiled march replays with
+    the standing wave's s formed per node (see ``_standing``).  The
     products, differences and squares go into ``scratch``, a (2, *shape)
     array of two C-order fields, which the caller keeps across steps.
     """
@@ -321,33 +337,39 @@ class _Stepper:
             acc += term
 
     def march(self, prev, curr, steps: int, v=None, tau: float = 0.0,
-              space=None, factors=None, sums=None):
+              sines=None, factors=None, sums=None):
         """Advance the fields of buffers (prev, curr) by ``steps`` steps.
 
         With ``v``, the first step is curr = S_u prev + tau * S_v v; every
         other step is prev = S curr - prev, after which the two swap, so that
         ``curr`` holds the newest field.  Ghosts are filled after each step,
-        and with ``sums``, its row k gets step k's error sums against
-        ``space * factors[k]`` (see ``_error_sums``).  Returns the buffers as
-        (prev, curr).  The compiled kernel runs all the steps in one call.
-        Every array must be C-contiguous float64: the buffers of this
-        stepper's shape, ``space`` of the field's; ``ValueError`` otherwise.
+        and with ``sums``, its row k gets step k's error sums against the
+        standing wave (a[:, None] * b[None, :]) * factors[k], where (a, b) =
+        ``sines`` (see ``_standing`` and ``_error_sums``).  Returns the
+        buffers as (prev, curr).  The compiled kernel runs all the steps in
+        one call.  Every array must be C-contiguous float64: the buffers of
+        this stepper's shape, each sine of n + 1 values; ``ValueError``
+        otherwise.
         """
         wanted = [(prev, self.shape), (curr, self.shape)]
         if v is not None:
             wanted.append((v, self.shape))
         if sums is not None:
-            wanted += [(space, (self.n + 1, self.n + 1)), (factors[:steps], (steps,)),
+            a, b = sines
+            wanted += [(a, (self.n + 1,)), (b, (self.n + 1,)), (factors[:steps], (steps,)),
                        (sums[:steps], (steps, 2))]
         for values, shape in wanted:
             if values.shape != shape or values.dtype != np.float64 or not values.flags.c_contiguous:
                 raise ValueError(f"need a C-contiguous float64 array of shape {shape}")
         swaps = steps - (v is not None)
         if self._lib is not None:
-            address = [a if a is None else a.ctypes.data for a in (v, space, factors, sums)]
+            reference = (*sines, factors, sums) if sums is not None else (None,) * 4
             self._lib.march(*self._plan_args, prev.ctypes.data, curr.ctypes.data,
-                            address[0], tau, steps, *address[1:])
+                            v if v is None else v.ctypes.data, tau, steps,
+                            *(x if x is None else x.ctypes.data for x in reference))
             return (prev, curr) if swaps % 2 == 0 else (curr, prev)
+        if sums is not None:
+            space = _space(sines)
         for k in range(steps):
             if k == 0 and v is not None:
                 for a, b, core in self._blocks(curr):
@@ -381,7 +403,8 @@ def first_step(
     Raises ``ValueError`` unless ``tau`` is finite and ``u0`` and ``v0`` are
     real, finite fields on one (n+1) x (n+1) grid.
     """
-    n, (u0, v0) = _grid_fields({"u0": u0, "v0": v0}, tau)
+    tau = _check_tau(tau)
+    n, (u0, v0) = _grid_fields({"u0": u0, "v0": v0})
     stepper = _Stepper(spec, lam, n, bc)
     out = stepper.buffer()
     stepper.march(stepper.buffer(u0), out, 1, v=stepper.buffer(v0), tau=tau)
@@ -408,24 +431,36 @@ def two_step(
     return stepper.field(out).copy()
 
 
-def _reference(exact: Callable, space, x1: np.ndarray, x2: np.ndarray, times):
-    """(field, factors) whose products are the reference ``exact`` at ``times``.
+def _reference(exact: Callable, space, x1: np.ndarray, x2: np.ndarray, t: float):
+    """(field, factor) whose product is the reference ``exact`` at time ``t``.
 
-    ``space`` is the space field of the benchmark's standing wave, when
-    ``exact`` is that function (recognised by identity): times the wave's
-    time factor it keeps the bits of its (space * space) * time product.
-    Otherwise ``space`` is None and ``exact`` is sampled whole at the one
-    time in ``times``, with factor 1.0.
+    ``space`` is the standing wave's space field (``_space``), when ``exact``
+    is that function: times the wave's time factor it keeps the bits of its
+    (sine * sine) * time product.  Otherwise ``space`` is None and ``exact``
+    is sampled whole, with factor 1.0.
     """
     if space is not None:
-        return space, np.array([_standing_time(t) for t in times])
-    (t,) = times
-    return np.ascontiguousarray(_sample(exact, "exact", x1, x2, t)), np.ones(1)
+        return space, _standing_time(t)
+    return _sample(exact, "exact", x1, x2, t), 1.0
 
 
 def _standing(exact: Callable, x1: np.ndarray, x2: np.ndarray):
-    """The standing wave's space field if ``exact`` is the standing wave, else None."""
-    return _standing_space(x1, x2) if exact is exact_standing_wave else None
+    """The standing wave's sines (a, b) if ``exact`` is the standing wave, else None.
+
+    ``exact`` is recognised by identity.  a holds sin(2 pi x1) per row and b
+    sin(2 pi x2) per column, each a C-contiguous vector of n + 1 values from
+    the very calls of ``_standing_space`` on the column ``x1`` and the row
+    ``x2``, so that a_i * b_j has the bits of its space field.
+    """
+    if exact is not exact_standing_wave:
+        return None
+    return _sine(x1).ravel(), _sine(x2).ravel()
+
+
+def _space(sines) -> np.ndarray:
+    """The standing wave's (n+1) x (n+1) space field from its sines (a, b)."""
+    a, b = sines
+    return a[:, None] * b[None, :]
 
 
 def _relative_error(sums, overflows: str) -> tuple[float, tuple[float, ...]]:
@@ -458,7 +493,8 @@ def relative_l2_error(computed: Iterable[np.ndarray], exact: Callable, tau: floa
     """Space-time relative L2 error of fields for steps k = 1..n_t.
 
     The k-th item of ``computed`` is the field at time k*tau, all on one
-    (n+1) x (n+1) grid; ``exact`` is sampled at the node coordinates.  Raises
+    (n+1) x (n+1) grid; ``exact`` is sampled at the node coordinates, with
+    ``tau`` taken as a float (a numpy float32 gives its float's bits).  Raises
     ``ValueError`` for no fields, fields of another shape, complex, nan or
     infinite fields, a non-finite ``tau`` or fields whose error sums
     overflow, and :class:`DegenerateNormError` when the exact solution
@@ -467,14 +503,15 @@ def relative_l2_error(computed: Iterable[np.ndarray], exact: Callable, tau: floa
     named = {f"computed field {k}": u for k, u in enumerate(computed, start=1)}
     if not named:
         raise ValueError("need at least one computed field")
-    n, fields = _grid_fields(named, tau)
+    tau = _check_tau(tau)
+    n, fields = _grid_fields(named)
     x1, x2 = _axes(n)
-    space = _standing(exact, x1, x2)
+    sines = _standing(exact, x1, x2)
+    space = None if sines is None else _space(sines)
     scratch = np.empty((2, n + 1, n + 1))
 
     def sums(k, u):
-        reference, (factor,) = _reference(exact, space, x1, x2, [k * tau])
-        return _error_sums(u, reference, factor, scratch)
+        return _error_sums(u, *_reference(exact, space, x1, x2, k * tau), scratch)
 
     with np.errstate(over="ignore"):  # _relative_error refuses an overflow
         rows = [sums(k, u) for k, u in enumerate(fields, start=1)]
@@ -492,7 +529,8 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
 
     With the default reference and no ``on_step``, the whole march is one
     ``_Stepper.march`` call; otherwise the same march goes one step at a
-    time, sampling any other reference between steps.
+    time.  Any other reference is sampled whole and summed by
+    ``_error_sums`` between steps, to the bits of the standing wave's sums.
     """
     started = time.perf_counter()
     env = stability.envelope(config.scheme, config.lam)
@@ -509,15 +547,21 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     prev = stepper.buffer(_sample(config.initial_u, "initial_u", x1, x2))
     v = stepper.buffer(_sample(config.initial_v, "initial_v", x1, x2))
     curr = stepper.buffer()
-    space = _standing(config.exact, x1, x2)
+    sines = _standing(config.exact, x1, x2)
     sampled = time.perf_counter()
-    steps = n_t if space is not None and on_step is None else 1
     sums = np.empty((n_t, 2))
+    if sines is None:
+        steps, scratch = 1, np.empty((2, n + 1, n + 1))
+    else:
+        steps = n_t if on_step is None else 1
+        factors = np.array([_standing_time(k * tau) for k in range(1, n_t + 1)])
     for k in range(1, n_t + 1, steps):
-        times = [j * tau for j in range(k, k + steps)]
-        reference, factors = _reference(config.exact, space, x1, x2, times)
-        prev, curr = stepper.march(prev, curr, steps, v if k == 1 else None, tau,
-                                   reference, factors, sums[k - 1 :])
+        wave = () if sines is None else (sines, factors[k - 1 :], sums[k - 1 :])
+        prev, curr = stepper.march(prev, curr, steps, v if k == 1 else None, tau, *wave)
+        if sines is None:
+            reference = _reference(config.exact, None, x1, x2, k * tau)
+            with np.errstate(over="ignore"):  # _relative_error refuses an overflow
+                sums[k - 1] = _error_sums(stepper.field(curr), *reference, scratch)
         if on_step is not None:
             on_step(k, stepper.field(curr).copy())
     overflows = f"lambda = {config.lam} overflows scheme {config.scheme.name!r}"

@@ -2,13 +2,15 @@
 
 ``run()`` sums each step's squared errors and squared reference in the order
 of numpy's ``sum()`` over the flattened field: pairwise, in runs of at most
-128 values of 8 partial sums each.  The numpy march and ``relative_l2_error``
-call numpy's sums themselves (``simulator._error_sums``); the compiled march
-replays that order term for term through each variant's exported
-``error_sums``.  All must give numpy's exact bits for any field, including
-sizes at the order's seams (8, 128, 129 and 256 values), strided views,
-signed zeros, infinities and nans.  A numpy that changed its order would
-fail here first.
+128 values of 8 partial sums each.  The reference is the standing wave
+r = (a[:, None] * b[None, :]) * c, given as its sines a (one per row) and b
+(one per column).  The numpy march and ``relative_l2_error`` build that
+field and call numpy's sums themselves (``simulator._error_sums``); the
+compiled march forms r per node and replays that order term for term
+through each variant's exported ``error_sums``.  All must give numpy's exact
+bits for any field and sines, including sizes at the order's seams (8, 128,
+129 and 256 values), strided views, signed zeros, infinities and nans.  A
+numpy that changed its order would fail here first.
 """
 
 import numpy as np
@@ -17,13 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_stencils import _kernel
-from poisson_stencils.simulator import _error_sums
+from poisson_stencils.simulator import _error_sums, _space
 
 SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan)
 
 
-def numpy_sums(u, s, c):
-    r = s * c
+def numpy_sums(u, a, b, c):
+    r = (a[:, None] * b[None, :]) * c
     return np.square(u - r).sum(), np.square(r).sum()
 
 
@@ -31,16 +33,19 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
-def kernel_sums(u, s, c):
-    """The error sums of the kernel in use: the compiled export, else numpy's.
+def kernel_sums(u, a, b, c):
+    """The error sums of the kernel in use: the compiled export, else numpy's
+    on the march's field ``_space((a, b))``.
 
-    ``u`` needs a unit column stride and ``s`` C order, as in the march.
+    ``u`` needs a unit column stride and ``a`` and ``b`` C order, as in the
+    march.
     """
     lib = _kernel.load()
     if lib is None:
-        return _error_sums(u, s, c, np.empty((2, *u.shape)))
+        return _error_sums(u, _space((a, b)), c, np.empty((2, *u.shape)))
     out = np.empty(2)
-    lib.error_sums(u.ctypes.data, u.strides[0] // 8, s.ctypes.data, c, *u.shape, out.ctypes.data)
+    lib.error_sums(u.ctypes.data, u.strides[0] // 8, a.ctypes.data, b.ctypes.data, c, *u.shape,
+                   out.ctypes.data)
     return out
 
 
@@ -59,26 +64,25 @@ def fields(draw, shape):
 
 @st.composite
 def sums_cases(draw):
-    """(u, s, c) on an (n+1) x (n+1) grid, u possibly a strided view."""
+    """(u, a, b, c) on an (n+1) x (n+1) grid, u possibly a strided view."""
     side = draw(st.one_of(st.integers(min_value=2, max_value=300),
                           st.sampled_from([2, 3, 4, 11, 12, 16, 17])))
     pad = draw(st.sampled_from([0, 0, 1, 5]))
     u = draw(fields((side + 2 * pad, side + 3 * pad)))[pad : pad + side, 2 * pad : 2 * pad + side]
-    s = draw(fields((side, side)))
+    a, b = draw(fields((side,))), draw(fields((side,)))
     c = draw(st.one_of(st.just(1.0), st.floats(min_value=-2.0, max_value=2.0),
                        st.sampled_from(SPECIAL)))
-    return u, s, c
+    return u, a, b, c
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=sums_cases())
 def test_error_sums_are_numpys_sums(kernels, case):
-    u, s, c = case
     with np.errstate(all="ignore"):
-        want = bits(numpy_sums(u, s, c))
+        want = bits(numpy_sums(*case))
         for name, path in kernels:
             with path():
-                assert bits(kernel_sums(u, s, c)) == want, name
+                assert bits(kernel_sums(*case)) == want, name
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,10 +98,10 @@ def test_compiled_order_holds_for_any_run_length(kernels, rows, cols, data):
     if len(kernels) == 1:
         pytest.skip("no compiled kernel")
     u = data.draw(fields((rows, cols + 3)))[:, 1 : cols + 1]
-    s = data.draw(fields((rows, cols)))
+    a, b = data.draw(fields((rows,))), data.draw(fields((cols,)))
     c = data.draw(st.sampled_from([1.0, 0.5, -0.75]))
     with np.errstate(all="ignore"):
-        want = bits(numpy_sums(u, s, c))
+        want = bits(numpy_sums(u, a, b, c))
         for name, path in kernels[:-1]:
             with path():
-                assert bits(kernel_sums(u, s, c)) == want, name
+                assert bits(kernel_sums(u, a, b, c)) == want, name

@@ -153,14 +153,18 @@ def test_kernel_takes_only_whole_buffers_of_its_stepper():
             stepper.march(buf, wrong, 1)
         with pytest.raises(ValueError):
             stepper.march(wrong, buf, 1)
-    # The error sums read a whole field, two factors and two rows of sums.
-    field, factors, sums = np.zeros((9, 9)), np.ones(2), np.empty((2, 2))
-    for space in (np.zeros((8, 8)), np.zeros((9, 10))[:, :9], field.astype(np.float32)):
-        with pytest.raises(ValueError):
-            stepper.march(buf, stepper.buffer(), 2, space=space, factors=factors, sums=sums)
+    # The error sums read two whole sines of n + 1 values, two factors and
+    # two rows of sums.
+    sine, factors, sums = np.zeros(9), np.ones(2), np.empty((2, 2))
+    for wrong in (np.zeros(8), np.zeros((9, 1)), np.zeros((1, 9)), np.zeros(18)[::2],
+                  sine.astype(np.float32)):
+        for sines in ((wrong, sine), (sine, wrong)):
+            with pytest.raises(ValueError):
+                stepper.march(buf, stepper.buffer(), 2, sines=sines, factors=factors, sums=sums)
     for factors, sums in ((np.ones(1), sums), (factors, np.empty((1, 2)))):
         with pytest.raises(ValueError):
-            stepper.march(buf, stepper.buffer(), 2, space=field, factors=factors, sums=sums)
+            stepper.march(buf, stepper.buffer(), 2, sines=(sine, sine), factors=factors,
+                          sums=sums)
 
 
 def session_library():
@@ -299,8 +303,10 @@ def test_targets_never_fuse_a_multiply_and_an_add():
 
 
 # Prints the float.hex of E and of every per-step error of run() for all six
-# schemes, both boundaries and n in {2, 3, 7, 16}, with n_t = 3, on each
+# schemes, both boundaries and n in {2, 3, 7, 11, 16}, with n_t = 3, on each
 # compiled variant: of the library named by argv[1], else of load()'s build.
+# At n = 11 the 144 values form two leaves of 72, and the second ends at the
+# field's end, so an index one row past the sines reads out of bounds.
 _EVERY_SCHEME_RUN = """
 import sys
 from pathlib import Path
@@ -313,7 +319,7 @@ for kernel in kernels:
     _kernel.load = lambda: kernel
     for name in NAMED_SCHEMES:
         for bc in simulator.BOUNDARY_CONDITIONS:
-            for n in (2, 3, 7, 16):
+            for n in (2, 3, 7, 11, 16):
                 config = simulator.SimConfig(named_scheme(name), n=n, n_t=3, lam=0.5, bc=bc)
                 report = simulator.run(config)
                 print(report.kernel, name, bc, n, report.error.hex(),
@@ -357,6 +363,6 @@ def test_kernel_is_clean_under_address_and_undefined_sanitizers(tmp_path):
     assert plain.returncode == 0, plain.stderr
     isas = [kernel.isa for kernel in _kernel.variants()]
     rows = [line.split(" ", 1) for line in plain.stdout.splitlines()]
-    assert [isa for isa, _ in rows] == [isa for isa in isas for _ in range(48)]
-    assert {bits for _, bits in rows} == {bits for _, bits in rows[:48]}
+    assert [isa for isa, _ in rows] == [isa for isa in isas for _ in range(60)]
+    assert {bits for _, bits in rows} == {bits for _, bits in rows[:60]}
     assert sanitized.stdout == plain.stdout

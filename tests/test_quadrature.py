@@ -193,3 +193,10 @@ def test_linearity(p, q):
         merged[mu] = merged.get(mu, Fraction(0)) + c
     assert a_on_polynomial(merged) == a_on_polynomial(p) + a_on_polynomial(q)
     assert b_on_polynomial(merged) == b_on_polynomial(p) + b_on_polynomial(q)
+
+
+def test_oracles_refuse_a_bool_lambda():
+    for oracle in (quad_oracle, quad_oracle_b):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="lambda must be a number"):
+                oracle((0, 0), flag)

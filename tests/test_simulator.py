@@ -291,7 +291,7 @@ class TestRelativeL2Error:
     @pytest.mark.parametrize("shape", [(1, 5), (5,), (), (6, 6), (5, 4)])
     def test_error_sums_reject_a_field_off_the_grid(self, kernels, p5, shape):
         # A field reaches the sums through relative_l2_error's grid check,
-        # and the reference's space field through the march's; neither
+        # and the standing wave's sines through the march's; neither
         # broadcasts.
         grid = np.ones((5, 5))
         assert simulator._error_sums(grid, grid, 1.0, np.empty((2, 5, 5))) == (0.0, 25.0)
@@ -302,14 +302,18 @@ class TestRelativeL2Error:
                 stepper = _Stepper(p5, 0.5, 4, "dirichlet")
                 sums = np.empty((1, 2))
 
-                def march(space):
-                    stepper.march(stepper.buffer(), stepper.buffer(), 1, space=space,
+                def march(a, b):
+                    stepper.march(stepper.buffer(), stepper.buffer(), 1, sines=(a, b),
                                   factors=np.ones(1), sums=sums)
 
-                march(grid)  # a zero field against ones
+                line = np.ones(5)
+                march(line, line)  # a zero field against ones
                 assert sums.tolist() == [[25.0, 25.0]]
-                with pytest.raises(ValueError, match="shape"):
-                    march(np.ones(shape))
+                for wrong in (np.ones(4), np.ones((1, 5)), np.ones((5, 1)), np.ones(10)[::2],
+                              line.astype(np.float32)):
+                    for sines in ((wrong, line), (line, wrong)):
+                        with pytest.raises(ValueError, match="C-contiguous float64"):
+                            march(*sines)
 
     def test_needs_a_field(self):
         with pytest.raises(ValueError, match="at least one computed field"):
@@ -429,6 +433,23 @@ def test_any_reference_callable_gives_the_standing_wave_bits(kernels, name, bc):
         assert [e.hex() for e in generic.per_step_errors] == [
             e.hex() for e in default.per_step_errors
         ]
+
+
+def test_another_reference_overflows_with_the_stability_warning_alone(kernels):
+    # The compiled march sums the standing wave in C, which warns of nothing;
+    # another reference is summed in numpy between steps, and its overflow
+    # must end in run()'s ValueError at the same step without a numpy
+    # RuntimeWarning.  (The numpy march's stencil warns of its own overflow.)
+    def wrapped(x1, x2, t):
+        return exact_standing_wave(x1, x2, t)
+
+    for name, path in kernels[:-1]:
+        for exact in (exact_standing_wave, wrapped):
+            with path(), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match="the error of step 94 is not finite"):
+                    run(SimConfig(scheme=named_scheme("P5"), n=8, n_t=100, lam=3.0, exact=exact))
+            assert [warning.category for warning in caught] == [UserWarning], name
 
 
 def test_sim_config_copies_and_pickles(p13):
@@ -724,3 +745,37 @@ def test_integer_lambda_and_numpy_tol_give_their_floats_bits(cold_caches):
             for cache in cold_caches:
                 cache.cache_clear()
             assert at_int == (repr(envelope(spec, 1.0)), symbol(spec, 1.0, 0.3, 1.1).hex())
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_], ids=repr)
+def test_a_bool_is_not_a_lambda_or_a_tol(flag):
+    # SimConfig(spec, 8, 2, True) once stored lam = 1.0 and ran at lambda = 1,
+    # while n and n_t refused True.
+    p5 = named_scheme("P5")
+    checks = (
+        lambda: SimConfig(scheme=p5, n=8, n_t=2, lam=flag),
+        lambda: envelope(p5, flag),
+        lambda: symbol(p5, flag, 0.3, 1.1),
+        lambda: lambda_max(p5, tol=flag),
+        lambda: first_step(np.zeros((5, 5)), np.zeros((5, 5)), p5, flag, 0.1),
+    )
+    for check in checks:
+        with pytest.raises(ValueError, match="must be a number"):
+            check()
+
+
+@pytest.mark.parametrize("tau", [np.float32(0.1), Decimal("0.1")],
+                         ids=lambda tau: type(tau).__name__)
+def test_relative_l2_error_takes_tau_as_its_float(tau):
+    # A float32 tau once sampled the reference at float32 times
+    # (0x1.8881fb6cae52ep+1 against 0x1.8881fc2efefa2p+1), and a Decimal one
+    # raised TypeError.
+    fields = [np.ones((9, 9)), np.full((9, 9), 0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = relative_l2_error(fields, exact_standing_wave, float(tau))
+        assert relative_l2_error(fields, exact_standing_wave, tau).hex() == want.hex()
+        if isinstance(tau, np.float32):
+            assert relative_l2_error([np.ones((9, 9))], exact_standing_wave, tau).hex() == (
+                "0x1.8881fc2efefa2p+1"
+            )
