@@ -54,6 +54,17 @@ def kernels():
     return (*((kernel.isa, using(kernel)) for kernel in compiled), ("numpy", using(None)))
 
 
+@pytest.fixture(scope="session")
+def rewrapped_wave():
+    """The standing wave as a new ``Separable`` whose three factors are new
+    functions that call the default's, so that it has the default's values
+    but is not the default object."""
+    from poisson_stencils.simulator import Separable, exact_standing_wave
+
+    wave = exact_standing_wave
+    return Separable(lambda x: wave.x1(x), lambda x: wave.x2(x), lambda t: wave.t(t))
+
+
 @pytest.fixture
 def cold_caches():
     """Empty the library's shared caches of named schemes, symbol

@@ -49,6 +49,7 @@ __version__ = "0.1.0"
 
 # Names of ``simulator``, which imports numpy, resolved when first asked for.
 _SIMULATOR_NAMES = (
+    "Separable",
     "SimConfig",
     "SimReport",
     "dump_grid_csv",

@@ -32,14 +32,14 @@ its own and releases the GIL, so runs in several threads overlap.
 
 Each step's ``error_sums`` makes one pass over the field u and returns the
 sums of (u - r)^2 and r^2, which the numpy march and ``relative_l2_error``
-get from ``ndarray.sum()``.  The reference is the benchmark's standing wave,
-r = (a_i * b_j) * c: it is formed from two vectors of sines, one value per
-row and one per column, with the bits of numpy's (a[:, None] * b[None, :]) *
-c, so no (n+1)^2 reference field is read.  Other references are summed in
-numpy by the simulator, after a march without sums.  To give numpy's bits
-it replays numpy's pairwise summation order (``pairwise_sum_DOUBLE``: runs
-of at most 128 values, 8 partial sums each) over the flattened field; the 8
-partial sums are the lanes of 8 / W vector registers of W doubles.  That
+get from ``ndarray.sum()``.  The reference is separable, like the
+benchmark's standing wave: r = (a_i * b_j) * c is formed from two vectors,
+one value per row and one per column, with the bits of numpy's
+(a[:, None] * b[None, :]) * c, so no (n+1)^2 reference field is read.  To
+give numpy's bits it replays numpy's pairwise summation order
+(``pairwise_sum_DOUBLE``: runs of at most 128 values, 8 partial sums each)
+over the flattened field; the 8 partial sums are the lanes of 8 / W vector
+registers of W doubles.  That
 order is numpy's, not a documented contract: ``tests/test_error_sums.py``
 checks each variant's sums against numpy's own bit for bit, at the order's
 seams too, and ``tests/test_stencil_kernel.py`` checks that every variant

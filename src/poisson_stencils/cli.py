@@ -70,16 +70,16 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _zero_field(x1, x2, *_):
-    return 0.0 * (x1 + x2)
+def _zero(*_):
+    return 0.0
 
 
 def cmd_simulate(args):
-    from .simulator import SimConfig, dump_grid_csv, run
+    from .simulator import Separable, SimConfig, dump_grid_csv, run
 
     spec = named_scheme(args.scheme)
-    fields = ("initial_u", "initial_v", "exact")
-    overrides = dict.fromkeys(fields, _zero_field) if args.zero_ic else {}
+    zeros = {"initial_u": _zero, "initial_v": _zero, "exact": Separable(_zero, _zero, _zero)}
+    overrides = zeros if args.zero_ic else {}
     config = SimConfig(scheme=spec, n=args.n, n_t=args.nt, lam=args.lam, bc=args.bc, **overrides)
 
     dumped = []

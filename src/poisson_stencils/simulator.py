@@ -10,13 +10,12 @@ update loop.  ``run()`` marches through one stencil kernel on halo-padded
 buffers, of which ``first_step`` and ``two_step`` are one-shot uses.  The
 time step is tau = lam * h: c enters only through lam = c * tau / h.
 
-``run()`` is one loop of ``_Stepper.march`` calls: one call for a default
-run (the standing-wave reference, no ``on_step``), else one call per step.
-With the compiled kernel, each call runs stencil sums, ghost fill and each
-step's error sums against the standing wave in C, and Python keeps the
-sampling, the time factors and the final square roots.  Without a compiler,
-the same steps run in numpy.  ``_Stepper`` is the only code here that loads
-the compiled kernel.
+``run()`` is one loop of ``_Stepper.march`` calls: one call for the whole
+run, or one per step with ``on_step``.  With the compiled kernel, each call
+runs stencil sums, ghost fill and each step's error sums against the
+reference in C, and Python keeps the sampling, the time factors and the
+final square roots.  Without a compiler, the same steps run in numpy.
+``_Stepper`` is the only code here that loads the compiled kernel.
 
 The quality measure is the relative L2 error over all steps and nodes:
 
@@ -26,13 +25,13 @@ The quality measure is the relative L2 error over all steps and nodes:
 with k = 1..n_t and i, j = 0..n.  Each step's two sums are numpy's
 ``sum()`` of the flattened squares (``_error_sums``), which the compiled
 march replays bit for bit; ``relative_l2_error`` and the numpy march call
-``_error_sums`` itself.  The benchmark's standing wave is sampled once per
-run as two vectors of sines, one value per row and one per column, and a
+``_error_sums`` itself.  The reference is a ``Separable``, one factor per
+axis and one in time, like the benchmark's standing wave.  It is sampled
+once per run as two vectors, one value per row and one per column, and a
 time factor per step: (a_i * b_j) * c has the bits of sampling it whole.
 The compiled march forms that product per node and reads no (n+1)^2
 reference field; the numpy paths build the field from the same two vectors
-by one broadcast multiply.  Any other reference is sampled whole per step
-and summed by ``_error_sums``, after a march without sums.
+by one broadcast multiply.
 """
 
 from __future__ import annotations
@@ -56,18 +55,31 @@ _SQRT2 = math.sqrt(2.0)
 _ROW_BLOCK = 64
 
 
-def exact_standing_wave(x1, x2, t):
-    """Separable standing wave solving the wave equation on the unit square.
+def _check_functions(owner, names) -> None:
+    for name in names:
+        if not callable(getattr(owner, name)):
+            raise ValueError(f"{name} must be a function, got {getattr(owner, name)!r}")
 
-    Vanishes on the boundary for all times and at t = 0 everywhere, so it
-    doubles as a Dirichlet and a periodic benchmark.
+
+@dataclass(frozen=True)
+class Separable:
+    """A reference solution that is one factor per axis times one in time.
+
+    Called as (x1, x2, t), it returns (x1(x1) * x2(x2)) * t(t).  ``run()``
+    and ``relative_l2_error`` sample ``x1`` and ``x2`` once on the node
+    coordinates and ``t`` once per step, so each factor must accept a numpy
+    array or a float and return real, finite values.
     """
-    return _standing_space(x1, x2) * _standing_time(t)
 
+    x1: Callable
+    x2: Callable
+    t: Callable
 
-def _standing_space(x1, x2):
-    """The standing wave's space factor sin(2 pi x1) sin(2 pi x2)."""
-    return _sine(x1) * _sine(x2)
+    def __post_init__(self):
+        _check_functions(self, ("x1", "x2", "t"))
+
+    def __call__(self, x1, x2, t):
+        return (self.x1(x1) * self.x2(x2)) * self.t(t)
 
 
 def _sine(x):
@@ -78,6 +90,12 @@ def _sine(x):
 def _standing_time(t):
     """The standing wave's time factor sin(2 sqrt(2) pi t)."""
     return np.sin(2.0 * _SQRT2 * np.pi * t)
+
+
+# Separable standing wave solving the wave equation on the unit square.  It
+# vanishes on the boundary for all times and at t = 0 everywhere, so it
+# doubles as a Dirichlet and a periodic benchmark.
+exact_standing_wave = Separable(_sine, _sine, _standing_time)
 
 
 def standing_wave_initial_u(x1, x2):
@@ -110,10 +128,10 @@ class SimConfig:
 
     The time step is always derived as tau = lam * h, as lam = c * tau / h
     carries the wave speed.  ``initial_u`` and ``initial_v`` are functions
-    of (x1, x2); ``exact`` is the reference solution (x1, x2, t) used for
-    the error metric.  All three default to the standing-wave benchmark;
-    ``run()`` raises ``ValueError`` if one gives a complex, nan or infinite
-    value.  ``lam`` is stored as a float.
+    of (x1, x2); ``exact`` is the reference solution used for the error
+    metric, a ``Separable`` (``ValueError`` otherwise).  All three default to
+    the standing-wave benchmark; ``run()`` raises ``ValueError`` if one gives
+    a complex, nan or infinite value.  ``lam`` is stored as a float.
     """
 
     scheme: SchemeSpec
@@ -123,14 +141,13 @@ class SimConfig:
     bc: str = "dirichlet"
     initial_u: Callable = standing_wave_initial_u
     initial_v: Callable = standing_wave_initial_v
-    exact: Callable = exact_standing_wave
+    exact: Separable = exact_standing_wave
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _check_grid(self.n, self.lam, self.bc))
         _check_int(self.n_t, "n_t", 1)
-        for name in ("initial_u", "initial_v", "exact"):
-            if not callable(getattr(self, name)):
-                raise ValueError(f"{name} must be a function, got {getattr(self, name)!r}")
+        _check_functions(self, ("initial_u", "initial_v"))
+        _check_separable(self.exact)
 
     @property
     def h(self) -> float:
@@ -147,11 +164,11 @@ class SimReport:
 
     ``phases`` holds (name, wall seconds) for the phases of ``run()`` in
     order: "envelope", the stability envelope; "sample", the initial fields
-    and the standing wave's sines; "march", the steps with their error sums,
-    per-step samples and sums of a reference other than the standing wave
-    included.  Their sum is at most ``wall_time_s``.  ``kernel`` names what
-    marched: a compiled variant's instruction set ("avx512f", "avx2" or
-    "baseline", see ``_kernel.ISAS``) or "numpy"; "" if not recorded.
+    and the reference's two axis vectors and time factors; "march", the
+    steps with their error sums.  Their sum is at most ``wall_time_s``.
+    ``kernel`` names what marched: a compiled variant's instruction set
+    ("avx512f", "avx2" or "baseline", see ``_kernel.ISAS``) or "numpy"; ""
+    if not recorded.
     """
 
     error: float
@@ -160,12 +177,6 @@ class SimReport:
     config: SimConfig = field(repr=False)
     phases: tuple[tuple[str, float], ...] = ()
     kernel: str = ""
-
-
-def _axes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node coordinates as a column and a row, which broadcast to the grid."""
-    coords = np.arange(n + 1) / n
-    return coords[:, None], coords[None, :]
 
 
 def _real_finite(values, name: str) -> np.ndarray:
@@ -202,19 +213,43 @@ def _grid_fields(fields: dict) -> tuple[int, list[np.ndarray]]:
     return shape[0] - 1, [_real_finite(values, name) for name, values in fields.items()]
 
 
-def _sample(func, name: str, x1: np.ndarray, x2: np.ndarray, *args) -> np.ndarray:
-    """Evaluate the field function ``name`` on the grid, accepting scalar values."""
-    values = _real_finite(func(x1, x2, *args), name)
-    return np.broadcast_to(values, (x1.shape[0], x2.shape[1]))
+def _sample(func, name: str, coords: np.ndarray) -> np.ndarray:
+    """Evaluate the field function ``name`` on the grid, accepting scalar values.
+
+    ``func`` gets the node coordinates as a column and a row, which
+    broadcast to the grid.
+    """
+    values = _real_finite(func(coords[:, None], coords[None, :]), name)
+    return np.broadcast_to(values, (coords.size, coords.size))
+
+
+def _check_separable(exact) -> None:
+    if not isinstance(exact, Separable):
+        raise ValueError(f"exact must be a Separable, got {exact!r}")
+
+
+def _factors(exact: Separable, coords: np.ndarray, tau: float, n_t: int):
+    """The reference's (a, b, c) on the grid and at steps k = 1..n_t.
+
+    a holds x1's factor per row and b x2's per column, each a C-contiguous
+    vector sampled on the node coordinates ``coords``, and c the time factor
+    of each step from one call at k * tau, so that (a_i * b_j) * c_k has the
+    bits of ``exact`` itself.  ``ValueError`` if a value is complex, nan or
+    infinite.
+    """
+    a, b = np.empty((2, coords.size))
+    a[...] = _real_finite(exact.x1(coords), "exact.x1")
+    b[...] = _real_finite(exact.x2(coords), "exact.x2")
+    return a, b, _real_finite(np.array([exact.t(k * tau) for k in range(1, n_t + 1)]), "exact.t")
 
 
 def _error_sums(u, s, c, scratch) -> tuple[float, float]:
     """The sums of (u - r)^2 and of r^2 over the grid, r = s * c.
 
     Each is numpy's ``sum()`` of the flattened squares: pairwise, in runs
-    of at most 128 values, an order that the compiled march replays with
-    the standing wave's s formed per node (see ``_standing``).  The
-    products, differences and squares go into ``scratch``, a (2, *shape)
+    of at most 128 values, an order that the compiled march replays with s
+    formed per node from the reference's axis vectors (see ``_factors``).
+    The products, differences and squares go into ``scratch``, a (2, *shape)
     array of two C-order fields, which the caller keeps across steps.
     """
     r, d = scratch
@@ -344,11 +379,11 @@ class _Stepper:
         other step is prev = S curr - prev, after which the two swap, so that
         ``curr`` holds the newest field.  Ghosts are filled after each step,
         and with ``sums``, its row k gets step k's error sums against the
-        standing wave (a[:, None] * b[None, :]) * factors[k], where (a, b) =
-        ``sines`` (see ``_standing`` and ``_error_sums``).  Returns the
+        reference (a[:, None] * b[None, :]) * factors[k], where (a, b) =
+        ``sines`` (see ``_factors`` and ``_error_sums``).  Returns the
         buffers as (prev, curr).  The compiled kernel runs all the steps in
         one call.  Every array must be C-contiguous float64: the buffers of
-        this stepper's shape, each sine of n + 1 values; ``ValueError``
+        this stepper's shape, a and b of n + 1 values; ``ValueError``
         otherwise.
         """
         wanted = [(prev, self.shape), (curr, self.shape)]
@@ -431,34 +466,8 @@ def two_step(
     return stepper.field(out).copy()
 
 
-def _reference(exact: Callable, space, x1: np.ndarray, x2: np.ndarray, t: float):
-    """(field, factor) whose product is the reference ``exact`` at time ``t``.
-
-    ``space`` is the standing wave's space field (``_space``), when ``exact``
-    is that function: times the wave's time factor it keeps the bits of its
-    (sine * sine) * time product.  Otherwise ``space`` is None and ``exact``
-    is sampled whole, with factor 1.0.
-    """
-    if space is not None:
-        return space, _standing_time(t)
-    return _sample(exact, "exact", x1, x2, t), 1.0
-
-
-def _standing(exact: Callable, x1: np.ndarray, x2: np.ndarray):
-    """The standing wave's sines (a, b) if ``exact`` is the standing wave, else None.
-
-    ``exact`` is recognised by identity.  a holds sin(2 pi x1) per row and b
-    sin(2 pi x2) per column, each a C-contiguous vector of n + 1 values from
-    the very calls of ``_standing_space`` on the column ``x1`` and the row
-    ``x2``, so that a_i * b_j has the bits of its space field.
-    """
-    if exact is not exact_standing_wave:
-        return None
-    return _sine(x1).ravel(), _sine(x2).ravel()
-
-
 def _space(sines) -> np.ndarray:
-    """The standing wave's (n+1) x (n+1) space field from its sines (a, b)."""
+    """The reference's (n+1) x (n+1) space field from its axis vectors (a, b)."""
     a, b = sines
     return a[:, None] * b[None, :]
 
@@ -489,32 +498,28 @@ def _relative_error(sums, overflows: str) -> tuple[float, tuple[float, ...]]:
     return error, tuple(per_step)
 
 
-def relative_l2_error(computed: Iterable[np.ndarray], exact: Callable, tau: float) -> float:
+def relative_l2_error(computed: Iterable[np.ndarray], exact: Separable, tau: float) -> float:
     """Space-time relative L2 error of fields for steps k = 1..n_t.
 
     The k-th item of ``computed`` is the field at time k*tau, all on one
-    (n+1) x (n+1) grid; ``exact`` is sampled at the node coordinates, with
-    ``tau`` taken as a float (a numpy float32 gives its float's bits).  Raises
-    ``ValueError`` for no fields, fields of another shape, complex, nan or
-    infinite fields, a non-finite ``tau`` or fields whose error sums
-    overflow, and :class:`DegenerateNormError` when the exact solution
+    (n+1) x (n+1) grid; ``exact``, a ``Separable``, is sampled at the node
+    coordinates, with ``tau`` taken as a float (a numpy float32 gives its
+    float's bits).  Raises ``ValueError`` for no fields, fields of another
+    shape, complex, nan or infinite fields or reference values, an ``exact``
+    that is not a ``Separable``, a non-finite ``tau`` or fields whose error
+    sums overflow, and :class:`DegenerateNormError` when the exact solution
     vanishes at every sampled point.  The sums are ``run()``'s, made in numpy.
     """
     named = {f"computed field {k}": u for k, u in enumerate(computed, start=1)}
     if not named:
         raise ValueError("need at least one computed field")
     tau = _check_tau(tau)
+    _check_separable(exact)
     n, fields = _grid_fields(named)
-    x1, x2 = _axes(n)
-    sines = _standing(exact, x1, x2)
-    space = None if sines is None else _space(sines)
-    scratch = np.empty((2, n + 1, n + 1))
-
-    def sums(k, u):
-        return _error_sums(u, *_reference(exact, space, x1, x2, k * tau), scratch)
-
+    a, b, factors = _factors(exact, np.arange(n + 1) / n, tau, len(fields))
+    space, scratch = _space((a, b)), np.empty((2, n + 1, n + 1))
     with np.errstate(over="ignore"):  # _relative_error refuses an overflow
-        rows = [sums(k, u) for k, u in enumerate(fields, start=1)]
+        rows = [_error_sums(u, space, c, scratch) for u, c in zip(fields, factors)]
     return _relative_error(rows, "the computed fields overflow")[0]
 
 
@@ -525,12 +530,11 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     ``on_step(k, field)`` gets a copy of each step's field.  An unstable
     Courant number only warns; marginal (|symbol| = 1) values are silent.
     Raises ``ValueError`` if the fields overflow, so that E or a step's
-    error is not finite; a step whose reference vanishes keeps error nan.
+    error is not finite, with no numpy warning; a step whose reference
+    vanishes keeps error nan.
 
-    With the default reference and no ``on_step``, the whole march is one
-    ``_Stepper.march`` call; otherwise the same march goes one step at a
-    time.  Any other reference is sampled whole and summed by
-    ``_error_sums`` between steps, to the bits of the standing wave's sums.
+    The whole march is one ``_Stepper.march`` call, or one per step with
+    ``on_step``, to the same bits.
     """
     started = time.perf_counter()
     env = stability.envelope(config.scheme, config.lam)
@@ -542,26 +546,19 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
         )
     enveloped = time.perf_counter()
     n, n_t, tau = config.n, config.n_t, config.tau
-    x1, x2 = _axes(n)
+    coords = np.arange(n + 1) / n
     stepper = _Stepper(config.scheme, config.lam, n, config.bc)
-    prev = stepper.buffer(_sample(config.initial_u, "initial_u", x1, x2))
-    v = stepper.buffer(_sample(config.initial_v, "initial_v", x1, x2))
+    prev = stepper.buffer(_sample(config.initial_u, "initial_u", coords))
+    v = stepper.buffer(_sample(config.initial_v, "initial_v", coords))
     curr = stepper.buffer()
-    sines = _standing(config.exact, x1, x2)
+    a, b, factors = _factors(config.exact, coords, tau, n_t)
     sampled = time.perf_counter()
     sums = np.empty((n_t, 2))
-    if sines is None:
-        steps, scratch = 1, np.empty((2, n + 1, n + 1))
-    else:
-        steps = n_t if on_step is None else 1
-        factors = np.array([_standing_time(k * tau) for k in range(1, n_t + 1)])
+    steps = n_t if on_step is None else 1
     for k in range(1, n_t + 1, steps):
-        wave = () if sines is None else (sines, factors[k - 1 :], sums[k - 1 :])
-        prev, curr = stepper.march(prev, curr, steps, v if k == 1 else None, tau, *wave)
-        if sines is None:
-            reference = _reference(config.exact, None, x1, x2, k * tau)
-            with np.errstate(over="ignore"):  # _relative_error refuses an overflow
-                sums[k - 1] = _error_sums(stepper.field(curr), *reference, scratch)
+        with np.errstate(over="ignore", invalid="ignore"):  # _relative_error refuses an overflow
+            prev, curr = stepper.march(prev, curr, steps, v if k == 1 else None, tau,
+                                       (a, b), factors[k - 1 :], sums[k - 1 :])
         if on_step is not None:
             on_step(k, stepper.field(curr).copy())
     overflows = f"lambda = {config.lam} overflows scheme {config.scheme.name!r}"

@@ -76,6 +76,7 @@ EXPECTED_ALL = [
     "lambda_max",
     "symbol",
     "DegenerateNormError",
+    "Separable",
     "SimConfig",
     "SimReport",
     "dump_grid_csv",

@@ -4,6 +4,7 @@ import pickle
 import sys
 import threading
 import warnings
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -11,13 +12,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from poisson_stencils import simulator
+from poisson_stencils import _kernel, simulator
 from poisson_stencils.benchmarks import TABLE_BC, TABLES, run_table
 from poisson_stencils.quadrature import LambdaPoly
 from poisson_stencils.scheme import named_scheme
 from poisson_stencils.stability import envelope, lambda_max, symbol
 from poisson_stencils.simulator import (
     DegenerateNormError,
+    Separable,
     SimConfig,
     SimReport,
     _Stepper,
@@ -156,19 +158,17 @@ class TestRun:
                 assert errors[0] == pytest.approx(errors[1], rel=1e-5)
 
     def test_degenerate_norm_reported(self, p5):
-        zero = lambda x1, x2, *_: 0.0 * (x1 + x2)
-        config = SimConfig(
-            scheme=p5, n=8, n_t=3, lam=0.5, initial_u=zero, initial_v=zero, exact=zero
-        )
+        zero = lambda *_: 0.0
+        config = SimConfig(scheme=p5, n=8, n_t=3, lam=0.5, initial_u=zero, initial_v=zero,
+                           exact=Separable(zero, zero, zero))
         with pytest.raises(DegenerateNormError):
             run(config)
 
     def test_a_step_whose_reference_vanishes_is_not_an_overflow(self, p5):
         # The reference is zero at step 1 only, so that step's error is nan
         # and run() still reports, where an overflowed step is refused.
-        def exact(x1, x2, t):
-            return exact_standing_wave(x1, x2, t) * (t - 0.0625)
-
+        wave = exact_standing_wave
+        exact = Separable(wave.x1, wave.x2, lambda t: wave.t(t) * (t - 0.0625))
         report = run(SimConfig(scheme=p5, n=8, n_t=3, lam=0.5, exact=exact))
         assert math.isnan(report.per_step_errors[0])
         assert all(map(math.isfinite, (report.error, *report.per_step_errors[1:])))
@@ -264,9 +264,9 @@ class TestRelativeL2Error:
 
     def test_degenerate_norm(self):
         fields = [np.ones((5, 5))]
-        zero = lambda x1, x2, t: 0.0 * (x1 + x2)
+        zero = lambda *_: 0.0
         with pytest.raises(DegenerateNormError):
-            relative_l2_error(fields, zero, 0.1)
+            relative_l2_error(fields, Separable(zero, zero, zero), 0.1)
 
     @pytest.mark.parametrize(
         "fields",
@@ -357,6 +357,7 @@ def test_sim_config_validation(p5):
         {"initial_v": None},
         {"exact": None},
         {"exact": 0.0},
+        {"exact": lambda x1, x2, t: exact_standing_wave(x1, x2, t)},
     )
     for bad in bad_inputs:
         kwargs = {"scheme": p5, "n": 10, "n_t": 1, "lam": 0.5, **bad}
@@ -417,34 +418,49 @@ def test_run_error_is_relative_l2_error_of_its_fields(kernels, name, bc):
 
 
 @pytest.mark.parametrize("name, bc", [("P5", "dirichlet"), ("P13", "periodic")])
-def test_any_reference_callable_gives_the_standing_wave_bits(kernels, name, bc):
-    # run() samples its default reference as a space field, once, times a
-    # time factor per step, and any other callable whole per step: a wrapper
-    # of the default takes the second path and must give the same bits.
-    def wrapped(x1, x2, t):
-        return exact_standing_wave(x1, x2, t)
-
-    spec = named_scheme(name)
+def test_a_separable_reference_marches_in_one_call_with_the_default_bits(
+    kernels, rewrapped_wave, name, bc
+):
+    # Any Separable reference takes the default's path: one compiled march
+    # call for the whole run, and with the standing wave's values from new
+    # functions, the default's bits on every kernel.
+    default = SimConfig(scheme=named_scheme(name), n=24, n_t=9, lam=0.7, bc=bc)
     for _, path in kernels:
         with path():
-            default = run(SimConfig(scheme=spec, n=24, n_t=9, lam=0.7, bc=bc))
-            generic = run(SimConfig(scheme=spec, n=24, n_t=9, lam=0.7, bc=bc, exact=wrapped))
-        assert generic.error.hex() == default.error.hex()
-        assert [e.hex() for e in generic.per_step_errors] == [
-            e.hex() for e in default.per_step_errors
-        ]
+            want = run(default)
+            kernel, calls = _kernel.load(), []
+
+            def march(*args):
+                calls.append(args)
+                return kernel.march(*args)
+
+            counted = None if kernel is None else _kernel.Kernel(kernel.isa, march, None)
+            with mock.patch.object(_kernel, "load", lambda: counted):
+                got = run(replace(default, exact=rewrapped_wave))
+        assert len(calls) == (kernel is not None)
+        assert got.error.hex() == want.error.hex()
+        assert [e.hex() for e in got.per_step_errors] == [e.hex() for e in want.per_step_errors]
 
 
-def test_another_reference_overflows_with_the_stability_warning_alone(kernels):
-    # The compiled march sums the standing wave in C, which warns of nothing;
-    # another reference is summed in numpy between steps, and its overflow
-    # must end in run()'s ValueError at the same step without a numpy
-    # RuntimeWarning.  (The numpy march's stencil warns of its own overflow.)
-    def wrapped(x1, x2, t):
-        return exact_standing_wave(x1, x2, t)
+def test_exact_must_be_separable(p5):
+    # A plain callable, even one with the standing wave's values, is refused
+    # where it enters: by SimConfig and by relative_l2_error.
+    plain = lambda x1, x2, t: exact_standing_wave(x1, x2, t)
+    with pytest.raises(ValueError, match="exact must be a Separable"):
+        SimConfig(scheme=p5, n=8, n_t=3, lam=0.5, exact=plain)
+    with pytest.raises(ValueError, match="exact must be a Separable"):
+        relative_l2_error([np.zeros((9, 9))], plain, 0.1)
+    for factors in ((None, np.sin, np.sin), (np.sin, 1.0, np.sin), (np.sin, np.sin, "t")):
+        with pytest.raises(ValueError, match="must be a function"):
+            Separable(*factors)
 
-    for name, path in kernels[:-1]:
-        for exact in (exact_standing_wave, wrapped):
+
+def test_another_reference_overflows_with_the_stability_warning_alone(kernels, rewrapped_wave):
+    # An overflowed march ends in run()'s ValueError at the same step on
+    # every kernel and with any reference, with no numpy RuntimeWarning: the
+    # compiled march warns of nothing, and run() silences the numpy march.
+    for name, path in kernels:
+        for exact in (exact_standing_wave, rewrapped_wave):
             with path(), warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(ValueError, match="the error of step 94 is not finite"):
@@ -480,13 +496,21 @@ def test_on_step_fields_match_public_steps(p5, p13):
             assert np.array_equal(got, want)
 
 
-def growing_reference(x1, x2, t):
-    return 0.0 * x1 + t
+def one(x):
+    return 1.0
+
+
+def growing(t):
+    return t
+
+
+growing_reference = Separable(one, one, growing)
 
 
 def test_run_reports_its_phases(p5, p13):
     # Fixed phase names in order, each a wall time >= 0, summing to at most
-    # the run's wall time, on the one-call march and on the step-by-step one.
+    # the run's wall time, on the one-call march and on the step-by-step
+    # one, with the default reference and another.
     configs = (
         SimConfig(scheme=p5, n=12, n_t=5, lam=0.6),
         SimConfig(scheme=p13, n=12, n_t=5, lam=0.6, bc="periodic", exact=growing_reference),
@@ -521,22 +545,34 @@ def test_report_names_the_kernel_that_ran(kernels, p13):
         ("initial_u", lambda x1, x2: np.full(np.broadcast(x1, x2).shape, math.nan)),
         ("initial_v", lambda x1, x2: 1j),
         ("initial_v", lambda x1, x2: x1 / (x2 - x2)),
-        ("exact", lambda x1, x2, t: math.inf),
-        ("exact", lambda x1, x2, t: x1 + x2 + 0j),
+        ("exact", lambda x: math.inf),
+        ("exact", lambda x: x + 0j),
+        ("exact", lambda x: x * math.nan),
     ],
 )
 def test_sampled_fields_must_be_real_and_finite(kernels, p5, name, function):
     # A complex field was cast with only a ComplexWarning (E = 1.9785 for
-    # the first case), and a nan or infinite one gave E = nan.
-    config = SimConfig(scheme=p5, n=8, n_t=3, lam=0.6, **{name: function})
+    # the first case), and a nan or infinite one gave E = nan.  A bad value
+    # of the reference is refused from each of its three factors.
+    if name == "exact":
+        wave = exact_standing_wave
+        cases = {
+            "exact.x1": Separable(function, wave.x2, wave.t),
+            "exact.x2": Separable(wave.x1, function, wave.t),
+            "exact.t": Separable(wave.x1, wave.x2, function),
+        }
+    else:
+        cases = {name: function}
     for _, path in kernels:
-        with path(), warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=name):
-                run(config)
-            if name == "exact":
-                with pytest.raises(ValueError, match=name):
-                    relative_l2_error([np.ones((9, 9))], function, 0.1)
+        for factor, value in cases.items():
+            config = SimConfig(scheme=p5, n=8, n_t=3, lam=0.6, **{name: value})
+            with path(), warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=factor):
+                    run(config)
+                if name == "exact":
+                    with pytest.raises(ValueError, match=factor):
+                        relative_l2_error([np.ones((9, 9))], value, 0.1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1j])

@@ -22,7 +22,6 @@ from poisson_stencils.scheme import NAMED_SCHEMES, named_scheme
 from poisson_stencils.simulator import (
     SimConfig,
     _Stepper,
-    exact_standing_wave,
     first_step,
     run,
     two_step,
@@ -229,20 +228,17 @@ def test_kernels_agree_on_every_table_row_and_march(kernels):
         assert bits == results["numpy"], name
 
 
-def test_whole_and_chunked_marches_agree(kernels):
-    # The default run marches in one kernel call; an on_step callback, or a
-    # reference other than the standing wave itself (here a wrapper of it),
-    # makes the same march go one step at a time.  All three give the same
-    # bits on every row and march.
-    def wrapped(x1, x2, t):
-        return exact_standing_wave(x1, x2, t)
-
+def test_whole_and_chunked_marches_agree(kernels, rewrapped_wave):
+    # The default run marches in one kernel call, and an on_step callback
+    # makes the same march go one step at a time; a Separable of new
+    # functions with the standing wave's values marches as the default does.
+    # All three give the same bits on every row and march.
     for name, path in kernels:
         with path():
             for config in table_and_march_configs():
                 whole = report_bits(run(config))
                 assert report_bits(run(config, on_step=lambda k, f: None)) == whole, name
-                assert report_bits(run(replace(config, exact=wrapped))) == whole, name
+                assert report_bits(run(replace(config, exact=rewrapped_wave))) == whole, name
 
 
 def test_concurrent_runs_give_the_sequential_bits(kernels):
