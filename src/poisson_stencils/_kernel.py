@@ -11,14 +11,17 @@ first, and ``load()`` returns the first.  Nothing else chooses a variant.
 Without POSIX, a compiler, or a working build or load, there is none, and
 the simulator runs its numpy path.
 
-Every variant and the numpy path give the same bits: each node sums coeff *
-value over the table's offsets in table order, starting from 0.0, one
-rounding per multiply and per add, and IEEE arithmetic rounds each vector
-lane as it would a lone double, whatever the width.  ``-ffp-contract=off``
-keeps the compiler from fusing them into multiply-adds (clang and aarch64
-gcc would otherwise, and AVX-512F has them), no target names ``fma``, and
-the flags stay portable, with no ``-march=native`` or ``-ffast-math``, so a
-cached library runs on any CPU of its architecture.
+The stencil loops walk the core one row at a time: LANES nodes per row step
+(VECTORS registers of W doubles, see ``ISAS``), then the row's remaining
+nodes one W-wide register at a time, then its last fewer than W nodes one
+at a time.  Every variant and the numpy path give the same bits: each node
+sums coeff * value over the table's offsets in table order, starting from
+0.0, one rounding per multiply and per add, and IEEE arithmetic rounds each
+vector lane as it would a lone double, whatever the width.
+``-ffp-contract=off`` keeps the compiler from fusing them into multiply-adds
+(clang and aarch64 gcc would otherwise, and AVX-512F has them), no target
+names ``fma``, and the flags stay portable, with no ``-march=native`` or
+``-ffast-math``, so a cached library runs on any CPU of its architecture.
 
 ``march`` is the simulator's one entry point: it runs a whole march in one
 call, the first step if asked, then the two-step update, each step followed
@@ -144,9 +147,10 @@ _VECTOR_LOOPS = r"""
 #define LANES (W * VECTORS)
 
 /* W doubles in one vector register, with elementwise IEEE arithmetic; a row
-   step sums LANES nodes, VECTORS registers of them.  block_sum's 8 partial
-   sums take 8 / W registers, lane k of register j holding partial sum
-   j * W + k. */
+   step sums LANES nodes, VECTORS registers of them, and a row's last
+   size % LANES nodes go one register, then one node, at a time.
+   block_sum's 8 partial sums take 8 / W registers, lane k of register j
+   holding partial sum j * W + k. */
 typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
 
 @TARGET@ static inline vec_@ISA@ load_@ISA@(const double *p)
@@ -177,6 +181,18 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
     }
 }
 
+/* Lane k of the result = the sum of c[m] * x[k + off[m]] over m in table
+   order, from 0.0: sum_lanes for one register. */
+@TARGET@ static inline vec_@ISA@ sum_vec_@ISA@(const double *restrict x,
+                                               const ptrdiff_t *restrict off,
+                                               const double *restrict c, ptrdiff_t count)
+{
+    vec_@ISA@ acc = {0.0};
+    for (ptrdiff_t m = 0; m < count; m++)
+        acc += c[m] * load_@ISA@(x + off[m]);
+    return acc;
+}
+
 /* Core nodes of width x width buffers: out = S_u u + tau * S_v v. */
 @TARGET@ static void stencil_first_@ISA@(const double *restrict u, const double *restrict v,
                                          double *restrict out, double tau, ptrdiff_t width,
@@ -196,6 +212,9 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
             for (int k = 0; k < VECTORS; k++)
                 store_@ISA@(z + j + W * k, s[k] + t[k] * tau);
         }
+        for (; j + W <= size; j += W)
+            store_@ISA@(z + j, sum_vec_@ISA@(x + j, off_u, c_u, n_u)
+                                   + sum_vec_@ISA@(y + j, off_v, c_v, n_v) * tau);
         for (; j < size; j++)
             z[j] = sum_one(x + j, off_u, c_u, n_u) + sum_one(y + j, off_v, c_v, n_v) * tau;
     }
@@ -217,6 +236,8 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
             for (int k = 0; k < VECTORS; k++)
                 store_@ISA@(z + j + W * k, s[k] - load_@ISA@(z + j + W * k));
         }
+        for (; j + W <= size; j += W)
+            store_@ISA@(z + j, sum_vec_@ISA@(x + j, off, c, count) - load_@ISA@(z + j));
         for (; j < size; j++)
             z[j] = sum_one(x + j, off, c, count) - z[j];
     }

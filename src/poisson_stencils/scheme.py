@@ -69,9 +69,10 @@ class SchemeSpec:
         seen.update(dict.fromkeys(self.first_v))
         return tuple(seen)
 
-    @property
+    @functools.cached_property
     def radius(self) -> int:
-        """Largest |offset component| over all three tables (0 when all are empty)."""
+        """Largest |offset component| over all three tables (0 when all are
+        empty), computed once per spec."""
         tables = (self.first_u, self.first_v, self.two_step)
         return max((max(abs(q1), abs(q2)) for table in tables for q1, q2 in table), default=0)
 

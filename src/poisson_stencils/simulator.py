@@ -27,8 +27,9 @@ with k = 1..n_t and i, j = 0..n.  Each step's two sums are numpy's
 march replays bit for bit; ``relative_l2_error`` and the numpy march call
 ``_error_sums`` itself.  The reference is a ``Separable``, one factor per
 axis and one in time, like the benchmark's standing wave.  It is sampled
-once per run as two vectors, one value per row and one per column, and a
-time factor per step: (a_i * b_j) * c has the bits of sampling it whole.
+once per run as two vectors, one value per row and one per column, and the
+time factors of all steps, each from one call on a vector of points:
+(a_i * b_j) * c has the bits of sampling it whole.
 The compiled march forms that product per node and reads no (n+1)^2
 reference field; the numpy paths build the field from the same two vectors
 by one broadcast multiply.
@@ -66,9 +67,10 @@ class Separable:
     """A reference solution that is one factor per axis times one in time.
 
     Called as (x1, x2, t), it returns (x1(x1) * x2(x2)) * t(t).  ``run()``
-    and ``relative_l2_error`` sample ``x1`` and ``x2`` once on the node
-    coordinates and ``t`` once per step, so each factor must accept a numpy
-    array or a float and return real, finite values.
+    and ``relative_l2_error`` call each factor once per run with a vector:
+    ``x1`` and ``x2`` on the n + 1 node coordinates, ``t`` on the n_t step
+    times k * tau.  Each must return real, finite values, one per point or
+    a scalar for all of them (``ValueError`` naming the factor otherwise).
     """
 
     x1: Callable
@@ -228,19 +230,37 @@ def _check_separable(exact) -> None:
         raise ValueError(f"exact must be a Separable, got {exact!r}")
 
 
+def _factor(func, name: str, points: np.ndarray) -> np.ndarray:
+    """``func`` sampled at ``points`` in one call, as a C-contiguous vector.
+
+    ``ValueError`` naming ``name`` unless the values are real, finite and
+    either a scalar, which is broadcast, or of the shape of ``points``.
+    """
+    values = _real_finite(func(points), name)
+    if values.shape == ():
+        return np.full(points.shape, values)
+    if values.shape != points.shape:
+        raise ValueError(
+            f"{name} must return a scalar or {points.size} values, got shape {values.shape}"
+        )
+    return np.ascontiguousarray(values)
+
+
 def _factors(exact: Separable, coords: np.ndarray, tau: float, n_t: int):
     """The reference's (a, b, c) on the grid and at steps k = 1..n_t.
 
-    a holds x1's factor per row and b x2's per column, each a C-contiguous
-    vector sampled on the node coordinates ``coords``, and c the time factor
-    of each step from one call at k * tau, so that (a_i * b_j) * c_k has the
-    bits of ``exact`` itself.  ``ValueError`` if a value is complex, nan or
-    infinite.
+    a holds x1's factor per row and b x2's per column, each sampled in one
+    call on the node coordinates ``coords``, and c the time factor of each
+    step, from one call on the step times k * tau, so that (a_i * b_j) * c_k
+    has the bits of ``exact`` itself.  Each is a C-contiguous vector.
+    ``ValueError`` naming the factor if a value is complex, nan or infinite,
+    or if a factor returns neither a scalar nor one value per point.
     """
-    a, b = np.empty((2, coords.size))
-    a[...] = _real_finite(exact.x1(coords), "exact.x1")
-    b[...] = _real_finite(exact.x2(coords), "exact.x2")
-    return a, b, _real_finite(np.array([exact.t(k * tau) for k in range(1, n_t + 1)]), "exact.t")
+    return (
+        _factor(exact.x1, "exact.x1", coords),
+        _factor(exact.x2, "exact.x2", coords),
+        _factor(exact.t, "exact.t", np.arange(1, n_t + 1) * tau),
+    )
 
 
 def _error_sums(u, s, c, scratch) -> tuple[float, float]:
@@ -533,8 +553,10 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     error is not finite, with no numpy warning; a step whose reference
     vanishes keeps error nan.
 
-    The whole march is one ``_Stepper.march`` call, or one per step with
-    ``on_step``, to the same bits.
+    Each factor of the reference is called once per run (see ``_factors``):
+    the time factor once, with the n_t step times.  The whole march is one
+    ``_Stepper.march`` call, or one per step with ``on_step``, to the same
+    bits.
     """
     started = time.perf_counter()
     env = stability.envelope(config.scheme, config.lam)

@@ -575,6 +575,72 @@ def test_sampled_fields_must_be_real_and_finite(kernels, p5, name, function):
                         relative_l2_error([np.ones((9, 9))], value, 0.1)
 
 
+def one_reference_with(factor, function):
+    """The standing wave with its factor ``factor`` ("exact.x1", "exact.x2"
+    or "exact.t") replaced by ``function``."""
+    return replace(exact_standing_wave, **{factor.removeprefix("exact."): function})
+
+
+@pytest.mark.parametrize(
+    "factor, function",
+    [
+        ("exact.x1", lambda x: x[:, None]),
+        ("exact.x1", lambda x: np.ones(1)),
+        ("exact.x2", lambda x: x[:-1]),
+        ("exact.x2", lambda x: np.ones((1, 1))),
+        ("exact.t", lambda t: t[:1]),
+        ("exact.t", lambda t: t[:, None]),
+    ],
+    ids=["x1-column", "x1-one-value", "x2-short", "x2-one-by-one", "t-one-value", "t-column"],
+)
+def test_reference_factors_give_one_value_per_point(kernels, p5, factor, function):
+    # A factor is called with a vector of points and must return a scalar
+    # or one value per point.  An (n+1, 1) column or a one-element time
+    # factor failed with numpy's or the march's message, naming no input.
+    exact = one_reference_with(factor, function)
+    config = SimConfig(scheme=p5, n=8, n_t=3, lam=0.6, exact=exact)
+    for _, path in kernels:
+        with path():
+            with pytest.raises(ValueError, match=f"^{factor} must return a scalar or"):
+                run(config)
+        with pytest.raises(ValueError, match=f"^{factor} must return a scalar or"):
+            relative_l2_error([np.ones((9, 9))] * 3, exact, 0.1)
+
+
+@pytest.mark.parametrize("factor", ["exact.x1", "exact.x2", "exact.t"])
+def test_a_scalar_factor_is_broadcast_and_each_factor_called_once(kernels, p5, factor):
+    # A factor may return one scalar for all its points: it gives the bits
+    # of the same value per point.  Each factor is called once per run with
+    # all its points, the time factor with the n_t step times.
+    calls = []
+
+    def counted(function):
+        def factor_of(points):
+            calls.append(np.array(points))
+            return function(points)
+
+        return factor_of
+
+    scalar = one_reference_with(factor, counted(lambda points: 0.75))
+    full = one_reference_with(factor, lambda points: np.full(np.shape(points), 0.75))
+    config = SimConfig(scheme=p5, n=8, n_t=3, lam=0.6, exact=scalar)
+    fields = [np.full((9, 9), 0.5)] * 3
+    for _, path in kernels:
+        with path():
+            calls.clear()
+            got = run(config)
+            want = run(replace(config, exact=full))
+        assert got.error.hex() == want.error.hex()
+        assert [e.hex() for e in got.per_step_errors] == [e.hex() for e in want.per_step_errors]
+        points = np.arange(1, 4) * config.tau if factor == "exact.t" else np.arange(9) / 8
+        assert len(calls) == 1 and np.array_equal(calls[0], points)
+    calls.clear()
+    assert relative_l2_error(fields, scalar, config.tau) == relative_l2_error(
+        fields, full, config.tau
+    )
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1j])
 def test_computed_fields_must_be_real_and_finite(kernels, value):
     # A nan field gave E = nan, and a complex one a TypeError from a cast.

@@ -17,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poisson_stencils import _kernel
 from poisson_stencils.benchmarks import TABLE_BC, TABLES, run_table
 from poisson_stencils.scheme import NAMED_SCHEMES, named_scheme
 from poisson_stencils.simulator import (
     SimConfig,
     _Stepper,
+    _standing_time,
     first_step,
     run,
     two_step,
@@ -160,14 +162,39 @@ def test_dirichlet_step_is_the_periodic_step_of_the_odd_extension(kernels, case)
             assert np.abs(periodic[: n + 1, [0, n]]).max() <= 1e-15 * scale
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 16])
-@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
-@pytest.mark.parametrize("name", NAMED_SCHEMES)
+def whole_buffer_cases():
+    """(name, bc, n) per case: n = 2..33 for P5 and P13, so that the core
+    rows (n - 1 nodes for Dirichlet, n periodic) reach every remainder
+    modulo LANES for each row of ``_kernel.ISAS``; a few n for the others."""
+    lanes = {w * vectors for _, w, vectors in _kernel.ISAS}
+    wide = range(2, 2 + 2 * max(lanes))
+    return [
+        (name, bc, n)
+        for name in NAMED_SCHEMES
+        for bc in ("dirichlet", "periodic")
+        for n in (wide if name in ("P5", "P13") else (2, 3, 7, 16))
+    ]
+
+
+def test_whole_buffer_cases_reach_every_remainder():
+    # Each variant's rows end in LANES blocks, then W-wide registers, then
+    # single nodes: every remainder of LANES (0, below W, exactly W and
+    # above W) follows at least one full block, on both boundaries.
+    for name in ("P5", "P13"):
+        for bc, first in (("dirichlet", 1), ("periodic", 0)):
+            sizes = [n - first for case, b, n in whole_buffer_cases() if (case, b) == (name, bc)]
+            for _, w, vectors in _kernel.ISAS:
+                lanes = w * vectors
+                assert {size % lanes for size in sizes if size >= lanes} == set(range(lanes))
+
+
+@pytest.mark.parametrize("name, bc, n", whole_buffer_cases())
 def test_kernels_leave_identical_whole_buffers(kernels, name, bc, n):
     # The whole buffers after 1, 2 and 3 steps, ghost ring and corners
     # included, where the public steps compare only the field: the numpy
     # ghost fill and each variant's compiled plan write the same lines in
-    # one order.
+    # one order, and each part of a row (LANES blocks, W-wide registers,
+    # single nodes) sums its offsets in table order.
     if len(kernels) == 1:
         pytest.skip("no compiled kernel")
     rng = np.random.default_rng(n)
@@ -213,6 +240,16 @@ def table_and_march_configs():
 
 def report_bits(report):
     return report.error.hex(), [e.hex() for e in report.per_step_errors]
+
+
+def test_time_factors_of_one_call_are_the_per_step_values():
+    # run() samples the time factor in one call on all n_t step times.
+    # numpy does not promise that its array sin gives its scalar sin's bits,
+    # so this pins that the one call gives each step's scalar value.
+    for config in table_and_march_configs():
+        times = np.arange(1, config.n_t + 1) * config.tau
+        scalar = [float(_standing_time(k * config.tau)).hex() for k in range(1, config.n_t + 1)]
+        assert [value.hex() for value in _standing_time(times).tolist()] == scalar
 
 
 def test_kernels_agree_on_every_table_row_and_march(kernels):
