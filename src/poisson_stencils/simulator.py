@@ -33,6 +33,13 @@ time factors of all steps, each from one call on a vector of points:
 The compiled march forms that product per node and reads no (n+1)^2
 reference field; the numpy paths build the field from the same two vectors
 by one broadcast multiply.
+
+An initial field may be a ``Separable`` of space alone, as the benchmark's
+two are.  ``run()`` then samples its two factors once on the node
+coordinates and forms their product straight into its march buffer, so a
+default run on the compiled kernel allocates three fresh (n+1)^2 fields,
+its buffers, and no others.  Any other function of (x1, x2) is sampled on
+the whole grid and copied in.
 """
 
 from __future__ import annotations
@@ -64,24 +71,35 @@ def _check_functions(owner, names) -> None:
 
 @dataclass(frozen=True)
 class Separable:
-    """A reference solution that is one factor per axis times one in time.
+    """A field that is one factor per axis, times one in time if ``t`` is given.
 
-    Called as (x1, x2, t), it returns (x1(x1) * x2(x2)) * t(t).  ``run()``
-    and ``relative_l2_error`` call each factor once per run with a vector:
-    ``x1`` and ``x2`` on the n + 1 node coordinates, ``t`` on the n_t step
-    times k * tau.  Each must return real, finite values, one per point or
-    a scalar for all of them (``ValueError`` naming the factor otherwise).
+    ``Separable(x1, x2)`` is a field of space, called as (x1, x2): it
+    returns x1(x1) * x2(x2).  ``SimConfig`` takes one as ``initial_u`` or
+    ``initial_v``.  ``Separable(x1, x2, t)`` is a reference solution, the
+    kind ``exact`` must be, called as (x1, x2, t): it returns
+    (x1(x1) * x2(x2)) * t(t).  Calling either with the other's arguments is
+    a ``TypeError``.
+
+    ``run()`` and ``relative_l2_error`` call each factor once per run with a
+    vector: ``x1`` and ``x2`` on the n + 1 node coordinates, ``t`` on the
+    n_t step times k * tau.  Each must return real, finite values, one per
+    point or a scalar for all of them (``ValueError`` naming the factor
+    otherwise).
     """
 
     x1: Callable
     x2: Callable
-    t: Callable
+    t: Callable | None = None
 
     def __post_init__(self):
-        _check_functions(self, ("x1", "x2", "t"))
+        _check_functions(self, ("x1", "x2") if self.t is None else ("x1", "x2", "t"))
 
-    def __call__(self, x1, x2, t):
-        return (self.x1(x1) * self.x2(x2)) * self.t(t)
+    def __call__(self, x1, x2, *t):
+        if len(t) != (self.t is not None):
+            wanted = "(x1, x2)" if self.t is None else "(x1, x2, t)"
+            raise TypeError(f"this Separable is called as {wanted}, got {2 + len(t)} arguments")
+        space = self.x1(x1) * self.x2(x2)
+        return space if self.t is None else space * self.t(*t)
 
 
 def _sine(x):
@@ -100,14 +118,30 @@ def _standing_time(t):
 exact_standing_wave = Separable(_sine, _sine, _standing_time)
 
 
-def standing_wave_initial_u(x1, x2):
-    """Initial displacement of the standing-wave benchmark (identically zero)."""
-    return np.zeros(np.broadcast(np.asarray(x1), np.asarray(x2)).shape)
+def _zeros(x):
+    """Zero at every point of ``x``."""
+    return np.zeros(np.shape(x))
 
 
-def standing_wave_initial_v(x1, x2):
-    """Initial velocity of the standing-wave benchmark."""
-    return 2.0 * _SQRT2 * np.pi * np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
+def _scaled_sine(x):
+    """2 sqrt(2) pi sin(2 pi x): the standing wave's x1 factor times the
+    slope of its time factor at t = 0."""
+    return 2.0 * _SQRT2 * np.pi * np.sin(2.0 * np.pi * x)
+
+
+standing_wave_initial_u = Separable(_zeros, _zeros)
+"""Initial displacement of the standing-wave benchmark: zero everywhere.
+
+A ``Separable`` of space, called as (x1, x2) like any initial field.
+"""
+
+standing_wave_initial_v = Separable(_scaled_sine, _sine)
+"""Initial velocity of the standing-wave benchmark, the time derivative of
+``exact_standing_wave`` at t = 0: (2 sqrt(2) pi sin(2 pi x1)) sin(2 pi x2).
+
+A ``Separable`` of space, called as (x1, x2) like any initial field; on
+any grid it has the bits of the whole expression evaluated left to right.
+"""
 
 
 def _check_int(value, name: str, least: int) -> None:
@@ -130,10 +164,14 @@ class SimConfig:
 
     The time step is always derived as tau = lam * h, as lam = c * tau / h
     carries the wave speed.  ``initial_u`` and ``initial_v`` are functions
-    of (x1, x2); ``exact`` is the reference solution used for the error
-    metric, a ``Separable`` (``ValueError`` otherwise).  All three default to
-    the standing-wave benchmark; ``run()`` raises ``ValueError`` if one gives
-    a complex, nan or infinite value.  ``lam`` is stored as a float.
+    of (x1, x2): a ``Separable`` without ``t``, which ``run()`` forms
+    straight into its buffer, or any other, which it samples on the whole
+    grid.  ``exact`` is the reference solution used for the error metric, a
+    ``Separable`` with ``t``.  Other values, a ``Separable`` with ``t`` as
+    an initial field included, are a ``ValueError`` naming the field.  All
+    three default to the standing-wave benchmark; ``run()`` raises
+    ``ValueError`` if one gives a complex, nan or infinite value, or values
+    of another shape.  ``lam`` is stored as a float.
     """
 
     scheme: SchemeSpec
@@ -149,6 +187,10 @@ class SimConfig:
         object.__setattr__(self, "lam", _check_grid(self.n, self.lam, self.bc))
         _check_int(self.n_t, "n_t", 1)
         _check_functions(self, ("initial_u", "initial_v"))
+        for name in ("initial_u", "initial_v"):
+            initial = getattr(self, name)
+            if isinstance(initial, Separable) and initial.t is not None:
+                raise ValueError(f"{name} must be a field of (x1, x2), got a Separable with t")
         _check_separable(self.exact)
 
     @property
@@ -219,15 +261,25 @@ def _sample(func, name: str, coords: np.ndarray) -> np.ndarray:
     """Evaluate the field function ``name`` on the grid, accepting scalar values.
 
     ``func`` gets the node coordinates as a column and a row, which
-    broadcast to the grid.
+    broadcast to the grid.  ``ValueError`` naming ``name`` unless its values
+    are real, finite and broadcast to the grid.
     """
     values = _real_finite(func(coords[:, None], coords[None, :]), name)
-    return np.broadcast_to(values, (coords.size, coords.size))
+    shape = (coords.size, coords.size)
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise ValueError(
+            f"{name} must return a scalar or values that broadcast to {shape}, "
+            f"got shape {values.shape}"
+        ) from None
 
 
 def _check_separable(exact) -> None:
     if not isinstance(exact, Separable):
         raise ValueError(f"exact must be a Separable, got {exact!r}")
+    if exact.t is None:
+        raise ValueError("exact must be a Separable with a time factor t, got one without")
 
 
 def _factor(func, name: str, points: np.ndarray) -> np.ndarray:
@@ -351,16 +403,23 @@ class _Stepper:
         o = self.origin
         return buf[o : o + self.n + 1, o : o + self.n + 1]
 
-    def buffer(self, values: np.ndarray | None = None) -> np.ndarray:
-        """A new buffer, zero or holding ``values`` with its ghosts filled.
+    def buffer(self, values: np.ndarray | None = None, axes=None) -> np.ndarray:
+        """A new buffer, zero or holding a field with its ghosts filled.
 
-        The boundary ring is not pinned: a Dirichlet field keeps its own for
-        the first stencil application to read.
+        The field is ``values``, or with ``axes`` = (p, q), two vectors of
+        n + 1 values, the product p[:, None] * q[None, :], formed in the
+        buffer.  The boundary ring is not pinned: a Dirichlet field keeps its
+        own for the first stencil application to read.
         """
         buf = np.zeros(self.shape)
-        if values is not None:
+        if axes is not None:
+            p, q = axes
+            np.multiply(p[:, None], q[None, :], out=self.field(buf))
+        elif values is not None:
             self.field(buf)[...] = values
-            self._fill_ghosts(buf, pin=False)
+        else:
+            return buf
+        self._fill_ghosts(buf, pin=False)
         return buf
 
     def _fill_ghosts(self, buf: np.ndarray, pin: bool = True):
@@ -486,6 +545,26 @@ def two_step(
     return stepper.field(out).copy()
 
 
+def _initial(stepper: _Stepper, func, name: str, coords: np.ndarray) -> np.ndarray:
+    """A buffer of ``stepper`` holding the initial field ``name``, ``func`` on the grid.
+
+    A ``Separable`` is formed in the buffer from its two factors, each
+    sampled once on the node coordinates ``coords`` (see ``_factor``), with
+    the bits of sampling it whole.  Any other function is sampled on the
+    whole grid (see ``_sample``) and copied in.  ``ValueError`` naming the
+    field or its factor for complex, nan or infinite values, values of
+    another shape, or a product that overflows.
+    """
+    if not isinstance(func, Separable):
+        return stepper.buffer(_sample(func, name, coords))
+    p = _factor(func.x1, f"{name}.x1", coords)
+    q = _factor(func.x2, f"{name}.x2", coords)
+    # The largest |p_i * q_j| is this product, so it overflows iff a node does.
+    if not math.isfinite(float(np.abs(p).max()) * float(np.abs(q).max())):
+        raise ValueError(f"{name} must be finite, got an x1 * x2 that overflows")
+    return stepper.buffer(axes=(p, q))
+
+
 def _space(sines) -> np.ndarray:
     """The reference's (n+1) x (n+1) space field from its axis vectors (a, b)."""
     a, b = sines
@@ -554,9 +633,11 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     vanishes keeps error nan.
 
     Each factor of the reference is called once per run (see ``_factors``):
-    the time factor once, with the n_t step times.  The whole march is one
-    ``_Stepper.march`` call, or one per step with ``on_step``, to the same
-    bits.
+    the time factor once, with the n_t step times.  So is each factor of a
+    ``Separable`` initial field, whose product goes straight into its
+    buffer; any other initial field is sampled on the whole grid.  The
+    whole march is one ``_Stepper.march`` call, or one per step with
+    ``on_step``, to the same bits.
     """
     started = time.perf_counter()
     env = stability.envelope(config.scheme, config.lam)
@@ -570,8 +651,8 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     n, n_t, tau = config.n, config.n_t, config.tau
     coords = np.arange(n + 1) / n
     stepper = _Stepper(config.scheme, config.lam, n, config.bc)
-    prev = stepper.buffer(_sample(config.initial_u, "initial_u", coords))
-    v = stepper.buffer(_sample(config.initial_v, "initial_v", coords))
+    prev = _initial(stepper, config.initial_u, "initial_u", coords)
+    v = _initial(stepper, config.initial_v, "initial_v", coords)
     curr = stepper.buffer()
     a, b, factors = _factors(config.exact, coords, tau, n_t)
     sampled = time.perf_counter()

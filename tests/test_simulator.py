@@ -28,6 +28,7 @@ from poisson_stencils.simulator import (
     first_step,
     relative_l2_error,
     run,
+    standing_wave_initial_u,
     standing_wave_initial_v,
     two_step,
 )
@@ -363,6 +364,16 @@ def test_sim_config_validation(p5):
         kwargs = {"scheme": p5, "n": 10, "n_t": 1, "lam": 0.5, **bad}
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+    # A Separable in space and time is no initial field: it failed inside
+    # run() with a TypeError.  One in space alone is no reference.
+    for name in ("initial_u", "initial_v"):
+        with pytest.raises(ValueError, match=f"^{name} must be a field of \\(x1, x2\\)"):
+            SimConfig(scheme=p5, n=10, n_t=1, lam=0.5, **{name: exact_standing_wave})
+    in_space = Separable(np.sin, np.sin)
+    with pytest.raises(ValueError, match="^exact must be a Separable with a time factor"):
+        SimConfig(scheme=p5, n=10, n_t=1, lam=0.5, exact=in_space)
+    with pytest.raises(ValueError, match="^exact must be a Separable with a time factor"):
+        relative_l2_error([np.ones((11, 11))], in_space, 0.1)
     config = SimConfig(scheme=p5, n=10, n_t=1, lam=0.5)
     assert config.tau == pytest.approx(0.05)
     assert SimConfig(scheme=p5, n=np.int64(10), n_t=np.int32(1), lam=0.5).n == 10
@@ -545,6 +556,8 @@ def test_report_names_the_kernel_that_ran(kernels, p13):
         ("initial_u", lambda x1, x2: np.full(np.broadcast(x1, x2).shape, math.nan)),
         ("initial_v", lambda x1, x2: 1j),
         ("initial_v", lambda x1, x2: x1 / (x2 - x2)),
+        ("initial_v", lambda x1, x2: np.ones((3, 3))),
+        ("initial_u", lambda x1, x2: np.ones((1, 9, 9))),
         ("exact", lambda x: math.inf),
         ("exact", lambda x: x + 0j),
         ("exact", lambda x: x * math.nan),
@@ -552,8 +565,10 @@ def test_report_names_the_kernel_that_ran(kernels, p13):
 )
 def test_sampled_fields_must_be_real_and_finite(kernels, p5, name, function):
     # A complex field was cast with only a ComplexWarning (E = 1.9785 for
-    # the first case), and a nan or infinite one gave E = nan.  A bad value
-    # of the reference is refused from each of its three factors.
+    # the first case), and a nan or infinite one gave E = nan.  A field that
+    # does not broadcast to the grid failed with numpy's message, naming no
+    # input.  A bad value of the reference is refused from each of its three
+    # factors.
     if name == "exact":
         wave = exact_standing_wave
         cases = {
@@ -639,6 +654,139 @@ def test_a_scalar_factor_is_broadcast_and_each_factor_called_once(kernels, p5, f
         fields, full, config.tau
     )
     assert len(calls) == 1
+
+
+def _scaled_sine(x):
+    return 2.0 * SQRT2 * np.pi * np.sin(2.0 * np.pi * x)
+
+
+def _sine(x):
+    return np.sin(2.0 * np.pi * x)
+
+
+def test_default_initial_fields_keep_their_values_on_meshgrids():
+    # The defaults are Separables of space now, with the bits of the whole
+    # expressions they replaced, called as (x1, x2) on any grid.
+    coords = np.arange(13) / 12
+    grids = (np.meshgrid(coords, coords, indexing="ij"), (coords[:, None], coords[None, :]))
+    for x1, x2 in grids:
+        want = 2.0 * SQRT2 * np.pi * np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
+        got = standing_wave_initial_v(x1, x2)
+        assert got.shape == (13, 13) and got.tobytes() == want.tobytes()
+        zero = standing_wave_initial_u(x1, x2)
+        assert zero.shape == (13, 13) and zero.tobytes() == np.zeros((13, 13)).tobytes()
+    assert standing_wave_initial_v(0.3, 0.8) == _scaled_sine(0.3) * _sine(0.8)
+    for field in (standing_wave_initial_u, standing_wave_initial_v):
+        assert field.t is None and pickle.loads(pickle.dumps(field)) == field
+        with pytest.raises(TypeError, match="called as \\(x1, x2\\)"):
+            field(0.3, 0.8, 0.1)
+    with pytest.raises(TypeError, match="called as \\(x1, x2, t\\)"):
+        exact_standing_wave(0.3, 0.8)
+
+
+def test_an_axes_buffer_is_the_buffer_of_its_product(kernels):
+    # stepper.buffer(axes=(p, q)) holds, ghosts included, the bits of
+    # stepper.buffer(p[:, None] * q[None, :]) on both boundary layouts.
+    rng = np.random.default_rng(23)
+    for name, bc, n in (("P5", "dirichlet", 9), ("P13", "periodic", 11), ("P13", "dirichlet", 5)):
+        p, q = rng.standard_normal((2, n + 1))
+        stepper = _Stepper(named_scheme(name), 0.5, n, bc)
+        got = stepper.buffer(axes=(p, q))
+        assert got.tobytes() == stepper.buffer(p[:, None] * q[None, :]).tobytes()
+
+
+@pytest.mark.parametrize("name, bc", [(name, bc) for name in ("P5", "P13")
+                                      for bc in ("dirichlet", "periodic")])
+def test_separable_and_plain_initial_fields_give_the_default_bits(kernels, name, bc):
+    # A Separable initial field is formed in its buffer from two vectors; a
+    # plain function is sampled on the whole grid.  Both give the default's
+    # bits, on every kernel and on grids from n = 2 up.
+    rewrapped = {
+        "initial_u": Separable(lambda x: np.zeros(np.shape(x)), lambda x: np.zeros(np.shape(x))),
+        "initial_v": Separable(lambda x: _scaled_sine(x), lambda x: _sine(x)),
+    }
+    plain = {
+        "initial_u": lambda x1, x2: 0.0,
+        "initial_v": lambda x1, x2: (
+            2.0 * SQRT2 * np.pi * np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
+        ),
+    }
+    for n in (2, 3, 7, 16, 80):
+        default = SimConfig(scheme=named_scheme(name), n=n, n_t=5, lam=0.6, bc=bc)
+        for _, path in kernels:
+            with path():
+                runs = [run(default), run(replace(default, **rewrapped)),
+                        run(replace(default, **plain))]
+            bits = {(r.error.hex(), *(e.hex() for e in r.per_step_errors)) for r in runs}
+            assert len(bits) == 1, (n, bits)
+
+
+def test_each_initial_factor_is_called_once_and_the_field_never(kernels, p5):
+    # Each factor of a Separable initial field is called once per run with
+    # the n + 1 node coordinates, and the Separable itself is never called.
+    # A factor may return one scalar for all its points, with the bits of
+    # the same value per point.
+    calls = {}
+
+    def counted(label, function):
+        def factor_of(points):
+            calls.setdefault(label, []).append(np.array(points))
+            return function(points)
+
+        return factor_of
+
+    scalar = {
+        "initial_u": Separable(counted("initial_u.x1", lambda x: 0.5),
+                               counted("initial_u.x2", lambda x: x)),
+        "initial_v": Separable(counted("initial_v.x1", _scaled_sine),
+                               counted("initial_v.x2", lambda x: 0.75)),
+    }
+    full = {
+        "initial_u": Separable(lambda x: np.full(np.shape(x), 0.5), lambda x: x),
+        "initial_v": Separable(_scaled_sine, lambda x: np.full(np.shape(x), 0.75)),
+    }
+    config = SimConfig(scheme=p5, n=8, n_t=3, lam=0.6, **scalar)
+    for _, path in kernels:
+        with path():
+            calls.clear()
+            with mock.patch.object(Separable, "__call__", side_effect=AssertionError):
+                got = run(config)
+            want = run(replace(config, **full))
+        assert got.error.hex() == want.error.hex()
+        assert [e.hex() for e in got.per_step_errors] == [e.hex() for e in want.per_step_errors]
+        assert sorted(calls) == ["initial_u.x1", "initial_u.x2", "initial_v.x1", "initial_v.x2"]
+        for points in calls.values():
+            assert len(points) == 1 and np.array_equal(points[0], np.arange(9) / 8)
+
+
+def _huge(x):
+    return np.full(np.shape(x), 1e200)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        (Separable(lambda x: x + 1j, _sine), "^initial_v.x1 must be real"),
+        (Separable(lambda x: x * math.nan, _sine), "^initial_v.x1 must be finite"),
+        (Separable(lambda x: x / 0.0, _sine), "^initial_v.x1 must be finite"),
+        (Separable(_sine, lambda x: -math.inf), "^initial_v.x2 must be finite"),
+        (Separable(lambda x: x[:, None], _sine), "^initial_v.x1 must return a scalar or 9 values"),
+        (Separable(_sine, lambda x: x[:-1]), "^initial_v.x2 must return a scalar or 9 values"),
+        (Separable(_huge, _huge), "^initial_v must be finite, got an x1 \\* x2 that overflows"),
+    ],
+    ids=["complex", "nan", "inf", "x2-inf", "column", "short", "overflow"],
+)
+def test_separable_initial_fields_are_refused_by_name(kernels, p5, field, message):
+    # A bad factor is refused under its own name, and a product that
+    # overflows (1e200 * 1e200) under the field's, before it is formed, so
+    # with no numpy warning.
+    config = SimConfig(scheme=p5, n=8, n_t=3, lam=0.6, initial_v=field)
+    for _, path in kernels:
+        with path(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match=message):
+                    run(config)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1j])
