@@ -11,13 +11,16 @@ first, and ``load()`` returns the first.  Nothing else chooses a variant.
 Without POSIX, a compiler, or a working build or load, there is none, and
 the simulator runs its numpy path.
 
-The stencil loops walk the core one row at a time: LANES nodes per row step
-(VECTORS registers of W doubles, see ``ISAS``), then the row's remaining
-nodes one W-wide register at a time, then its last fewer than W nodes one
-at a time.  Every variant and the numpy path give the same bits: each node
-sums coeff * value over the table's offsets in table order, starting from
-0.0, one rounding per multiply and per add, and IEEE arithmetic rounds each
-vector lane as it would a lone double, whatever the width.
+One stencil routine per instruction set serves the first step and the
+two-step update.  It walks the core one row at a time: LANES nodes per row
+step (VECTORS registers of W doubles, see ``ISAS``), then the row's
+remaining nodes one W-wide register at a time, both through one inline row
+step whose register count is a constant at each call, then its last fewer
+than W nodes one at a time.  Every variant and the numpy path give the same
+bits: each node sums coeff * value over the table's offsets in table order,
+starting from 0.0, one rounding per multiply and per add, and IEEE
+arithmetic rounds each vector lane as it would a lone double, whatever the
+width.
 ``-ffp-contract=off`` keeps the compiler from fusing them into multiply-adds
 (clang and aarch64 gcc would otherwise, and AVX-512F has them), no target
 names ``fma``, and the flags stay portable, with no ``-march=native`` or
@@ -70,8 +73,8 @@ from pathlib import Path
 from typing import Callable
 
 # The part of the C source that has no vectors: the plan's layout, the ghost
-# fill, the one-node sum of a row's leftover nodes, the error sums' fields,
-# and the choice of instruction set.
+# fill, a stencil table, the one-node sum of a row's leftover nodes, the
+# error sums' fields, and the choice of instruction set.
 _SHARED = r"""
 #include <stddef.h>
 
@@ -97,13 +100,19 @@ static void fill_ghosts(double *buf, const ptrdiff_t *plan, const ptrdiff_t *lin
     }
 }
 
+/* A stencil table: count linear buffer offsets off and their coefficients c. */
+struct table {
+    const ptrdiff_t *restrict off;
+    const double *restrict c;
+    ptrdiff_t count;
+};
+
 /* The sum of c[m] * x[off[m]] over m in table order, from 0.0. */
-static inline double sum_one(const double *restrict x, const ptrdiff_t *restrict off,
-                             const double *restrict c, ptrdiff_t count)
+static inline double sum_one(const double *restrict x, struct table t)
 {
     double a = 0.0;
-    for (ptrdiff_t m = 0; m < count; m++)
-        a += c[m] * x[off[m]];
+    for (ptrdiff_t m = 0; m < t.count; m++)
+        a += t.c[m] * x[t.off[m]];
     return a;
 }
 
@@ -165,81 +174,54 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
     __builtin_memcpy(p, &v, sizeof v);
 }
 
-/* Lane k of acc = the sum of c[m] * x[k + off[m]] over m in table order,
-   from 0.0. */
-@TARGET@ static inline void sum_lanes_@ISA@(const double *restrict x,
-                                            const ptrdiff_t *restrict off,
-                                            const double *restrict c, ptrdiff_t count,
-                                            vec_@ISA@ acc[VECTORS])
+/* Lane k of acc[r] = the sum of c[m] * x[W * r + k + off[m]] over m in
+   table order, from 0.0, for each of the first vectors registers of acc. */
+@TARGET@ static inline void sum_lanes_@ISA@(const double *restrict x, struct table t,
+                                            const int vectors, vec_@ISA@ acc[VECTORS])
 {
-    for (int k = 0; k < VECTORS; k++)
-        acc[k] = (vec_@ISA@){0.0};
-    for (ptrdiff_t m = 0; m < count; m++) {
-        const double *p = x + off[m], cm = c[m];
-        for (int k = 0; k < VECTORS; k++)
-            acc[k] += cm * load_@ISA@(p + W * k);
+    for (int r = 0; r < vectors; r++)
+        acc[r] = (vec_@ISA@){0.0};
+    for (ptrdiff_t m = 0; m < t.count; m++) {
+        const double *p = x + t.off[m], cm = t.c[m];
+        for (int r = 0; r < vectors; r++)
+            acc[r] += cm * load_@ISA@(p + W * r);
     }
 }
 
-/* Lane k of the result = the sum of c[m] * x[k + off[m]] over m in table
-   order, from 0.0: sum_lanes for one register. */
-@TARGET@ static inline vec_@ISA@ sum_vec_@ISA@(const double *restrict x,
-                                               const ptrdiff_t *restrict off,
-                                               const double *restrict c, ptrdiff_t count)
+/* The W * vectors nodes of out from index j: S_a x + tau * S_b y with y,
+   else S_a x - out.  Each call passes a constant vectors (VECTORS or 1). */
+@TARGET@ static inline void row_step_@ISA@(const double *restrict x, const double *restrict y,
+                                           double *restrict out, ptrdiff_t j, double tau,
+                                           const int vectors, struct table a, struct table b)
 {
-    vec_@ISA@ acc = {0.0};
-    for (ptrdiff_t m = 0; m < count; m++)
-        acc += c[m] * load_@ISA@(x + off[m]);
-    return acc;
-}
-
-/* Core nodes of width x width buffers: out = S_u u + tau * S_v v. */
-@TARGET@ static void stencil_first_@ISA@(const double *restrict u, const double *restrict v,
-                                         double *restrict out, double tau, ptrdiff_t width,
-                                         ptrdiff_t lo, ptrdiff_t size,
-                                         const ptrdiff_t *off_u, const double *c_u, ptrdiff_t n_u,
-                                         const ptrdiff_t *off_v, const double *c_v, ptrdiff_t n_v)
-{
-    for (ptrdiff_t i = 0; i < size; i++) {
-        const ptrdiff_t row = (lo + i) * width + lo;
-        const double *x = u + row, *y = v + row;
-        double *z = out + row;
-        ptrdiff_t j = 0;
-        for (; j + LANES <= size; j += LANES) {
-            vec_@ISA@ s[VECTORS], t[VECTORS];
-            sum_lanes_@ISA@(x + j, off_u, c_u, n_u, s);
-            sum_lanes_@ISA@(y + j, off_v, c_v, n_v, t);
-            for (int k = 0; k < VECTORS; k++)
-                store_@ISA@(z + j + W * k, s[k] + t[k] * tau);
-        }
-        for (; j + W <= size; j += W)
-            store_@ISA@(z + j, sum_vec_@ISA@(x + j, off_u, c_u, n_u)
-                                   + sum_vec_@ISA@(y + j, off_v, c_v, n_v) * tau);
-        for (; j < size; j++)
-            z[j] = sum_one(x + j, off_u, c_u, n_u) + sum_one(y + j, off_v, c_v, n_v) * tau;
+    vec_@ISA@ s[VECTORS], t[VECTORS];
+    sum_lanes_@ISA@(x + j, a, vectors, s);
+    if (y)
+        sum_lanes_@ISA@(y + j, b, vectors, t);
+    for (int r = 0; r < vectors; r++) {
+        double *z = out + j + W * r;
+        store_@ISA@(z, y ? s[r] + t[r] * tau : s[r] - load_@ISA@(z));
     }
 }
 
-/* Core nodes of width x width buffers: prev = S curr - prev. */
-@TARGET@ static void stencil_two_@ISA@(const double *restrict curr, double *restrict prev,
-                                       ptrdiff_t width, ptrdiff_t lo, ptrdiff_t size,
-                                       const ptrdiff_t *off, const double *c, ptrdiff_t count)
+/* Core nodes of width x width buffers: out = S_a x + tau * S_b y with y (the
+   first step), else out = S_a x - out (the two-step update). */
+@TARGET@ static void stencil_@ISA@(const double *restrict x, const double *restrict y,
+                                   double *restrict out, double tau, ptrdiff_t width,
+                                   ptrdiff_t lo, ptrdiff_t size, struct table a, struct table b)
 {
     for (ptrdiff_t i = 0; i < size; i++) {
         const ptrdiff_t row = (lo + i) * width + lo;
-        const double *x = curr + row;
-        double *z = prev + row;
         ptrdiff_t j = 0;
-        for (; j + LANES <= size; j += LANES) {
-            vec_@ISA@ s[VECTORS];
-            sum_lanes_@ISA@(x + j, off, c, count, s);
-            for (int k = 0; k < VECTORS; k++)
-                store_@ISA@(z + j + W * k, s[k] - load_@ISA@(z + j + W * k));
-        }
+        for (; j + LANES <= size; j += LANES)
+            row_step_@ISA@(x, y, out, row + j, tau, VECTORS, a, b);
         for (; j + W <= size; j += W)
-            store_@ISA@(z + j, sum_vec_@ISA@(x + j, off, c, count) - load_@ISA@(z + j));
-        for (; j < size; j++)
-            z[j] = sum_one(x + j, off, c, count) - z[j];
+            row_step_@ISA@(x, y, out, row + j, tau, 1, a, b);
+        for (; j < size; j++) {
+            const ptrdiff_t k = row + j;
+            const double s = sum_one(x + k, a);
+            out[k] = y ? s + sum_one(y + k, b) * tau : s - out[k];
+        }
     }
 }
 
@@ -321,20 +303,21 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
                           double *sums)
 {
     const ptrdiff_t width = plan[WIDTH], lo = plan[LO], size = plan[SIZE];
-    const ptrdiff_t n_u = plan[COUNT_U], n_v = plan[COUNT_V], n_two = plan[COUNT_TWO];
-    const ptrdiff_t *off_u = plan + HEADER, *off_v = off_u + n_u, *off_two = off_v + n_v;
-    const double *c_u = coeffs, *c_v = c_u + n_u, *c_two = c_v + n_v;
+    const struct table first_u = {plan + HEADER, coeffs, plan[COUNT_U]};
+    const struct table first_v = {first_u.off + first_u.count, first_u.c + first_u.count,
+                                  plan[COUNT_V]};
+    const struct table two = {first_v.off + first_v.count, first_v.c + first_v.count,
+                              plan[COUNT_TWO]};
     for (ptrdiff_t k = 0; k < steps; k++) {
         if (k == 0 && v) {
-            stencil_first_@ISA@(prev, v, curr, tau, width, lo, size,
-                                off_u, c_u, n_u, off_v, c_v, n_v);
+            stencil_@ISA@(prev, v, curr, tau, width, lo, size, first_u, first_v);
         } else {
             double *next = prev;
-            stencil_two_@ISA@(curr, next, width, lo, size, off_two, c_two, n_two);
+            stencil_@ISA@(curr, NULL, next, 0.0, width, lo, size, two, two);
             prev = curr;
             curr = next;
         }
-        fill_ghosts(curr, plan, off_two + n_two);
+        fill_ghosts(curr, plan, two.off + two.count);
         if (sums) {
             const double *field = curr + plan[ORIGIN] * (width + 1);
             error_sums_@ISA@(field, width, a, b, factors[k], plan[SIDE], plan[SIDE],

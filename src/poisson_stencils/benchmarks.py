@@ -9,6 +9,7 @@ Dirichlet boundaries, table 3 the thirteen-point pair on periodic boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from types import MappingProxyType
 from typing import Mapping
 
@@ -83,8 +84,8 @@ def run_table(table: int) -> list[dict]:
     each scheme, ``E_<name>`` (computed), ``ref_<name>`` (published) and
     ``dev_<name>`` (relative deviation).
     """
-    if table not in TABLES:
-        raise ValueError(f"table must be one of {sorted(TABLES)}, got {table}")
+    if isinstance(table, bool) or not isinstance(table, Integral) or table not in TABLES:
+        raise ValueError(f"table must be one of {sorted(TABLES)}, got {table!r}")
     bc = TABLE_BC[table]
     specs = {name: named_scheme(name) for name in TABLE_SCHEMES[table]}
     rows = []

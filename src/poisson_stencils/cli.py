@@ -35,6 +35,7 @@ _EXIT_CODES = {
     NeverStableError: EXIT_NEVER_STABLE,
     ValueError: EXIT_INVALID_ARGUMENT,
     OSError: EXIT_INVALID_ARGUMENT,  # an --out or --dump-prefix path that cannot be written
+    MemoryError: EXIT_INVALID_ARGUMENT,  # a grid or step count too large to allocate
 }
 
 

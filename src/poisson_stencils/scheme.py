@@ -58,6 +58,18 @@ class SchemeSpec:
         for role in ("first_u", "first_v", "two_step"):
             object.__setattr__(self, role, MappingProxyType(dict(getattr(self, role))))
 
+    def __eq__(self, other):
+        """Equal names and tables, each in the same order: two specs whose
+        tables differ only in order may march different bits, so they are
+        not equal and share no cache entry."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._ordered() == other._ordered()
+
+    def _ordered(self) -> tuple:
+        tables = (self.first_u, self.first_v, self.two_step)
+        return (self.name, *(tuple(table.items()) for table in tables))
+
     def __reduce__(self):
         tables = (dict(self.first_u), dict(self.first_v), dict(self.two_step))
         return SchemeSpec, (self.name, *tables)

@@ -23,8 +23,8 @@ What depends only on a scheme, or only on a scheme and a Courant number, is
 computed once per process and shared: a spec's symbol coefficients as
 integer rows, and :func:`evaluated`, its float tables and envelope at
 one lambda, which :func:`symbol`, :func:`envelope` and the simulator read.
-The caches are bounded, keyed by the spec (its tables, not only its name)
-and hold immutable values.  A lambda of any real type becomes a float where
+The caches are bounded, keyed by the spec (its tables in order, not only
+its name) and hold immutable values.  A lambda of any real type becomes a float where
 it is checked, before anything is evaluated at it, so an integer, a numpy
 scalar, a ``Fraction`` or a ``Decimal`` gives the bits of its float; equal
 lambdas of different types may share one entry.

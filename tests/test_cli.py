@@ -362,6 +362,16 @@ def test_simulate_rejects_too_small_grid_and_step_count(capsys):
         assert err.startswith(f"error: {name} must be an integer")
 
 
+def test_simulate_refuses_a_step_count_too_large_to_allocate(capsys):
+    # 10**15 step times need 7 PiB, which the allocator refuses at once.
+    code, out, err = run_cli(
+        capsys, "simulate", "--scheme", "P5", "--n", "4", "--nt", str(10**15), "--lambda", "0.5"
+    )
+    assert code == EXIT_INVALID_ARGUMENT
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_simulate_without_dump_passes_no_callback(capsys, monkeypatch):
     callbacks = []
     original_run = simulator.run
@@ -429,7 +439,7 @@ def test_published_tables_are_read_only(capsys):
 
 
 def test_run_table_rejects_an_unpublished_table():
-    for table in (0, 4):
+    for table in (0, 4, True, 3.0):
         with pytest.raises(ValueError, match="table must be one of"):
             run_table(table)
 

@@ -206,10 +206,15 @@ def test_default_run_is_one_compiled_call(n_t):
         simulator.run(config, on_step=lambda k, field: None)
         assert {key: spy.call_count for key, spy in spies.items()} == calls(1 + n_t)
     lib = ctypes.CDLL(str(session_library()))
-    for isa, *_ in _kernel.ISAS:
-        for name in ("stencil_first", "stencil_two", "block_sum", "pairwise_sums"):
-            assert not hasattr(lib, f"{name}_{isa}")
-    assert not hasattr(lib, "fill_ghosts")
+    shared = re.findall(r"static (?:inline )?\w+ (\w+)\(", _kernel._SHARED)
+    looped = re.findall(r"static (?:inline )?[\w@]+ (\w+)_@ISA@\(", _kernel._VECTOR_LOOPS)
+    assert "fill_ghosts" in shared
+    assert {"stencil", "sum_lanes", "block_sum", "pairwise_sums"} <= set(looped)
+    for name in (*shared, *(f"{name}_{isa}" for isa, *_ in _kernel.ISAS for name in looped)):
+        assert not hasattr(lib, name)
+        # -Wall does not flag an unused static inline routine, so each must
+        # be called somewhere besides its definition.
+        assert len(re.findall(rf"\b{name}\(", _kernel.SOURCE)) >= 2, name
 
 
 @needs_cc

@@ -15,7 +15,7 @@ import pytest
 from poisson_stencils import _kernel, simulator
 from poisson_stencils.benchmarks import TABLE_BC, TABLES, run_table
 from poisson_stencils.quadrature import LambdaPoly
-from poisson_stencils.scheme import named_scheme
+from poisson_stencils.scheme import SchemeSpec, named_scheme
 from poisson_stencils.stability import envelope, lambda_max, symbol
 from poisson_stencils.simulator import (
     DegenerateNormError,
@@ -888,6 +888,26 @@ def test_public_steps_evaluate_the_tables_once(cold_caches, p5):
             first_step(u, u, p5, 0.6, 0.1)
             two_step(u, u, p5, 0.6, "periodic")
     assert len(calls) == len(p5.first_u) + len(p5.first_v) + len(p5.two_step)
+
+
+def test_reordered_tables_share_no_evaluation(cold_caches):
+    # Offsets are summed in table order, so a spec whose tables differ from
+    # P13's only in order is another spec: it marches its own order whether
+    # P13 was evaluated first or not.
+    p13 = named_scheme("P13")
+    tables = (p13.first_u, p13.first_v, p13.two_step)
+    reordered = SchemeSpec(p13.name, *(dict(reversed(table.items())) for table in tables))
+    assert reordered != p13 and hash(reordered) == hash(p13)
+    x = np.linspace(0.0, 1.0, 33)
+    u = np.outer(np.sin(np.pi * x), np.sin(2 * np.pi * x))
+    w = np.outer(np.cos(3 * x), np.sin(5 * x))
+    two_step(u, w, reordered, 0.6, "periodic")
+    cold = two_step(u, w, reordered, 0.6, "periodic")
+    for cache in cold_caches:
+        cache.cache_clear()
+    two_step(u, w, p13, 0.6, "periodic")
+    assert two_step(u, w, reordered, 0.6, "periodic").tobytes() == cold.tobytes()
+    assert two_step(u, w, p13, 0.6, "periodic").tobytes() != cold.tobytes()
 
 
 def _table_bits():
