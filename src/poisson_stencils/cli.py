@@ -79,7 +79,8 @@ def cmd_simulate(args):
     from .simulator import Separable, SimConfig, dump_grid_csv, run
 
     spec = named_scheme(args.scheme)
-    zeros = {"initial_u": _zero, "initial_v": _zero, "exact": Separable(_zero, _zero, _zero)}
+    zero = Separable(_zero, _zero)
+    zeros = {"initial_u": zero, "initial_v": zero, "exact": Separable(_zero, _zero, _zero)}
     overrides = zeros if args.zero_ic else {}
     config = SimConfig(scheme=spec, n=args.n, n_t=args.nt, lam=args.lam, bc=args.bc, **overrides)
 

@@ -34,12 +34,11 @@ The compiled march forms that product per node and reads no (n+1)^2
 reference field; the numpy paths build the field from the same two vectors
 by one broadcast multiply.
 
-An initial field may be a ``Separable`` of space alone, as the benchmark's
-two are.  ``run()`` then samples its two factors once on the node
+The initial fields are ``Separable``s of space alone, as the benchmark's
+two are.  ``run()`` samples each one's two factors once on the node
 coordinates and forms their product straight into its march buffer, so a
-default run on the compiled kernel allocates three fresh (n+1)^2 fields,
-its buffers, and no others.  Any other function of (x1, x2) is sampled on
-the whole grid and copied in.
+run on the compiled kernel allocates three fresh (n+1)^2 fields, its
+buffers, and no others.
 """
 
 from __future__ import annotations
@@ -63,28 +62,22 @@ _SQRT2 = math.sqrt(2.0)
 _ROW_BLOCK = 64
 
 
-def _check_functions(owner, names) -> None:
-    for name in names:
-        if not callable(getattr(owner, name)):
-            raise ValueError(f"{name} must be a function, got {getattr(owner, name)!r}")
-
-
 @dataclass(frozen=True)
 class Separable:
     """A field that is one factor per axis, times one in time if ``t`` is given.
 
     ``Separable(x1, x2)`` is a field of space, called as (x1, x2): it
-    returns x1(x1) * x2(x2).  ``SimConfig`` takes one as ``initial_u`` or
-    ``initial_v``.  ``Separable(x1, x2, t)`` is a reference solution, the
-    kind ``exact`` must be, called as (x1, x2, t): it returns
+    returns x1(x1) * x2(x2).  It is the kind ``SimConfig``'s ``initial_u``
+    and ``initial_v`` must be.  ``Separable(x1, x2, t)`` is a reference
+    solution, the kind ``exact`` must be, called as (x1, x2, t): it returns
     (x1(x1) * x2(x2)) * t(t).  Calling either with the other's arguments is
     a ``TypeError``.
 
-    ``run()`` and ``relative_l2_error`` call each factor once per run with a
-    vector: ``x1`` and ``x2`` on the n + 1 node coordinates, ``t`` on the
-    n_t step times k * tau.  Each must return real, finite values, one per
-    point or a scalar for all of them (``ValueError`` naming the factor
-    otherwise).
+    ``run()`` and ``relative_l2_error`` never call the field itself: they
+    call each factor once per run with a vector, ``x1`` and ``x2`` on the
+    n + 1 node coordinates and ``t`` on the n_t step times k * tau.  Each
+    must return real, finite values, one per point or a scalar for all of
+    them (``ValueError`` naming the factor otherwise).
     """
 
     x1: Callable
@@ -92,7 +85,9 @@ class Separable:
     t: Callable | None = None
 
     def __post_init__(self):
-        _check_functions(self, ("x1", "x2") if self.t is None else ("x1", "x2", "t"))
+        for name in ("x1", "x2") if self.t is None else ("x1", "x2", "t"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"{name} must be a function, got {getattr(self, name)!r}")
 
     def __call__(self, x1, x2, *t):
         if len(t) != (self.t is not None):
@@ -163,15 +158,14 @@ class SimConfig:
     """One simulation: scheme, grid, step count, Courant number, boundaries.
 
     The time step is always derived as tau = lam * h, as lam = c * tau / h
-    carries the wave speed.  ``initial_u`` and ``initial_v`` are functions
-    of (x1, x2): a ``Separable`` without ``t``, which ``run()`` forms
-    straight into its buffer, or any other, which it samples on the whole
-    grid.  ``exact`` is the reference solution used for the error metric, a
-    ``Separable`` with ``t``.  Other values, a ``Separable`` with ``t`` as
-    an initial field included, are a ``ValueError`` naming the field.  All
-    three default to the standing-wave benchmark; ``run()`` raises
-    ``ValueError`` if one gives a complex, nan or infinite value, or values
-    of another shape.  ``lam`` is stored as a float.
+    carries the wave speed.  ``initial_u`` and ``initial_v`` are
+    ``Separable``s without ``t``, which ``run()`` forms straight into its
+    buffers, and ``exact``, the reference solution used for the error
+    metric, is one with ``t``.  Any other value is a ``ValueError`` naming
+    the field.  All three default to the standing-wave benchmark; ``run()``
+    raises ``ValueError`` naming the factor if one gives a complex, nan or
+    infinite value, or values of another shape, and naming the field if its
+    product overflows.  ``lam`` is stored as a float.
     """
 
     scheme: SchemeSpec
@@ -179,19 +173,16 @@ class SimConfig:
     n_t: int
     lam: float
     bc: str = "dirichlet"
-    initial_u: Callable = standing_wave_initial_u
-    initial_v: Callable = standing_wave_initial_v
+    initial_u: Separable = standing_wave_initial_u
+    initial_v: Separable = standing_wave_initial_v
     exact: Separable = exact_standing_wave
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _check_grid(self.n, self.lam, self.bc))
         _check_int(self.n_t, "n_t", 1)
-        _check_functions(self, ("initial_u", "initial_v"))
-        for name in ("initial_u", "initial_v"):
-            initial = getattr(self, name)
-            if isinstance(initial, Separable) and initial.t is not None:
-                raise ValueError(f"{name} must be a field of (x1, x2), got a Separable with t")
-        _check_separable(self.exact)
+        _check_separable(self.initial_u, "initial_u", timed=False)
+        _check_separable(self.initial_v, "initial_v", timed=False)
+        _check_separable(self.exact, "exact", timed=True)
 
     @property
     def h(self) -> float:
@@ -237,7 +228,12 @@ def _real_finite(values, name: str) -> np.ndarray:
 
 
 def _check_tau(tau) -> float:
-    """``tau`` as a float; ``ValueError`` unless it is finite."""
+    """``tau`` as a float; ``ValueError`` unless it is a finite number.
+
+    A bool, Python's or numpy's, is not a number here, as for lambda.
+    """
+    if type(tau).__name__ in ("bool", "bool_"):
+        raise ValueError(f"tau must be a number, got {tau!r}")
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     return float(tau)
@@ -257,29 +253,15 @@ def _grid_fields(fields: dict) -> tuple[int, list[np.ndarray]]:
     return shape[0] - 1, [_real_finite(values, name) for name, values in fields.items()]
 
 
-def _sample(func, name: str, coords: np.ndarray) -> np.ndarray:
-    """Evaluate the field function ``name`` on the grid, accepting scalar values.
-
-    ``func`` gets the node coordinates as a column and a row, which
-    broadcast to the grid.  ``ValueError`` naming ``name`` unless its values
-    are real, finite and broadcast to the grid.
-    """
-    values = _real_finite(func(coords[:, None], coords[None, :]), name)
-    shape = (coords.size, coords.size)
-    try:
-        return np.broadcast_to(values, shape)
-    except ValueError:
-        raise ValueError(
-            f"{name} must return a scalar or values that broadcast to {shape}, "
-            f"got shape {values.shape}"
-        ) from None
-
-
-def _check_separable(exact) -> None:
-    if not isinstance(exact, Separable):
-        raise ValueError(f"exact must be a Separable, got {exact!r}")
-    if exact.t is None:
-        raise ValueError("exact must be a Separable with a time factor t, got one without")
+def _check_separable(value, name: str, timed: bool) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a ``Separable``
+    with a time factor if ``timed``, and without one otherwise."""
+    if not isinstance(value, Separable):
+        raise ValueError(f"{name} must be a Separable, got {value!r}")
+    if timed and value.t is None:
+        raise ValueError(f"{name} must be a Separable with a time factor t, got one without")
+    if not timed and value.t is not None:
+        raise ValueError(f"{name} must be a field of (x1, x2), got a Separable with t")
 
 
 def _factor(func, name: str, points: np.ndarray) -> np.ndarray:
@@ -545,18 +527,15 @@ def two_step(
     return stepper.field(out).copy()
 
 
-def _initial(stepper: _Stepper, func, name: str, coords: np.ndarray) -> np.ndarray:
+def _initial(stepper: _Stepper, func: Separable, name: str, coords: np.ndarray) -> np.ndarray:
     """A buffer of ``stepper`` holding the initial field ``name``, ``func`` on the grid.
 
-    A ``Separable`` is formed in the buffer from its two factors, each
-    sampled once on the node coordinates ``coords`` (see ``_factor``), with
-    the bits of sampling it whole.  Any other function is sampled on the
-    whole grid (see ``_sample``) and copied in.  ``ValueError`` naming the
-    field or its factor for complex, nan or infinite values, values of
-    another shape, or a product that overflows.
+    The ``Separable`` ``func`` is formed in the buffer from its two factors,
+    each sampled once on the node coordinates ``coords`` (see ``_factor``),
+    with the bits of sampling it whole.  ``ValueError`` naming the field or
+    its factor for complex, nan or infinite values, values of another shape,
+    or a product that overflows.
     """
-    if not isinstance(func, Separable):
-        return stepper.buffer(_sample(func, name, coords))
     p = _factor(func.x1, f"{name}.x1", coords)
     q = _factor(func.x2, f"{name}.x2", coords)
     # The largest |p_i * q_j| is this product, so it overflows iff a node does.
@@ -613,7 +592,7 @@ def relative_l2_error(computed: Iterable[np.ndarray], exact: Separable, tau: flo
     if not named:
         raise ValueError("need at least one computed field")
     tau = _check_tau(tau)
-    _check_separable(exact)
+    _check_separable(exact, "exact", timed=True)
     n, fields = _grid_fields(named)
     a, b, factors = _factors(exact, np.arange(n + 1) / n, tau, len(fields))
     space, scratch = _space((a, b)), np.empty((2, n + 1, n + 1))
@@ -633,11 +612,10 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     vanishes keeps error nan.
 
     Each factor of the reference is called once per run (see ``_factors``):
-    the time factor once, with the n_t step times.  So is each factor of a
-    ``Separable`` initial field, whose product goes straight into its
-    buffer; any other initial field is sampled on the whole grid.  The
-    whole march is one ``_Stepper.march`` call, or one per step with
-    ``on_step``, to the same bits.
+    the time factor once, with the n_t step times.  So is each factor of an
+    initial field, whose product goes straight into its buffer.  The whole
+    march is one ``_Stepper.march`` call, or one per step with ``on_step``,
+    to the same bits.
     """
     started = time.perf_counter()
     env = stability.envelope(config.scheme, config.lam)

@@ -86,9 +86,13 @@ def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
 
     Evaluated as the cosine sum 1/2 sum_q c_q cos(q1 theta1 + q2 theta2),
     independently of the Chebyshev form that :func:`envelope` uses.  Raises
-    ``ValueError`` for a table whose symbol is not real.
+    ``ValueError`` for a table whose symbol is not real, and one naming the
+    angle for a non-finite ``theta1`` or ``theta2``.
     """
     lam = check_positive(lam, "lambda")
+    for name, theta in (("theta1", theta1), ("theta2", theta2)):
+        if not math.isfinite(theta):
+            raise ValueError(f"{name} must be finite, got {theta}")
     _check_real(spec)
     total = 0.0
     for (q1, q2), coeff in evaluated(spec, lam).two_step:

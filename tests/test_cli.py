@@ -233,12 +233,10 @@ def test_overflow_of_the_total_alone_names_every_step():
     # Every step's error can be finite while their sum overflows: P5 keeps a
     # constant field constant, and each step sums 25 squares of about 2e153
     # against a reference of ones, just below the largest double.
-    def field(value):
-        return lambda x1, x2, *_: np.full(np.broadcast(x1, x2).shape, value)
-
     one = lambda _: 1.0
     config = SimConfig(scheme=named_scheme("P5"), n=4, n_t=2, lam=0.5, bc="periodic",
-                       initial_u=field(2e153), initial_v=field(0.0),
+                       initial_u=Separable(lambda x: 2e153, one),
+                       initial_v=Separable(lambda x: 0.0, one),
                        exact=Separable(one, one, one))
     with pytest.raises(ValueError) as raised:
         run(config)

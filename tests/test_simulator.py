@@ -159,9 +159,9 @@ class TestRun:
                 assert errors[0] == pytest.approx(errors[1], rel=1e-5)
 
     def test_degenerate_norm_reported(self, p5):
-        zero = lambda *_: 0.0
-        config = SimConfig(scheme=p5, n=8, n_t=3, lam=0.5, initial_u=zero, initial_v=zero,
-                           exact=Separable(zero, zero, zero))
+        zero = lambda _: 0.0
+        config = SimConfig(scheme=p5, n=8, n_t=3, lam=0.5, initial_u=Separable(zero, zero),
+                           initial_v=Separable(zero, zero), exact=Separable(zero, zero, zero))
         with pytest.raises(DegenerateNormError):
             run(config)
 
@@ -188,7 +188,7 @@ class TestRun:
                 n=8,
                 n_t=4,
                 lam=0.6,
-                initial_v=lambda x1, x2, s=scale: s * standing_wave_initial_v(x1, x2),
+                initial_v=Separable(lambda x, s=scale: s * _scaled_sine(x), _sine),
             )
             run(config, on_step=lambda k, f: captured.append(f))
             fields[key] = captured
@@ -202,11 +202,10 @@ class TestRun:
             assert np.abs(field - field.T).max() <= 1e-12
 
     def test_zero_initial_data_stays_zero(self, p5):
-        zero_u = lambda x1, x2: 0.0 * (x1 + x2)
-        zero_v = lambda x1, x2: 0.0 * (x1 + x2)
+        zero = Separable(lambda x: 0.0 * x, lambda x: 0.0 * x)
         captured = []
         run(
-            SimConfig(scheme=p5, n=8, n_t=4, lam=0.6, initial_u=zero_u, initial_v=zero_v),
+            SimConfig(scheme=p5, n=8, n_t=4, lam=0.6, initial_u=zero, initial_v=zero),
             on_step=lambda k, f: captured.append(f),
         )
         for field in captured:
@@ -365,10 +364,14 @@ def test_sim_config_validation(p5):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
     # A Separable in space and time is no initial field: it failed inside
-    # run() with a TypeError.  One in space alone is no reference.
+    # run() with a TypeError.  Nor is a plain function of (x1, x2), even one
+    # with the default's values.  One in space alone is no reference.
+    plain = lambda x1, x2: standing_wave_initial_v(x1, x2)
     for name in ("initial_u", "initial_v"):
         with pytest.raises(ValueError, match=f"^{name} must be a field of \\(x1, x2\\)"):
             SimConfig(scheme=p5, n=10, n_t=1, lam=0.5, **{name: exact_standing_wave})
+        with pytest.raises(ValueError, match=f"^{name} must be a Separable, got <function"):
+            SimConfig(scheme=p5, n=10, n_t=1, lam=0.5, **{name: plain})
     in_space = Separable(np.sin, np.sin)
     with pytest.raises(ValueError, match="^exact must be a Separable with a time factor"):
         SimConfig(scheme=p5, n=10, n_t=1, lam=0.5, exact=in_space)
@@ -552,32 +555,22 @@ def test_report_names_the_kernel_that_ran(kernels, p13):
 @pytest.mark.parametrize(
     "name, function",
     [
-        ("initial_u", lambda x1, x2: (x1 + x2) * (1 + 1j)),
-        ("initial_u", lambda x1, x2: np.full(np.broadcast(x1, x2).shape, math.nan)),
-        ("initial_v", lambda x1, x2: 1j),
-        ("initial_v", lambda x1, x2: x1 / (x2 - x2)),
-        ("initial_v", lambda x1, x2: np.ones((3, 3))),
-        ("initial_u", lambda x1, x2: np.ones((1, 9, 9))),
         ("exact", lambda x: math.inf),
         ("exact", lambda x: x + 0j),
         ("exact", lambda x: x * math.nan),
     ],
 )
 def test_sampled_fields_must_be_real_and_finite(kernels, p5, name, function):
-    # A complex field was cast with only a ComplexWarning (E = 1.9785 for
-    # the first case), and a nan or infinite one gave E = nan.  A field that
-    # does not broadcast to the grid failed with numpy's message, naming no
-    # input.  A bad value of the reference is refused from each of its three
-    # factors.
-    if name == "exact":
-        wave = exact_standing_wave
-        cases = {
-            "exact.x1": Separable(function, wave.x2, wave.t),
-            "exact.x2": Separable(wave.x1, function, wave.t),
-            "exact.t": Separable(wave.x1, wave.x2, function),
-        }
-    else:
-        cases = {name: function}
+    # A complex value was cast with only a ComplexWarning, and a nan or
+    # infinite one gave E = nan.  A bad value of the reference is refused
+    # from each of its three factors; the initial fields' factors are
+    # refused the same way (test_separable_initial_fields_are_refused_by_name).
+    wave = exact_standing_wave
+    cases = {
+        "exact.x1": Separable(function, wave.x2, wave.t),
+        "exact.x2": Separable(wave.x1, function, wave.t),
+        "exact.t": Separable(wave.x1, wave.x2, function),
+    }
     for _, path in kernels:
         for factor, value in cases.items():
             config = SimConfig(scheme=p5, n=8, n_t=3, lam=0.6, **{name: value})
@@ -585,9 +578,8 @@ def test_sampled_fields_must_be_real_and_finite(kernels, p5, name, function):
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=factor):
                     run(config)
-                if name == "exact":
-                    with pytest.raises(ValueError, match=factor):
-                        relative_l2_error([np.ones((9, 9))], value, 0.1)
+                with pytest.raises(ValueError, match=factor):
+                    relative_l2_error([np.ones((9, 9))], value, 0.1)
 
 
 def one_reference_with(factor, function):
@@ -698,25 +690,19 @@ def test_an_axes_buffer_is_the_buffer_of_its_product(kernels):
 @pytest.mark.parametrize("name, bc", [(name, bc) for name in ("P5", "P13")
                                       for bc in ("dirichlet", "periodic")])
 def test_separable_and_plain_initial_fields_give_the_default_bits(kernels, name, bc):
-    # A Separable initial field is formed in its buffer from two vectors; a
-    # plain function is sampled on the whole grid.  Both give the default's
-    # bits, on every kernel and on grids from n = 2 up.
+    # A Separable initial field is formed in its buffer from two vectors.
+    # Rewritten from its factors, the default gives the default's bits, on
+    # every kernel and on grids from n = 2 up.  A plain function of
+    # (x1, x2) is refused (test_sim_config_validation).
     rewrapped = {
         "initial_u": Separable(lambda x: np.zeros(np.shape(x)), lambda x: np.zeros(np.shape(x))),
         "initial_v": Separable(lambda x: _scaled_sine(x), lambda x: _sine(x)),
-    }
-    plain = {
-        "initial_u": lambda x1, x2: 0.0,
-        "initial_v": lambda x1, x2: (
-            2.0 * SQRT2 * np.pi * np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
-        ),
     }
     for n in (2, 3, 7, 16, 80):
         default = SimConfig(scheme=named_scheme(name), n=n, n_t=5, lam=0.6, bc=bc)
         for _, path in kernels:
             with path():
-                runs = [run(default), run(replace(default, **rewrapped)),
-                        run(replace(default, **plain))]
+                runs = [run(default), run(replace(default, **rewrapped))]
             bits = {(r.error.hex(), *(e.hex() for e in r.per_step_errors)) for r in runs}
             assert len(bits) == 1, (n, bits)
 
@@ -1020,7 +1006,7 @@ def test_integer_lambda_and_numpy_tol_give_their_floats_bits(cold_caches):
 @pytest.mark.parametrize("flag", [True, False, np.True_], ids=repr)
 def test_a_bool_is_not_a_lambda_or_a_tol(flag):
     # SimConfig(spec, 8, 2, True) once stored lam = 1.0 and ran at lambda = 1,
-    # while n and n_t refused True.
+    # while n and n_t refused True; a bool tau ran as 1.0 or 0.0.
     p5 = named_scheme("P5")
     checks = (
         lambda: SimConfig(scheme=p5, n=8, n_t=2, lam=flag),
@@ -1028,6 +1014,8 @@ def test_a_bool_is_not_a_lambda_or_a_tol(flag):
         lambda: symbol(p5, flag, 0.3, 1.1),
         lambda: lambda_max(p5, tol=flag),
         lambda: first_step(np.zeros((5, 5)), np.zeros((5, 5)), p5, flag, 0.1),
+        lambda: first_step(np.zeros((5, 5)), np.zeros((5, 5)), p5, 0.5, flag),
+        lambda: relative_l2_error([np.ones((5, 5))], exact_standing_wave, flag),
     )
     for check in checks:
         with pytest.raises(ValueError, match="must be a number"):

@@ -243,6 +243,17 @@ def test_symbol_checks_realness_before_evaluating_the_table():
         symbol(lopsided_p5, math.nan, 0.1, 0.2)
 
 
+def test_symbol_names_a_non_finite_angle(schemes):
+    # A nan angle was blamed on lambda ("lambda = 0.5 gives a scheme value
+    # that is not a finite double"), and an infinite one was a bare "math
+    # domain error".
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^theta1 must be finite"):
+            symbol(schemes["P5"], 0.5, angle, 0.0)
+        with pytest.raises(ValueError, match="^theta2 must be finite"):
+            symbol(schemes["P5"], 0.5, 0.3, angle)
+
+
 def test_lambda_that_rounds_to_zero_is_refused(schemes):
     # lambda is checked as the float it becomes, which here is 0.0.
     for lam in (Fraction(1, 10**400), Decimal("1e-400")):
