@@ -13,12 +13,16 @@ the simulator runs its numpy path.
 
 One stencil routine per instruction set serves the first step and the
 two-step update.  It walks the core one row at a time: LANES nodes per row
-step (VECTORS registers of W doubles, see ``ISAS``), then the row's
-remaining nodes one W-wide register at a time, both through one inline row
-step whose register count is a constant at each call, then its last fewer
-than W nodes one at a time.  Every variant and the numpy path give the same
-bits: each node sums coeff * value over the table's offsets in table order,
-starting from 0.0, one rounding per multiply and per add, and IEEE
+step (VECTORS = 4 registers of W doubles, see ``ISAS``), then at most one
+step of 2 registers and the row's remaining nodes one W-wide register at a
+time, all through one inline row step whose register count is a constant
+at each call, then its last fewer than W nodes one at a time.  The buffers'
+rows lie a whole number of 64-byte lines apart (the plan's WIDTH is that
+stride, which exceeds the row) and every core row starts on a line, so that
+an AVX-512F register of the row's offsets with q2 = 0, or of out, fills one
+line rather than straddling two.  Every variant and the numpy path give the
+same bits: each node sums coeff * value over the table's offsets in table
+order, starting from 0.0, one rounding per multiply and per add, and IEEE
 arithmetic rounds each vector lane as it would a lone double, whatever the
 width.
 ``-ffp-contract=off`` keeps the compiler from fusing them into multiply-adds
@@ -45,7 +49,8 @@ one value per row and one per column, with the bits of numpy's
 give numpy's bits it replays numpy's pairwise summation order
 (``pairwise_sum_DOUBLE``: runs of at most 128 values, 8 partial sums each)
 over the flattened field; the 8 partial sums are the lanes of 8 / W vector
-registers of W doubles.  That
+registers of W doubles.  A run that lies in one row forms its squares in
+those registers; one that crosses a row end stages them first.  That
 order is numpy's, not a documented contract: ``tests/test_error_sums.py``
 checks each variant's sums against numpy's own bit for bit, at the order's
 seams too, and ``tests/test_stencil_kernel.py`` checks that every variant
@@ -81,7 +86,9 @@ _SHARED = r"""
 /* The plan of a march, as ptrdiff_t: a header indexed by the names below,
    then the linear buffer offsets of the first_u, first_v and two_step
    tables, then LINES ghost lines of (axis, ghost, source, sign).  The
-   coefficients of the three tables follow one another in coeffs. */
+   coefficients of the three tables follow one another in coeffs.  A buffer
+   holds SIZE + 2 * LO rows and columns, its rows WIDTH doubles apart: the
+   row stride, whole 64-byte lines, which exceeds the row. */
 enum { WIDTH, LO, SIZE, ORIGIN, SIDE, COUNT_U, COUNT_V, COUNT_TWO, LINES, HEADER };
 
 /* Each ghost line in order: axis 0 is a row over the core columns, axis 1
@@ -89,10 +96,10 @@ enum { WIDTH, LO, SIZE, ORIGIN, SIDE, COUNT_U, COUNT_V, COUNT_TWO, LINES, HEADER
    negated (sign -1) or +0.0 (sign 0).  Exact, so it cannot change a bit. */
 static void fill_ghosts(double *buf, const ptrdiff_t *plan, const ptrdiff_t *line)
 {
-    const ptrdiff_t width = plan[WIDTH];
+    const ptrdiff_t width = plan[WIDTH], rows = plan[SIZE] + 2 * plan[LO];
     for (ptrdiff_t m = 0; m < plan[LINES]; m++, line += 4) {
         const int row = line[0] == 0;
-        const ptrdiff_t step = row ? 1 : width, count = row ? plan[SIZE] : width;
+        const ptrdiff_t step = row ? 1 : width, count = row ? plan[SIZE] : rows;
         double *g = buf + (row ? line[1] * width + plan[LO] : line[1]);
         const double *f = buf + (row ? line[2] * width + plan[LO] : line[2]);
         for (ptrdiff_t i = 0; i < count; i++)
@@ -154,12 +161,13 @@ _VECTOR_LOOPS = r"""
 #define W @W@
 #define VECTORS @VECTORS@
 #define LANES (W * VECTORS)
+_Static_assert(VECTORS >= 2, "a row's end takes one step of 2 registers");
 
 /* W doubles in one vector register, with elementwise IEEE arithmetic; a row
    step sums LANES nodes, VECTORS registers of them, and a row's last
-   size % LANES nodes go one register, then one node, at a time.
-   block_sum's 8 partial sums take 8 / W registers, lane k of register j
-   holding partial sum j * W + k. */
+   size % LANES nodes go in at most one 2-register step, then one register,
+   then one node, at a time.  numpy's 8 partial sums take 8 / W registers,
+   lane k of register j holding partial sum j * W + k. */
 typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
 
 @TARGET@ static inline vec_@ISA@ load_@ISA@(const double *p)
@@ -189,7 +197,7 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
 }
 
 /* The W * vectors nodes of out from index j: S_a x + tau * S_b y with y,
-   else S_a x - out.  Each call passes a constant vectors (VECTORS or 1). */
+   else S_a x - out.  Each call passes a constant vectors (VECTORS, 2 or 1). */
 @TARGET@ static inline void row_step_@ISA@(const double *restrict x, const double *restrict y,
                                            double *restrict out, ptrdiff_t j, double tau,
                                            const int vectors, struct table a, struct table b)
@@ -204,8 +212,11 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
     }
 }
 
-/* Core nodes of width x width buffers: out = S_a x + tau * S_b y with y (the
-   first step), else out = S_a x - out (the two-step update). */
+/* Core nodes of buffers whose rows lie width doubles apart, each core row
+   starting on a 64-byte line: out = S_a x + tau * S_b y with y (the first
+   step), else out = S_a x - out (the two-step update).  A row goes in
+   steps of VECTORS registers, then at most one of 2, then of 1, then one
+   node at a time. */
 @TARGET@ static void stencil_@ISA@(const double *restrict x, const double *restrict y,
                                    double *restrict out, double tau, ptrdiff_t width,
                                    ptrdiff_t lo, ptrdiff_t size, struct table a, struct table b)
@@ -215,6 +226,10 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
         ptrdiff_t j = 0;
         for (; j + LANES <= size; j += LANES)
             row_step_@ISA@(x, y, out, row + j, tau, VECTORS, a, b);
+        if (j + 2 * W <= size) {
+            row_step_@ISA@(x, y, out, row + j, tau, 2, a, b);
+            j += 2 * W;
+        }
         for (; j + W <= size; j += W)
             row_step_@ISA@(x, y, out, row + j, tau, 1, a, b);
         for (; j < size; j++) {
@@ -225,6 +240,14 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
     }
 }
 
+/* numpy's 8 partial sums of a run, combined in its order (see BLOCK). */
+@TARGET@ static inline double combine_@ISA@(const vec_@ISA@ r[8 / W])
+{
+    double l[8];
+    __builtin_memcpy(l, r, sizeof l);
+    return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+}
+
 /* One run of n values by numpy's 8 partial sums (see BLOCK). */
 @TARGET@ static double block_sum_@ISA@(const double *a, ptrdiff_t n)
 {
@@ -232,22 +255,60 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
     ptrdiff_t i = 0;
     if (n >= 8) {
         vec_@ISA@ r[8 / W];
-        double l[8];
         for (int k = 0; k < 8 / W; k++)
             r[k] = load_@ISA@(a + W * k);
         for (i = 8; i < n - n % 8; i += 8)
             for (int k = 0; k < 8 / W; k++)
                 r[k] += load_@ISA@(a + i + W * k);
-        __builtin_memcpy(l, r, sizeof l);
-        res = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+        res = combine_@ISA@(r);
     }
     for (; i < n; i++)
         res += a[i];
     return res;
 }
 
+/* *e = (u - r)^2 and *q = r^2, r = (a * b) * c, for the W values from u and b. */
+@TARGET@ static inline void squares_@ISA@(const double *u, const double *b, double a, double c,
+                                          vec_@ISA@ *e, vec_@ISA@ *q)
+{
+    const vec_@ISA@ r = (a * load_@ISA@(b)) * c, d = load_@ISA@(u) - r;
+    *e = d * d;
+    *q = r * r;
+}
+
+/* sums = the sums of (u - r)^2 and r^2, r = (a * b[j]) * c, over the n
+   values j of one row, by block_sum's order with the squares formed in
+   registers rather than staged. */
+@TARGET@ static void row_sums_@ISA@(const double *u, const double *b, double a, double c,
+                                    ptrdiff_t n, double sums[2])
+{
+    double d2 = 0.0, r2 = 0.0;
+    ptrdiff_t i = 0;
+    if (n >= 8) {
+        vec_@ISA@ e[8 / W], q[8 / W], de, dq;
+        for (int k = 0; k < 8 / W; k++)
+            squares_@ISA@(u + W * k, b + W * k, a, c, &e[k], &q[k]);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8 / W; k++) {
+                squares_@ISA@(u + i + W * k, b + i + W * k, a, c, &de, &dq);
+                e[k] += de;
+                q[k] += dq;
+            }
+        d2 = combine_@ISA@(e);
+        r2 = combine_@ISA@(q);
+    }
+    for (; i < n; i++) {
+        const double r = (a * b[i]) * c, d = u[i] - r;
+        d2 += d * d;
+        r2 += r * r;
+    }
+    sums[0] = d2;
+    sums[1] = r2;
+}
+
 /* sums = the pairwise sums of (u - r)^2 and r^2, r = (a * b) * c, over the
-   run of n values from flat index start. */
+   run of n values from flat index start: in registers if the run lies in
+   one row, else staged row by row. */
 @TARGET@ static void pairwise_sums_@ISA@(const struct fields *f, ptrdiff_t start, ptrdiff_t n,
                                          double sums[2])
 {
@@ -261,8 +322,12 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
         sums[1] = a[1] + b[1];
         return;
     }
-    double d2[BLOCK], r2[BLOCK];
     ptrdiff_t row = start / f->cols, col = start % f->cols;
+    if (col + n <= f->cols) {
+        row_sums_@ISA@(f->u + row * f->u_row_stride + col, f->b + col, f->a[row], f->c, n, sums);
+        return;
+    }
+    double d2[BLOCK], r2[BLOCK];
     for (ptrdiff_t i = 0; i < n; row++, col = 0) {
         const double *u = f->u + row * f->u_row_stride + col, *b = f->b + col, a = f->a[row];
         ptrdiff_t take = f->cols - col < n - i ? f->cols - col : n - i;
@@ -334,8 +399,11 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
 # (name, doubles per vector, vectors per row step), in the order of
 # isa_level().  The baseline is SSE2 on x86-64 and NEON on arm64; the others
 # are GCC target names, never "fma", and -ffp-contract=off holds inside them.
-# 16 nodes per row step ran the n = 512 marches fastest on an AVX-512F Xeon.
-ISAS = (("baseline", 2, 4), ("avx2", 4, 4), ("avx512f", 8, 2))
+# Four registers per row step, with the 2-register step at a row's end: on
+# an AVX-512F Xeon, 32 nodes per row step ran the n = 512 marches fastest,
+# and a periodic n = 80 row of 80 nodes ends in one 16-node step rather than
+# two 8-node ones (without that step, its stencil pass ran 10% slower).
+ISAS = (("baseline", 2, 4), ("avx2", 4, 4), ("avx512f", 8, 4))
 
 
 def _expand(isa: str, width: int, vectors: int) -> str:

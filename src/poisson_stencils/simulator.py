@@ -43,6 +43,7 @@ buffers, and no others.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 import warnings
@@ -312,12 +313,29 @@ def _error_sums(u, s, c, scratch) -> tuple[float, float]:
     return float(np.square(d, out=d).sum()), float(np.square(r, out=r).sum())
 
 
+def _address(values: np.ndarray) -> int:
+    """The address of a C-contiguous array's first value.
+
+    ``ctypes`` reads a writable array's address in a third of the time that
+    ``ndarray.ctypes.data`` takes; a read-only one falls back to the latter.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(values))
+    except TypeError:  # a read-only buffer
+        return values.ctypes.data
+
+
 class _Stepper:
     """The stencil kernel of one scheme, Courant number, grid and boundary.
 
     A buffer holds the core that an update writes, field indices first ..
     n - 1 per axis, inside a ring of r = max(radius, 1) ghost cells, so that
-    every offset of the stencil is a slice.  One rule fills the ghosts: field
+    every offset of the stencil is a slice.  It is a (width x width) view,
+    width = size + 2r, of its own allocation, with rows ``stride`` doubles
+    apart: the least multiple of 8 above width, whole 64-byte lines.  Every
+    core row starts on a line, so that the compiled march's 8-double loads
+    at the offsets with q2 = 0, and its stores, each fill one line rather
+    than straddling two.  One rule fills the ghosts: field
     index i reads index j = i mod p with sign +1 when j <= n, and index
     2n - j with sign -1 otherwise.  A periodic grid has first = 0 and p = n,
     so index n aliases index 0.  A Dirichlet grid has first = 1 and p = 2n:
@@ -334,7 +352,9 @@ class _Stepper:
     kernel of ``_kernel`` makes one pass per node in that order; without it,
     the numpy path makes two passes (multiply, then add) per offset over
     blocks of rows, with the same bits.  Either way ``march`` is the only
-    stepping routine.
+    stepping routine, and it takes only buffers of this layout.  As the
+    stride always exceeds width, a C-contiguous (width x width) array is
+    refused by its strides alone.
     """
 
     def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str):
@@ -345,6 +365,11 @@ class _Stepper:
         self.origin = r - first  # the buffer index of field index 0
         width = self.size + 2 * r
         self.shape = (width, width)
+        self.stride = (width // 8 + 1) * 8
+        self._strides = (8 * self.stride, 8)
+        # Each buffer's allocation in doubles: the last row has no padding,
+        # and up to 7 leading doubles align the core rows.
+        self._length = (width - 1) * self.stride + width + 7
         # Per sign, zeros first since a source may lie on a mirror line: the
         # (ghost, source) buffer index pairs of one axis.
         pairs = {0: [], 1: [], -1: []}
@@ -367,13 +392,14 @@ class _Stepper:
             self._scratch = np.empty((2, n + 1, n + 1))
         else:
             # The plan of the compiled march (see ``_kernel.SOURCE``): the
-            # geometry, each table's linear buffer offsets q1 * width + q2,
+            # geometry, each table's linear buffer offsets q1 * stride + q2,
             # and the ghost lines.  The arrays are held here while the kernel
             # reads their addresses.
             tables = (self.first_u, self.first_v, self.two_step)
             self._plan = np.array(
-                [width, r, self.size, self.origin, n + 1, *map(len, tables), len(self._lines),
-                 *(q1 * width + q2 for table in tables for (q1, q2), _ in table),
+                [self.stride, r, self.size, self.origin, n + 1, *map(len, tables),
+                 len(self._lines),
+                 *(q1 * self.stride + q2 for table in tables for (q1, q2), _ in table),
                  *(value for line in self._lines for value in line)],
                 dtype=np.intp,
             )
@@ -391,9 +417,12 @@ class _Stepper:
         The field is ``values``, or with ``axes`` = (p, q), two vectors of
         n + 1 values, the product p[:, None] * q[None, :], formed in the
         buffer.  The boundary ring is not pinned: a Dirichlet field keeps its
-        own for the first stencil application to read.
+        own for the first stencil application to read.  The buffer is a view
+        of its own zeroed allocation (see the class docstring).
         """
-        buf = np.zeros(self.shape)
+        flat = np.zeros(self._length)
+        skip = -(_address(flat) + 8 * self.lo) % 64 // 8  # doubles before the first row
+        buf = np.ndarray(self.shape, float, flat, 8 * skip, self._strides)
         if axes is not None:
             p, q = axes
             np.multiply(p[:, None], q[None, :], out=self.field(buf))
@@ -403,6 +432,18 @@ class _Stepper:
             return buf
         self._fill_ghosts(buf, pin=False)
         return buf
+
+    def _buffer_address(self, buf: np.ndarray) -> int:
+        """The address of a buffer's first value; ``ValueError`` unless it is
+        a writable float64 view of this stepper's shape, stride and alignment."""
+        if (buf.shape != self.shape or buf.strides != self._strides
+                or buf.dtype != np.float64 or not buf.flags.writeable):
+            raise ValueError(f"need a writable float64 buffer of shape {self.shape} "
+                             f"with rows {self.stride} doubles apart")
+        address = _address(buf[0])  # a contiguous row, read faster than the view
+        if (address + 8 * self.lo) % 64:
+            raise ValueError("need a buffer whose core rows start on 64-byte lines")
+        return address
 
     def _fill_ghosts(self, buf: np.ndarray, pin: bool = True):
         """Copy or negate each ghost line's source, or, with ``pin``, zero it."""
@@ -443,26 +484,23 @@ class _Stepper:
         reference (a[:, None] * b[None, :]) * factors[k], where (a, b) =
         ``sines`` (see ``_factors`` and ``_error_sums``).  Returns the
         buffers as (prev, curr).  The compiled kernel runs all the steps in
-        one call.  Every array must be C-contiguous float64: the buffers of
-        this stepper's shape, a and b of n + 1 values; ``ValueError``
-        otherwise.
+        one call.  The buffers must have the layout of this stepper's
+        ``buffer()``, and a, b, factors and sums be C-contiguous float64
+        arrays, a and b of n + 1 values; ``ValueError`` otherwise.
         """
-        wanted = [(prev, self.shape), (curr, self.shape)]
-        if v is not None:
-            wanted.append((v, self.shape))
+        at = [self._buffer_address(prev), self._buffer_address(curr),
+              v if v is None else self._buffer_address(v)]
+        vectors = []
         if sums is not None:
             a, b = sines
-            wanted += [(a, (self.n + 1,)), (b, (self.n + 1,)), (factors[:steps], (steps,)),
-                       (sums[:steps], (steps, 2))]
-        for values, shape in wanted:
+            vectors = [a, b, factors[:steps], sums[:steps]]
+        for values, shape in zip(vectors, [(self.n + 1,)] * 2 + [(steps,), (steps, 2)]):
             if values.shape != shape or values.dtype != np.float64 or not values.flags.c_contiguous:
                 raise ValueError(f"need a C-contiguous float64 array of shape {shape}")
         swaps = steps - (v is not None)
         if self._lib is not None:
-            reference = (*sines, factors, sums) if sums is not None else (None,) * 4
-            self._lib.march(*self._plan_args, prev.ctypes.data, curr.ctypes.data,
-                            v if v is None else v.ctypes.data, tau, steps,
-                            *(x if x is None else x.ctypes.data for x in reference))
+            reference = [_address(x) for x in vectors] if vectors else [None] * 4
+            self._lib.march(*self._plan_args, *at, tau, steps, *reference)
             return (prev, curr) if swaps % 2 == 0 else (curr, prev)
         if sums is not None:
             space = _space(sines)

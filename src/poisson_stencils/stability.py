@@ -86,8 +86,9 @@ def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
 
     Evaluated as the cosine sum 1/2 sum_q c_q cos(q1 theta1 + q2 theta2),
     independently of the Chebyshev form that :func:`envelope` uses.  Raises
-    ``ValueError`` for a table whose symbol is not real, and one naming the
-    angle for a non-finite ``theta1`` or ``theta2``.
+    ``ValueError`` for a table whose symbol is not real, one naming the
+    angle for a non-finite ``theta1`` or ``theta2``, and one naming both
+    when a phase q1 theta1 + q2 theta2 overflows.
     """
     lam = check_positive(lam, "lambda")
     for name, theta in (("theta1", theta1), ("theta2", theta2)):
@@ -96,7 +97,13 @@ def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
     _check_real(spec)
     total = 0.0
     for (q1, q2), coeff in evaluated(spec, lam).two_step:
-        total += coeff * math.cos(q1 * theta1 + q2 * theta2)
+        phase = q1 * theta1 + q2 * theta2
+        if not math.isfinite(phase):
+            raise ValueError(
+                f"theta1 = {theta1!r} and theta2 = {theta2!r} give offset ({q1}, {q2}) "
+                f"a phase q1 * theta1 + q2 * theta2 that is not finite"
+            )
+        total += coeff * math.cos(phase)
     return finite_at(0.5 * total, lam)
 
 

@@ -167,6 +167,51 @@ def test_kernel_takes_only_whole_buffers_of_its_stepper():
                           sums=sums)
 
 
+def strided_view(width, row_stride, lo, misalign=0):
+    """A zero (width x width) view with rows ``row_stride`` doubles apart
+    whose first core row starts ``misalign`` doubles past a 64-byte line."""
+    flat = np.zeros(width * row_stride + 8)
+    skip = (misalign - (flat.ctypes.data + 8 * (lo * row_stride + lo)) // 8) % 8
+    view = flat[skip : skip + width * row_stride].reshape(width, row_stride)[:, :width]
+    assert (view[lo, lo:].ctypes.data // 8 - misalign) % 8 == 0
+    return view
+
+
+@needs_cc
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+def test_buffers_are_padded_rows_with_aligned_cores(bc):
+    # Every buffer is a (width x width) view whose rows lie a whole number of
+    # 64-byte lines apart, each core row starting on a line, so that an
+    # 8-double load at the core's offsets with q2 = 0 fills one line.  The
+    # compiled march refuses the old C-contiguous layout, views with another
+    # stride, views with this stride whose core rows are off the lines, and
+    # a read-only view.
+    for name in ("P5", "P13"):
+        for n in range(2, 34):
+            stepper = simulator._Stepper(named_scheme(name), 0.5, n, bc)
+            assert stepper._lib is not None
+            lo, size, width, stride = stepper.lo, stepper.size, stepper.shape[0], stepper.stride
+            assert stride % 8 == 0 and width < stride <= width + 8
+            buf = stepper.buffer()
+            assert buf.shape == (width, width) and buf.strides == (8 * stride, 8)
+            for i in range(lo, lo + size):
+                assert buf[i, lo:].ctypes.data % 64 == 0, (name, n, i)
+            frozen = strided_view(width, stride, lo)
+            frozen.flags.writeable = False
+            wrong = [np.zeros((width, width)), strided_view(width, width, lo),
+                     strided_view(width, stride + 8, lo), strided_view(width, stride, lo, 1),
+                     strided_view(width, stride, lo, 4), frozen]
+            for candidate in wrong:
+                with pytest.raises(ValueError):
+                    stepper.march(buf, candidate, 1)
+                with pytest.raises(ValueError):
+                    stepper.march(candidate, buf, 1)
+                with pytest.raises(ValueError):
+                    stepper.march(buf, stepper.buffer(), 1, v=candidate, tau=0.1)
+            # A view of this stride on lines is a buffer, whoever made it.
+            stepper.march(buf, strided_view(width, stride, lo), 1, v=stepper.buffer(), tau=0.1)
+
+
 def session_library():
     """The path of the library that the session's kernels were bound from."""
     assert _kernel.load() is not None

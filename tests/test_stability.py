@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import sys
 import time
 import warnings
@@ -252,6 +253,17 @@ def test_symbol_names_a_non_finite_angle(schemes):
             symbol(schemes["P5"], 0.5, angle, 0.0)
         with pytest.raises(ValueError, match="^theta2 must be finite"):
             symbol(schemes["P5"], 0.5, 0.3, angle)
+
+
+def test_symbol_names_angles_whose_phase_overflows(schemes):
+    # Finite angles whose phase at the (1, 1) offset overflows to infinity
+    # ended in a bare "math domain error" from math.cos.
+    for theta1, theta2 in ((1e308, 1e308), (-1e308, -1e308)):
+        named = re.escape(f"theta1 = {theta1!r} and theta2 = {theta2!r} give offset (")
+        with pytest.raises(ValueError, match=rf"^{named}-?1, -?1\) a phase"):
+            symbol(schemes["P9"], 0.5, theta1, theta2)
+    # Large angles whose phases stay finite still give a value.
+    assert math.isfinite(symbol(schemes["P9"], 0.5, 1e308, -5e307))
 
 
 def test_lambda_that_rounds_to_zero_is_refused(schemes):

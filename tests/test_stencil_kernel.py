@@ -163,9 +163,10 @@ def test_dirichlet_step_is_the_periodic_step_of_the_odd_extension(kernels, case)
 
 
 def whole_buffer_cases():
-    """(name, bc, n) per case: n = 2..33 for P5 and P13, so that the core
-    rows (n - 1 nodes for Dirichlet, n periodic) reach every remainder
-    modulo LANES for each row of ``_kernel.ISAS``; a few n for the others."""
+    """(name, bc, n) per case: n = 2 .. 2 * LANES + 1 for P5 and P13 with the
+    largest LANES of ``_kernel.ISAS`` (n = 2..65), so that the core rows
+    (n - 1 nodes for Dirichlet, n periodic) reach every remainder modulo
+    LANES for each row of ``ISAS``; a few n for the others."""
     lanes = {w * vectors for _, w, vectors in _kernel.ISAS}
     wide = range(2, 2 + 2 * max(lanes))
     return [
@@ -176,16 +177,29 @@ def whole_buffer_cases():
     ]
 
 
+def row_parts(size, w, vectors):
+    """(steps of VECTORS registers, of 2, of 1, single nodes) of a core row of
+    ``size`` nodes, as ``stencil_@ISA@`` walks it."""
+    blocks, rest = divmod(size, w * vectors)
+    two = int(rest >= 2 * w)
+    ones, singles = divmod(rest - 2 * w * two, w)
+    return blocks, two, ones, singles
+
+
 def test_whole_buffer_cases_reach_every_remainder():
-    # Each variant's rows end in LANES blocks, then W-wide registers, then
-    # single nodes: every remainder of LANES (0, below W, exactly W and
-    # above W) follows at least one full block, on both boundaries.
+    # Each variant's rows go in steps of VECTORS registers (LANES nodes),
+    # then at most one 2-register step, then W-wide registers, then single
+    # nodes: every remainder of LANES, and so every tail of the row, follows
+    # at least one full step, on both boundaries, and some tails take the
+    # 2-register step.
     for name in ("P5", "P13"):
         for bc, first in (("dirichlet", 1), ("periodic", 0)):
             sizes = [n - first for case, b, n in whole_buffer_cases() if (case, b) == (name, bc)]
             for _, w, vectors in _kernel.ISAS:
                 lanes = w * vectors
                 assert {size % lanes for size in sizes if size >= lanes} == set(range(lanes))
+                tails = {row_parts(size, w, vectors)[1:] for size in sizes if size >= lanes}
+                assert {two for two, _, _ in tails} == {0, 1}
 
 
 @pytest.mark.parametrize("name, bc, n", whole_buffer_cases())
@@ -193,8 +207,8 @@ def test_kernels_leave_identical_whole_buffers(kernels, name, bc, n):
     # The whole buffers after 1, 2 and 3 steps, ghost ring and corners
     # included, where the public steps compare only the field: the numpy
     # ghost fill and each variant's compiled plan write the same lines in
-    # one order, and each part of a row (LANES blocks, W-wide registers,
-    # single nodes) sums its offsets in table order.
+    # one order, and each part of a row (LANES blocks, the 2-register step,
+    # W-wide registers, single nodes) sums its offsets in table order.
     if len(kernels) == 1:
         pytest.skip("no compiled kernel")
     rng = np.random.default_rng(n)
