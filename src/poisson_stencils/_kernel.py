@@ -13,7 +13,7 @@ the simulator runs its numpy path.
 
 One stencil routine per instruction set serves the first step and the
 two-step update.  It walks the core one row at a time: LANES nodes per row
-step (VECTORS = 4 registers of W doubles, see ``ISAS``), then at most one
+step (VECTORS = 4 registers of W doubles, W per ``ISAS``), then at most one
 step of 2 registers and the row's remaining nodes one W-wide register at a
 time, all through one inline row step whose register count is a constant
 at each call, then its last fewer than W nodes one at a time.  The buffers'
@@ -33,9 +33,9 @@ names ``fma``, and the flags stay portable, with no ``-march=native`` or
 ``march`` is the simulator's one entry point: it runs a whole march in one
 call, the first step if asked, then the two-step update, each step followed
 by the ghost fill and, if asked, the step's error sums into one row of an
-(steps x 2) array.  It takes a plan, an array of integers packed once per
-stepper: the buffer geometry, the three tables' linear offsets and the ghost
-lines (layout in the source).  The ghost fill writes those lines in the
+(steps x 2) array.  It reads what ``plan()`` packs once per stepper: the
+buffer geometry, the three tables' linear offsets and coefficients, and the
+ghost lines (layout in the source).  The ghost fill writes those lines in the
 order that ``_Stepper._fill_ghosts`` writes them and only copies, negates
 or writes +0.0, so it cannot change a bit.  The one call holds no state of
 its own and releases the GIL, so runs in several threads overlap.
@@ -66,6 +66,7 @@ renames it into place, so concurrent processes never load a partial file.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import ctypes
 import functools
@@ -83,12 +84,12 @@ from typing import Callable
 _SHARED = r"""
 #include <stddef.h>
 
-/* The plan of a march, as ptrdiff_t: a header indexed by the names below,
-   then the linear buffer offsets of the first_u, first_v and two_step
-   tables, then LINES ghost lines of (axis, ghost, source, sign).  The
-   coefficients of the three tables follow one another in coeffs.  A buffer
-   holds SIZE + 2 * LO rows and columns, its rows WIDTH doubles apart: the
-   row stride, whole 64-byte lines, which exceeds the row. */
+/* The plan of a march, packed by plan(), as ptrdiff_t: a header indexed by
+   the names below, then the linear buffer offsets of the first_u, first_v
+   and two_step tables, then LINES ghost lines of (axis, ghost, source,
+   sign).  The coefficients of the three tables follow one another in
+   coeffs.  A buffer holds SIZE + 2 * LO rows and columns, its rows WIDTH
+   doubles apart: the row stride, whole 64-byte lines, exceeding the row. */
 enum { WIDTH, LO, SIZE, ORIGIN, SIDE, COUNT_U, COUNT_V, COUNT_TWO, LINES, HEADER };
 
 /* Each ghost line in order: axis 0 is a row over the core columns, axis 1
@@ -152,16 +153,28 @@ int isa_level(void)
 }
 """
 
+
+def plan(stride: int, lo: int, size: int, origin: int, side: int, tables, lines):
+    """The (plan, coeffs) arrays that ``march`` reads, laid out as ``_SHARED`` says:
+    C longs (array code "l", a ptrdiff_t on every POSIX ABI) and doubles."""
+    entries = [entry for table in tables for entry in table]
+    header = [stride, lo, size, origin, side, *map(len, tables), len(lines)]
+    offsets = [q1 * stride + q2 for (q1, q2), _ in entries]
+    ghosts = [value for line in lines for value in line]
+    return array.array("l", header + offsets + ghosts), array.array("d", [c for _, c in entries])
+
+
 # The vector loops, written once and expanded per row of ISAS: @ISA@ is the
-# name, @TARGET@ the function attribute (empty for the baseline), @W@ the
-# doubles per vector register and @VECTORS@ the registers per row step.
-# Every node still sums its offsets in table order from 0.0, one rounding
-# per multiply and per add, whatever W is.
+# name, @TARGET@ the function attribute (empty for the baseline) and @W@ the
+# doubles per vector register.  Every node still sums its offsets in table
+# order from 0.0, one rounding per multiply and per add, whatever W is.
+# VECTORS = 4 registers per row step on every instruction set: 2 ran slower
+# on each, and 4 with one 2-register step at a row's end ran the n = 80 and
+# n = 512 marches fastest on an AVX-512F Xeon.
 _VECTOR_LOOPS = r"""
 #define W @W@
-#define VECTORS @VECTORS@
+#define VECTORS 4
 #define LANES (W * VECTORS)
-_Static_assert(VECTORS >= 2, "a row's end takes one step of 2 registers");
 
 /* W doubles in one vector register, with elementwise IEEE arithmetic; a row
    step sums LANES nodes, VECTORS registers of them, and a row's last
@@ -396,24 +409,17 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
 #undef W
 """
 
-# (name, doubles per vector, vectors per row step), in the order of
-# isa_level().  The baseline is SSE2 on x86-64 and NEON on arm64; the others
-# are GCC target names, never "fma", and -ffp-contract=off holds inside them.
-# Four registers per row step, with the 2-register step at a row's end: on
-# an AVX-512F Xeon, 32 nodes per row step ran the n = 512 marches fastest,
-# and a periodic n = 80 row of 80 nodes ends in one 16-node step rather than
-# two 8-node ones (without that step, its stencil pass ran 10% slower).
-ISAS = (("baseline", 2, 4), ("avx2", 4, 4), ("avx512f", 8, 4))
+# (name, doubles per vector register), in the order of isa_level().  The
+# baseline is SSE2 on x86-64 and NEON on arm64; the others are GCC target
+# names, never "fma", and -ffp-contract=off holds inside them.
+ISAS = (("baseline", 2), ("avx2", 4), ("avx512f", 8))
 
 
-def _expand(isa: str, width: int, vectors: int) -> str:
+def _expand(isa: str, width: int) -> str:
     """The vector loops of one instruction set."""
     target = "" if isa == "baseline" else f'__attribute__((target("{isa}")))'
-    text = _VECTOR_LOOPS
-    for token, value in (("@ISA@", isa), ("@TARGET@", target), ("@W@", str(width)),
-                         ("@VECTORS@", str(vectors))):
-        text = text.replace(token, value)
-    return text
+    text = _VECTOR_LOOPS.replace("@ISA@", isa).replace("@W@", str(width))
+    return text.replace("@TARGET@", target)
 
 
 SOURCE = "".join(
@@ -489,7 +495,7 @@ def _bind(path: Path) -> tuple[Kernel, ...] | None:
         lib = ctypes.CDLL(str(path))
         lib.isa_level.argtypes, lib.isa_level.restype = (), ctypes.c_int
         kernels = []
-        for isa, *_ in ISAS[: lib.isa_level() + 1]:
+        for isa, _ in ISAS[: lib.isa_level() + 1]:
             functions = {}
             for name, argtypes in _SIGNATURES.items():
                 function = functions[name] = getattr(lib, f"{name}_{isa}")

@@ -167,7 +167,7 @@ def named_scheme(name: str) -> SchemeSpec:
     case-insensitively, and each scheme is derived once per process: every
     call with one name returns the same immutable spec.
     """
-    key = name.upper()
+    key = name.upper() if isinstance(name, str) else None
     if key not in NAMED_SCHEMES:
         raise UnknownSchemeError(f"unknown scheme {name!r}; expected one of {NAMED_SCHEMES}")
     return _named_scheme(key)

@@ -145,8 +145,10 @@ def _check_int(value, name: str, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_grid(n, lam, bc: str) -> float:
-    """The Courant number as a float; ``ValueError`` unless n, it and ``bc`` can be stepped."""
+def _check_grid(spec, n, lam, bc: str) -> float:
+    """lam as a float; ``ValueError`` unless ``spec``, n, lam and ``bc`` can be stepped."""
+    if not isinstance(spec, SchemeSpec):
+        raise ValueError(f"scheme must be a SchemeSpec (see named_scheme), got {spec!r}")
     _check_int(n, "n", 2)
     lam = check_positive(lam, "lambda")
     if bc not in BOUNDARY_CONDITIONS:
@@ -159,11 +161,11 @@ class SimConfig:
     """One simulation: scheme, grid, step count, Courant number, boundaries.
 
     The time step is always derived as tau = lam * h, as lam = c * tau / h
-    carries the wave speed.  ``initial_u`` and ``initial_v`` are
-    ``Separable``s without ``t``, which ``run()`` forms straight into its
-    buffers, and ``exact``, the reference solution used for the error
-    metric, is one with ``t``.  Any other value is a ``ValueError`` naming
-    the field.  All three default to the standing-wave benchmark; ``run()``
+    carries the wave speed.  ``scheme`` is a ``SchemeSpec``, ``initial_u``
+    and ``initial_v`` are ``Separable``s without ``t``, which ``run()`` forms
+    straight into its buffers, and ``exact``, the reference solution used for
+    the error metric, is one with ``t``.  Any other value of these four is a
+    ``ValueError`` naming the field.  All three default to the standing-wave benchmark; ``run()``
     raises ``ValueError`` naming the factor if one gives a complex, nan or
     infinite value, or values of another shape, and naming the field if its
     product overflows.  ``lam`` is stored as a float.
@@ -179,7 +181,7 @@ class SimConfig:
     exact: Separable = exact_standing_wave
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _check_grid(self.n, self.lam, self.bc))
+        object.__setattr__(self, "lam", _check_grid(self.scheme, self.n, self.lam, self.bc))
         _check_int(self.n_t, "n_t", 1)
         _check_separable(self.initial_u, "initial_u", timed=False)
         _check_separable(self.initial_v, "initial_v", timed=False)
@@ -358,7 +360,7 @@ class _Stepper:
     """
 
     def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str):
-        lam = _check_grid(n, lam, bc)
+        lam = _check_grid(spec, n, lam, bc)
         first, period = (0, n) if bc == "periodic" else (1, 2 * n)
         r = max(spec.radius, 1)
         self.n, self.lo, self.size = n, r, n - first
@@ -391,20 +393,8 @@ class _Stepper:
             self._term = np.empty(rows)
             self._scratch = np.empty((2, n + 1, n + 1))
         else:
-            # The plan of the compiled march (see ``_kernel.SOURCE``): the
-            # geometry, each table's linear buffer offsets q1 * stride + q2,
-            # and the ghost lines.  The arrays are held here while the kernel
-            # reads their addresses.
-            tables = (self.first_u, self.first_v, self.two_step)
-            self._plan = np.array(
-                [self.stride, r, self.size, self.origin, n + 1, *map(len, tables),
-                 len(self._lines),
-                 *(q1 * self.stride + q2 for table in tables for (q1, q2), _ in table),
-                 *(value for line in self._lines for value in line)],
-                dtype=np.intp,
-            )
-            self._coeffs = np.array([coeff for table in tables for _, coeff in table])
-            self._plan_args = (self._plan.ctypes.data, self._coeffs.ctypes.data)
+            self._plan = _kernel.plan(self.stride, r, self.size, self.origin, n + 1,
+                                      (self.first_u, self.first_v, self.two_step), self._lines)
 
     def field(self, buf: np.ndarray) -> np.ndarray:
         """The (n+1) x (n+1) field of a buffer, as a view."""
@@ -473,37 +463,42 @@ class _Stepper:
             np.multiply(src[lo + q1 + a : lo + q1 + b, lo + q2 : lo + q2 + size], coeff, out=term)
             acc += term
 
-    def march(self, prev, curr, steps: int, v=None, tau: float = 0.0,
-              sines=None, factors=None, sums=None):
+    def march(self, prev, curr, steps: int, v=None, tau: float = 0.0, reference=None):
         """Advance the fields of buffers (prev, curr) by ``steps`` steps.
 
         With ``v``, the first step is curr = S_u prev + tau * S_v v; every
         other step is prev = S curr - prev, after which the two swap, so that
         ``curr`` holds the newest field.  Ghosts are filled after each step,
-        and with ``sums``, its row k gets step k's error sums against the
-        reference (a[:, None] * b[None, :]) * factors[k], where (a, b) =
-        ``sines`` (see ``_factors`` and ``_error_sums``).  Returns the
-        buffers as (prev, curr).  The compiled kernel runs all the steps in
-        one call.  The buffers must have the layout of this stepper's
-        ``buffer()``, and a, b, factors and sums be C-contiguous float64
-        arrays, a and b of n + 1 values; ``ValueError`` otherwise.
+        and with ``reference`` = (a, b, factors, sums), row k of sums gets
+        step k's error sums against (a[:, None] * b[None, :]) * factors[k]
+        (see ``_factors`` and ``_error_sums``).  Returns the buffers as
+        (prev, curr).  The compiled kernel runs all the steps in one call.
+        The buffers must have the layout of this stepper's ``buffer()``, and
+        the reference be four C-contiguous float64 arrays: a and b
+        of n + 1 values, at least ``steps`` factors and ``steps`` rows of
+        writable sums; ``ValueError`` otherwise.
         """
         at = [self._buffer_address(prev), self._buffer_address(curr),
               v if v is None else self._buffer_address(v)]
         vectors = []
-        if sums is not None:
-            a, b = sines
-            vectors = [a, b, factors[:steps], sums[:steps]]
+        if reference is not None:
+            try:
+                a, b, factors, sums = reference
+                vectors = [a, b, factors[:steps], sums[:steps]]
+            except (TypeError, ValueError):
+                raise ValueError("reference must be four arrays (a, b, factors, sums)") from None
         for values, shape in zip(vectors, [(self.n + 1,)] * 2 + [(steps,), (steps, 2)]):
-            if values.shape != shape or values.dtype != np.float64 or not values.flags.c_contiguous:
-                raise ValueError(f"need a C-contiguous float64 array of shape {shape}")
+            if (getattr(values, "shape", None) != shape or values.dtype != np.float64
+                    or not values.flags.c_contiguous):
+                raise ValueError(f"reference needs a C-contiguous float64 array of shape {shape}")
+        if vectors and not sums.flags.writeable:
+            raise ValueError("reference needs writable sums")
         swaps = steps - (v is not None)
         if self._lib is not None:
-            reference = [_address(x) for x in vectors] if vectors else [None] * 4
-            self._lib.march(*self._plan_args, *at, tau, steps, *reference)
+            addresses = [_address(x) for x in vectors] if vectors else [None] * 4
+            self._lib.march(*map(_address, self._plan), *at, tau, steps, *addresses)
             return (prev, curr) if swaps % 2 == 0 else (curr, prev)
-        if sums is not None:
-            space = _space(sines)
+        space = _space(a, b) if vectors else None
         for k in range(steps):
             if k == 0 and v is not None:
                 for a, b, core in self._blocks(curr):
@@ -519,7 +514,7 @@ class _Stepper:
                     np.subtract(acc, core, out=core)
                 prev, curr = curr, prev
             self._fill_ghosts(curr)
-            if sums is not None:
+            if vectors:
                 sums[k] = _error_sums(self.field(curr), space, factors[k], self._scratch)
         return prev, curr
 
@@ -534,8 +529,8 @@ def first_step(
 ) -> np.ndarray:
     """First update: combine initial displacement and velocity fields.
 
-    Raises ``ValueError`` unless ``tau`` is finite and ``u0`` and ``v0`` are
-    real, finite fields on one (n+1) x (n+1) grid.
+    Raises ``ValueError`` unless ``spec`` is a ``SchemeSpec``, ``tau`` is
+    finite and ``u0`` and ``v0`` are real, finite fields on one grid.
     """
     tau = _check_tau(tau)
     n, (u0, v0) = _grid_fields({"u0": u0, "v0": v0})
@@ -555,8 +550,8 @@ def two_step(
     """Two-step update: weighted current field minus the previous field.
 
     Periodic fields are read on their n x n core; the result's aliased last
-    row and column repeat its first.  Raises ``ValueError`` unless ``u_k``
-    and ``u_km1`` are real, finite fields on one (n+1) x (n+1) grid.
+    row and column repeat its first.  Raises ``ValueError`` unless ``spec``
+    is a ``SchemeSpec`` and ``u_k`` and ``u_km1`` real, finite fields on one grid.
     """
     n, (u_k, u_km1) = _grid_fields({"u_k": u_k, "u_km1": u_km1})
     stepper = _Stepper(spec, lam, n, bc)
@@ -582,9 +577,8 @@ def _initial(stepper: _Stepper, func: Separable, name: str, coords: np.ndarray) 
     return stepper.buffer(axes=(p, q))
 
 
-def _space(sines) -> np.ndarray:
-    """The reference's (n+1) x (n+1) space field from its axis vectors (a, b)."""
-    a, b = sines
+def _space(a, b) -> np.ndarray:
+    """The reference's (n+1) x (n+1) space field from its axis vectors a and b."""
     return a[:, None] * b[None, :]
 
 
@@ -633,7 +627,7 @@ def relative_l2_error(computed: Iterable[np.ndarray], exact: Separable, tau: flo
     _check_separable(exact, "exact", timed=True)
     n, fields = _grid_fields(named)
     a, b, factors = _factors(exact, np.arange(n + 1) / n, tau, len(fields))
-    space, scratch = _space((a, b)), np.empty((2, n + 1, n + 1))
+    space, scratch = _space(a, b), np.empty((2, n + 1, n + 1))
     with np.errstate(over="ignore"):  # _relative_error refuses an overflow
         rows = [_error_sums(u, space, c, scratch) for u, c in zip(fields, factors)]
     return _relative_error(rows, "the computed fields overflow")[0]
@@ -677,7 +671,7 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     for k in range(1, n_t + 1, steps):
         with np.errstate(over="ignore", invalid="ignore"):  # _relative_error refuses an overflow
             prev, curr = stepper.march(prev, curr, steps, v if k == 1 else None, tau,
-                                       (a, b), factors[k - 1 :], sums[k - 1 :])
+                                       (a, b, factors[k - 1 :], sums[k - 1 :]))
         if on_step is not None:
             on_step(k, stepper.field(curr).copy())
     overflows = f"lambda = {config.lam} overflows scheme {config.scheme.name!r}"

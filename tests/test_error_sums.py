@@ -38,14 +38,14 @@ def bits(values):
 
 def kernel_sums(u, a, b, c):
     """The error sums of the kernel in use: the compiled export, else numpy's
-    on the march's field ``_space((a, b))``.
+    on the march's field ``_space(a, b)``.
 
     ``u`` needs a unit column stride and ``a`` and ``b`` C order, as in the
     march.
     """
     lib = _kernel.load()
     if lib is None:
-        return _error_sums(u, _space((a, b)), c, np.empty((2, *u.shape)))
+        return _error_sums(u, _space(a, b), c, np.empty((2, *u.shape)))
     out = np.empty(2)
     lib.error_sums(u.ctypes.data, u.strides[0] // 8, a.ctypes.data, b.ctypes.data, c, *u.shape,
                    out.ctypes.data)

@@ -154,17 +154,16 @@ def test_kernel_takes_only_whole_buffers_of_its_stepper():
         with pytest.raises(ValueError):
             stepper.march(wrong, buf, 1)
     # The error sums read two whole sines of n + 1 values, two factors and
-    # two rows of sums.
+    # two rows of sums, given together as the reference.
     sine, factors, sums = np.zeros(9), np.ones(2), np.empty((2, 2))
     for wrong in (np.zeros(8), np.zeros((9, 1)), np.zeros((1, 9)), np.zeros(18)[::2],
                   sine.astype(np.float32)):
         for sines in ((wrong, sine), (sine, wrong)):
             with pytest.raises(ValueError):
-                stepper.march(buf, stepper.buffer(), 2, sines=sines, factors=factors, sums=sums)
+                stepper.march(buf, stepper.buffer(), 2, reference=(*sines, factors, sums))
     for factors, sums in ((np.ones(1), sums), (factors, np.empty((1, 2)))):
         with pytest.raises(ValueError):
-            stepper.march(buf, stepper.buffer(), 2, sines=(sine, sine), factors=factors,
-                          sums=sums)
+            stepper.march(buf, stepper.buffer(), 2, reference=(sine, sine, factors, sums))
 
 
 def strided_view(width, row_stride, lo, misalign=0):
@@ -255,7 +254,7 @@ def test_default_run_is_one_compiled_call(n_t):
     looped = re.findall(r"static (?:inline )?[\w@]+ (\w+)_@ISA@\(", _kernel._VECTOR_LOOPS)
     assert "fill_ghosts" in shared
     assert {"stencil", "sum_lanes", "block_sum", "pairwise_sums"} <= set(looped)
-    for name in (*shared, *(f"{name}_{isa}" for isa, *_ in _kernel.ISAS for name in looped)):
+    for name in (*shared, *(f"{name}_{isa}" for isa, _ in _kernel.ISAS for name in looped)):
         assert not hasattr(lib, name)
         # -Wall does not flag an unused static inline routine, so each must
         # be called somewhere besides its definition.
@@ -331,7 +330,7 @@ def test_source_off_x86_64_offers_only_the_baseline(tmp_path):
     assert done.returncode == 0, done.stderr.decode()
     assert [kernel.isa for kernel in _kernel._bind(library)] == ["baseline"]
     lib = ctypes.CDLL(str(library))
-    for isa, *_ in _kernel.ISAS[1:]:
+    for isa, _ in _kernel.ISAS[1:]:
         assert not hasattr(lib, f"march_{isa}")
 
 

@@ -133,6 +133,13 @@ def test_named_scheme_rejects_unknown_name():
             named_scheme("p7")
 
 
+@pytest.mark.parametrize("name", [5, None, ["P5"]])
+def test_named_scheme_rejects_a_name_that_is_not_a_string(name):
+    # These ended in an AttributeError on the missing upper().
+    with pytest.raises(UnknownSchemeError, match="^unknown scheme"):
+        named_scheme(name)
+
+
 def test_named_schemes_are_shared_and_derive_four_bases(cold_caches):
     # A cold process derives P5, P9 and P13 from Lagrange bases and C9 from
     # the isotropic table; C5 and C13 reuse the shared P5 and P13.

@@ -303,8 +303,8 @@ class TestRelativeL2Error:
                 sums = np.empty((1, 2))
 
                 def march(a, b):
-                    stepper.march(stepper.buffer(), stepper.buffer(), 1, sines=(a, b),
-                                  factors=np.ones(1), sums=sums)
+                    stepper.march(stepper.buffer(), stepper.buffer(), 1,
+                                  reference=(a, b, np.ones(1), sums))
 
                 line = np.ones(5)
                 march(line, line)  # a zero field against ones
@@ -314,6 +314,26 @@ class TestRelativeL2Error:
                     for sines in ((wrong, line), (line, wrong)):
                         with pytest.raises(ValueError, match="C-contiguous float64"):
                             march(*sines)
+
+    def test_march_takes_its_reference_whole(self, kernels, p5):
+        # The reference is one argument of four arrays.  Given as three
+        # keywords, sums without the sines died in a bare TypeError, and
+        # sines or factors without sums were ignored without a word.  The
+        # compiled march wrote its sums into a read-only array's bytes.
+        line, factors, sums = np.ones(5), np.ones(1), np.empty((1, 2))
+        read_only = np.frombuffer(bytes(16)).reshape(1, 2)
+        parts = [(line, line), (line, line, factors), (None, None, None, sums),
+                 (line, line, None, sums), (line, line, factors, None),
+                 (line, line, list(factors), sums), (line, line, factors, read_only), line]
+        for _, path in kernels:
+            with path():
+                stepper = _Stepper(p5, 0.5, 4, "dirichlet")
+                for reference in parts:
+                    with pytest.raises(ValueError, match="reference"):
+                        stepper.march(stepper.buffer(), stepper.buffer(), 1, reference=reference)
+                stepper.march(stepper.buffer(), stepper.buffer(), 1,
+                              reference=(line, line, factors, sums))
+                assert sums.tolist() == [[25.0, 25.0]]
 
     def test_needs_a_field(self):
         with pytest.raises(ValueError, match="at least one computed field"):
@@ -380,6 +400,24 @@ def test_sim_config_validation(p5):
     config = SimConfig(scheme=p5, n=10, n_t=1, lam=0.5)
     assert config.tau == pytest.approx(0.05)
     assert SimConfig(scheme=p5, n=np.int64(10), n_t=np.int32(1), lam=0.5).n == 10
+
+
+@pytest.mark.parametrize("scheme", ["P5", None])
+def test_sim_config_refuses_a_scheme_that_is_not_a_spec(scheme):
+    # A scheme name or None constructed, and run() then ended in an
+    # AttributeError.
+    with pytest.raises(ValueError, match="^scheme must be a SchemeSpec"):
+        SimConfig(scheme=scheme, n=4, n_t=2, lam=0.5)
+
+
+@pytest.mark.parametrize("scheme", ["P5", None])
+def test_public_steps_refuse_a_scheme_that_is_not_a_spec(scheme):
+    # Both ended in an AttributeError on the name's missing radius.
+    field = np.ones((5, 5))
+    with pytest.raises(ValueError, match="^scheme must be a SchemeSpec"):
+        first_step(field, field, scheme, 0.5, 0.1)
+    with pytest.raises(ValueError, match="^scheme must be a SchemeSpec"):
+        two_step(field, field, scheme, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -612,6 +650,27 @@ def test_reference_factors_give_one_value_per_point(kernels, p5, factor, functio
                 run(config)
         with pytest.raises(ValueError, match=f"^{factor} must return a scalar or"):
             relative_l2_error([np.ones((9, 9))] * 3, exact, 0.1)
+
+
+@pytest.mark.parametrize("factor", ["exact.x1", "exact.x2"])
+def test_a_read_only_factor_gives_the_bits_of_a_writable_one(kernels, p13, factor):
+    # A read-only factor passes through _factor unchanged, so the compiled
+    # march reads its address through ndarray.ctypes.data, not ctypes.
+    def read_only(points):
+        values = np.sin(2.0 * np.pi * points)
+        values.flags.writeable = False
+        return values
+
+    assert not simulator._factor(read_only, factor, np.arange(9) / 8).flags.writeable
+    writable = one_reference_with(factor, lambda points: np.sin(2.0 * np.pi * points))
+    config = SimConfig(scheme=p13, n=24, n_t=5, lam=0.6, bc="periodic", exact=writable)
+    for isa, path in kernels:
+        with path():
+            want = run(config)
+            got = run(replace(config, exact=one_reference_with(factor, read_only)))
+        assert got.kernel == isa
+        assert got.error.hex() == want.error.hex()
+        assert [e.hex() for e in got.per_step_errors] == [e.hex() for e in want.per_step_errors]
 
 
 @pytest.mark.parametrize("factor", ["exact.x1", "exact.x2", "exact.t"])

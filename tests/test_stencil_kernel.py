@@ -8,6 +8,7 @@ all, through the ``kernels`` fixture.
 """
 
 import functools
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -162,13 +163,17 @@ def test_dirichlet_step_is_the_periodic_step_of_the_odd_extension(kernels, case)
             assert np.abs(periodic[: n + 1, [0, n]]).max() <= 1e-15 * scale
 
 
+# The registers per row step of every instruction set, a constant of the
+# vector loops' source: a row step sums LANES = W * VECTORS nodes.
+VECTORS = int(re.search(r"#define VECTORS (\d+)", _kernel._VECTOR_LOOPS)[1])
+
+
 def whole_buffer_cases():
     """(name, bc, n) per case: n = 2 .. 2 * LANES + 1 for P5 and P13 with the
     largest LANES of ``_kernel.ISAS`` (n = 2..65), so that the core rows
     (n - 1 nodes for Dirichlet, n periodic) reach every remainder modulo
     LANES for each row of ``ISAS``; a few n for the others."""
-    lanes = {w * vectors for _, w, vectors in _kernel.ISAS}
-    wide = range(2, 2 + 2 * max(lanes))
+    wide = range(2, 2 + 2 * VECTORS * max(w for _, w in _kernel.ISAS))
     return [
         (name, bc, n)
         for name in NAMED_SCHEMES
@@ -177,10 +182,10 @@ def whole_buffer_cases():
     ]
 
 
-def row_parts(size, w, vectors):
+def row_parts(size, w):
     """(steps of VECTORS registers, of 2, of 1, single nodes) of a core row of
     ``size`` nodes, as ``stencil_@ISA@`` walks it."""
-    blocks, rest = divmod(size, w * vectors)
+    blocks, rest = divmod(size, w * VECTORS)
     two = int(rest >= 2 * w)
     ones, singles = divmod(rest - 2 * w * two, w)
     return blocks, two, ones, singles
@@ -195,10 +200,10 @@ def test_whole_buffer_cases_reach_every_remainder():
     for name in ("P5", "P13"):
         for bc, first in (("dirichlet", 1), ("periodic", 0)):
             sizes = [n - first for case, b, n in whole_buffer_cases() if (case, b) == (name, bc)]
-            for _, w, vectors in _kernel.ISAS:
-                lanes = w * vectors
+            for _, w in _kernel.ISAS:
+                lanes = w * VECTORS
                 assert {size % lanes for size in sizes if size >= lanes} == set(range(lanes))
-                tails = {row_parts(size, w, vectors)[1:] for size in sizes if size >= lanes}
+                tails = {row_parts(size, w)[1:] for size in sizes if size >= lanes}
                 assert {two for two, _, _ in tails} == {0, 1}
 
 
