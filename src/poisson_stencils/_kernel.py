@@ -76,7 +76,7 @@ import stat
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # The part of the C source that has no vectors: the plan's layout, the ghost
 # fill, a stencil table, the one-node sum of a row's leftover nodes, the
@@ -440,11 +440,12 @@ _SIGNATURES = {
 }
 
 
-class Kernel:
-    """The bound entry points of one instruction set's loops (see ``ISAS``)."""
+class Kernel(NamedTuple):
+    """One instruction set's bound loops (see ``ISAS``), immutable, as ``variants()`` shares it."""
 
-    def __init__(self, isa: str, march: Callable, error_sums: Callable):
-        self.isa, self.march, self.error_sums = isa, march, error_sums
+    isa: str
+    march: Callable
+    error_sums: Callable
 
 
 def _cache_dir() -> Path | None:

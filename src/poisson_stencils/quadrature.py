@@ -24,16 +24,25 @@ _DISC_START_ORDER = 64  # Gauss-Legendre order of the first disc-quadrature rule
 _DISC_AGREE_TOL = 1e-13
 
 
-def check_positive(value: float, what: str) -> float:
-    """``value`` as a float; ``ValueError`` unless that float is finite and above zero.
+def check_finite(value: float, what: str, rule: str = "finite") -> float:
+    """``value`` as a float; ``ValueError`` ("``what`` must be ``rule``") unless finite.
 
-    Callers keep the float, so that no other numeric type reaches a table.
     A bool, Python's or numpy's (recognised by its type's name, so that this
     module needs no numpy), is not a number here: ``ValueError``.
     """
     if type(value).__name__ in ("bool", "bool_"):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    number = float(value) if math.isfinite(value) else math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be {rule}, got {value}")
+    return float(value)
+
+
+def check_positive(value: float, what: str) -> float:
+    """``value`` as a float; ``ValueError`` unless it is finite and above zero.
+
+    Callers keep the float, so that no other numeric type reaches a table.
+    """
+    number = check_finite(value, what, "positive and finite")
     if not number > 0:
         raise ValueError(f"{what} must be positive and finite, got {value}")
     return number

@@ -89,6 +89,12 @@ class SchemeSpec:
         return max((max(abs(q1), abs(q2)) for table in tables for q1, q2 in table), default=0)
 
 
+def check_scheme(spec) -> None:
+    """``ValueError`` naming ``scheme`` unless ``spec`` is a :class:`SchemeSpec`."""
+    if not isinstance(spec, SchemeSpec):
+        raise ValueError(f"scheme must be a SchemeSpec (see named_scheme), got {spec!r}")
+
+
 def evaluate_table(table: Mapping[Offset, LambdaPoly], lam: float) -> list[tuple[Offset, float]]:
     """(offset, coefficient at ``lam`` as a float) pairs in table order.
 
@@ -191,7 +197,9 @@ def serialize_tables(spec: SchemeSpec) -> str:
 
     Line format: ``q1 q2 role power:coefficient ...`` with exact rational
     coefficients (``-1/12``) and ascending powers of the Courant number.
+    ``ValueError`` unless ``spec`` is a :class:`SchemeSpec`.
     """
+    check_scheme(spec)
     lines = []
     for role in ("first_u", "first_v", "two_step"):
         table = getattr(spec, role)

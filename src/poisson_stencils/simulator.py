@@ -53,8 +53,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _kernel, stability
-from .quadrature import check_positive
-from .scheme import BOUNDARY_CONDITIONS, DegenerateNormError, SchemeSpec
+from .quadrature import check_finite, check_positive
+from .scheme import BOUNDARY_CONDITIONS, DegenerateNormError, SchemeSpec, check_scheme
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -147,8 +147,7 @@ def _check_int(value, name: str, least: int) -> None:
 
 def _check_grid(spec, n, lam, bc: str) -> float:
     """lam as a float; ``ValueError`` unless ``spec``, n, lam and ``bc`` can be stepped."""
-    if not isinstance(spec, SchemeSpec):
-        raise ValueError(f"scheme must be a SchemeSpec (see named_scheme), got {spec!r}")
+    check_scheme(spec)
     _check_int(n, "n", 2)
     lam = check_positive(lam, "lambda")
     if bc not in BOUNDARY_CONDITIONS:
@@ -228,18 +227,6 @@ def _real_finite(values, name: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite, got nan or infinity")
     return values
-
-
-def _check_tau(tau) -> float:
-    """``tau`` as a float; ``ValueError`` unless it is a finite number.
-
-    A bool, Python's or numpy's, is not a number here, as for lambda.
-    """
-    if type(tau).__name__ in ("bool", "bool_"):
-        raise ValueError(f"tau must be a number, got {tau!r}")
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
-    return float(tau)
 
 
 def _grid_fields(fields: dict) -> tuple[int, list[np.ndarray]]:
@@ -328,7 +315,13 @@ def _address(values: np.ndarray) -> int:
 
 
 class _Stepper:
-    """The stencil kernel of one scheme, Courant number, grid and boundary.
+    """One march: its fields, stencil kernel and, with ``exact``, error sums.
+
+    The constructor forms the fields ``prev``, ``curr`` (zero if not given)
+    and ``v``, the first step's velocity, each in a buffer of its own.  It
+    samples the reference ``exact`` through ``_factors`` for steps 1..n_t
+    and allocates ``sums``, row k - 1 for step k's error sums.  No array
+    crosses ``march(steps)``: the compiled kernel reads addresses taken here once.
 
     A buffer holds the core that an update writes, field indices first ..
     n - 1 per axis, inside a ring of r = max(radius, 1) ghost cells, so that
@@ -354,12 +347,11 @@ class _Stepper:
     kernel of ``_kernel`` makes one pass per node in that order; without it,
     the numpy path makes two passes (multiply, then add) per offset over
     blocks of rows, with the same bits.  Either way ``march`` is the only
-    stepping routine, and it takes only buffers of this layout.  As the
-    stride always exceeds width, a C-contiguous (width x width) array is
-    refused by its strides alone.
+    stepping routine.
     """
 
-    def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str):
+    def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str, prev=None, curr=None,
+                 v=None, tau: float = 0.0, exact: Separable | None = None, n_t: int = 0):
         lam = _check_grid(spec, n, lam, bc)
         first, period = (0, n) if bc == "periodic" else (1, 2 * n)
         r = max(spec.radius, 1)
@@ -386,35 +378,51 @@ class _Stepper:
         # The tables at lam, evaluated once per (spec, lam) and shared.
         shared = stability.evaluated(spec, lam)
         self.first_u, self.first_v, self.two_step = shared.first_u, shared.first_v, shared.two_step
+        self.prev = self.buffer(prev)
+        self._v = None if v is None else self.buffer(v)
+        self.curr = self.buffer(curr)
+        self.tau, self.step = tau, 0
+        # The steps that the reference covers, one row of sums each.
+        self._last, self.sums = math.inf, None
+        if exact is not None:
+            self._reference = _factors(exact, np.arange(n + 1) / n, tau, n_t)
+            self._last, self.sums = n_t, np.empty((n_t, 2))
         self._lib = _kernel.load()
         if self._lib is None:
             rows = (min(_ROW_BLOCK, self.size), self.size)
             self._acc = np.empty(rows)
             self._term = np.empty(rows)
             self._scratch = np.empty((2, n + 1, n + 1))
+            if exact is not None:
+                self._space = _space(*self._reference[:2])
         else:
             self._plan = _kernel.plan(self.stride, r, self.size, self.origin, n + 1,
                                       (self.first_u, self.first_v, self.two_step), self._lines)
+            self._plan_at = [*map(_address, self._plan)]
+            self._at = [_address(buf[0]) for buf in (self.prev, self.curr)]
+            self._v_at = None if v is None else _address(self._v[0])
+            self._reference_at = [None] * 4 if exact is None else [
+                *map(_address, (*self._reference, self.sums))]
 
     def field(self, buf: np.ndarray) -> np.ndarray:
         """The (n+1) x (n+1) field of a buffer, as a view."""
         o = self.origin
         return buf[o : o + self.n + 1, o : o + self.n + 1]
 
-    def buffer(self, values: np.ndarray | None = None, axes=None) -> np.ndarray:
+    def buffer(self, values=None) -> np.ndarray:
         """A new buffer, zero or holding a field with its ghosts filled.
 
-        The field is ``values``, or with ``axes`` = (p, q), two vectors of
-        n + 1 values, the product p[:, None] * q[None, :], formed in the
-        buffer.  The boundary ring is not pinned: a Dirichlet field keeps its
-        own for the first stencil application to read.  The buffer is a view
-        of its own zeroed allocation (see the class docstring).
+        The field is ``values``, an (n+1) x (n+1) array, or for a pair (p, q)
+        of n + 1 values each, p[:, None] * q[None, :] formed in the buffer.
+        The boundary ring is not pinned: a Dirichlet field keeps its own for
+        the first stencil application to read.  The buffer is a view of its
+        own zeroed allocation (see the class docstring).
         """
         flat = np.zeros(self._length)
         skip = -(_address(flat) + 8 * self.lo) % 64 // 8  # doubles before the first row
         buf = np.ndarray(self.shape, float, flat, 8 * skip, self._strides)
-        if axes is not None:
-            p, q = axes
+        if isinstance(values, tuple):
+            p, q = values
             np.multiply(p[:, None], q[None, :], out=self.field(buf))
         elif values is not None:
             self.field(buf)[...] = values
@@ -422,18 +430,6 @@ class _Stepper:
             return buf
         self._fill_ghosts(buf, pin=False)
         return buf
-
-    def _buffer_address(self, buf: np.ndarray) -> int:
-        """The address of a buffer's first value; ``ValueError`` unless it is
-        a writable float64 view of this stepper's shape, stride and alignment."""
-        if (buf.shape != self.shape or buf.strides != self._strides
-                or buf.dtype != np.float64 or not buf.flags.writeable):
-            raise ValueError(f"need a writable float64 buffer of shape {self.shape} "
-                             f"with rows {self.stride} doubles apart")
-        address = _address(buf[0])  # a contiguous row, read faster than the view
-        if (address + 8 * self.lo) % 64:
-            raise ValueError("need a buffer whose core rows start on 64-byte lines")
-        return address
 
     def _fill_ghosts(self, buf: np.ndarray, pin: bool = True):
         """Copy or negate each ghost line's source, or, with ``pin``, zero it."""
@@ -463,60 +459,47 @@ class _Stepper:
             np.multiply(src[lo + q1 + a : lo + q1 + b, lo + q2 : lo + q2 + size], coeff, out=term)
             acc += term
 
-    def march(self, prev, curr, steps: int, v=None, tau: float = 0.0, reference=None):
-        """Advance the fields of buffers (prev, curr) by ``steps`` steps.
+    def march(self, steps: int):
+        """Advance the fields by ``steps`` steps; the compiled kernel makes them in one call.
 
-        With ``v``, the first step is curr = S_u prev + tau * S_v v; every
-        other step is prev = S curr - prev, after which the two swap, so that
-        ``curr`` holds the newest field.  Ghosts are filled after each step,
-        and with ``reference`` = (a, b, factors, sums), row k of sums gets
-        step k's error sums against (a[:, None] * b[None, :]) * factors[k]
-        (see ``_factors`` and ``_error_sums``).  Returns the buffers as
-        (prev, curr).  The compiled kernel runs all the steps in one call.
-        The buffers must have the layout of this stepper's ``buffer()``, and
-        the reference be four C-contiguous float64 arrays: a and b
-        of n + 1 values, at least ``steps`` factors and ``steps`` rows of
-        writable sums; ``ValueError`` otherwise.
+        While ``v`` is pending, the first step is curr = S_u prev + tau *
+        S_v v; every other step is prev = S curr - prev, then a swap, so that
+        ``curr`` holds the newest field.  After each step come the ghost fill
+        and the step's error sums.  ``ValueError`` unless 1 <= steps and the
+        march ends within the n_t steps that the reference covers.
         """
-        at = [self._buffer_address(prev), self._buffer_address(curr),
-              v if v is None else self._buffer_address(v)]
-        vectors = []
-        if reference is not None:
-            try:
-                a, b, factors, sums = reference
-                vectors = [a, b, factors[:steps], sums[:steps]]
-            except (TypeError, ValueError):
-                raise ValueError("reference must be four arrays (a, b, factors, sums)") from None
-        for values, shape in zip(vectors, [(self.n + 1,)] * 2 + [(steps,), (steps, 2)]):
-            if (getattr(values, "shape", None) != shape or values.dtype != np.float64
-                    or not values.flags.c_contiguous):
-                raise ValueError(f"reference needs a C-contiguous float64 array of shape {shape}")
-        if vectors and not sums.flags.writeable:
-            raise ValueError("reference needs writable sums")
-        swaps = steps - (v is not None)
+        k = self.step
+        if not 0 < steps <= self._last - k:
+            raise ValueError(f"can march 1 to {self._last - k} more steps, got {steps}")
         if self._lib is not None:
-            addresses = [_address(x) for x in vectors] if vectors else [None] * 4
-            self._lib.march(*map(_address, self._plan), *at, tau, steps, *addresses)
-            return (prev, curr) if swaps % 2 == 0 else (curr, prev)
-        space = _space(a, b) if vectors else None
-        for k in range(steps):
-            if k == 0 and v is not None:
-                for a, b, core in self._blocks(curr):
-                    acc = self._acc[: b - a]
-                    self._sum(self.first_u, prev, a, b, core)
-                    self._sum(self.first_v, v, a, b, acc)
-                    acc *= tau
-                    core += acc
-            else:
-                for a, b, core in self._blocks(prev):
-                    acc = self._acc[: b - a]
-                    self._sum(self.two_step, curr, a, b, acc)
-                    np.subtract(acc, core, out=core)
-                prev, curr = curr, prev
-            self._fill_ghosts(curr)
-            if vectors:
-                sums[k] = _error_sums(self.field(curr), space, factors[k], self._scratch)
-        return prev, curr
+            a, b, factors, sums = self._reference_at  # all None without a reference
+            self._lib.march(*self._plan_at, *self._at, self._v_at, self.tau, steps,
+                            a, b, factors and factors + 8 * k, sums and sums + 16 * k)
+            if (steps - (self._v is not None)) % 2:
+                self.prev, self.curr = self.curr, self.prev
+                self._at.reverse()
+        else:
+            for k in range(k, k + steps):
+                if self._v is not None:
+                    for a, b, core in self._blocks(self.curr):
+                        acc = self._acc[: b - a]
+                        self._sum(self.first_u, self.prev, a, b, core)
+                        self._sum(self.first_v, self._v, a, b, acc)
+                        acc *= self.tau
+                        core += acc
+                    self._v = None
+                else:
+                    for a, b, core in self._blocks(self.prev):
+                        acc = self._acc[: b - a]
+                        self._sum(self.two_step, self.curr, a, b, acc)
+                        np.subtract(acc, core, out=core)
+                    self.prev, self.curr = self.curr, self.prev
+                self._fill_ghosts(self.curr)
+                if self.sums is not None:
+                    self.sums[k] = _error_sums(self.field(self.curr), self._space,
+                                               self._reference[2][k], self._scratch)
+        self._v = self._v_at = None
+        self.step += steps
 
 
 def first_step(
@@ -532,12 +515,11 @@ def first_step(
     Raises ``ValueError`` unless ``spec`` is a ``SchemeSpec``, ``tau`` is
     finite and ``u0`` and ``v0`` are real, finite fields on one grid.
     """
-    tau = _check_tau(tau)
+    tau = check_finite(tau, "tau")
     n, (u0, v0) = _grid_fields({"u0": u0, "v0": v0})
-    stepper = _Stepper(spec, lam, n, bc)
-    out = stepper.buffer()
-    stepper.march(stepper.buffer(u0), out, 1, v=stepper.buffer(v0), tau=tau)
-    return stepper.field(out).copy()
+    stepper = _Stepper(spec, lam, n, bc, u0, v=v0, tau=tau)
+    stepper.march(1)
+    return stepper.field(stepper.curr).copy()
 
 
 def two_step(
@@ -554,27 +536,24 @@ def two_step(
     is a ``SchemeSpec`` and ``u_k`` and ``u_km1`` real, finite fields on one grid.
     """
     n, (u_k, u_km1) = _grid_fields({"u_k": u_k, "u_km1": u_km1})
-    stepper = _Stepper(spec, lam, n, bc)
-    out = stepper.buffer(u_km1)
-    stepper.march(out, stepper.buffer(u_k), 1)  # out = S u_k - out, in place
-    return stepper.field(out).copy()
+    stepper = _Stepper(spec, lam, n, bc, u_km1, u_k)
+    stepper.march(1)
+    return stepper.field(stepper.curr).copy()
 
 
-def _initial(stepper: _Stepper, func: Separable, name: str, coords: np.ndarray) -> np.ndarray:
-    """A buffer of ``stepper`` holding the initial field ``name``, ``func`` on the grid.
+def _initial(func: Separable, name: str, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The initial field ``name``, ``func``, as the (p, q) that ``_Stepper.buffer`` forms.
 
-    The ``Separable`` ``func`` is formed in the buffer from its two factors,
-    each sampled once on the node coordinates ``coords`` (see ``_factor``),
-    with the bits of sampling it whole.  ``ValueError`` naming the field or
-    its factor for complex, nan or infinite values, values of another shape,
-    or a product that overflows.
+    Each factor is sampled once on ``coords`` (see ``_factor``); ``ValueError``
+    naming the field or its factor for complex, nan or infinite values,
+    values of another shape, or a product that overflows.
     """
     p = _factor(func.x1, f"{name}.x1", coords)
     q = _factor(func.x2, f"{name}.x2", coords)
     # The largest |p_i * q_j| is this product, so it overflows iff a node does.
     if not math.isfinite(float(np.abs(p).max()) * float(np.abs(q).max())):
         raise ValueError(f"{name} must be finite, got an x1 * x2 that overflows")
-    return stepper.buffer(axes=(p, q))
+    return p, q
 
 
 def _space(a, b) -> np.ndarray:
@@ -623,7 +602,7 @@ def relative_l2_error(computed: Iterable[np.ndarray], exact: Separable, tau: flo
     named = {f"computed field {k}": u for k, u in enumerate(computed, start=1)}
     if not named:
         raise ValueError("need at least one computed field")
-    tau = _check_tau(tau)
+    tau = check_finite(tau, "tau")
     _check_separable(exact, "exact", timed=True)
     n, fields = _grid_fields(named)
     a, b, factors = _factors(exact, np.arange(n + 1) / n, tau, len(fields))
@@ -658,24 +637,21 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
             stacklevel=2,
         )
     enveloped = time.perf_counter()
-    n, n_t, tau = config.n, config.n_t, config.tau
+    n, n_t = config.n, config.n_t
     coords = np.arange(n + 1) / n
-    stepper = _Stepper(config.scheme, config.lam, n, config.bc)
-    prev = _initial(stepper, config.initial_u, "initial_u", coords)
-    v = _initial(stepper, config.initial_v, "initial_v", coords)
-    curr = stepper.buffer()
-    a, b, factors = _factors(config.exact, coords, tau, n_t)
+    u = _initial(config.initial_u, "initial_u", coords)
+    v = _initial(config.initial_v, "initial_v", coords)
+    stepper = _Stepper(config.scheme, config.lam, n, config.bc, u, v=v, tau=config.tau,
+                       exact=config.exact, n_t=n_t)
     sampled = time.perf_counter()
-    sums = np.empty((n_t, 2))
     steps = n_t if on_step is None else 1
     for k in range(1, n_t + 1, steps):
         with np.errstate(over="ignore", invalid="ignore"):  # _relative_error refuses an overflow
-            prev, curr = stepper.march(prev, curr, steps, v if k == 1 else None, tau,
-                                       (a, b, factors[k - 1 :], sums[k - 1 :]))
+            stepper.march(steps)
         if on_step is not None:
-            on_step(k, stepper.field(curr).copy())
+            on_step(k, stepper.field(stepper.curr).copy())
     overflows = f"lambda = {config.lam} overflows scheme {config.scheme.name!r}"
-    error, per_step = _relative_error(sums.tolist(), overflows)
+    error, per_step = _relative_error(stepper.sums.tolist(), overflows)
     marched = time.perf_counter()
     return SimReport(
         error=error,

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .interpolation import Offset
-from .quadrature import LambdaPoly, check_positive, finite_at, not_a_double
-from .scheme import SchemeSpec, evaluate_table
+from .quadrature import LambdaPoly, check_finite, check_positive, finite_at, not_a_double
+from .scheme import SchemeSpec, check_scheme, evaluate_table
 
 _BOUND_SLACK = 1e-12
 _FLOAT_MAX = int(sys.float_info.max)
@@ -86,14 +86,15 @@ def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
 
     Evaluated as the cosine sum 1/2 sum_q c_q cos(q1 theta1 + q2 theta2),
     independently of the Chebyshev form that :func:`envelope` uses.  Raises
-    ``ValueError`` for a table whose symbol is not real, one naming the
-    angle for a non-finite ``theta1`` or ``theta2``, and one naming both
-    when a phase q1 theta1 + q2 theta2 overflows.
+    ``ValueError`` for a ``spec`` that is not a ``SchemeSpec``, a table
+    whose symbol is not real, one naming the angle for a ``theta1`` or
+    ``theta2`` that is a bool or not finite, and one naming both when a
+    phase q1 theta1 + q2 theta2 overflows.
     """
+    check_scheme(spec)
     lam = check_positive(lam, "lambda")
     for name, theta in (("theta1", theta1), ("theta2", theta2)):
-        if not math.isfinite(theta):
-            raise ValueError(f"{name} must be finite, got {theta}")
+        check_finite(theta, name)
     _check_real(spec)
     total = 0.0
     for (q1, q2), coeff in evaluated(spec, lam).two_step:
@@ -253,10 +254,11 @@ def envelope(spec: SchemeSpec, lam: float, grid: int | None = None) -> Envelope:
     """Exact extremes of the symbol over all phase angles, with theta in [0, pi].
 
     ``grid`` is accepted for callers of the former phase-grid scan and
-    ignored.  Raises ``ValueError`` for a two-step table outside the
-    precondition of the module docstring, or for a ``lam`` at which the
-    symbol's range is beyond the doubles.
+    ignored.  Raises ``ValueError`` for a ``spec`` that is not a
+    ``SchemeSpec``, a two-step table outside the precondition of the module
+    docstring, or a ``lam`` at which the symbol's range is beyond the doubles.
     """
+    check_scheme(spec)
     _scaled_symbol(spec)  # refuses the table before lam, as it always did
     return evaluated(spec, lam).envelope
 
@@ -287,9 +289,11 @@ class Evaluated:
 def evaluated(spec: SchemeSpec, lam: float) -> Evaluated:
     """The shared :class:`Evaluated` of ``spec`` at ``lam``, evaluated at ``float(lam)``.
 
-    Raises ``ValueError`` unless ``lam`` is positive and finite and every
-    coefficient at it is a finite double; a refusal is never cached.
+    Raises ``ValueError`` unless ``spec`` is a ``SchemeSpec``, ``lam`` is
+    positive and finite and every coefficient at it is a finite double; a
+    refusal is never cached.
     """
+    check_scheme(spec)
     lam = check_positive(lam, "lambda")
     tables = (spec.first_u, spec.first_v, spec.two_step)
     return Evaluated(spec, lam, *(tuple(evaluate_table(table, lam)) for table in tables))
@@ -306,9 +310,11 @@ def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
     above theirs.  A tol below the spacing of doubles near the limit
     stops at adjacent doubles.  A tol above the limit halves lambda = tol
     until it is stable, which is then within tol of the limit.  Raises
-    ``ValueError`` unless 0 < tol < 2, and :class:`NeverStableError` when
-    every halving down to the smallest double violates the bound.
+    ``ValueError`` unless ``spec`` is a ``SchemeSpec`` and 0 < tol < 2, and
+    :class:`NeverStableError` when every halving down to the smallest
+    double violates the bound.
     """
+    check_scheme(spec)
     tol = check_positive(tol, "tol")
     if tol >= 2.0:
         raise ValueError(f"tol must be below 2, the top of the search range, got {tol}")

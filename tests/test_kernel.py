@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 
 import poisson_stencils
@@ -144,71 +143,34 @@ def test_fresh_build_removes_only_stale_libraries(cache):
 
 
 @needs_cc
-def test_kernel_takes_only_whole_buffers_of_its_stepper():
-    stepper = simulator._Stepper(named_scheme("P13"), 0.5, 8, "periodic")
-    assert stepper._lib is not None
-    buf = stepper.buffer()
-    for wrong in (np.zeros((5, 5)), stepper.buffer()[:, ::-1], stepper.buffer().astype(np.float32)):
-        with pytest.raises(ValueError):
-            stepper.march(buf, wrong, 1)
-        with pytest.raises(ValueError):
-            stepper.march(wrong, buf, 1)
-    # The error sums read two whole sines of n + 1 values, two factors and
-    # two rows of sums, given together as the reference.
-    sine, factors, sums = np.zeros(9), np.ones(2), np.empty((2, 2))
-    for wrong in (np.zeros(8), np.zeros((9, 1)), np.zeros((1, 9)), np.zeros(18)[::2],
-                  sine.astype(np.float32)):
-        for sines in ((wrong, sine), (sine, wrong)):
-            with pytest.raises(ValueError):
-                stepper.march(buf, stepper.buffer(), 2, reference=(*sines, factors, sums))
-    for factors, sums in ((np.ones(1), sums), (factors, np.empty((1, 2)))):
-        with pytest.raises(ValueError):
-            stepper.march(buf, stepper.buffer(), 2, reference=(sine, sine, factors, sums))
-
-
-def strided_view(width, row_stride, lo, misalign=0):
-    """A zero (width x width) view with rows ``row_stride`` doubles apart
-    whose first core row starts ``misalign`` doubles past a 64-byte line."""
-    flat = np.zeros(width * row_stride + 8)
-    skip = (misalign - (flat.ctypes.data + 8 * (lo * row_stride + lo)) // 8) % 8
-    view = flat[skip : skip + width * row_stride].reshape(width, row_stride)[:, :width]
-    assert (view[lo, lo:].ctypes.data // 8 - misalign) % 8 == 0
-    return view
-
-
-@needs_cc
 @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
 def test_buffers_are_padded_rows_with_aligned_cores(bc):
     # Every buffer is a (width x width) view whose rows lie a whole number of
     # 64-byte lines apart, each core row starting on a line, so that an
-    # 8-double load at the core's offsets with q2 = 0 fills one line.  The
-    # compiled march refuses the old C-contiguous layout, views with another
-    # stride, views with this stride whose core rows are off the lines, and
-    # a read-only view.
+    # 8-double load at the core's offsets with q2 = 0 fills one line.
     for name in ("P5", "P13"):
         for n in range(2, 34):
             stepper = simulator._Stepper(named_scheme(name), 0.5, n, bc)
             assert stepper._lib is not None
             lo, size, width, stride = stepper.lo, stepper.size, stepper.shape[0], stepper.stride
             assert stride % 8 == 0 and width < stride <= width + 8
-            buf = stepper.buffer()
-            assert buf.shape == (width, width) and buf.strides == (8 * stride, 8)
-            for i in range(lo, lo + size):
-                assert buf[i, lo:].ctypes.data % 64 == 0, (name, n, i)
-            frozen = strided_view(width, stride, lo)
-            frozen.flags.writeable = False
-            wrong = [np.zeros((width, width)), strided_view(width, width, lo),
-                     strided_view(width, stride + 8, lo), strided_view(width, stride, lo, 1),
-                     strided_view(width, stride, lo, 4), frozen]
-            for candidate in wrong:
-                with pytest.raises(ValueError):
-                    stepper.march(buf, candidate, 1)
-                with pytest.raises(ValueError):
-                    stepper.march(candidate, buf, 1)
-                with pytest.raises(ValueError):
-                    stepper.march(buf, stepper.buffer(), 1, v=candidate, tau=0.1)
-            # A view of this stride on lines is a buffer, whoever made it.
-            stepper.march(buf, strided_view(width, stride, lo), 1, v=stepper.buffer(), tau=0.1)
+            for buf in (stepper.buffer(), stepper.prev, stepper.curr):
+                assert buf.shape == (width, width) and buf.strides == (8 * stride, 8)
+                for i in range(lo, lo + size):
+                    assert buf[i, lo:].ctypes.data % 64 == 0, (name, n, i)
+
+
+def test_a_kernel_is_immutable():
+    # variants() shares its kernels process-wide, so an assignment to one
+    # would change what every later run calls and reports.
+    kernels = [_kernel.Kernel("baseline", len, None), *_kernel.variants()]
+    for kernel in kernels:
+        isa = kernel.isa
+        for name in ("isa", "march", "error_sums"):
+            with pytest.raises(AttributeError):
+                setattr(kernel, name, "x")
+        assert kernel.isa == isa
+    assert _kernel.Kernel("avx2", len, None) == ("avx2", len, None)
 
 
 def session_library():
@@ -218,14 +180,18 @@ def session_library():
 
 
 def spy_on_every_export(stack):
-    """{(isa, routine): spy} over every routine of every variant this host runs."""
-    return {
-        (kernel.isa, name): stack.enter_context(
-            mock.patch.object(kernel, name, wraps=getattr(kernel, name))
-        )
-        for kernel in _kernel.variants()
-        for name in _kernel._SIGNATURES
-    }
+    """{(isa, routine): spy} over every routine of every variant this host runs.
+
+    A ``Kernel`` is immutable, so the loader is patched to offer copies
+    whose routines are the spies.
+    """
+    spies, spied = {}, []
+    for kernel in _kernel.variants():
+        routines = {name: mock.Mock(wraps=getattr(kernel, name)) for name in _kernel._SIGNATURES}
+        spies.update({(kernel.isa, name): spy for name, spy in routines.items()})
+        spied.append(kernel._replace(**routines))
+    stack.enter_context(mock.patch.object(_kernel, "variants", lambda: tuple(spied)))
+    return spies
 
 
 @needs_cc
@@ -355,7 +321,10 @@ def test_targets_never_fuse_a_multiply_and_an_add():
 # schemes, both boundaries and n in {2, 3, 7, 11, 16}, with n_t = 3, on each
 # compiled variant: of the library named by argv[1], else of load()'s build.
 # At n = 11 the 144 values form two leaves of 72, and the second ends at the
-# field's end, so an index one row past the sines reads out of bounds.
+# field's end, so an index one row past the sines reads out of bounds.  Each
+# run is made again with on_step, one compiled call per step, whose later
+# calls start at an offset into the time factors and the sums; it must give
+# the one-call run's bits.
 _EVERY_SCHEME_RUN = """
 import sys
 from pathlib import Path
@@ -370,18 +339,24 @@ for kernel in kernels:
         for bc in simulator.BOUNDARY_CONDITIONS:
             for n in (2, 3, 7, 11, 16):
                 config = simulator.SimConfig(named_scheme(name), n=n, n_t=3, lam=0.5, bc=bc)
-                report = simulator.run(config)
-                print(report.kernel, name, bc, n, report.error.hex(),
-                      *(e.hex() for e in report.per_step_errors))
+                bits = [
+                    (report.kernel, report.error.hex(), *(e.hex() for e in report.per_step_errors))
+                    for report in (simulator.run(config),
+                                   simulator.run(config, on_step=lambda k, field: None))
+                ]
+                assert bits[1] == bits[0], (kernel.isa, name, bc, n)
+                isa, *errors = bits[0]
+                print(isa, name, bc, n, *errors)
 """
 
 
 @needs_cc
 def test_kernel_is_clean_under_address_and_undefined_sanitizers(tmp_path):
     # An out-of-bounds read or write, or undefined behaviour, in the march,
-    # the ghost fill or the error sums of any variant aborts the instrumented
-    # run with a report; clean, each variant gives the plain library's bits,
-    # which are the same for all variants.
+    # the ghost fill or the error sums of any variant, in one call or one
+    # per step, aborts the instrumented run with a report; clean, each
+    # variant gives the plain library's bits, which are the same for all
+    # variants.
     cc = _kernel.COMMAND[0]
     asan = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True, text=True)
     runtime = asan.stdout.strip()

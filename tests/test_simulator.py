@@ -289,51 +289,38 @@ class TestRelativeL2Error:
                     relative_l2_error(fields, exact_standing_wave, 0.1)
 
     @pytest.mark.parametrize("shape", [(1, 5), (5,), (), (6, 6), (5, 4)])
-    def test_error_sums_reject_a_field_off_the_grid(self, kernels, p5, shape):
+    def test_error_sums_reject_a_field_off_the_grid(self, kernels, shape):
         # A field reaches the sums through relative_l2_error's grid check,
-        # and the standing wave's sines through the march's; neither
-        # broadcasts.
+        # and does not broadcast.  The march's reference comes from its own
+        # stepper's sampling, so no field or sine off the grid reaches it.
         grid = np.ones((5, 5))
         assert simulator._error_sums(grid, grid, 1.0, np.empty((2, 5, 5))) == (0.0, 25.0)
         for _, path in kernels:
             with path():
                 with pytest.raises(ValueError, match="shape"):
                     relative_l2_error([grid, np.ones(shape)], exact_standing_wave, 0.1)
-                stepper = _Stepper(p5, 0.5, 4, "dirichlet")
-                sums = np.empty((1, 2))
 
-                def march(a, b):
-                    stepper.march(stepper.buffer(), stepper.buffer(), 1,
-                                  reference=(a, b, np.ones(1), sums))
-
-                line = np.ones(5)
-                march(line, line)  # a zero field against ones
-                assert sums.tolist() == [[25.0, 25.0]]
-                for wrong in (np.ones(4), np.ones((1, 5)), np.ones((5, 1)), np.ones(10)[::2],
-                              line.astype(np.float32)):
-                    for sines in ((wrong, line), (line, wrong)):
-                        with pytest.raises(ValueError, match="C-contiguous float64"):
-                            march(*sines)
-
-    def test_march_takes_its_reference_whole(self, kernels, p5):
-        # The reference is one argument of four arrays.  Given as three
-        # keywords, sums without the sines died in a bare TypeError, and
-        # sines or factors without sums were ignored without a word.  The
-        # compiled march wrote its sums into a read-only array's bytes.
-        line, factors, sums = np.ones(5), np.ones(1), np.empty((1, 2))
-        read_only = np.frombuffer(bytes(16)).reshape(1, 2)
-        parts = [(line, line), (line, line, factors), (None, None, None, sums),
-                 (line, line, None, sums), (line, line, factors, None),
-                 (line, line, list(factors), sums), (line, line, factors, read_only), line]
+    def test_march_stays_within_the_sampled_steps(self, kernels, p5):
+        # The stepper samples its reference for n_t steps and writes each
+        # step's sums into its own (n_t x 2) array; a march past them, or of
+        # no steps, is refused before the kernel writes anything.
+        ones = Separable(np.ones_like, np.ones_like, np.ones_like)
         for _, path in kernels:
             with path():
-                stepper = _Stepper(p5, 0.5, 4, "dirichlet")
-                for reference in parts:
-                    with pytest.raises(ValueError, match="reference"):
-                        stepper.march(stepper.buffer(), stepper.buffer(), 1, reference=reference)
-                stepper.march(stepper.buffer(), stepper.buffer(), 1,
-                              reference=(line, line, factors, sums))
-                assert sums.tolist() == [[25.0, 25.0]]
+                stepper = _Stepper(p5, 0.5, 4, "dirichlet", exact=ones, n_t=3)
+                assert stepper.sums.shape == (3, 2)
+                for steps in (0, -1, 4):
+                    with pytest.raises(ValueError, match="can march 1 to 3 more steps"):
+                        stepper.march(steps)
+                stepper.march(2)
+                with pytest.raises(ValueError, match="can march 1 to 1 more steps, got 2"):
+                    stepper.march(2)
+                stepper.march(1)
+                assert stepper.step == 3
+                assert stepper.sums.tolist() == [[25.0, 25.0]] * 3  # zero fields against ones
+                with pytest.raises(ValueError, match="can march 1 to 0 more steps, got 1"):
+                    stepper.march(1)
+                assert stepper.step == 3
 
     def test_needs_a_field(self):
         with pytest.raises(ValueError, match="at least one computed field"):
@@ -736,14 +723,17 @@ def test_default_initial_fields_keep_their_values_on_meshgrids():
 
 
 def test_an_axes_buffer_is_the_buffer_of_its_product(kernels):
-    # stepper.buffer(axes=(p, q)) holds, ghosts included, the bits of
-    # stepper.buffer(p[:, None] * q[None, :]) on both boundary layouts.
+    # stepper.buffer((p, q)) holds, ghosts included, the bits of
+    # stepper.buffer(p[:, None] * q[None, :]) on both boundary layouts, and
+    # so do the fields that a stepper forms from either.
     rng = np.random.default_rng(23)
     for name, bc, n in (("P5", "dirichlet", 9), ("P13", "periodic", 11), ("P13", "dirichlet", 5)):
         p, q = rng.standard_normal((2, n + 1))
         stepper = _Stepper(named_scheme(name), 0.5, n, bc)
-        got = stepper.buffer(axes=(p, q))
+        got = stepper.buffer((p, q))
         assert got.tobytes() == stepper.buffer(p[:, None] * q[None, :]).tobytes()
+        formed = _Stepper(named_scheme(name), 0.5, n, bc, (p, q), p[:, None] * q[None, :])
+        assert formed.prev.tobytes() == formed.curr.tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("name, bc", [(name, bc) for name in ("P5", "P13")

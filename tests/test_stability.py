@@ -20,6 +20,7 @@ from poisson_stencils.scheme import (
     evaluate_table,
     generate_scheme,
     named_scheme,
+    serialize_tables,
 )
 from poisson_stencils.simulator import SimConfig, run
 from poisson_stencils.quadrature import finite_at
@@ -253,6 +254,35 @@ def test_symbol_names_a_non_finite_angle(schemes):
             symbol(schemes["P5"], 0.5, angle, 0.0)
         with pytest.raises(ValueError, match="^theta2 must be finite"):
             symbol(schemes["P5"], 0.5, 0.3, angle)
+
+
+def test_symbol_refuses_a_bool_angle(schemes):
+    # A bool is not a number here, as for lambda and tau: True was taken
+    # as the angle 1.0.
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="^theta1 must be a number, got "):
+            symbol(schemes["P5"], 0.5, flag, 0.0)
+        with pytest.raises(ValueError, match="^theta2 must be a number, got "):
+            symbol(schemes["P5"], 0.5, 0.3, flag)
+
+
+@pytest.mark.parametrize("spec", ["P5", None])
+@pytest.mark.parametrize("entry", [
+    lambda spec: envelope(spec, 0.5),
+    lambda spec: lambda_max(spec),
+    lambda spec: symbol(spec, 0.5, 0.1, 0.2),
+    lambda spec: evaluated(spec, 0.5),
+    lambda spec: serialize_tables(spec),
+], ids=["envelope", "lambda_max", "symbol", "evaluated", "serialize_tables"])
+def test_a_scheme_that_is_not_a_spec_is_refused_by_name(entry, spec):
+    # A scheme's name in place of its spec ended in an AttributeError deep
+    # inside ("'str' object has no attribute 'two_step'"); each entry point
+    # refuses it as SimConfig does.
+    with pytest.raises(ValueError, match="^scheme must be a SchemeSpec") as refused:
+        SimConfig(scheme=spec, n=4, n_t=2, lam=0.5)
+    with pytest.raises(ValueError) as got:
+        entry(spec)
+    assert str(got.value) == str(refused.value)
 
 
 def test_symbol_names_angles_whose_phase_overflows(schemes):

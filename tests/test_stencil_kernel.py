@@ -222,9 +222,9 @@ def test_kernels_leave_identical_whole_buffers(kernels, name, bc, n):
         buffers = []
         for _, path in kernels:
             with path():
-                stepper = _Stepper(spec_of(name), 0.6, n, bc)
-                prev, curr = stepper.buffer(u0), stepper.buffer()
-                buffers.append(stepper.march(prev, curr, steps, stepper.buffer(v0), 0.6 / n))
+                stepper = _Stepper(spec_of(name), 0.6, n, bc, u0, v=v0, tau=0.6 / n)
+                stepper.march(steps)
+                buffers.append((stepper.prev, stepper.curr))
         *compiled, numpy = buffers
         for variant in compiled:
             for got, want in zip(variant, numpy):
