@@ -7,6 +7,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -139,6 +140,7 @@ def cmd_bench(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the four commands."""
     parser = argparse.ArgumentParser(
         prog="poisson-stencils",
         description="Explicit stencil schemes for the 2D wave equation: "
@@ -185,12 +187,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` shares, built on its first call.
+
+    argparse keeps no state between parses and looks up ``sys.stdout`` and
+    ``sys.stderr`` only when it prints, so one parser serves every call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command and write its manifest and body; returns the exit code.
 
     Each ``cmd_*`` returns (manifest flags, body, files written besides --out).
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         flags, body, written = args.func(args)

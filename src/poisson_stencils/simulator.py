@@ -255,12 +255,17 @@ def _check_separable(value, name: str, timed: bool) -> None:
 
 
 def _factor(func, name: str, points: np.ndarray) -> np.ndarray:
-    """``func`` sampled at ``points`` in one call, as a C-contiguous vector.
+    """``func`` sampled at ``points`` in one call, checked by ``_checked``."""
+    return _checked(func(points), name, points)
+
+
+def _checked(values, name: str, points: np.ndarray) -> np.ndarray:
+    """A factor's ``values`` at ``points`` as a C-contiguous vector.
 
     ``ValueError`` naming ``name`` unless the values are real, finite and
     either a scalar, which is broadcast, or of the shape of ``points``.
     """
-    values = _real_finite(func(points), name)
+    values = _real_finite(values, name)
     if values.shape == ():
         return np.full(points.shape, values)
     if values.shape != points.shape:
@@ -315,13 +320,14 @@ def _address(values: np.ndarray) -> int:
 
 
 class _Stepper:
-    """One march: its fields, stencil kernel and, with ``exact``, error sums.
+    """One march: its fields, stencil kernel and, with a reference, error sums.
 
     The constructor forms the fields ``prev``, ``curr`` (zero if not given)
-    and ``v``, the first step's velocity, each in a buffer of its own.  It
-    samples the reference ``exact`` through ``_factors`` for steps 1..n_t
-    and allocates ``sums``, row k - 1 for step k's error sums.  No array
-    crosses ``march(steps)``: the compiled kernel reads addresses taken here once.
+    and ``v``, the first step's velocity, each in a buffer of its own.  With
+    ``reference``, the (a, b, c) vectors of a reference sampled for steps
+    1..n_t (see ``_factors``), it allocates ``sums``, row k - 1 for step k's
+    error sums.  No array crosses ``march(steps)``: the compiled kernel
+    reads addresses taken here once.
 
     A buffer holds the core that an update writes, field indices first ..
     n - 1 per axis, inside a ring of r = max(radius, 1) ghost cells, so that
@@ -351,7 +357,7 @@ class _Stepper:
     """
 
     def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str, prev=None, curr=None,
-                 v=None, tau: float = 0.0, exact: Separable | None = None, n_t: int = 0):
+                 v=None, tau: float = 0.0, reference=None):
         lam = _check_grid(spec, n, lam, bc)
         first, period = (0, n) if bc == "periodic" else (1, 2 * n)
         r = max(spec.radius, 1)
@@ -384,25 +390,26 @@ class _Stepper:
         self.tau, self.step = tau, 0
         # The steps that the reference covers, one row of sums each.
         self._last, self.sums = math.inf, None
-        if exact is not None:
-            self._reference = _factors(exact, np.arange(n + 1) / n, tau, n_t)
-            self._last, self.sums = n_t, np.empty((n_t, 2))
+        if reference is not None:
+            self._reference = reference
+            self._last = len(reference[2])
+            self.sums = np.empty((self._last, 2))
         self._lib = _kernel.load()
         if self._lib is None:
             rows = (min(_ROW_BLOCK, self.size), self.size)
             self._acc = np.empty(rows)
             self._term = np.empty(rows)
             self._scratch = np.empty((2, n + 1, n + 1))
-            if exact is not None:
-                self._space = _space(*self._reference[:2])
+            if reference is not None:
+                self._space = _space(*reference[:2])
         else:
             self._plan = _kernel.plan(self.stride, r, self.size, self.origin, n + 1,
                                       (self.first_u, self.first_v, self.two_step), self._lines)
             self._plan_at = [*map(_address, self._plan)]
             self._at = [_address(buf[0]) for buf in (self.prev, self.curr)]
             self._v_at = None if v is None else _address(self._v[0])
-            self._reference_at = [None] * 4 if exact is None else [
-                *map(_address, (*self._reference, self.sums))]
+            self._reference_at = [None] * 4 if reference is None else [
+                *map(_address, (*reference, self.sums))]
 
     def field(self, buf: np.ndarray) -> np.ndarray:
         """The (n+1) x (n+1) field of a buffer, as a view."""
@@ -541,19 +548,61 @@ def two_step(
     return stepper.field(stepper.curr).copy()
 
 
-def _initial(func: Separable, name: str, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The initial field ``name``, ``func``, as the (p, q) that ``_Stepper.buffer`` forms.
+def _initial(p, q, name: str, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The initial field ``name`` from its factors' values, as the (p, q)
+    that ``_Stepper.buffer`` forms.
 
-    Each factor is sampled once on ``coords`` (see ``_factor``); ``ValueError``
-    naming the field or its factor for complex, nan or infinite values,
-    values of another shape, or a product that overflows.
+    ``ValueError`` naming the factor (see ``_checked``), or the field if its
+    x1 * x2 overflows.
     """
-    p = _factor(func.x1, f"{name}.x1", coords)
-    q = _factor(func.x2, f"{name}.x2", coords)
-    # The largest |p_i * q_j| is this product, so it overflows iff a node does.
-    if not math.isfinite(float(np.abs(p).max()) * float(np.abs(q).max())):
-        raise ValueError(f"{name} must be finite, got an x1 * x2 that overflows")
+    p = _checked(p, f"{name}.x1", coords)
+    q = _checked(q, f"{name}.x2", coords)
+    _check_product(float(np.abs(p).max()), float(np.abs(q).max()), name)
     return p, q
+
+
+def _check_product(p_max: float, q_max: float, name: str) -> None:
+    """``ValueError`` if the initial field ``name`` overflows: the largest
+    |p_i * q_j| is p_max * q_max, so it overflows iff a node does."""
+    if not math.isfinite(p_max * q_max):
+        raise ValueError(f"{name} must be finite, got an x1 * x2 that overflows")
+
+
+def _sample(config: SimConfig, coords: np.ndarray):
+    """The initial fields' (p, q) and the reference's (a, b, c) for ``_Stepper``.
+
+    Each of the seven factors is called once, in the order initial_u.x1,
+    .x2, initial_v.x1, .x2, exact.x1, .x2 and .t: the space factors on the
+    node coordinates ``coords``, the time factor on the n_t step times
+    k * tau.  When every value is a float vector of its points' shape, one
+    pass finds them all finite and they become C-contiguous views of one
+    copy.  Otherwise each is checked in turn, in that order, and each
+    initial field's overflow after its two factors: the first bad value
+    raises the ``ValueError`` that checking one factor at a time would.
+    """
+    u, v, exact = config.initial_u, config.initial_v, config.exact
+    times = np.arange(1, config.n_t + 1) * config.tau
+    points = (coords,) * 6 + (times,)
+    values = [
+        func(at)
+        for func, at in zip((u.x1, u.x2, v.x1, v.x2, exact.x1, exact.x2, exact.t), points)
+    ]
+    if all(type(x) is np.ndarray and x.dtype == float and x.shape == at.shape
+           for x, at in zip(values, points)):
+        block = np.concatenate(values)
+        if np.isfinite(block).all():
+            m = coords.size
+            p_max = np.abs(block[: 4 * m]).reshape(4, m).max(axis=1).tolist()
+            _check_product(p_max[0], p_max[1], "initial_u")
+            _check_product(p_max[2], p_max[3], "initial_v")
+            a1, a2, b1, b2, c1, c2 = (block[i * m : (i + 1) * m] for i in range(6))
+            return (a1, a2), (b1, b2), (c1, c2, block[6 * m :])
+    fields = (
+        _initial(values[0], values[1], "initial_u", coords),
+        _initial(values[2], values[3], "initial_v", coords),
+    )
+    names = ("exact.x1", "exact.x2", "exact.t")
+    return (*fields, tuple(map(_checked, values[4:], names, points[4:])))
 
 
 def _space(a, b) -> np.ndarray:
@@ -622,11 +671,11 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     error is not finite, with no numpy warning; a step whose reference
     vanishes keeps error nan.
 
-    Each factor of the reference is called once per run (see ``_factors``):
-    the time factor once, with the n_t step times.  So is each factor of an
-    initial field, whose product goes straight into its buffer.  The whole
-    march is one ``_Stepper.march`` call, or one per step with ``on_step``,
-    to the same bits.
+    Each factor of the initial fields and the reference is called once per
+    run, the time factor with the n_t step times, and all seven are checked
+    together (see ``_sample``).  Each initial field's product goes straight
+    into its buffer.  The whole march is one ``_Stepper.march`` call, or one
+    per step with ``on_step``, to the same bits.
     """
     started = time.perf_counter()
     env = stability.envelope(config.scheme, config.lam)
@@ -638,16 +687,16 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
         )
     enveloped = time.perf_counter()
     n, n_t = config.n, config.n_t
-    coords = np.arange(n + 1) / n
-    u = _initial(config.initial_u, "initial_u", coords)
-    v = _initial(config.initial_v, "initial_v", coords)
+    u, v, reference = _sample(config, np.arange(n + 1) / n)
     stepper = _Stepper(config.scheme, config.lam, n, config.bc, u, v=v, tau=config.tau,
-                       exact=config.exact, n_t=n_t)
+                       reference=reference)
     sampled = time.perf_counter()
+    march = stepper.march
+    if stepper._lib is None:  # only the numpy march warns; _relative_error refuses an overflow
+        march = np.errstate(over="ignore", invalid="ignore")(march)
     steps = n_t if on_step is None else 1
     for k in range(1, n_t + 1, steps):
-        with np.errstate(over="ignore", invalid="ignore"):  # _relative_error refuses an overflow
-            stepper.march(steps)
+        march(steps)
         if on_step is not None:
             on_step(k, stepper.field(stepper.curr).copy())
     overflows = f"lambda = {config.lam} overflows scheme {config.scheme.name!r}"

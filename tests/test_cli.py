@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import pickle
 import re
@@ -459,3 +460,74 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# Runs each command of argv lists given as JSON in one interpreter, after
+# counting the parsers that importing cli builds and spying on build_parser;
+# prints the counts and each command's (exit code, stdout, stderr) as JSON.
+SHARED_PARSER_SCRIPT = """
+import argparse, contextlib, io, json, sys
+
+built_at_import = []
+plain_init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built_at_import.append(args)
+    plain_init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from poisson_stencils import cli
+argparse.ArgumentParser.__init__ = plain_init
+
+builds = []
+build_parser = cli.build_parser
+def spy():
+    builds.append(1)
+    return build_parser()
+cli.build_parser = spy
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"at_import": len(built_at_import), "builds": len(builds), "results": results}))
+"""
+
+
+def test_main_builds_one_parser_and_each_output_is_a_fresh_interpreters(tmp_path):
+    # main() reuses one parser per process.  Usage errors, --version, the
+    # library's refusals and an --out write between commands change none
+    # of the later outputs: each equals that of its own fresh interpreter
+    # apart from wall_time_s.  Importing cli builds no parser at all.
+    simulate = ["simulate", "--scheme", "P5", "--n", "8", "--nt", "4", "--lambda", "0.5"]
+    commands = [
+        ["generate", "P5"], ["stability"], ["stability", "P5"], ["--version"],
+        ["bench", "1"], ["stability", "P5", "--tol", "0"], simulate, ["generate", "P7"],
+        ["generate", "C9", "--out", "c9.txt"],
+        ["generate", "P5"], ["stability", "P5"], ["bench", "1"], simulate,
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    done = subprocess.run([sys.executable, "-c", SHARED_PARSER_SCRIPT, json.dumps(commands)],
+                          env=env, cwd=shared, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["at_import"] == 0
+    assert report["builds"] == 1
+    codes = [code for code, _, _ in report["results"]]
+    assert codes == [0, 2, 0, 0, 0, 2, 0, 3, 0, 0, 0, 0, 0]
+    alone = {}
+    for argv, (code, out, err) in zip(commands, report["results"]):
+        key = tuple(argv)
+        if key not in alone:
+            own = subprocess.run([sys.executable, "-m", "poisson_stencils", *argv], env=env,
+                                 cwd=fresh, capture_output=True, text=True, timeout=30)
+            alone[key] = (own.returncode, strip_wall_time(own.stdout), own.stderr)
+        assert (code, strip_wall_time(out), err) == alone[key], argv
+    written = [strip_wall_time((where / "c9.txt").read_text()) for where in (shared, fresh)]
+    assert written[0] == written[1] and "scheme=C9" in written[0]

@@ -301,13 +301,13 @@ class TestRelativeL2Error:
                     relative_l2_error([grid, np.ones(shape)], exact_standing_wave, 0.1)
 
     def test_march_stays_within_the_sampled_steps(self, kernels, p5):
-        # The stepper samples its reference for n_t steps and writes each
+        # The stepper takes a reference sampled for n_t steps and writes each
         # step's sums into its own (n_t x 2) array; a march past them, or of
         # no steps, is refused before the kernel writes anything.
-        ones = Separable(np.ones_like, np.ones_like, np.ones_like)
+        ones = (np.ones(5), np.ones(5), np.ones(3))
         for _, path in kernels:
             with path():
-                stepper = _Stepper(p5, 0.5, 4, "dirichlet", exact=ones, n_t=3)
+                stepper = _Stepper(p5, 0.5, 4, "dirichlet", reference=ones)
                 assert stepper.sums.shape == (3, 2)
                 for steps in (0, -1, 4):
                     with pytest.raises(ValueError, match="can march 1 to 3 more steps"):
@@ -822,6 +822,83 @@ def test_separable_initial_fields_are_refused_by_name(kernels, p5, field, messag
             with np.errstate(divide="ignore", invalid="ignore"):
                 with pytest.raises(ValueError, match=message):
                     run(config)
+
+
+BAD_FACTORS = {
+    "nan": lambda x: x * math.nan,
+    "complex": lambda x: x + 0j,
+    "short": lambda x: x[:-1],
+    "huge": _huge,
+    "scalar": lambda x: 0.5,
+}
+
+# (bad factors, message) pairs for P5, n = 8, n_t = 3: the message is the
+# one that checking the factors one at a time, in the order of
+# SAMPLED_FACTORS, raises.
+SAMPLED_FACTORS = (
+    "initial_u.x1", "initial_u.x2", "initial_v.x1", "initial_v.x2",
+    "exact.x1", "exact.x2", "exact.t",
+)
+FACTOR_REFUSALS = [
+    *(
+        ({factor: kind}, f"{factor} {message}")
+        for factor in SAMPLED_FACTORS
+        for kind, message in [
+            ("nan", "must be finite, got nan or infinity"),
+            ("complex", "must be real, got complex128"),
+            ("short", "must return a scalar or "
+             + ("3 values, got shape (2,)" if factor == "exact.t" else "9 values, got shape (8,)")),
+        ]
+    ),
+    ({"initial_u.x2": "short", "initial_u.x1": "nan"},
+     "initial_u.x1 must be finite, got nan or infinity"),
+    ({"initial_v.x2": "nan", "exact.x1": "complex"},
+     "initial_v.x2 must be finite, got nan or infinity"),
+    ({"exact.t": "complex", "exact.x2": "short"},
+     "exact.x2 must return a scalar or 9 values, got shape (8,)"),
+    ({"initial_u.x1": "huge", "initial_u.x2": "huge"},
+     "initial_u must be finite, got an x1 * x2 that overflows"),
+    ({"initial_v.x1": "huge", "initial_v.x2": "huge"},
+     "initial_v must be finite, got an x1 * x2 that overflows"),
+    ({"initial_u.x1": "huge", "initial_u.x2": "huge", "initial_v.x1": "nan"},
+     "initial_u must be finite, got an x1 * x2 that overflows"),
+    ({"initial_v.x1": "huge", "initial_v.x2": "huge", "exact.t": "nan"},
+     "initial_v must be finite, got an x1 * x2 that overflows"),
+    ({"initial_u.x1": "scalar", "initial_v.x2": "short", "exact.x1": "nan"},
+     "initial_v.x2 must return a scalar or 9 values, got shape (8,)"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad, message", FACTOR_REFUSALS,
+    ids=["+".join(map(":".join, bad.items())) for bad, _ in FACTOR_REFUSALS],
+)
+def test_the_first_bad_factor_is_refused_and_each_called_at_most_once(p5, bad, message):
+    # run() calls all seven factors before it checks any, and checks them
+    # together; a failed check is redone one factor at a time, so the
+    # refusal names the factor (or the overflowing field) that comes first.
+    calls = {}
+
+    def counted(name, function):
+        def factor_of(points):
+            calls[name] = calls.get(name, 0) + 1
+            return function(points)
+
+        return factor_of
+
+    fields = {"initial_u": standing_wave_initial_u, "initial_v": standing_wave_initial_v,
+              "exact": exact_standing_wave}
+    for name in SAMPLED_FACTORS:
+        field, axis = name.split(".")
+        function = BAD_FACTORS[bad[name]] if name in bad else getattr(fields[field], axis)
+        fields[field] = replace(fields[field], **{axis: counted(name, function)})
+    config = SimConfig(scheme=p5, n=8, n_t=3, lam=0.6, **fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            run(config)
+    assert str(refused.value) == message
+    assert max(calls.values()) == 1
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1j])
