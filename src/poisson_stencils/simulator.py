@@ -26,19 +26,18 @@ with k = 1..n_t and i, j = 0..n.  Each step's two sums are numpy's
 ``sum()`` of the flattened squares (``_error_sums``), which the compiled
 march replays bit for bit; ``relative_l2_error`` and the numpy march call
 ``_error_sums`` itself.  The reference is a ``Separable``, one factor per
-axis and one in time, like the benchmark's standing wave.  It is sampled
-once per run as two vectors, one value per row and one per column, and the
-time factors of all steps, each from one call on a vector of points:
-(a_i * b_j) * c has the bits of sampling it whole.
-The compiled march forms that product per node and reads no (n+1)^2
-reference field; the numpy paths build the field from the same two vectors
-by one broadcast multiply.
-
-The initial fields are ``Separable``s of space alone, as the benchmark's
-two are.  ``run()`` samples each one's two factors once on the node
-coordinates and forms their product straight into its march buffer, so a
-run on the compiled kernel allocates three fresh (n+1)^2 fields, its
-buffers, and no others.
+axis and one in time, like the benchmark's standing wave, and the initial
+fields are ``Separable``s of space alone, as the benchmark's two are.
+``_sample`` is the one routine that turns ``Separable``s into vectors, for
+``run()`` and ``relative_l2_error`` alike: it calls each factor once, the
+space factors on the n + 1 node coordinates and the time factor on the
+n_t step times, and checks all the values together.  (a_i * b_j) * c has
+the bits of sampling the reference whole.  The compiled march forms that
+product per node and reads no (n+1)^2 reference field; the numpy paths
+build the field from the same two vectors by one broadcast multiply.
+``run()`` forms each initial field's product straight into its march
+buffer, so a run on the compiled kernel allocates three fresh (n+1)^2
+fields, its buffers, and no others.
 """
 
 from __future__ import annotations
@@ -200,9 +199,11 @@ class SimReport:
     """Result of one simulation run.
 
     ``phases`` holds (name, wall seconds) for the phases of ``run()`` in
-    order: "envelope", the stability envelope; "sample", the initial fields
-    and the reference's two axis vectors and time factors; "march", the
-    steps with their error sums.  Their sum is at most ``wall_time_s``.
+    order: "envelope", the stability envelope; "sample", the factor vectors
+    of the initial fields and the reference, and the march's set-up: its
+    buffers with their ghost fills and, on the compiled kernel, its plan and
+    addresses; "march", the steps with their error sums.  Their sum is at
+    most ``wall_time_s``.
     ``kernel`` names what marched: a compiled variant's instruction set
     ("avx512f", "avx2" or "baseline", see ``_kernel.ISAS``) or "numpy"; ""
     if not recorded.
@@ -254,11 +255,6 @@ def _check_separable(value, name: str, timed: bool) -> None:
         raise ValueError(f"{name} must be a field of (x1, x2), got a Separable with t")
 
 
-def _factor(func, name: str, points: np.ndarray) -> np.ndarray:
-    """``func`` sampled at ``points`` in one call, checked by ``_checked``."""
-    return _checked(func(points), name, points)
-
-
 def _checked(values, name: str, points: np.ndarray) -> np.ndarray:
     """A factor's ``values`` at ``points`` as a C-contiguous vector.
 
@@ -275,29 +271,12 @@ def _checked(values, name: str, points: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values)
 
 
-def _factors(exact: Separable, coords: np.ndarray, tau: float, n_t: int):
-    """The reference's (a, b, c) on the grid and at steps k = 1..n_t.
-
-    a holds x1's factor per row and b x2's per column, each sampled in one
-    call on the node coordinates ``coords``, and c the time factor of each
-    step, from one call on the step times k * tau, so that (a_i * b_j) * c_k
-    has the bits of ``exact`` itself.  Each is a C-contiguous vector.
-    ``ValueError`` naming the factor if a value is complex, nan or infinite,
-    or if a factor returns neither a scalar nor one value per point.
-    """
-    return (
-        _factor(exact.x1, "exact.x1", coords),
-        _factor(exact.x2, "exact.x2", coords),
-        _factor(exact.t, "exact.t", np.arange(1, n_t + 1) * tau),
-    )
-
-
 def _error_sums(u, s, c, scratch) -> tuple[float, float]:
     """The sums of (u - r)^2 and of r^2 over the grid, r = s * c.
 
     Each is numpy's ``sum()`` of the flattened squares: pairwise, in runs
     of at most 128 values, an order that the compiled march replays with s
-    formed per node from the reference's axis vectors (see ``_factors``).
+    formed per node from the reference's axis vectors (see ``_sample``).
     The products, differences and squares go into ``scratch``, a (2, *shape)
     array of two C-order fields, which the caller keeps across steps.
     """
@@ -325,9 +304,10 @@ class _Stepper:
     The constructor forms the fields ``prev``, ``curr`` (zero if not given)
     and ``v``, the first step's velocity, each in a buffer of its own.  With
     ``reference``, the (a, b, c) vectors of a reference sampled for steps
-    1..n_t (see ``_factors``), it allocates ``sums``, row k - 1 for step k's
+    1..n_t (see ``_sample``), it allocates ``sums``, row k - 1 for step k's
     error sums.  No array crosses ``march(steps)``: the compiled kernel
-    reads addresses taken here once.
+    reads addresses taken here once.  The scheme, n, lam (a float) and bc
+    come checked by ``_check_grid``, through ``SimConfig`` or the public steps.
 
     A buffer holds the core that an update writes, field indices first ..
     n - 1 per axis, inside a ring of r = max(radius, 1) ghost cells, so that
@@ -358,7 +338,6 @@ class _Stepper:
 
     def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str, prev=None, curr=None,
                  v=None, tau: float = 0.0, reference=None):
-        lam = _check_grid(spec, n, lam, bc)
         first, period = (0, n) if bc == "periodic" else (1, 2 * n)
         r = max(spec.radius, 1)
         self.n, self.lo, self.size = n, r, n - first
@@ -524,6 +503,7 @@ def first_step(
     """
     tau = check_finite(tau, "tau")
     n, (u0, v0) = _grid_fields({"u0": u0, "v0": v0})
+    lam = _check_grid(spec, n, lam, bc)
     stepper = _Stepper(spec, lam, n, bc, u0, v=v0, tau=tau)
     stepper.march(1)
     return stepper.field(stepper.curr).copy()
@@ -543,66 +523,55 @@ def two_step(
     is a ``SchemeSpec`` and ``u_k`` and ``u_km1`` real, finite fields on one grid.
     """
     n, (u_k, u_km1) = _grid_fields({"u_k": u_k, "u_km1": u_km1})
+    lam = _check_grid(spec, n, lam, bc)
     stepper = _Stepper(spec, lam, n, bc, u_km1, u_k)
     stepper.march(1)
     return stepper.field(stepper.curr).copy()
 
 
-def _initial(p, q, name: str, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The initial field ``name`` from its factors' values, as the (p, q)
-    that ``_Stepper.buffer`` forms.
+def _sample(fields: dict, coords: np.ndarray, times: np.ndarray) -> list[tuple]:
+    """Each ``Separable`` of ``fields``, a dict of name: field, as the tuple
+    of its factors' vectors, in order: (x1, x2) for a field of space and
+    (x1, x2, t) for a reference, as ``_Stepper`` takes them.
 
-    ``ValueError`` naming the factor (see ``_checked``), or the field if its
-    x1 * x2 overflows.
+    Every factor is called once, in field order and x1, x2, t within a
+    field: the space factors on the node coordinates ``coords``, the time
+    factor on the step times ``times``.  When every value is a float vector
+    of its points' shape, one pass finds them all finite and they become
+    C-contiguous views of one copy.  Otherwise each is checked in turn by
+    ``_checked``: the first bad value raises the ``ValueError`` that
+    checking one factor at a time would.  A field of space is refused,
+    right after its two factors, if its x1 * x2 overflows: the largest
+    |x1_i * x2_j| is max |x1| * max |x2|, so it overflows iff a node does.
     """
-    p = _checked(p, f"{name}.x1", coords)
-    q = _checked(q, f"{name}.x2", coords)
-    _check_product(float(np.abs(p).max()), float(np.abs(q).max()), name)
-    return p, q
-
-
-def _check_product(p_max: float, q_max: float, name: str) -> None:
-    """``ValueError`` if the initial field ``name`` overflows: the largest
-    |p_i * q_j| is p_max * q_max, so it overflows iff a node does."""
-    if not math.isfinite(p_max * q_max):
-        raise ValueError(f"{name} must be finite, got an x1 * x2 that overflows")
-
-
-def _sample(config: SimConfig, coords: np.ndarray):
-    """The initial fields' (p, q) and the reference's (a, b, c) for ``_Stepper``.
-
-    Each of the seven factors is called once, in the order initial_u.x1,
-    .x2, initial_v.x1, .x2, exact.x1, .x2 and .t: the space factors on the
-    node coordinates ``coords``, the time factor on the n_t step times
-    k * tau.  When every value is a float vector of its points' shape, one
-    pass finds them all finite and they become C-contiguous views of one
-    copy.  Otherwise each is checked in turn, in that order, and each
-    initial field's overflow after its two factors: the first bad value
-    raises the ``ValueError`` that checking one factor at a time would.
-    """
-    u, v, exact = config.initial_u, config.initial_v, config.exact
-    times = np.arange(1, config.n_t + 1) * config.tau
-    points = (coords,) * 6 + (times,)
-    values = [
-        func(at)
-        for func, at in zip((u.x1, u.x2, v.x1, v.x2, exact.x1, exact.x2, exact.t), points)
-    ]
+    funcs, points = [], []
+    for f in fields.values():
+        funcs += (f.x1, f.x2) if f.t is None else (f.x1, f.x2, f.t)
+        points += (coords, coords) if f.t is None else (coords, coords, times)
+    values = [func(at) for func, at in zip(funcs, points)]
+    highs = None  # each factor's max |value|, once all are checked together
     if all(type(x) is np.ndarray and x.dtype == float and x.shape == at.shape
            for x, at in zip(values, points)):
         block = np.concatenate(values)
         if np.isfinite(block).all():
-            m = coords.size
-            p_max = np.abs(block[: 4 * m]).reshape(4, m).max(axis=1).tolist()
-            _check_product(p_max[0], p_max[1], "initial_u")
-            _check_product(p_max[2], p_max[3], "initial_v")
-            a1, a2, b1, b2, c1, c2 = (block[i * m : (i + 1) * m] for i in range(6))
-            return (a1, a2), (b1, b2), (c1, c2, block[6 * m :])
-    fields = (
-        _initial(values[0], values[1], "initial_u", coords),
-        _initial(values[2], values[3], "initial_v", coords),
-    )
-    names = ("exact.x1", "exact.x2", "exact.t")
-    return (*fields, tuple(map(_checked, values[4:], names, points[4:])))
+            starts = [0]
+            for at in points[:-1]:
+                starts.append(starts[-1] + at.size)
+            highs = np.maximum.reduceat(np.abs(block), starts).tolist()
+            values = [block[i : i + at.size] for i, at in zip(starts, points)]
+    sampled, i = [], 0
+    for name, f in fields.items():
+        end = i + (2 if f.t is None else 3)
+        if highs is None:
+            labels = (f"{name}.x1", f"{name}.x2", f"{name}.t")
+            values[i:end] = map(_checked, values[i:end], labels, points[i:end])
+        if f.t is None:
+            p, q = highs[i:end] if highs else [float(np.abs(x).max()) for x in values[i:end]]
+            if not math.isfinite(p * q):
+                raise ValueError(f"{name} must be finite, got an x1 * x2 that overflows")
+        sampled.append(tuple(values[i:end]))
+        i = end
+    return sampled
 
 
 def _space(a, b) -> np.ndarray:
@@ -621,17 +590,21 @@ def _relative_error(sums, overflows: str) -> tuple[float, tuple[float, ...]]:
     """
     num = den = 0.0
     per_step = []
-    for step_num, step_den in sums:
+    for k, (step_num, step_den) in enumerate(sums, start=1):
         num += step_num
         den += step_den
-        per_step.append(math.sqrt(step_num / step_den) if step_den > 0.0 else math.nan)
+        if step_den > 0.0:
+            step_error = math.sqrt(step_num / step_den)
+            if not math.isfinite(step_error):
+                raise ValueError(f"{overflows}: the error of step {k} is not finite")
+        else:
+            step_error = math.nan
+        per_step.append(step_error)
     if den == 0.0:
         raise DegenerateNormError("exact solution vanishes at all sampled points")
     error = math.sqrt(num / den)
-    steps = [k for k, ((_, step_den), e) in enumerate(zip(sums, per_step), start=1)
-             if step_den > 0.0 and not math.isfinite(e)]
-    if steps or not math.isfinite(error):
-        where = f"step {steps[0]}" if steps else f"all {len(per_step)} steps together"
+    if not math.isfinite(error):
+        where = f"all {len(per_step)} steps together"
         raise ValueError(f"{overflows}: the error of {where} is not finite")
     return error, tuple(per_step)
 
@@ -654,7 +627,8 @@ def relative_l2_error(computed: Iterable[np.ndarray], exact: Separable, tau: flo
     tau = check_finite(tau, "tau")
     _check_separable(exact, "exact", timed=True)
     n, fields = _grid_fields(named)
-    a, b, factors = _factors(exact, np.arange(n + 1) / n, tau, len(fields))
+    times = np.arange(1, len(fields) + 1) * tau
+    [(a, b, factors)] = _sample({"exact": exact}, np.arange(n + 1) / n, times)
     space, scratch = _space(a, b), np.empty((2, n + 1, n + 1))
     with np.errstate(over="ignore"):  # _relative_error refuses an overflow
         rows = [_error_sums(u, space, c, scratch) for u, c in zip(fields, factors)]
@@ -667,13 +641,17 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     Marches n_t steps and sums the space-time error against the reference;
     ``on_step(k, field)`` gets a copy of each step's field.  An unstable
     Courant number only warns; marginal (|symbol| = 1) values are silent.
+    The warning needs ``stability.envelope``, so a scheme outside the exact
+    stability analysis, such as a two-step table with a (2, 1) offset, is
+    refused with its ``ValueError``, although ``first_step`` and
+    ``two_step`` march it.
     Raises ``ValueError`` if the fields overflow, so that E or a step's
     error is not finite, with no numpy warning; a step whose reference
     vanishes keeps error nan.
 
     Each factor of the initial fields and the reference is called once per
     run, the time factor with the n_t step times, and all seven are checked
-    together (see ``_sample``).  Each initial field's product goes straight
+    together by ``_sample``, which ``relative_l2_error`` shares.  Each initial field's product goes straight
     into its buffer.  The whole march is one ``_Stepper.march`` call, or one
     per step with ``on_step``, to the same bits.
     """
@@ -687,7 +665,8 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
         )
     enveloped = time.perf_counter()
     n, n_t = config.n, config.n_t
-    u, v, reference = _sample(config, np.arange(n + 1) / n)
+    fields = {"initial_u": config.initial_u, "initial_v": config.initial_v, "exact": config.exact}
+    u, v, reference = _sample(fields, np.arange(n + 1) / n, np.arange(1, n_t + 1) * config.tau)
     stepper = _Stepper(config.scheme, config.lam, n, config.bc, u, v=v, tau=config.tau,
                        reference=reference)
     sampled = time.perf_counter()

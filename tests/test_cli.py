@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import os
 import pickle
@@ -531,3 +532,21 @@ def test_main_builds_one_parser_and_each_output_is_a_fresh_interpreters(tmp_path
         assert (code, strip_wall_time(out), err) == alone[key], argv
     written = [strip_wall_time((where / "c9.txt").read_text()) for where in (shared, fresh)]
     assert written[0] == written[1] and "scheme=C9" in written[0]
+
+
+@pytest.mark.parametrize("argv, code", [(["generate", "P5"], 0), (["generate", "P7"], 3)])
+def test_the_console_script_exits_with_mains_code(capsys, monkeypatch, argv, code):
+    # pyproject.toml declares the installed command; its target must exist
+    # and exit through SystemExit with main's code.  Read by a regex, as
+    # Python 3.10 has no tomllib.
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    declared = re.search(r'^\[project\.scripts\]\npoisson-stencils = "([\w.]+):(\w+)"$',
+                         pyproject, re.MULTILINE)
+    assert declared, "no poisson-stencils entry under [project.scripts]"
+    target = getattr(importlib.import_module(declared[1]), declared[2])
+    assert main(argv) == code
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["poisson-stencils", *argv])
+    with pytest.raises(SystemExit) as exited:
+        target()
+    assert exited.value.code == code

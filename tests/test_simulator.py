@@ -407,6 +407,28 @@ def test_public_steps_refuse_a_scheme_that_is_not_a_spec(scheme):
         two_step(field, field, scheme, 0.5)
 
 
+def test_run_refuses_a_table_outside_the_stability_analysis_that_the_steps_march(kernels, p5):
+    # run() takes the stability envelope for its warning, and the envelope
+    # refuses a two-step table outside the exact analysis, here one with
+    # (2, 1) offsets; first_step and two_step take no envelope and march it.
+    knight = LambdaPoly({4: Fraction(1, 12)})
+    table = {**p5.two_step, **dict.fromkeys([(2, 1), (-2, 1), (2, -1), (-2, -1)], knight)}
+    wide = SchemeSpec(name="wide", first_u=p5.first_u, first_v=p5.first_v, two_step=table)
+    for bc in ("dirichlet", "periodic"):
+        with pytest.raises(ValueError, match="outside the exact stability analysis"):
+            run(SimConfig(scheme=wide, n=8, n_t=2, lam=0.5, bc=bc))
+    impulse = np.zeros((9, 9))
+    impulse[4, 4] = 1.0
+    for _, path in kernels:
+        with path():
+            first = first_step(impulse, impulse, wide, 0.5, 0.5 / 8)
+            marched = two_step(impulse, np.zeros((9, 9)), wide, 0.5, "periodic")
+        assert np.isfinite(first).all()
+        assert [marched[4 + q1, 4 + q2] for q1, q2 in [(2, 1), (-2, 1), (2, -1), (-2, -1)]] == [
+            float(knight(0.5))] * 4
+        assert marched[5, 6] == 0.0
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -641,16 +663,20 @@ def test_reference_factors_give_one_value_per_point(kernels, p5, factor, functio
 
 @pytest.mark.parametrize("factor", ["exact.x1", "exact.x2"])
 def test_a_read_only_factor_gives_the_bits_of_a_writable_one(kernels, p13, factor):
-    # A read-only factor passes through _factor unchanged, so the compiled
-    # march reads its address through ndarray.ctypes.data, not ctypes.
+    # A read-only factor passes through _checked unchanged.  A scalar
+    # initial factor makes _sample check one factor at a time, so the
+    # compiled march reads the read-only vector's address through
+    # ndarray.ctypes.data, not ctypes.
     def read_only(points):
         values = np.sin(2.0 * np.pi * points)
         values.flags.writeable = False
         return values
 
-    assert not simulator._factor(read_only, factor, np.arange(9) / 8).flags.writeable
+    points = np.arange(9) / 8
+    assert not simulator._checked(read_only(points), factor, points).flags.writeable
     writable = one_reference_with(factor, lambda points: np.sin(2.0 * np.pi * points))
-    config = SimConfig(scheme=p13, n=24, n_t=5, lam=0.6, bc="periodic", exact=writable)
+    config = SimConfig(scheme=p13, n=24, n_t=5, lam=0.6, bc="periodic", exact=writable,
+                       initial_u=Separable(lambda x: 0.0, lambda x: 0.0))
     for isa, path in kernels:
         with path():
             want = run(config)
@@ -869,14 +895,30 @@ FACTOR_REFUSALS = [
 ]
 
 
+def _error_of_ones(config):
+    """relative_l2_error of n_t unit fields against ``config``'s reference."""
+    return relative_l2_error([np.ones((config.n + 1,) * 2)] * config.n_t, config.exact, config.tau)
+
+
+# run() on every row, and relative_l2_error on the rows whose bad factors
+# are all the reference's.
+SAMPLERS = [
+    *((run, bad, message) for bad, message in FACTOR_REFUSALS),
+    *((_error_of_ones, bad, message) for bad, message in FACTOR_REFUSALS
+      if all(name.startswith("exact.") for name in bad)),
+]
+
+
 @pytest.mark.parametrize(
-    "bad, message", FACTOR_REFUSALS,
-    ids=["+".join(map(":".join, bad.items())) for bad, _ in FACTOR_REFUSALS],
+    "sampler, bad, message", SAMPLERS,
+    ids=[("" if sampler is run else "relative_l2_error-") + "+".join(map(":".join, bad.items()))
+         for sampler, bad, _ in SAMPLERS],
 )
-def test_the_first_bad_factor_is_refused_and_each_called_at_most_once(p5, bad, message):
+def test_the_first_bad_factor_is_refused_and_each_called_at_most_once(p5, sampler, bad, message):
     # run() calls all seven factors before it checks any, and checks them
     # together; a failed check is redone one factor at a time, so the
     # refusal names the factor (or the overflowing field) that comes first.
+    # relative_l2_error samples its reference through the same routine.
     calls = {}
 
     def counted(name, function):
@@ -896,7 +938,7 @@ def test_the_first_bad_factor_is_refused_and_each_called_at_most_once(p5, bad, m
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as refused:
-            run(config)
+            sampler(config)
     assert str(refused.value) == message
     assert max(calls.values()) == 1
 
