@@ -68,11 +68,12 @@ def rewrapped_wave():
 @pytest.fixture
 def cold_caches():
     """Empty the library's shared caches of named schemes, symbol
-    coefficients (as integer rows) and (scheme, lambda) evaluations, as in a
-    fresh process."""
+    coefficients (as integer rows), and float tables and envelopes at one
+    (scheme, lambda), as in a fresh process."""
     from poisson_stencils import scheme, stability
 
-    caches = (scheme._named_scheme, stability._scaled_symbol, stability.evaluated)
+    caches = (scheme._named_scheme, scheme._evaluated, stability._scaled_symbol,
+              stability._shared_envelope)
     for cache in caches:
         cache.cache_clear()
     return caches

@@ -14,7 +14,9 @@ as an independent oracle.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -27,14 +29,19 @@ _DISC_AGREE_TOL = 1e-13
 def check_finite(value: float, what: str, rule: str = "finite") -> float:
     """``value`` as a float; ``ValueError`` ("``what`` must be ``rule``") unless finite.
 
-    A bool, Python's or numpy's (recognised by its type's name, so that this
-    module needs no numpy), is not a number here: ``ValueError``.
+    Only a ``numbers.Real`` or a ``Decimal`` is a number here: anything else,
+    a bool or a complex included, is a ``ValueError`` before anything casts it.
     """
-    if type(value).__name__ in ("bool", "bool_"):
+    # float and int come first, so that they skip the slower numbers.Real check.
+    if isinstance(value, bool) or not isinstance(value, (float, int, Decimal, numbers.Real)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except (OverflowError, ValueError):  # an int beyond the doubles, a Decimal sNaN
+        number = math.nan
+    if not math.isfinite(number):
         raise ValueError(f"{what} must be {rule}, got {value}")
-    return float(value)
+    return number
 
 
 def check_positive(value: float, what: str) -> float:

@@ -8,6 +8,10 @@ the disc mean of its basis function; Poisson's identity turns it into the
 displacement weight, and the two-step weight is twice that.  Offsets whose
 velocity weight is identically zero are dropped, which is an exact rational
 test, not a tolerance test.
+
+:func:`evaluated` checks a spec and lambda, then reads the tables' floats
+from a bounded cache keyed by the spec and the float lambda: 1 and 1.0
+share an entry, and a bool never reaches it.  This module never loads numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .interpolation import Offset, lagrange_basis
-from .quadrature import LambdaPoly, b_on_polynomial, poisson_identity
+from .quadrature import LambdaPoly, b_on_polynomial, check_positive, poisson_identity
 
 NAMED_SCHEMES = ("P5", "C5", "P9", "C9", "P13", "C13")
 
@@ -76,10 +80,9 @@ class SchemeSpec:
 
     @property
     def offsets(self) -> tuple[Offset, ...]:
-        """Retained offsets, first-step order, union over all tables."""
-        seen = dict.fromkeys(self.first_u)
-        seen.update(dict.fromkeys(self.first_v))
-        return tuple(seen)
+        """Retained offsets, the union of ``first_u``, ``first_v`` and
+        ``two_step`` in that order, each offset where it first appears."""
+        return tuple(dict.fromkeys([*self.first_u, *self.first_v, *self.two_step]))
 
     @functools.cached_property
     def radius(self) -> int:
@@ -95,12 +98,23 @@ def check_scheme(spec) -> None:
         raise ValueError(f"scheme must be a SchemeSpec (see named_scheme), got {spec!r}")
 
 
-def evaluate_table(table: Mapping[Offset, LambdaPoly], lam: float) -> list[tuple[Offset, float]]:
-    """(offset, coefficient at ``lam`` as a float) pairs in table order.
+def evaluated(spec: SchemeSpec, lam: float) -> tuple[tuple[tuple[Offset, float], ...], ...]:
+    """The tables of ``spec`` at ``float(lam)``: (first_u, first_v, two_step).
 
-    The simulator and the stability analysis both evaluate tables here.
+    Each is (offset, float coefficient) pairs in table order, computed once
+    per process and shared.  ``ValueError`` unless ``spec`` is a
+    ``SchemeSpec``, ``lam`` positive and finite and every coefficient a
+    finite double; a refusal is never cached.
     """
-    return [(offset, poly(lam)) for offset, poly in table.items()]
+    check_scheme(spec)
+    return _evaluated(spec, check_positive(lam, "lambda"))
+
+
+@functools.lru_cache(maxsize=128)
+def _evaluated(spec: SchemeSpec, lam: float) -> tuple[tuple[tuple[Offset, float], ...], ...]:
+    """:func:`evaluated` once per (spec, lam), for a checked spec and float lam."""
+    tables = (spec.first_u, spec.first_v, spec.two_step)
+    return tuple(tuple((offset, poly(lam)) for offset, poly in table.items()) for table in tables)
 
 
 def generate_scheme(m: int, name: str | None = None) -> SchemeSpec:

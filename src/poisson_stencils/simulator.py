@@ -53,7 +53,7 @@ import numpy as np
 
 from . import _kernel, stability
 from .quadrature import check_finite, check_positive
-from .scheme import BOUNDARY_CONDITIONS, DegenerateNormError, SchemeSpec, check_scheme
+from .scheme import BOUNDARY_CONDITIONS, DegenerateNormError, SchemeSpec, _evaluated, check_scheme
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -360,9 +360,8 @@ class _Stepper:
         self._lines = [
             (axis, g, f, sign) for axis in (0, 1) for sign, p in pairs.items() for g, f in p
         ]
-        # The tables at lam, evaluated once per (spec, lam) and shared.
-        shared = stability.evaluated(spec, lam)
-        self.first_u, self.first_v, self.two_step = shared.first_u, shared.first_v, shared.two_step
+        # The tables at lam, shared per (spec, lam).
+        self.first_u, self.first_v, self.two_step = _evaluated(spec, lam)
         self.prev = self.buffer(prev)
         self._v = None if v is None else self.buffer(v)
         self.curr = self.buffer(curr)
@@ -465,25 +464,27 @@ class _Stepper:
                 self.prev, self.curr = self.curr, self.prev
                 self._at.reverse()
         else:
-            for k in range(k, k + steps):
-                if self._v is not None:
-                    for a, b, core in self._blocks(self.curr):
-                        acc = self._acc[: b - a]
-                        self._sum(self.first_u, self.prev, a, b, core)
-                        self._sum(self.first_v, self._v, a, b, acc)
-                        acc *= self.tau
-                        core += acc
-                    self._v = None
-                else:
-                    for a, b, core in self._blocks(self.prev):
-                        acc = self._acc[: b - a]
-                        self._sum(self.two_step, self.curr, a, b, acc)
-                        np.subtract(acc, core, out=core)
-                    self.prev, self.curr = self.curr, self.prev
-                self._fill_ghosts(self.curr)
-                if self.sums is not None:
-                    self.sums[k] = _error_sums(self.field(self.curr), self._space,
-                                               self._reference[2][k], self._scratch)
+            # No warning: the callers refuse a field or an error that overflows.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(k, k + steps):
+                    if self._v is not None:
+                        for a, b, core in self._blocks(self.curr):
+                            acc = self._acc[: b - a]
+                            self._sum(self.first_u, self.prev, a, b, core)
+                            self._sum(self.first_v, self._v, a, b, acc)
+                            acc *= self.tau
+                            core += acc
+                        self._v = None
+                    else:
+                        for a, b, core in self._blocks(self.prev):
+                            acc = self._acc[: b - a]
+                            self._sum(self.two_step, self.curr, a, b, acc)
+                            np.subtract(acc, core, out=core)
+                        self.prev, self.curr = self.curr, self.prev
+                    self._fill_ghosts(self.curr)
+                    if self.sums is not None:
+                        self.sums[k] = _error_sums(self.field(self.curr), self._space,
+                                                   self._reference[2][k], self._scratch)
         self._v = self._v_at = None
         self.step += steps
 
@@ -499,14 +500,13 @@ def first_step(
     """First update: combine initial displacement and velocity fields.
 
     Raises ``ValueError`` unless ``spec`` is a ``SchemeSpec``, ``tau`` is
-    finite and ``u0`` and ``v0`` are real, finite fields on one grid.
+    finite and ``u0`` and ``v0`` are real, finite fields on one grid that
+    step to a finite field.
     """
     tau = check_finite(tau, "tau")
     n, (u0, v0) = _grid_fields({"u0": u0, "v0": v0})
     lam = _check_grid(spec, n, lam, bc)
-    stepper = _Stepper(spec, lam, n, bc, u0, v=v0, tau=tau)
-    stepper.march(1)
-    return stepper.field(stepper.curr).copy()
+    return _one_step(_Stepper(spec, lam, n, bc, u0, v=v0, tau=tau), spec, lam)
 
 
 def two_step(
@@ -520,13 +520,21 @@ def two_step(
 
     Periodic fields are read on their n x n core; the result's aliased last
     row and column repeat its first.  Raises ``ValueError`` unless ``spec``
-    is a ``SchemeSpec`` and ``u_k`` and ``u_km1`` real, finite fields on one grid.
+    is a ``SchemeSpec`` and ``u_k`` and ``u_km1`` real, finite fields on one
+    grid that step to a finite field.
     """
     n, (u_k, u_km1) = _grid_fields({"u_k": u_k, "u_km1": u_km1})
     lam = _check_grid(spec, n, lam, bc)
-    stepper = _Stepper(spec, lam, n, bc, u_km1, u_k)
+    return _one_step(_Stepper(spec, lam, n, bc, u_km1, u_k), spec, lam)
+
+
+def _one_step(stepper: _Stepper, spec: SchemeSpec, lam: float) -> np.ndarray:
+    """A copy of the field after one step; ``ValueError`` if it overflows."""
     stepper.march(1)
-    return stepper.field(stepper.curr).copy()
+    out = stepper.field(stepper.curr).copy()
+    if not np.isfinite(out).all():
+        raise ValueError(f"lambda = {lam} and these fields overflow scheme {spec.name!r}")
+    return out
 
 
 def _sample(fields: dict, coords: np.ndarray, times: np.ndarray) -> list[tuple]:
@@ -670,12 +678,9 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     stepper = _Stepper(config.scheme, config.lam, n, config.bc, u, v=v, tau=config.tau,
                        reference=reference)
     sampled = time.perf_counter()
-    march = stepper.march
-    if stepper._lib is None:  # only the numpy march warns; _relative_error refuses an overflow
-        march = np.errstate(over="ignore", invalid="ignore")(march)
     steps = n_t if on_step is None else 1
     for k in range(1, n_t + 1, steps):
-        march(steps)
+        stepper.march(steps)
         if on_step is not None:
             on_step(k, stepper.field(stepper.curr).copy())
     overflows = f"lambda = {config.lam} overflows scheme {config.scheme.name!r}"

@@ -19,15 +19,13 @@ the largest (value, x, y) are found by comparing integer tuples.  Their
 floats come from integer true division, correctly rounded as ``float()`` of
 a ``Fraction`` is.
 
-What depends only on a scheme, or only on a scheme and a Courant number, is
-computed once per process and shared: a spec's symbol coefficients as
-integer rows, and :func:`evaluated`, its float tables and envelope at
-one lambda, which :func:`symbol`, :func:`envelope` and the simulator read.
-The caches are bounded, keyed by the spec (its tables in order, not only
-its name) and hold immutable values.  A lambda of any real type becomes a float where
-it is checked, before anything is evaluated at it, so an integer, a numpy
-scalar, a ``Fraction`` or a ``Decimal`` gives the bits of its float; equal
-lambdas of different types may share one entry.
+A spec's symbol coefficients as integer rows, and its :func:`envelope` at
+one lambda, are computed once per process and shared, in bounded caches
+keyed by the spec (its tables in order, not only its name).  Every check
+runs first: lambda becomes a float where it is checked, so any real type
+gives its float's bits, 1 and 1.0 share an entry, and a bool never reaches
+one.  :func:`symbol` sums the float tables of
+:func:`~poisson_stencils.scheme.evaluated`, which is also importable here.
 """
 
 from __future__ import annotations
@@ -35,12 +33,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .interpolation import Offset
 from .quadrature import LambdaPoly, check_finite, check_positive, finite_at, not_a_double
-from .scheme import SchemeSpec, check_scheme, evaluate_table
+from .scheme import SchemeSpec, _evaluated, check_scheme, evaluated  # evaluated: re-exported
 
 _BOUND_SLACK = 1e-12
 _FLOAT_MAX = int(sys.float_info.max)
@@ -93,11 +90,10 @@ def symbol(spec: SchemeSpec, lam: float, theta1: float, theta2: float) -> float:
     """
     check_scheme(spec)
     lam = check_positive(lam, "lambda")
-    for name, theta in (("theta1", theta1), ("theta2", theta2)):
-        check_finite(theta, name)
+    theta1, theta2 = check_finite(theta1, "theta1"), check_finite(theta2, "theta2")
     _check_real(spec)
     total = 0.0
-    for (q1, q2), coeff in evaluated(spec, lam).two_step:
+    for (q1, q2), coeff in _evaluated(spec, lam)[2]:
         phase = q1 * theta1 + q2 * theta2
         if not math.isfinite(phase):
             raise ValueError(
@@ -256,47 +252,23 @@ def envelope(spec: SchemeSpec, lam: float, grid: int | None = None) -> Envelope:
     ``grid`` is accepted for callers of the former phase-grid scan and
     ignored.  Raises ``ValueError`` for a ``spec`` that is not a
     ``SchemeSpec``, a two-step table outside the precondition of the module
-    docstring, or a ``lam`` at which the symbol's range is beyond the doubles.
+    docstring, or a ``lam`` at which a float coefficient or the symbol's
+    range is beyond the doubles.
     """
     check_scheme(spec)
-    _scaled_symbol(spec)  # refuses the table before lam, as it always did
-    return evaluated(spec, lam).envelope
-
-
-@dataclass(frozen=True)
-class Evaluated:
-    """A scheme at one Courant number: its float tables and its envelope.
-
-    ``first_u``, ``first_v`` and ``two_step`` are the spec's tables as
-    (offset, coefficient) pairs in table order, the output of
-    :func:`~poisson_stencils.scheme.evaluate_table`.  ``envelope`` is
-    computed on first use, so that a spec outside the exact analysis still
-    has tables; it raises as :func:`envelope` does.
-    """
-
-    spec: SchemeSpec = field(repr=False)
-    lam: float
-    first_u: tuple[tuple[Offset, float], ...]
-    first_v: tuple[tuple[Offset, float], ...]
-    two_step: tuple[tuple[Offset, float], ...]
-
-    @functools.cached_property
-    def envelope(self) -> Envelope:
-        return _envelope(_scaled_symbol(self.spec), self.lam)
+    _scaled_symbol(spec)  # a table outside the analysis is refused whatever lam is
+    return _shared_envelope(spec, check_positive(lam, "lambda"))
 
 
 @functools.lru_cache(maxsize=128)
-def evaluated(spec: SchemeSpec, lam: float) -> Evaluated:
-    """The shared :class:`Evaluated` of ``spec`` at ``lam``, evaluated at ``float(lam)``.
+def _shared_envelope(spec: SchemeSpec, lam: float) -> Envelope:
+    """:func:`envelope` for a checked spec and float lam, once per pair.
 
-    Raises ``ValueError`` unless ``spec`` is a ``SchemeSpec``, ``lam`` is
-    positive and finite and every coefficient at it is a finite double; a
-    refusal is never cached.
+    A lam where a float coefficient overflows is refused, as by the march,
+    even where the exact symbol's range is still a double.
     """
-    check_scheme(spec)
-    lam = check_positive(lam, "lambda")
-    tables = (spec.first_u, spec.first_v, spec.two_step)
-    return Evaluated(spec, lam, *(tuple(evaluate_table(table, lam)) for table in tables))
+    _evaluated(spec, lam)
+    return _envelope(_scaled_symbol(spec), lam)
 
 
 def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:

@@ -276,3 +276,17 @@ def test_radius_is_derived_from_the_tables():
     ]
     assert errors[0] == errors[1]
     assert SchemeSpec(name="empty", first_u={}, first_v={}, two_step={}).radius == 0
+
+
+def test_offsets_are_the_union_of_all_three_tables():
+    # offsets once joined first_u and first_v alone, so the (±2, ±1) offsets
+    # of this two-step table were missing although radius counted them.
+    p5 = named_scheme("P5")
+    knight = [(2, 1), (-2, 1), (2, -1), (-2, -1)]
+    table = {**p5.two_step, **dict.fromkeys(knight, LambdaPoly({4: Fraction(1, 12)}))}
+    wide = SchemeSpec(name="wide", first_u=p5.first_u, first_v=p5.first_v, two_step=table)
+    assert wide.offsets == (*p5.offsets, *knight) and wide.radius == 2
+    one = LambdaPoly.constant(1)
+    ordered = SchemeSpec(name="ordered", first_u={}, first_v={(0, 1): one, (0, 0): one},
+                         two_step={(0, 0): one, (1, 0): one})
+    assert ordered.offsets == ((0, 1), (0, 0), (1, 0))

@@ -15,7 +15,7 @@ import pytest
 from poisson_stencils import _kernel, simulator
 from poisson_stencils.benchmarks import TABLE_BC, TABLES, run_table
 from poisson_stencils.quadrature import LambdaPoly
-from poisson_stencils.scheme import SchemeSpec, named_scheme
+from poisson_stencils.scheme import SchemeSpec, evaluated, named_scheme
 from poisson_stencils.stability import envelope, lambda_max, symbol
 from poisson_stencils.simulator import (
     DegenerateNormError,
@@ -978,6 +978,25 @@ def test_public_steps_reject_nonfinite_and_complex_fields(kernels, p5, value):
                     step()
 
 
+def test_public_steps_refuse_a_step_that_overflows(kernels, p5):
+    # Finite fields whose step overflows came back as inf, or as nan where an
+    # infinite velocity term met tau = 0, and the numpy path warned.
+    zero, slow = np.zeros((5, 5)), np.full((5, 5), 2.7e8)
+    huge = np.full((5, 5), 1e308)
+    steps = {
+        "first_step": lambda: first_step(zero, slow, p5, 1e150, 0.0),
+        "two_step": lambda: two_step(huge, -huge, p5, 0.5, "periodic"),
+    }
+    for _, path in kernels:
+        with path(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, step in steps.items():
+                lam = 1e150 if name == "first_step" else 0.5
+                with pytest.raises(ValueError) as refused:
+                    step()
+                assert str(refused.value) == f"lambda = {lam} and these fields overflow scheme 'P5'"
+
+
 def closed_form_error(spec, n, n_t, lam):
     """E of the standing-wave benchmark from its one mode, with no simulator.
 
@@ -1188,6 +1207,49 @@ def test_a_bool_is_not_a_lambda_or_a_tol(flag):
     for check in checks:
         with pytest.raises(ValueError, match="must be a number"):
             check()
+
+
+# (entry point, the name it refuses, the rule it states) for each public
+# scalar that check_finite reads.
+SCALAR_INPUTS = {
+    "SimConfig.lam": (lambda p5, x: SimConfig(scheme=p5, n=8, n_t=2, lam=x),
+                      "lambda", "positive and finite"),
+    "envelope.lam": (lambda p5, x: envelope(p5, x), "lambda", "positive and finite"),
+    "evaluated.lam": (lambda p5, x: evaluated(p5, x), "lambda", "positive and finite"),
+    "symbol.lam": (lambda p5, x: symbol(p5, x, 0.3, 1.1), "lambda", "positive and finite"),
+    "symbol.theta1": (lambda p5, x: symbol(p5, 0.5, x, 1.1), "theta1", "finite"),
+    "lambda_max.tol": (lambda p5, x: lambda_max(p5, tol=x), "tol", "positive and finite"),
+    "first_step.tau": (lambda p5, x: first_step(np.zeros((5, 5)), np.zeros((5, 5)), p5, 0.5, x),
+                       "tau", "finite"),
+    "relative_l2_error.tau": (lambda p5, x: relative_l2_error([np.ones((5, 5))],
+                                                              exact_standing_wave, x),
+                              "tau", "finite"),
+}
+
+
+@pytest.mark.parametrize("entry", SCALAR_INPUTS)
+@pytest.mark.parametrize("value, refusal", [
+    (np.complex128(0.5 + 3j), "a number"),
+    (np.complex64(0.5), "a number"),
+    (0.5 + 0j, "a number"),
+    ("0.5", "a number"),
+    (None, "a number"),
+    (10**400, "rule"),
+    (Fraction(10**400, 3), "rule"),
+    (Decimal("snan"), "rule"),
+], ids=["np.complex128", "np.complex64", "complex", "str", "None", "int", "Fraction", "sNaN"])
+def test_a_scalar_that_is_not_a_real_double_is_refused(entry, value, refusal):
+    # A numpy complex was cut to its real part with only a ComplexWarning
+    # (SimConfig stored lambda = 0.5 and lambda_max bisected); a complex, a
+    # str or None gave a TypeError, a huge int or Fraction an OverflowError,
+    # and a Decimal sNaN, which cannot be hashed, a TypeError from the
+    # (scheme, lambda) cache's key.
+    call, name, rule = SCALAR_INPUTS[entry]
+    stated = "a number" if refusal == "a number" else rule
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be {stated}, got "):
+            call(named_scheme("P5"), value)
 
 
 @pytest.mark.parametrize("tau", [np.float32(0.1), Decimal("0.1")],

@@ -17,7 +17,7 @@ from poisson_stencils.quadrature import LambdaPoly
 from poisson_stencils.scheme import (
     NAMED_SCHEMES,
     SchemeSpec,
-    evaluate_table,
+    _evaluated,
     generate_scheme,
     named_scheme,
     serialize_tables,
@@ -31,6 +31,7 @@ from poisson_stencils.stability import (
     SymbolSample,
     _envelope,
     _scaled_symbol,
+    _shared_envelope,
     _symbol_coefficients,
     envelope,
     evaluated,
@@ -167,6 +168,18 @@ def test_empty_two_step_table_is_rejected():
 FIRST_OVERFLOW = {"P5": 1e154, "C5": 1e154, "C9": 1e154, "P9": 1e103, "P13": 1e77, "C13": 1e77}
 
 
+def test_envelope_refuses_a_lambda_where_a_float_coefficient_overflows(cold_caches):
+    # Near 7.6e153 a float coefficient of C9 overflows while the exact range
+    # of its symbol is still a double: envelope refuses that lambda as the
+    # march does, cold and warm.
+    c9, lam = named_scheme("C9"), 7.6e153
+    assert math.isfinite(_envelope(_scaled_symbol(c9), lam).low.value)
+    for _ in range(2):
+        for check in (envelope, evaluated):
+            with pytest.raises(ValueError, match="is not a finite double$"):
+                check(c9, lam)
+
+
 @pytest.mark.parametrize("name", NAMED_SCHEMES)
 def test_huge_lambda_is_a_value_error(name):
     # float() of an exact symbol value, or lam**p, used to end in an
@@ -266,6 +279,16 @@ def test_symbol_refuses_a_bool_angle(schemes):
             symbol(schemes["P5"], 0.5, 0.3, flag)
 
 
+def test_symbol_takes_its_angles_as_their_floats(schemes):
+    # The phases were formed from the angles as given, so one numpy float32
+    # angle made them float32: 16777217.0 + float32(0) rounds to 16777216.
+    for theta1 in (16777217.0, 3.4028235677973366e38):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert symbol(schemes["P5"], 1, theta1, np.float32(0.0)) == symbol(
+                schemes["P5"], 1, theta1, 0.0)
+
+
 @pytest.mark.parametrize("spec", ["P5", None])
 @pytest.mark.parametrize("entry", [
     lambda spec: envelope(spec, 0.5),
@@ -359,7 +382,7 @@ def test_envelope_of_random_quadratic_symbols(weights, lam):
     thetas = np.linspace(0.0, math.pi, 97)
     t1, t2 = np.meshgrid(thetas, thetas, indexing="ij")
     values = 0.5 * sum(
-        coeff * np.cos(q1 * t1 + q2 * t2) for (q1, q2), coeff in evaluate_table(two_step, lam)
+        poly(lam) * np.cos(q1 * t1 + q2 * t2) for (q1, q2), poly in two_step.items()
     )
     env = envelope(spec, lam)
     assert env.low.value <= values.min() + 1e-12
@@ -452,7 +475,9 @@ def test_specs_sharing_a_name_never_share_an_entry(cold_caches):
         for spec in (p5, other):
             fresh = fraction_envelope(_symbol_coefficients(spec), 0.5)
             assert envelope(spec, 0.5) == fresh
-            assert evaluated(spec, 0.5).two_step == tuple(evaluate_table(spec.two_step, 0.5))
+            assert evaluated(spec, 0.5)[2] == tuple(
+                (offset, poly(0.5)) for offset, poly in spec.two_step.items()
+            )
         assert envelope(p5, 0.5) != envelope(other, 0.5)
         assert _symbol_coefficients(p5) != _symbol_coefficients(other)
         assert _scaled_symbol(p5) != _scaled_symbol(other)
@@ -460,44 +485,50 @@ def test_specs_sharing_a_name_never_share_an_entry(cold_caches):
         assert symbol(p5, 0.5, 0.3, 0.2) != symbol(other, 0.5, 0.3, 0.2)
 
 
+# The caches of (scheme, lambda) values: the float tables and the envelope.
+SHARED = (_evaluated, _shared_envelope)
+
+
 def test_caches_stay_bounded(cold_caches):
     p5 = named_scheme("P5")
-    size = evaluated.cache_info().maxsize
+    size = max(cache.cache_info().maxsize for cache in SHARED)
     for k in range(size + 50):
         envelope(p5, 0.25 + k / 1024)
-    assert evaluated.cache_info().currsize <= size
     size = _scaled_symbol.cache_info().maxsize
     for k in range(size + 50):
         envelope(dataclasses.replace(p5, name=f"P5-{k}"), 0.5)
     assert _scaled_symbol.cache_info().currsize <= size
-    assert evaluated.cache_info().currsize <= evaluated.cache_info().maxsize
+    for cache in SHARED:
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
 
 def test_lambda_max_leaves_the_evaluations_alone(cold_caches):
     # The bisection's one-off lambdas go to _envelope directly: they neither
     # evict nor add (scheme, lambda) entries.
     p5 = named_scheme("P5")
-    kept = evaluated(p5, 0.707)
-    before = evaluated.cache_info()
+    kept = (evaluated(p5, 0.707), envelope(p5, 0.707))
+    before = [cache.cache_info() for cache in SHARED]
     lambda_max(p5)
-    assert evaluated.cache_info() == before
-    assert evaluated(p5, 0.707) is kept
+    assert [cache.cache_info() for cache in SHARED] == before
+    assert evaluated(p5, 0.707) is kept[0] and envelope(p5, 0.707) is kept[1]
 
 
 def test_shared_evaluation_is_immutable(schemes):
     shared = evaluated(schemes["P13"], 0.707)
-    assert isinstance(shared.two_step, tuple)
-    assert all(isinstance(pair, tuple) for table in (shared.first_u, shared.first_v,
-                                                      shared.two_step) for pair in table)
-    env = shared.envelope
-    with pytest.raises(TypeError):
-        shared.two_step[0] = ((0, 0), 0.0)
-    for name, value in (("two_step", ()), ("lam", 0.5), ("envelope", None)):
+    assert len(shared) == 3 and isinstance(shared, tuple)
+    assert all(isinstance(table, tuple) for table in shared)
+    assert all(isinstance(pair, tuple) for table in shared for pair in table)
+    env = envelope(schemes["P13"], 0.707)
+    for target in (shared, shared[2]):
+        with pytest.raises(TypeError):
+            target[0] = ((0, 0), 0.0)
+    for name, value in (("low", None), ("marginal", True)):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(shared, name, value)
+            setattr(env, name, value)
     with pytest.raises(dataclasses.FrozenInstanceError):
         env.low.value = 0.0
-    assert evaluated(schemes["P13"], 0.707) is shared and shared.envelope is env
+    assert evaluated(schemes["P13"], 0.707) is shared
+    assert envelope(schemes["P13"], 0.707) is env
 
 
 def test_refusals_are_never_cached(cold_caches, schemes):
@@ -506,17 +537,36 @@ def test_refusals_are_never_cached(cold_caches, schemes):
         for lam in (math.nan, math.inf, 0.0):
             with pytest.raises(ValueError, match="lambda must be positive"):
                 evaluated(p5, lam)
-        with pytest.raises(ValueError, match="not a finite double"):
-            evaluated(p5, 1e200)
+        for check in (evaluated, envelope):
+            with pytest.raises(ValueError, match="not a finite double"):
+                check(p5, 1e200)
         with pytest.raises(ValueError, match="non-real symbol"):
             envelope(LOPSIDED, 0.5)
-    assert evaluated.cache_info().currsize == 0
-    assert _scaled_symbol.cache_info().currsize == 0
+    assert [cache.cache_info().currsize for cache in SHARED] == [0, 0]
+    assert _scaled_symbol.cache_info().currsize == 1  # P5's, never LOPSIDED's refusal
     # A table outside the exact analysis still has its tables; its envelope
     # raises on every use.
     for _ in range(2):
+        assert evaluated(LOPSIDED, 0.5)[2] == tuple(
+            (offset, poly(0.5)) for offset, poly in LOPSIDED.two_step.items()
+        )
         with pytest.raises(ValueError, match="non-real symbol"):
-            evaluated(LOPSIDED, 0.5).envelope
+            envelope(LOPSIDED, 0.5)
+
+
+@pytest.mark.parametrize("one", [1, 1.0], ids=repr)
+def test_a_bool_is_refused_after_its_value_is_cached(cold_caches, one):
+    # The checks once ran inside the (scheme, lambda) cache, so after a
+    # call at lambda = 1 a True or np.True_ hit the entry and was taken as 1.
+    p5 = named_scheme("P5")
+    envelope(p5, one)
+    evaluated(p5, one)
+    symbol(p5, one, 0.3, 1.1)
+    for flag in (True, np.True_):
+        for check in (lambda: envelope(p5, flag), lambda: evaluated(p5, flag),
+                      lambda: symbol(p5, flag, 0.3, 1.1)):
+            with pytest.raises(ValueError, match="^lambda must be a number, got "):
+                check()
 
 
 def _exact_value(poly, lam):
