@@ -54,6 +54,65 @@ def kernels():
     return (*((kernel.isa, using(kernel)) for kernel in compiled), ("numpy", using(None)))
 
 
+def _extended(u, bc: str, radius: int):
+    """The field u at indices -radius .. n + radius on each axis: index i
+    reads i mod n on a periodic grid; on a Dirichlet grid, j = i mod 2n, it
+    reads j with sign +1 if j <= n, else 2n - j with sign -1."""
+    import numpy as np
+
+    n = len(u) - 1
+    i = np.arange(-radius, n + radius + 1)
+    if bc == "periodic":
+        source, sign = i % n, np.ones(i.shape)
+    else:
+        j = i % (2 * n)
+        source, sign = np.where(j <= n, j, 2 * n - j), np.where(j <= n, 1.0, -1.0)
+    return sign[:, None] * sign[None, :] * u[np.ix_(source, source)]
+
+
+def _reference_step(spec, lam, bc: str, u, w, tau=None):
+    """``first_step(u, w, spec, lam, tau, bc)`` if ``tau`` is given, else
+    ``two_step(u, w, spec, lam, bc)``, from the ghost rule alone.
+
+    Each table of ``scheme.evaluated`` is summed at every node of the core
+    in table order from 0.0, one multiply and one add per offset, over the
+    extended fields.  The Dirichlet ring stays +0.0, and the periodic alias
+    row and column copy the first.
+    """
+    import numpy as np
+    from poisson_stencils.scheme import evaluated
+
+    n, radius = len(u) - 1, spec.radius
+    first = 0 if bc == "periodic" else 1
+    lo, hi = radius + first, radius + n  # the core's indices in an extended field
+
+    def stencil_sum(table, field):
+        extended, total = _extended(field, bc, radius), np.zeros((hi - lo, hi - lo))
+        for (q1, q2), coeff in table:
+            total = total + coeff * extended[lo + q1 : hi + q1, lo + q2 : hi + q2]
+        return total
+
+    first_u, first_v, two = evaluated(spec, lam)
+    if tau is None:
+        inner = stencil_sum(two, u) - w[first:n, first:n]
+    else:
+        inner = stencil_sum(first_u, u) + stencil_sum(first_v, w) * tau
+    out = np.zeros((n + 1, n + 1))
+    out[first:n, first:n] = inner
+    if bc == "periodic":
+        out[n], out[:, n] = out[0], out[:, 0]
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_step():
+    """``first_step`` and ``two_step`` by an independent rule, one function
+    (see ``_reference_step``): the method of images on Dirichlet grids and
+    the wrap mod n on periodic ones, with the tables' floats summed in
+    table order, so that a kernel's result must equal its bytes."""
+    return _reference_step
+
+
 @pytest.fixture(scope="session")
 def rewrapped_wave():
     """The standing wave as a new ``Separable`` whose three factors are new

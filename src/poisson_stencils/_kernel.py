@@ -35,9 +35,9 @@ call, the first step if asked, then the two-step update, each step followed
 by the ghost fill and, if asked, the step's error sums into one row of an
 (steps x 2) array.  It reads what ``plan()`` packs once per stepper: the
 buffer geometry, the three tables' linear offsets and coefficients, and the
-ghost lines (layout in the source).  The ghost fill writes those lines in the
-order that ``_Stepper._fill_ghosts`` writes them and only copies, negates
-or writes +0.0, so it cannot change a bit.  The one call holds no state of
+ghost lines (layout in the source).  Its ghost fill writes what
+``_Stepper._fill_ghosts`` does, rows then columns, by copies, negations
+and +0.0 alone, so it cannot change a bit.  The one call holds no state of
 its own and releases the GIL, so runs in several threads overlap.
 
 Each step's ``error_sums`` makes one pass over the field u and returns the
@@ -86,25 +86,23 @@ _SHARED = r"""
 
 /* The plan of a march, packed by plan(), as ptrdiff_t: a header indexed by
    the names below, then the linear buffer offsets of the first_u, first_v
-   and two_step tables, then LINES ghost lines of (axis, ghost, source,
-   sign).  The coefficients of the three tables follow one another in
-   coeffs.  A buffer holds SIZE + 2 * LO rows and columns, its rows WIDTH
-   doubles apart: the row stride, whole 64-byte lines, exceeding the row. */
+   and two_step tables, then LINES ghost lines of (ghost, source, sign),
+   each a row and a column; coeffs holds the tables' coefficients in turn.
+   A buffer holds SIZE + 2 * LO rows and columns, its rows WIDTH doubles
+   apart: the row stride, whole 64-byte lines, exceeding the row. */
 enum { WIDTH, LO, SIZE, ORIGIN, SIDE, COUNT_U, COUNT_V, COUNT_TWO, LINES, HEADER };
 
-/* Each ghost line in order: axis 0 is a row over the core columns, axis 1
-   a column over all rows; it becomes its source line (sign 1), the source
-   negated (sign -1) or +0.0 (sign 0).  Exact, so it cannot change a bit. */
-static void fill_ghosts(double *buf, const ptrdiff_t *plan, const ptrdiff_t *line)
+/* Each ghost line as a whole row (step 1), then each as a whole column (step
+   WIDTH): its source (sign 1), the source negated (sign -1) or +0.0 (sign 0). */
+static void fill_ghosts(double *buf, const ptrdiff_t *plan, const ptrdiff_t *lines)
 {
-    const ptrdiff_t width = plan[WIDTH], rows = plan[SIZE] + 2 * plan[LO];
-    for (ptrdiff_t m = 0; m < plan[LINES]; m++, line += 4) {
-        const int row = line[0] == 0;
-        const ptrdiff_t step = row ? 1 : width, count = row ? plan[SIZE] : rows;
-        double *g = buf + (row ? line[1] * width + plan[LO] : line[1]);
-        const double *f = buf + (row ? line[2] * width + plan[LO] : line[2]);
-        for (ptrdiff_t i = 0; i < count; i++)
-            g[i * step] = line[3] > 0 ? f[i * step] : line[3] < 0 ? -f[i * step] : 0.0;
+    const ptrdiff_t width = plan[WIDTH], side = plan[SIZE] + 2 * plan[LO], count = plan[LINES];
+    for (ptrdiff_t m = 0; m < 2 * count; m++) {
+        const ptrdiff_t *line = lines + 3 * (m % count), step = m < count ? 1 : width;
+        double *g = buf + line[0] * (width / step);
+        const double *f = buf + line[1] * (width / step);
+        for (ptrdiff_t i = 0; i < side; i++)
+            g[i * step] = line[2] > 0 ? f[i * step] : line[2] < 0 ? -f[i * step] : 0.0;
     }
 }
 

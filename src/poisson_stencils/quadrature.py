@@ -40,7 +40,7 @@ def check_finite(value: float, what: str, rule: str = "finite") -> float:
     except (OverflowError, ValueError):  # an int beyond the doubles, a Decimal sNaN
         number = math.nan
     if not math.isfinite(number):
-        raise ValueError(f"{what} must be {rule}, got {value}")
+        raise ValueError(f"{what} must be {rule}, got {_shown(value, number)}")
     return number
 
 
@@ -51,8 +51,17 @@ def check_positive(value: float, what: str) -> float:
     """
     number = check_finite(value, what, "positive and finite")
     if not number > 0:
-        raise ValueError(f"{what} must be positive and finite, got {value}")
+        raise ValueError(f"{what} must be positive and finite, got {_shown(value, number)}")
     return number
+
+
+def _shown(value, number: float) -> str:
+    """``value`` in a refusal: an int or ``Fraction`` past 64 bits by its type, not its digits."""
+    if isinstance(value, numbers.Rational) and max(abs(value.numerator), value.denominator) >> 64:
+        kind = "an int" if isinstance(value, int) else f"a {type(value).__name__}"
+        fate = f"that rounds to {number}" if math.isfinite(number) else "beyond the doubles"
+        return f"{kind} {fate}"
+    return str(value)
 
 
 def finite_at(value, lam: float) -> float:

@@ -28,15 +28,12 @@ march replays bit for bit; ``relative_l2_error`` and the numpy march call
 ``_error_sums`` itself.  The reference is a ``Separable``, one factor per
 axis and one in time, like the benchmark's standing wave, and the initial
 fields are ``Separable``s of space alone, as the benchmark's two are.
-``_sample`` is the one routine that turns ``Separable``s into vectors, for
-``run()`` and ``relative_l2_error`` alike: it calls each factor once, the
-space factors on the n + 1 node coordinates and the time factor on the
-n_t step times, and checks all the values together.  (a_i * b_j) * c has
-the bits of sampling the reference whole.  The compiled march forms that
-product per node and reads no (n+1)^2 reference field; the numpy paths
-build the field from the same two vectors by one broadcast multiply.
-``run()`` forms each initial field's product straight into its march
-buffer, so a run on the compiled kernel allocates three fresh (n+1)^2
+``_sample`` turns ``Separable``s into vectors for ``run()`` and
+``relative_l2_error`` alike, calling each factor once; (a_i * b_j) * c has
+the bits of sampling the reference whole.  The compiled march forms it per
+node, reading no (n+1)^2 reference field, and the numpy paths build that
+field by one broadcast multiply.  ``run()`` forms each initial field's
+product in its march buffer: a compiled run allocates three fresh (n+1)^2
 fields, its buffers, and no others.
 """
 
@@ -322,9 +319,9 @@ class _Stepper:
     so index n aliases index 0.  A Dirichlet grid has first = 1 and p = 2n:
     the odd extension of the field, whose mirror lines are the boundary ring
     i in {0, n}.  The rule maps the ring onto itself, and after every update
-    it is pinned to +0.0.  The ghost lines, rows over the core columns and
-    then columns over all rows, are listed once as (axis, ghost, source,
-    sign); the numpy fill and the compiled plan write them in that order.
+    it is pinned to +0.0.  Each ghost line is one (ghost, source, sign),
+    mirror lines first; both fills write every line as a whole row, then as
+    a whole column, so ghost rows hold the extension across the ring too.
 
     At each node the stencil sum starts from 0.0 and adds coeff * value over
     the table's offsets in table order.  That order fixes the last bits of
@@ -349,17 +346,14 @@ class _Stepper:
         # Each buffer's allocation in doubles: the last row has no padding,
         # and up to 7 leading doubles align the core rows.
         self._length = (width - 1) * self.stride + width + 7
-        # Per sign, zeros first since a source may lie on a mirror line: the
-        # (ghost, source) buffer index pairs of one axis.
-        pairs = {0: [], 1: [], -1: []}
+        # (ghost, source, sign) per ghost line; mirror lines first, as a source may lie on one.
+        lines = []
         for b in [*range(r), *range(r + self.size, width)]:
             i = b - self.origin
             j = i % period
             source, sign = (j, 1) if j <= n else (2 * n - j, -1)
-            pairs[0 if source == i else sign].append((b, source + self.origin))
-        self._lines = [
-            (axis, g, f, sign) for axis in (0, 1) for sign, p in pairs.items() for g, f in p
-        ]
+            lines.append((b, source + self.origin, 0 if source == i else sign))
+        self._lines = sorted(lines, key=lambda line: line[2] != 0)
         # The tables at lam, shared per (spec, lam).
         self.first_u, self.first_v, self.two_step = _evaluated(spec, lam)
         self.prev = self.buffer(prev)
@@ -400,8 +394,9 @@ class _Stepper:
         The field is ``values``, an (n+1) x (n+1) array, or for a pair (p, q)
         of n + 1 values each, p[:, None] * q[None, :] formed in the buffer.
         The boundary ring is not pinned: a Dirichlet field keeps its own for
-        the first stencil application to read.  The buffer is a view of its
-        own zeroed allocation (see the class docstring).
+        the first stencil application to read, and the ghosts hold its odd
+        extension, ring included.  The buffer is a view of its own zeroed
+        allocation (see the class docstring).
         """
         flat = np.zeros(self._length)
         skip = -(_address(flat) + 8 * self.lo) % 64 // 8  # doubles before the first row
@@ -417,16 +412,15 @@ class _Stepper:
         return buf
 
     def _fill_ghosts(self, buf: np.ndarray, pin: bool = True):
-        """Copy or negate each ghost line's source, or, with ``pin``, zero it."""
-        core = slice(self.lo, self.lo + self.size)
-        for axis, ghost, source, sign in self._lines:
-            g, f = ((ghost, core), (source, core)) if axis == 0 else ((..., ghost), (..., source))
-            if sign > 0:
-                buf[g] = buf[f]
-            elif sign < 0:
-                np.negative(buf[f], out=buf[g])
-            elif pin:
-                buf[g] = 0.0
+        """Copy or negate each line's source, or with ``pin`` zero it: as rows, then columns."""
+        for lines in (buf, buf.T):
+            for ghost, source, sign in self._lines:
+                if sign > 0:
+                    lines[ghost] = lines[source]
+                elif sign < 0:
+                    np.negative(lines[source], out=lines[ghost])
+                elif pin:
+                    lines[ghost] = 0.0
 
     def _blocks(self, buf: np.ndarray):
         """(first row, end row, core rows of ``buf``) per row block of the update."""
@@ -649,7 +643,7 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     Marches n_t steps and sums the space-time error against the reference;
     ``on_step(k, field)`` gets a copy of each step's field.  An unstable
     Courant number only warns; marginal (|symbol| = 1) values are silent.
-    The warning needs ``stability.envelope``, so a scheme outside the exact
+    The warning needs the stability envelope, so a scheme outside the exact
     stability analysis, such as a two-step table with a (2, 1) offset, is
     refused with its ``ValueError``, although ``first_step`` and
     ``two_step`` march it.
@@ -664,7 +658,7 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     per step with ``on_step``, to the same bits.
     """
     started = time.perf_counter()
-    env = stability.envelope(config.scheme, config.lam)
+    env = stability._shared_envelope(config.scheme, config.lam)  # both checked by SimConfig
     if not env.stable:
         warnings.warn(
             f"lambda = {config.lam} is outside the stable range of scheme {config.scheme.name!r} "

@@ -262,13 +262,12 @@ def envelope(spec: SchemeSpec, lam: float, grid: int | None = None) -> Envelope:
 
 @functools.lru_cache(maxsize=128)
 def _shared_envelope(spec: SchemeSpec, lam: float) -> Envelope:
-    """:func:`envelope` for a checked spec and float lam, once per pair.
-
-    A lam where a float coefficient overflows is refused, as by the march,
-    even where the exact symbol's range is still a double.
-    """
+    """:func:`envelope` for a checked spec and float lam, as ``run()`` has them,
+    once per pair: a table outside the analysis is refused first, then a lam
+    where a float coefficient overflows, even where the symbol's range is a double."""
+    symbol = _scaled_symbol(spec)
     _evaluated(spec, lam)
-    return _envelope(_scaled_symbol(spec), lam)
+    return _envelope(symbol, lam)
 
 
 def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:

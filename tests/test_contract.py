@@ -16,6 +16,11 @@ bools, numpy scalars of every kind, ``Fraction``, ``Decimal``, strings,
 - no warning appears but ``run()``'s documented one for a Courant number
   outside the stable range.
 
+Random tables, on 1 to 13 offsets within radius 3 and with small rational
+polynomials in lambda for coefficients, step any real fields to the bytes
+of the reference steps of ``conftest.py``, on every kernel and with no
+warning.
+
 Grids stay at most 7 x 7 and runs at most 4 steps, so the module takes a
 few seconds.
 """
@@ -76,6 +81,30 @@ WIDE = SchemeSpec(
 )
 SPECS = st.sampled_from([P5, named_scheme("C9"), named_scheme("P13"), WIDE, "P5"])
 BCS = st.sampled_from(["dirichlet", "periodic"])
+
+
+# Offsets within radius 3, and those of one half-plane for the symmetric tables.
+OFFSETS = [(q1, q2) for q1 in range(-3, 4) for q2 in range(-3, 4)]
+HALF = [q for q in OFFSETS if q > (0, 0)]
+# Polynomials of degree at most 2 in lambda, with nonzero coefficients p / q,
+# |p| <= 4 and 1 <= q <= 6.
+RATIONALS = sorted({Fraction(p, q) for p in range(-4, 5) if p for q in range(1, 7)})
+POLYS = st.dictionaries(st.integers(min_value=0, max_value=2), st.sampled_from(RATIONALS),
+                        min_size=1, max_size=3).map(LambdaPoly)
+
+
+@st.composite
+def stencil_tables(draw):
+    """A table of 1 to 13 distinct offsets, unchanged by q -> -q or not."""
+    if draw(st.booleans()):
+        table = {}
+        for q1, q2 in draw(st.lists(st.sampled_from(HALF), min_size=1, max_size=6, unique=True)):
+            table[q1, q2] = table[-q1, -q2] = draw(POLYS)
+        if draw(st.booleans()):
+            table[0, 0] = draw(POLYS)
+        return table
+    offsets = draw(st.lists(st.sampled_from(OFFSETS), min_size=1, max_size=13, unique=True))
+    return {offset: draw(POLYS) for offset in offsets}
 
 
 def is_number(x) -> bool:
@@ -176,3 +205,20 @@ def test_envelope_and_symbol(lam, theta1, theta2, spec):
 def test_lambda_max(tol, spec):
     check_contract(lambda tol: lambda_max(spec, tol), [tol])
 
+
+@settings(max_examples=100, deadline=None)
+@given(tables=st.tuples(*[stencil_tables()] * 3),
+       lam=st.floats(min_value=1e-3, max_value=2.0), tau=st.floats(min_value=-2.0, max_value=2.0),
+       n=st.integers(min_value=2, max_value=7), bc=BCS, data=st.data())
+def test_random_tables_step_to_the_reference_bytes(kernels, reference_step, tables, lam, tau, n,
+                                                   bc, data):
+    spec = SchemeSpec("random", *tables)
+    finite = st.floats(min_value=-1e3, max_value=1e3)
+    u, w = (data.draw(arrays(np.float64, (n + 1, n + 1), elements=finite)) for _ in range(2))
+    isa, path = data.draw(st.sampled_from(kernels))
+    with warnings.catch_warnings(record=True) as caught, path():
+        warnings.simplefilter("always")
+        first, two = first_step(u, w, spec, lam, tau, bc), two_step(u, w, spec, lam, bc)
+    assert not caught, [str(warning.message) for warning in caught]
+    assert first.tobytes() == reference_step(spec, lam, bc, u, w, tau).tobytes(), isa
+    assert two.tobytes() == reference_step(spec, lam, bc, u, w).tobytes(), isa

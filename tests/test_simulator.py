@@ -12,10 +12,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from poisson_stencils import _kernel, simulator
+from poisson_stencils import _kernel, simulator, stability
 from poisson_stencils.benchmarks import TABLE_BC, TABLES, run_table
 from poisson_stencils.quadrature import LambdaPoly
-from poisson_stencils.scheme import SchemeSpec, evaluated, named_scheme
+from poisson_stencils.scheme import NAMED_SCHEMES, SchemeSpec, evaluated, named_scheme
 from poisson_stencils.stability import envelope, lambda_max, symbol
 from poisson_stencils.simulator import (
     DegenerateNormError,
@@ -427,6 +427,39 @@ def test_run_refuses_a_table_outside_the_stability_analysis_that_the_steps_march
         assert [marched[4 + q1, 4 + q2] for q1, q2 in [(2, 1), (-2, 1), (2, -1), (-2, -1)]] == [
             float(knight(0.5))] * 4
         assert marched[5, 6] == 0.0
+
+
+def _wide_p5():
+    """P5 with the eight (+-2, +-1) and (+-1, +-2) offsets and (+-3, 0) and
+    (0, +-3) added at coefficient 1 to each of its three tables."""
+    p5 = named_scheme("P5")
+    wide = [(2, 1), (-2, 1), (2, -1), (-2, -1), (1, 2), (-1, 2), (1, -2), (-1, -2),
+            (3, 0), (-3, 0), (0, 3), (0, -3)]
+    one = dict.fromkeys(wide, LambdaPoly.constant(1))
+    return SchemeSpec(name="wide", first_u={**p5.first_u, **one},
+                      first_v={**p5.first_v, **one}, two_step={**p5.two_step, **one})
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("name", [*NAMED_SCHEMES, "wide"])
+def test_public_steps_read_the_odd_extension_of_their_fields(kernels, reference_step, name, bc):
+    # A field's ghosts are its odd extension (Dirichlet) or its wrap mod n
+    # (periodic), ring included.  Ghost rows were once filled over the core
+    # columns only, so where a ghost row met a boundary column a first
+    # field's buffer held 0.0: a Dirichlet step whose table reaches such a
+    # node, through an offset with |q1| >= 2 and q2 != 0 or one wider than
+    # n, was off by O(1).
+    spec = _wide_p5() if name == "wide" else named_scheme(name)
+    lam, rng = 0.5, np.random.default_rng(33)
+    for n in range(2, 10):
+        u, w = rng.standard_normal((2, n + 1, n + 1))
+        tau = lam / n
+        first = reference_step(spec, lam, bc, u, w, tau).tobytes()
+        two = reference_step(spec, lam, bc, u, w).tobytes()
+        for isa, path in kernels:
+            with path():
+                assert first_step(u, w, spec, lam, tau, bc).tobytes() == first, (isa, n)
+                assert two_step(u, w, spec, lam, bc).tobytes() == two, (isa, n)
 
 
 @pytest.mark.parametrize(
@@ -1063,6 +1096,19 @@ def test_public_steps_evaluate_the_tables_once(cold_caches, p5):
     assert len(calls) == len(p5.first_u) + len(p5.first_v) + len(p5.two_step)
 
 
+def test_run_checks_its_scheme_and_lambda_once(cold_caches, p5):
+    # SimConfig checks the scheme and lambda, and run() once checked both
+    # again in stability.envelope on every run.
+    config = SimConfig(scheme=p5, n=16, n_t=8, lam=0.5)
+
+    def refuse(*args):
+        raise AssertionError(f"checked again: {args!r}")
+
+    with mock.patch.object(stability, "check_scheme", refuse), \
+            mock.patch.object(stability, "check_positive", refuse):
+        assert run(config).error.hex() == "0x1.1ed2e5c123e5fp-8"
+
+
 def test_reordered_tables_share_no_evaluation(cold_caches):
     # Offsets are summed in table order, so a spec whose tables differ from
     # P13's only in order is another spec: it marches its own order whether
@@ -1235,21 +1281,28 @@ SCALAR_INPUTS = {
     ("0.5", "a number"),
     (None, "a number"),
     (10**400, "rule"),
+    (-10**400, "rule"),
+    (10**5000, "rule"),
     (Fraction(10**400, 3), "rule"),
+    (Fraction(10**5000, 3), "rule"),
     (Decimal("snan"), "rule"),
-], ids=["np.complex128", "np.complex64", "complex", "str", "None", "int", "Fraction", "sNaN"])
+], ids=["np.complex128", "np.complex64", "complex", "str", "None", "int", "-int", "int5000",
+        "Fraction", "Fraction5000", "sNaN"])
 def test_a_scalar_that_is_not_a_real_double_is_refused(entry, value, refusal):
     # A numpy complex was cut to its real part with only a ComplexWarning
     # (SimConfig stored lambda = 0.5 and lambda_max bisected); a complex, a
     # str or None gave a TypeError, a huge int or Fraction an OverflowError,
     # and a Decimal sNaN, which cannot be hashed, a TypeError from the
-    # (scheme, lambda) cache's key.
+    # (scheme, lambda) cache's key.  A huge int or Fraction was then named
+    # by all its digits, and one past 4300 digits by Python's own error
+    # from printing it.
     call, name, rule = SCALAR_INPUTS[entry]
     stated = "a number" if refusal == "a number" else rule
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^{name} must be {stated}, got "):
+        with pytest.raises(ValueError, match=f"^{name} must be {stated}, got ") as refused:
             call(named_scheme("P5"), value)
+    assert len(str(refused.value)) < 120
 
 
 @pytest.mark.parametrize("tau", [np.float32(0.1), Decimal("0.1")],
