@@ -30,10 +30,11 @@ width.
 names ``fma``, and the flags stay portable, with no ``-march=native`` or
 ``-ffast-math``, so a cached library runs on any CPU of its architecture.
 
-``march`` is the simulator's one entry point: it runs a whole march in one
-call, the first step if asked, then the two-step update, each step followed
-by the ghost fill and, if asked, the step's error sums into one row of an
-(steps x 2) array.  It reads what ``plan()`` packs once per stepper: the
+``march`` is the simulator's one entry point: it makes steps k, k + 1, ...
+in one call, k the number already made, step 0 with a velocity the first
+step and any other the two-step update, each followed by the ghost fill
+and, if asked, its error sums into row k of an (n_t x 2) array, and returns
+whether it swapped its field buffers.  It reads what ``plan()`` packs: the
 buffer geometry, the three tables' linear offsets and coefficients, and the
 ghost lines (layout in the source).  Its ghost fill writes what
 ``_Stepper._fill_ghosts`` does, rows then columns, by copies, negations
@@ -367,16 +368,15 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
     out[1] = 0.0 + sums[1];
 }
 
-/* Advance the fields of prev and curr by steps steps.  With v, the first
-   step is curr = S_u prev + tau * S_v v; every other step is prev = S curr
-   - prev followed by a swap, so that curr holds the newest field.  After
-   each step the ghosts are filled and, with sums, row k of the (steps x 2)
-   array sums gets error_sums of the (side x side) field against
-   (a * b) * factors[k], a and b of side values each. */
-@TARGET@ void march_@ISA@(const ptrdiff_t *plan, const double *coeffs, double *prev,
-                          double *curr, const double *v, double tau, ptrdiff_t steps,
-                          const double *a, const double *b, const double *factors,
-                          double *sums)
+/* Make steps first .. first + steps - 1 on the fields of prev and curr: step
+   0 with v is curr = S_u prev + tau * S_v v, any other prev = S curr - prev
+   and a swap, so that curr holds the newest field.  After step k the ghosts
+   are filled and, with sums, row k of sums gets error_sums of the (side x
+   side) field against (a * b) * factors[k], a and b of side values each.
+   Returns whether prev and curr end swapped. */
+@TARGET@ int march_@ISA@(const ptrdiff_t *plan, const double *coeffs, double *prev, double *curr,
+                         const double *v, double tau, ptrdiff_t first, ptrdiff_t steps,
+                         const double *a, const double *b, const double *factors, double *sums)
 {
     const ptrdiff_t width = plan[WIDTH], lo = plan[LO], size = plan[SIZE];
     const struct table first_u = {plan + HEADER, coeffs, plan[COUNT_U]};
@@ -384,7 +384,8 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
                                   plan[COUNT_V]};
     const struct table two = {first_v.off + first_v.count, first_v.c + first_v.count,
                               plan[COUNT_TWO]};
-    for (ptrdiff_t k = 0; k < steps; k++) {
+    int swapped = 0;
+    for (ptrdiff_t k = first; k < first + steps; k++) {
         if (k == 0 && v) {
             stencil_@ISA@(prev, v, curr, tau, width, lo, size, first_u, first_v);
         } else {
@@ -392,6 +393,7 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
             stencil_@ISA@(curr, NULL, next, 0.0, width, lo, size, two, two);
             prev = curr;
             curr = next;
+            swapped = !swapped;
         }
         fill_ghosts(curr, plan, two.off + two.count);
         if (sums) {
@@ -400,6 +402,7 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
                              sums + 2 * k);
         }
     }
+    return swapped;
 }
 
 #undef LANES
@@ -428,13 +431,14 @@ SOURCE = "".join(
 COMMAND = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-# Each instruction set exports these, suffixed by its name.  The simulator
-# calls only ``march``.  ``error_sums`` is exported for the tests alone: they
-# reach the pairwise order through it at run lengths such as 8, 128 and 129
-# values, which no (n+1)^2 field of a march has.
+# Each instruction set exports these, suffixed by its name, with their
+# (argument types, result type).  The simulator calls only ``march``.
+# ``error_sums`` is exported for the tests alone: they reach the pairwise
+# order through it at run lengths such as 8, 128 and 129 values, which no
+# (n+1)^2 field of a march has.
 _SIGNATURES = {
-    "march": (_P, _P, _P, _P, _P, _D, _N, _P, _P, _P, _P),
-    "error_sums": (_P, _N, _P, _P, _D, _N, _N, _P),
+    "march": ((_P, _P, _P, _P, _P, _D, _N, _N, _P, _P, _P, _P), ctypes.c_int),
+    "error_sums": ((_P, _N, _P, _P, _D, _N, _N, _P), None),
 }
 
 
@@ -496,9 +500,9 @@ def _bind(path: Path) -> tuple[Kernel, ...] | None:
         kernels = []
         for isa, _ in ISAS[: lib.isa_level() + 1]:
             functions = {}
-            for name, argtypes in _SIGNATURES.items():
+            for name, (argtypes, restype) in _SIGNATURES.items():
                 function = functions[name] = getattr(lib, f"{name}_{isa}")
-                function.argtypes, function.restype = argtypes, None
+                function.argtypes, function.restype = argtypes, restype
             kernels.append(Kernel(isa, **functions))
     except (OSError, AttributeError):
         return None

@@ -56,8 +56,13 @@ def check_positive(value: float, what: str) -> float:
 
 
 def _shown(value, number: float) -> str:
-    """``value`` in a refusal: an int or ``Fraction`` past 64 bits by its type, not its digits."""
-    if isinstance(value, numbers.Rational) and max(abs(value.numerator), value.denominator) >> 64:
+    """``value`` in a refusal: an int or ``Fraction`` past 64 bits, or a
+    finite ``Decimal`` of more than 20 digits, by its type, not its digits."""
+    if isinstance(value, numbers.Rational):
+        wide = max(abs(value.numerator), value.denominator) >> 64
+    else:
+        wide = isinstance(value, Decimal) and value.is_finite() and len(value.as_tuple().digits) > 20
+    if wide:
         kind = "an int" if isinstance(value, int) else f"a {type(value).__name__}"
         fate = f"that rounds to {number}" if math.isfinite(number) else "beyond the doubles"
         return f"{kind} {fate}"

@@ -41,9 +41,11 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Callable, Iterable
 
 import numpy as np
@@ -74,7 +76,9 @@ class Separable:
     call each factor once per run with a vector, ``x1`` and ``x2`` on the
     n + 1 node coordinates and ``t`` on the n_t step times k * tau.  Each
     must return real, finite values, one per point or a scalar for all of
-    them (``ValueError`` naming the factor otherwise).
+    them (``ValueError`` naming the factor otherwise): floats, ints, bools,
+    ``Fraction``s or ``Decimal``s, but no complex, str or datetime.  A bool
+    is 0.0 or 1.0, so an indicator is a factor.
     """
 
     x1: Callable
@@ -161,9 +165,10 @@ class SimConfig:
     straight into its buffers, and ``exact``, the reference solution used for
     the error metric, is one with ``t``.  Any other value of these four is a
     ``ValueError`` naming the field.  All three default to the standing-wave benchmark; ``run()``
-    raises ``ValueError`` naming the factor if one gives a complex, nan or
-    infinite value, or values of another shape, and naming the field if its
-    product overflows.  ``lam`` is stored as a float.
+    raises ``ValueError`` naming the factor if one gives a value that is
+    not a real number, nan, infinite or beyond the doubles, or values of
+    another shape, and naming the field if its product overflows.  ``lam``
+    is stored as a float.
     """
 
     scheme: SchemeSpec
@@ -215,13 +220,31 @@ class SimReport:
 
 
 def _real_finite(values, name: str) -> np.ndarray:
-    """``values`` as a float array; ``ValueError`` if complex, nan or infinite.
+    """``values`` as a float array; ``ValueError`` naming ``name`` unless
+    they are real numbers that are finite as doubles.
 
-    Cast or summed, such values would end in a wrong or nan error without it.
+    Real means of dtype bool, int, uint or float, or an object array of
+    ``numbers.Real``s, ``Decimal``s and bools.  Cast or summed, a complex, a
+    str, a datetime or a generator would raise an error naming no input or
+    count as a number (days, for a datetime), and a nan, an infinity or an
+    int beyond the doubles would end in a wrong or nan error.
     """
-    if np.iscomplexobj(values):
-        raise ValueError(f"{name} must be real, got {np.asarray(values).dtype}")
-    values = np.asarray(values, dtype=float)
+    try:
+        values = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        raise ValueError(f"{name} must be real, got a ragged {type(values).__name__}") from None
+    if values.dtype.kind == "O":
+        other = [x for x in values.flat if not isinstance(x, (numbers.Real, Decimal, np.bool_))]
+        if other:
+            raise ValueError(f"{name} must be real, got {type(other[0]).__name__}")
+    elif values.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real, got {values.dtype}")
+    try:
+        values = values.astype(float, copy=False)
+    except OverflowError:  # an int beyond the doubles
+        raise ValueError(f"{name} must be finite, got a value beyond the doubles") from None
+    except ValueError:  # a Decimal signaling nan
+        values = np.full(values.shape, math.nan)
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite, got nan or infinity")
     return values
@@ -253,7 +276,7 @@ def _check_separable(value, name: str, timed: bool) -> None:
 
 
 def _checked(values, name: str, points: np.ndarray) -> np.ndarray:
-    """A factor's ``values`` at ``points`` as a C-contiguous vector.
+    """A factor's ``values`` at ``points`` as a C-contiguous copy.
 
     ``ValueError`` naming ``name`` unless the values are real, finite and
     either a scalar, which is broadcast, or of the shape of ``points``.
@@ -265,7 +288,7 @@ def _checked(values, name: str, points: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"{name} must return a scalar or {points.size} values, got shape {values.shape}"
         )
-    return np.ascontiguousarray(values)
+    return values.copy()
 
 
 def _error_sums(u, s, c, scratch) -> tuple[float, float]:
@@ -283,16 +306,13 @@ def _error_sums(u, s, c, scratch) -> tuple[float, float]:
     return float(np.square(d, out=d).sum()), float(np.square(r, out=r).sum())
 
 
-def _address(values: np.ndarray) -> int:
-    """The address of a C-contiguous array's first value.
+def _address(values) -> int:
+    """The address of the first value of a writable C-contiguous array.
 
-    ``ctypes`` reads a writable array's address in a third of the time that
-    ``ndarray.ctypes.data`` takes; a read-only one falls back to the latter.
+    ``ctypes`` reads it in a third of the time that ``ndarray.ctypes.data``
+    takes.  Every array of a march is the stepper's own, so none is read-only.
     """
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(values))
-    except TypeError:  # a read-only buffer
-        return values.ctypes.data
+    return ctypes.addressof(ctypes.c_char.from_buffer(values))
 
 
 class _Stepper:
@@ -303,8 +323,10 @@ class _Stepper:
     ``reference``, the (a, b, c) vectors of a reference sampled for steps
     1..n_t (see ``_sample``), it allocates ``sums``, row k - 1 for step k's
     error sums.  No array crosses ``march(steps)``: the compiled kernel
-    reads addresses taken here once.  The scheme, n, lam (a float) and bc
-    come checked by ``_check_grid``, through ``SimConfig`` or the public steps.
+    reads addresses of the stepper's own arrays, taken here once, and
+    ``step``, by which it alone finds step 0 and each step's rows.  The
+    scheme, n, lam (a float) and bc come checked by ``_check_grid``,
+    through ``SimConfig`` or the public steps.
 
     A buffer holds the core that an update writes, field indices first ..
     n - 1 per axis, inside a ring of r = max(radius, 1) ghost cells, so that
@@ -441,7 +463,7 @@ class _Stepper:
     def march(self, steps: int):
         """Advance the fields by ``steps`` steps; the compiled kernel makes them in one call.
 
-        While ``v`` is pending, the first step is curr = S_u prev + tau *
+        Step 0, if ``v`` is given, is the first step curr = S_u prev + tau *
         S_v v; every other step is prev = S curr - prev, then a swap, so that
         ``curr`` holds the newest field.  After each step come the ghost fill
         and the step's error sums.  ``ValueError`` unless 1 <= steps and the
@@ -451,24 +473,21 @@ class _Stepper:
         if not 0 < steps <= self._last - k:
             raise ValueError(f"can march 1 to {self._last - k} more steps, got {steps}")
         if self._lib is not None:
-            a, b, factors, sums = self._reference_at  # all None without a reference
-            self._lib.march(*self._plan_at, *self._at, self._v_at, self.tau, steps,
-                            a, b, factors and factors + 8 * k, sums and sums + 16 * k)
-            if (steps - (self._v is not None)) % 2:
+            if self._lib.march(*self._plan_at, *self._at, self._v_at, self.tau, k, steps,
+                               *self._reference_at):
                 self.prev, self.curr = self.curr, self.prev
                 self._at.reverse()
         else:
             # No warning: the callers refuse a field or an error that overflows.
             with np.errstate(over="ignore", invalid="ignore"):
                 for k in range(k, k + steps):
-                    if self._v is not None:
+                    if k == 0 and self._v is not None:
                         for a, b, core in self._blocks(self.curr):
                             acc = self._acc[: b - a]
                             self._sum(self.first_u, self.prev, a, b, core)
                             self._sum(self.first_v, self._v, a, b, acc)
                             acc *= self.tau
                             core += acc
-                        self._v = None
                     else:
                         for a, b, core in self._blocks(self.prev):
                             acc = self._acc[: b - a]
@@ -479,7 +498,6 @@ class _Stepper:
                     if self.sums is not None:
                         self.sums[k] = _error_sums(self.field(self.curr), self._space,
                                                    self._reference[2][k], self._scratch)
-        self._v = self._v_at = None
         self.step += steps
 
 
@@ -540,9 +558,10 @@ def _sample(fields: dict, coords: np.ndarray, times: np.ndarray) -> list[tuple]:
     field: the space factors on the node coordinates ``coords``, the time
     factor on the step times ``times``.  When every value is a float vector
     of its points' shape, one pass finds them all finite and they become
-    C-contiguous views of one copy.  Otherwise each is checked in turn by
-    ``_checked``: the first bad value raises the ``ValueError`` that
-    checking one factor at a time would.  A field of space is refused,
+    C-contiguous views of one copy.  Otherwise each is checked and copied
+    in turn by ``_checked``: the first bad value raises the ``ValueError``
+    that checking one factor at a time would.  Either way no factor's own
+    array reaches a march.  A field of space is refused,
     right after its two factors, if its x1 * x2 overflows: the largest
     |x1_i * x2_j| is max |x1| * max |x2|, so it overflows iff a node does.
     """
@@ -618,7 +637,8 @@ def relative_l2_error(computed: Iterable[np.ndarray], exact: Separable, tau: flo
     (n+1) x (n+1) grid; ``exact``, a ``Separable``, is sampled at the node
     coordinates, with ``tau`` taken as a float (a numpy float32 gives its
     float's bits).  Raises ``ValueError`` for no fields, fields of another
-    shape, complex, nan or infinite fields or reference values, an ``exact``
+    shape, fields or reference values that are not real numbers, nan or
+    infinite (see ``Separable``), an ``exact``
     that is not a ``Separable``, a non-finite ``tau`` or fields whose error
     sums overflow, and :class:`DegenerateNormError` when the exact solution
     vanishes at every sampled point.  The sums are ``run()``'s, made in numpy.

@@ -21,6 +21,16 @@ polynomials in lambda for coefficients, step any real fields to the bytes
 of the reference steps of ``conftest.py``, on every kernel and with no
 warning.
 
+Each of the seven ``Separable`` factors of a run returns a value drawn
+from every kind a function can return: float64 vectors, scalars of five
+types, vectors of other dtypes, read-only, reversed and strided views,
+lists and object arrays, arrays that change during the run, and values
+that must be refused (wrong shapes; complex, nan or infinite values; str,
+datetime and complex object arrays; ints beyond the doubles; generators).
+``run()`` on every kernel, and ``relative_l2_error`` for the reference's
+factors, then give the bits of the same values as owned float64 vectors,
+or a ``ValueError`` naming the first bad factor in field order.
+
 Grids stay at most 7 x 7 and runs at most 4 steps, so the module takes a
 few seconds.
 """
@@ -28,6 +38,7 @@ few seconds.
 import math
 import numbers
 import warnings
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -38,7 +49,9 @@ from hypothesis.extra.numpy import arrays
 
 from poisson_stencils.quadrature import LambdaPoly
 from poisson_stencils.scheme import DegenerateNormError, SchemeSpec, named_scheme
-from poisson_stencils.simulator import SimConfig, first_step, run, two_step
+from poisson_stencils.simulator import (
+    Separable, SimConfig, first_step, relative_l2_error, run, two_step,
+)
 from poisson_stencils.stability import NeverStableError, envelope, lambda_max, symbol
 
 DOCUMENTED = (ValueError, DegenerateNormError, NeverStableError)
@@ -222,3 +235,137 @@ def test_random_tables_step_to_the_reference_bytes(kernels, reference_step, tabl
     assert not caught, [str(warning.message) for warning in caught]
     assert first.tobytes() == reference_step(spec, lam, bc, u, w, tau).tobytes(), isa
     assert two.tobytes() == reference_step(spec, lam, bc, u, w).tobytes(), isa
+
+
+# The factors of a run in field order, the order in which they are checked.
+FACTORS = ("initial_u.x1", "initial_u.x2", "initial_v.x1", "initial_v.x2",
+           "exact.x1", "exact.x2", "exact.t")
+
+
+def _shared(value):
+    """A function that returns one object, ``value``, at every call."""
+    return lambda: value
+
+
+def _read_only(values):
+    values = values.copy()
+    values.flags.writeable = False
+    return _shared(values)
+
+
+def _scalar(draw, base):
+    x = draw(st.one_of(st.floats(-2, 2), st.floats(-2, 2).map(np.float64), st.integers(-3, 3),
+                       st.fractions(-2, 2, max_denominator=8), st.booleans()))
+    return _shared(x), np.full(len(base), float(x))
+
+
+def _not_finite(draw, base):
+    values = base.copy()
+    values[draw(st.integers(0, len(base) - 1))] = draw(st.sampled_from([math.nan, math.inf,
+                                                                         -math.inf]))
+    return _shared(values), None
+
+
+# kind: (draw, base) -> (returns, want).  returns() gives what the factor
+# returns at the len(base) points, and want is the owned float64 vector of
+# its values (REAL), or None for a value that must be refused (REFUSED).
+# base is a float64 vector with |values| <= 2, so that no product or error
+# sum overflows.
+REAL = {
+    "float64": lambda draw, base: (base.copy, base),
+    "scalar": _scalar,
+    "float32": lambda draw, base: (_shared(base.astype(np.float32)),
+                                   base.astype(np.float32).astype(float)),
+    "int": lambda draw, base: (_shared(np.rint(base).astype(np.int64)), np.rint(base)),
+    "bool": lambda draw, base: (_shared(base > 0), (base > 0).astype(float)),
+    "read-only": lambda draw, base: (_read_only(base), base),
+    "reversed": lambda draw, base: (lambda: base[::-1].copy()[::-1], base),
+    "strided": lambda draw, base: (lambda: np.repeat(base, 2)[::2], base),
+    "list": lambda draw, base: (base.tolist, base),
+    "object": lambda draw, base: (lambda: np.array([Fraction(x) for x in base]), base),
+    "changing": lambda draw, base: (_shared(base.copy()), base),  # on_step doubles it
+}
+REFUSED = {
+    "wrong shape": lambda draw, base: (
+        _shared(draw(st.sampled_from([base[:, None], np.append(base, 0.5), base[:-1]]))), None),
+    "complex": lambda draw, base: (
+        _shared(draw(st.sampled_from([base + 0j, base * 1j, 0.5 + 0j, np.complex128(1j)]))),
+        None),
+    "not finite": _not_finite,
+    "str": lambda draw, base: (_shared(base.astype(str)), None),
+    "datetime": lambda draw, base: (_shared(np.zeros(len(base), "datetime64[D]")), None),
+    "complex object": lambda draw, base: (
+        lambda: np.array([complex(x, 1) for x in base], dtype=object), None),
+    "huge int": lambda draw, base: (
+        _shared(draw(st.sampled_from([10**400, [10**400] * len(base)]))), None),
+    "generator": lambda draw, base: (lambda: (x for x in base), None),
+}
+RETURNS = REAL | REFUSED
+
+
+@st.composite
+def factor_returns(draw, size, kinds):
+    """(kind, returns, want) of ``RETURNS`` for a factor of ``size`` points."""
+    kind = draw(st.sampled_from(kinds))
+    base = draw(arrays(np.float64, size, elements=st.floats(-2, 2)))
+    return (kind, *RETURNS[kind](draw, base))
+
+
+def separable_outcome(call, *args):
+    """('ok', fingerprint) or (exception type, message), with no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = ("ok", fingerprint(call(*args)))
+        except (ValueError, DegenerateNormError) as error:
+            got = (type(error), str(error))
+    assert not caught, [str(warning.message) for warning in caught]
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=2, max_value=6), n_t=st.integers(min_value=1, max_value=4),
+       bc=BCS, data=st.data())
+def test_separable_factors_give_the_bits_of_owned_vectors(kernels, n, n_t, bc, data):
+    kinds = data.draw(st.sampled_from([list(REAL), list(RETURNS)]))  # REAL alone in half the runs
+    drawn = {name: data.draw(factor_returns(n_t if name == "exact.t" else n + 1, kinds),
+                             label=name)
+             for name in FACTORS}
+    bad = [name for name in FACTORS if drawn[name][2] is None]
+    exact_bad = [name for name in bad if name.startswith("exact.")]
+    changing = [(returns(), want) for kind, returns, want in drawn.values() if kind == "changing"]
+
+    def double(k, field):
+        for values, _ in changing:
+            values *= 2.0
+
+    def fields(factor):
+        """The three fields of a run, ``factor(name)`` for each factor."""
+        return {
+            "initial_u": Separable(factor("initial_u.x1"), factor("initial_u.x2")),
+            "initial_v": Separable(factor("initial_v.x1"), factor("initial_v.x2")),
+            "exact": Separable(factor("exact.x1"), factor("exact.x2"), factor("exact.t")),
+        }
+
+    def sampled(call, *args):
+        """The outcome of ``call(*args)`` with each changing array at its drawn values."""
+        for values, want in changing:
+            values[...] = want
+        return separable_outcome(call, *args)
+
+    got = fields(lambda name: lambda points, returns=drawn[name][1]: returns())
+    owned = fields(lambda name: lambda points, want=drawn[name][2]: np.array(want))
+    config = SimConfig(scheme=P5, n=n, n_t=n_t, lam=0.5, bc=bc, **got)
+    computed = [np.ones((n + 1, n + 1))] * n_t
+    for isa, path in kernels:
+        with path():
+            ran = sampled(run, config, double)
+            if not bad:
+                assert ran == sampled(run, replace(config, **owned)), isa
+        if bad:
+            assert ran[0] is ValueError and ran[1].startswith(f"{bad[0]} must "), (isa, ran)
+    error = sampled(relative_l2_error, computed, got["exact"], config.tau)
+    if exact_bad:
+        assert error[0] is ValueError and error[1].startswith(f"{exact_bad[0]} must "), error
+    else:
+        assert error == sampled(relative_l2_error, computed, owned["exact"], config.tau)

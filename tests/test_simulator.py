@@ -696,17 +696,18 @@ def test_reference_factors_give_one_value_per_point(kernels, p5, factor, functio
 
 @pytest.mark.parametrize("factor", ["exact.x1", "exact.x2"])
 def test_a_read_only_factor_gives_the_bits_of_a_writable_one(kernels, p13, factor):
-    # A read-only factor passes through _checked unchanged.  A scalar
-    # initial factor makes _sample check one factor at a time, so the
-    # compiled march reads the read-only vector's address through
-    # ndarray.ctypes.data, not ctypes.
+    # A scalar initial factor makes _sample check one factor at a time:
+    # _checked copies a read-only vector into a writable one of its own,
+    # which is what the compiled march reads.
     def read_only(points):
         values = np.sin(2.0 * np.pi * points)
         values.flags.writeable = False
         return values
 
     points = np.arange(9) / 8
-    assert not simulator._checked(read_only(points), factor, points).flags.writeable
+    given = read_only(points)
+    checked = simulator._checked(given, factor, points)
+    assert checked.flags.writeable and not np.shares_memory(checked, given)
     writable = one_reference_with(factor, lambda points: np.sin(2.0 * np.pi * points))
     config = SimConfig(scheme=p13, n=24, n_t=5, lam=0.6, bc="periodic", exact=writable,
                        initial_u=Separable(lambda x: 0.0, lambda x: 0.0))
@@ -717,6 +718,37 @@ def test_a_read_only_factor_gives_the_bits_of_a_writable_one(kernels, p13, facto
         assert got.kernel == isa
         assert got.error.hex() == want.error.hex()
         assert [e.hex() for e in got.per_step_errors] == [e.hex() for e in want.per_step_errors]
+
+
+# The one array that exact.x1 returns in
+# test_a_factor_array_changed_during_a_run_gives_numpy_bits_on_every_kernel.
+_CHANGING = np.empty(17)
+
+
+@pytest.mark.parametrize("initial", [lambda x: 0.0, np.zeros_like], ids=["scalar", "vector"])
+def test_a_factor_array_changed_during_a_run_gives_numpy_bits_on_every_kernel(
+    kernels, p5, initial
+):
+    # exact.x1 returns one array that on_step doubles after each step.  A
+    # run samples its factors once, so that change must not reach the
+    # march.  With scalar initial factors, _sample checks one factor at a
+    # time; the compiled march then read the caller's array itself and
+    # gave E = 0x1.b440e969797dap-1 where numpy gave 0x1.284e906303b93p-10.
+    def double(k, field):
+        _CHANGING[...] *= 2.0
+
+    config = SimConfig(
+        scheme=p5, n=16, n_t=4, lam=0.5,
+        initial_u=Separable(initial, initial),
+        exact=replace(exact_standing_wave, x1=lambda x: _CHANGING),
+    )
+    bits = {}
+    for isa, path in kernels:
+        _CHANGING[...] = np.sin(2.0 * np.pi * np.arange(17) / 16)
+        with path():
+            report = run(config, on_step=double)
+        bits[isa] = [e.hex() for e in (report.error, *report.per_step_errors)]
+    assert all(got == bits["numpy"] for got in bits.values()), bits
 
 
 @pytest.mark.parametrize("factor", ["exact.x1", "exact.x2", "exact.t"])
@@ -889,6 +921,13 @@ BAD_FACTORS = {
     "short": lambda x: x[:-1],
     "huge": _huge,
     "scalar": lambda x: 0.5,
+    "str": lambda x: np.full(np.shape(x), "0.5"),
+    "datetime": lambda x: np.zeros(np.shape(x), "datetime64[D]"),
+    "object-complex": lambda x: np.full(np.shape(x), 0.5 + 1j, dtype=object),
+    "generator": lambda x: (value for value in x),
+    "int-beyond": lambda x: 10**400,
+    "ints-beyond": lambda x: [10**400] * len(x),
+    "ragged": lambda x: [0.5, [0.5, 0.5]],
 }
 
 # (bad factors, message) pairs for P5, n = 8, n_t = 3: the message is the
@@ -907,6 +946,17 @@ FACTOR_REFUSALS = [
             ("complex", "must be real, got complex128"),
             ("short", "must return a scalar or "
              + ("3 values, got shape (2,)" if factor == "exact.t" else "9 values, got shape (8,)")),
+            # A str or a ragged list gave numpy's message, naming no
+            # factor; an object array of complex values or a generator a
+            # TypeError, an int beyond the doubles an OverflowError; a
+            # datetime counted its days.
+            ("str", "must be real, got <U3"),
+            ("datetime", "must be real, got datetime64[D]"),
+            ("object-complex", "must be real, got complex"),
+            ("generator", "must be real, got generator"),
+            ("int-beyond", "must be finite, got a value beyond the doubles"),
+            ("ints-beyond", "must be finite, got a value beyond the doubles"),
+            ("ragged", "must be real, got a ragged list"),
         ]
     ),
     ({"initial_u.x2": "short", "initial_u.x1": "nan"},
@@ -925,6 +975,8 @@ FACTOR_REFUSALS = [
      "initial_v must be finite, got an x1 * x2 that overflows"),
     ({"initial_u.x1": "scalar", "initial_v.x2": "short", "exact.x1": "nan"},
      "initial_v.x2 must return a scalar or 9 values, got shape (8,)"),
+    ({"exact.x1": "generator", "initial_v.x1": "datetime", "initial_v.x2": "int-beyond"},
+     "initial_v.x1 must be real, got datetime64[D]"),
 ]
 
 
@@ -1009,6 +1061,42 @@ def test_public_steps_reject_nonfinite_and_complex_fields(kernels, p5, value):
             for name, step in steps.items():
                 with pytest.raises(ValueError, match=f"^{name} must be"):
                     step()
+
+
+# (5 x 5 field, refusal) per kind of field whose values are not real
+# numbers that are finite as doubles.
+UNREAL_FIELDS = {
+    "str": (np.full((5, 5), "1.0"), "must be real, got <U3"),
+    "datetime": (np.zeros((5, 5), "datetime64[D]") + 18262, "must be real, got datetime64[D]"),
+    "object-complex": (np.full((5, 5), 1 + 1j, dtype=object), "must be real, got complex"),
+    "object-str": (np.full((5, 5), "1.0", dtype=object), "must be real, got str"),
+    "int-beyond": (np.full((5, 5), 10**400, dtype=object),
+                   "must be finite, got a value beyond the doubles"),
+    "list-beyond": ([[10**400] * 5] * 5, "must be finite, got a value beyond the doubles"),
+}
+
+
+@pytest.mark.parametrize("kind", UNREAL_FIELDS)
+def test_fields_that_are_not_real_numbers_are_refused_by_name(kernels, p5, kind):
+    # A str field gave numpy's message, an object array of complex values
+    # a TypeError and an int beyond the doubles an OverflowError, none
+    # naming the field; a datetime field counted its days (18262.0 as u0).
+    bad, refusal = UNREAL_FIELDS[kind]
+    good = np.ones((5, 5))
+    calls = {
+        "u0": lambda: first_step(bad, good, p5, 0.5, 0.1),
+        "v0": lambda: first_step(good, bad, p5, 0.5, 0.1),
+        "u_k": lambda: two_step(bad, good, p5, 0.5),
+        "u_km1": lambda: two_step(good, bad, p5, 0.5),
+        "computed field 2": lambda: relative_l2_error([good, bad], exact_standing_wave, 0.1),
+    }
+    for _, path in kernels:
+        with path(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, call in calls.items():
+                with pytest.raises(ValueError) as refused:
+                    call()
+                assert str(refused.value) == f"{name} {refusal}"
 
 
 def test_public_steps_refuse_a_step_that_overflows(kernels, p5):
@@ -1286,8 +1374,10 @@ SCALAR_INPUTS = {
     (Fraction(10**400, 3), "rule"),
     (Fraction(10**5000, 3), "rule"),
     (Decimal("snan"), "rule"),
+    (Decimal(10**5000), "rule"),
+    (Decimal(-10**400), "rule"),
 ], ids=["np.complex128", "np.complex64", "complex", "str", "None", "int", "-int", "int5000",
-        "Fraction", "Fraction5000", "sNaN"])
+        "Fraction", "Fraction5000", "sNaN", "Decimal5000", "-Decimal400"])
 def test_a_scalar_that_is_not_a_real_double_is_refused(entry, value, refusal):
     # A numpy complex was cut to its real part with only a ComplexWarning
     # (SimConfig stored lambda = 0.5 and lambda_max bisected); a complex, a
@@ -1295,7 +1385,8 @@ def test_a_scalar_that_is_not_a_real_double_is_refused(entry, value, refusal):
     # and a Decimal sNaN, which cannot be hashed, a TypeError from the
     # (scheme, lambda) cache's key.  A huge int or Fraction was then named
     # by all its digits, and one past 4300 digits by Python's own error
-    # from printing it.
+    # from printing it; a Decimal of 5001 digits gave a 5041-character
+    # message.
     call, name, rule = SCALAR_INPUTS[entry]
     stated = "a number" if refusal == "a number" else rule
     with warnings.catch_warnings():
