@@ -126,12 +126,14 @@ def rewrapped_wave():
 
 @pytest.fixture
 def cold_caches():
-    """Empty the library's shared caches of named schemes, symbol
-    coefficients (as integer rows), and float tables and envelopes at one
+    """Empty the library's shared caches of named schemes, serialized
+    tables, symbol coefficients (as integer rows), lambda_max's calls and
+    stability limits per scheme, and float tables and envelopes at one
     (scheme, lambda), as in a fresh process."""
-    from poisson_stencils import scheme, stability
+    from poisson_stencils import _limits, scheme, stability
 
-    caches = (scheme._named_scheme, scheme._evaluated, stability._scaled_symbol,
+    caches = (scheme._named_scheme, scheme._serialized, scheme._evaluated,
+              stability._scaled_symbol, stability._calls, _limits.limits,
               stability._shared_envelope)
     for cache in caches:
         cache.cache_clear()

@@ -11,7 +11,9 @@ test, not a tolerance test.
 
 :func:`evaluated` checks a spec and lambda, then reads the tables' floats
 from a bounded cache keyed by the spec and the float lambda: 1 and 1.0
-share an entry, and a bool never reaches it.  This module never loads numpy.
+share an entry, and a bool never reaches it.  :func:`serialize_tables`
+checks a spec, then reads its text from a bounded cache keyed by the spec.
+This module never loads numpy.
 """
 
 from __future__ import annotations
@@ -211,9 +213,16 @@ def serialize_tables(spec: SchemeSpec) -> str:
 
     Line format: ``q1 q2 role power:coefficient ...`` with exact rational
     coefficients (``-1/12``) and ascending powers of the Courant number.
-    ``ValueError`` unless ``spec`` is a :class:`SchemeSpec`.
+    ``ValueError`` unless ``spec`` is a :class:`SchemeSpec`.  The text is
+    formed once per spec and shared.
     """
     check_scheme(spec)
+    return _serialized(spec)
+
+
+@functools.lru_cache(maxsize=32)
+def _serialized(spec: SchemeSpec) -> str:
+    """:func:`serialize_tables` once per spec, for a checked spec."""
     lines = []
     for role in ("first_u", "first_v", "two_step"):
         table = getattr(spec, role)

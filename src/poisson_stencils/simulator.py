@@ -55,6 +55,7 @@ from .quadrature import check_finite, check_positive
 from .scheme import BOUNDARY_CONDITIONS, DegenerateNormError, SchemeSpec, _evaluated, check_scheme
 
 _SQRT2 = math.sqrt(2.0)
+_DOUBLE_MAX = np.finfo(float).max
 
 # Rows of the update per block of the numpy stencil sum, so that its two
 # temporaries stay in cache on large grids.
@@ -227,7 +228,8 @@ def _real_finite(values, name: str) -> np.ndarray:
     ``numbers.Real``s, ``Decimal``s and bools.  Cast or summed, a complex, a
     str, a datetime or a generator would raise an error naming no input or
     count as a number (days, for a datetime), and a nan, an infinity or an
-    int beyond the doubles would end in a wrong or nan error.
+    int or long double beyond the doubles would end in a wrong or nan error
+    or a warning.
     """
     try:
         values = np.asarray(values)
@@ -239,6 +241,9 @@ def _real_finite(values, name: str) -> np.ndarray:
             raise ValueError(f"{name} must be real, got {type(other[0]).__name__}")
     elif values.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be real, got {values.dtype}")
+    elif values.dtype.itemsize > 8 and (abs(values[np.isfinite(values)]) > _DOUBLE_MAX).any():
+        # a long double beyond the doubles, which the cast would warn of
+        raise ValueError(f"{name} must be finite, got a value beyond the doubles")
     try:
         values = values.astype(float, copy=False)
     except OverflowError:  # an int beyond the doubles
@@ -256,12 +261,20 @@ def _grid_fields(fields: dict) -> tuple[int, list[np.ndarray]]:
     ``ValueError`` unless the fields lie on one square (n+1) x (n+1) grid,
     n >= 1, and are real and finite.
     """
-    shape, *others = (np.shape(values) for values in fields.values())
+    shape, *others = (_shape(values, name) for name, values in fields.items())
     if any(other != shape for other in others):
         raise ValueError(f"need square 2-D fields of one shape, got {[shape, *others]}")
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
         raise ValueError(f"need square 2-D fields of at least 2 x 2 nodes, got {shape}")
     return shape[0] - 1, [_real_finite(values, name) for name, values in fields.items()]
+
+
+def _shape(values, name: str) -> tuple[int, ...]:
+    """``np.shape(values)``; ``ValueError`` naming ``name`` for a ragged sequence."""
+    try:
+        return np.shape(values)
+    except ValueError:
+        raise ValueError(f"{name} must be real, got a ragged {type(values).__name__}") from None
 
 
 def _check_separable(value, name: str, timed: bool) -> None:

@@ -19,18 +19,31 @@ the largest (value, x, y) are found by comparing integer tuples.  Their
 floats come from integer true division, correctly rounded as ``float()`` of
 a ``Fraction`` is.
 
-A spec's symbol coefficients as integer rows, and its :func:`envelope` at
-one lambda, are computed once per process and shared, in bounded caches
-keyed by the spec (its tables in order, not only its name).  Every check
-runs first: lambda becomes a float where it is checked, so any real type
-gives its float's bits, 1 and 1.0 share an entry, and a bool never reaches
-one.  :func:`symbol` sums the float tables of
+:func:`lambda_max` bisects on the envelope's verdicts.  From a spec's
+second call on, it decides most of them by comparison with the spec's
+exact limits, which ``_limits`` builds once per spec: the roots in (0, 2]
+of every candidate point's "value = +-1" and "value = +-(1 + 2**-38)"
+polynomials are isolated by Sturm sequences over the integers, and each
+gap between them is probed exactly.  That gives the exact limit, below
+which every lambda is stable, and a widened one about 1e-12 above it,
+above which none is stable even with the envelope's slack; only a lambda
+between the two takes an exact envelope.  The gaps also show whether the
+stable lambdas form the one interval (0, lambda*] that the bisection
+assumes.
+
+A spec's symbol coefficients as integer rows, its limits and its
+:func:`envelope` at one lambda are computed once per process and shared,
+in bounded caches keyed by the spec (its tables in order, not only its
+name).  Every check runs first: lambda becomes a float where it is
+checked, so any real type gives its float's bits, 1 and 1.0 share an
+entry, and a bool never reaches one.  :func:`symbol` sums the float tables of
 :func:`~poisson_stencils.scheme.evaluated`, which is also importable here.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -193,8 +206,10 @@ def _scaled_symbol(spec: SchemeSpec) -> _ScaledSymbol:
     return _ScaledSymbol(denominator, low, high, rows)
 
 
-def _envelope(symbol: _ScaledSymbol, lam: float) -> Envelope:
-    """Exact extremes of the quadratic symbol over [-1, 1]^2 at ``lam``.
+def _scored(symbol: _ScaledSymbol, lam: float) -> tuple[list[tuple[int, int, int]], int, int]:
+    """(scored, common, denominator): the candidate points of the quadratic
+    symbol in [-1, 1]^2 at ``lam``, each (value, x, y) standing for the
+    value value / denominator at (x / common, y / common).
 
     All arithmetic is on integers.  A candidate point is (x/q, y/q) with
     q > 0, as the common scale S of the coefficients cancels in it; a score
@@ -222,8 +237,14 @@ def _envelope(symbol: _ScaledSymbol, lam: float) -> Envelope:
         value = c0 * q * q + x * (cx * q + cxx * x + cxy * y) + y * (cy * q + cyy * y)
         r = common // q
         scored.append((value * r * r, x * r, y * r))
+    return scored, common, scale * common * common
+
+
+def _envelope(symbol: _ScaledSymbol, lam: float) -> Envelope:
+    """Exact extremes of the quadratic symbol over [-1, 1]^2 at ``lam``, from
+    the least and the largest of :func:`_scored`."""
+    scored, common, denominator = _scored(symbol, lam)
     low, high = min(scored), max(scored)
-    denominator = scale * common * common
     # Exactly |value| <= the largest double, for every scored value.
     if max(-low[0], high[0]) > _FLOAT_MAX * denominator:
         raise not_a_double(lam)
@@ -270,6 +291,13 @@ def _shared_envelope(spec: SchemeSpec, lam: float) -> Envelope:
     return _envelope(symbol, lam)
 
 
+@functools.lru_cache(maxsize=32)
+def _calls(spec: SchemeSpec) -> itertools.count:
+    """The count of :func:`lambda_max`'s calls for a spec in the analysis,
+    once per spec: ``next`` of it is 0 on the first call."""
+    return itertools.count()
+
+
 def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
     """Largest stable Courant number, to within tol, by bisection on (0, 2].
 
@@ -284,24 +312,50 @@ def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
     ``ValueError`` unless ``spec`` is a ``SchemeSpec`` and 0 < tol < 2, and
     :class:`NeverStableError` when every halving down to the smallest
     double violates the bound.
+
+    Every lambda tried is decided as :attr:`Envelope.stable` decides it.
+    A spec's first call takes an exact envelope for each.  From its second
+    call on, the spec's exact limits (see the module docstring) decide
+    where they suffice: a lambda at or below the exact limit's lower bound
+    is stable, one at or above the widened limit's upper bound is not, and
+    only one in between, a band of about 1e-12, takes an exact envelope.
+    Building the limits costs about one bisection, and a fresh process
+    also compiles their module, so a spec asked for once never pays for
+    them.  For each named scheme the stable lambdas form the one interval
+    (0, lambda*], and a tol of 1e-6 takes at most two envelopes.  A spec
+    whose stable lambdas are not one interval has every lambda between its
+    first exact limit and its last widened one decided by the envelope, so
+    the result is the bisection's either way.
     """
     check_scheme(spec)
     tol = check_positive(tol, "tol")
     if tol >= 2.0:
         raise ValueError(f"tol must be below 2, the top of the search range, got {tol}")
     symbol = _scaled_symbol(spec)
+    stable_to, unstable_from = 0.0, math.inf
+    if next(_calls(spec)):
+        from ._limits import limits  # compiled only where a limit is asked for again
+
+        known = limits(spec)
+        stable_to, unstable_from = known.exact[0], known.widened[1]
+
+    def stable(lam: float) -> bool:
+        if lam <= stable_to:
+            return True
+        return lam < unstable_from and _envelope(symbol, lam).stable
+
     lo, hi = tol, 2.0
-    while not _envelope(symbol, lo).stable:  # a tol above the limit: halve it
+    while not stable(lo):  # a tol above the limit: halve it
         lo *= 0.5
         if lo == 0.0:
             raise NeverStableError(f"scheme {spec.name!r} amplifies at all lambda = {tol} / 2**k")
-    if _envelope(symbol, hi).stable:
+    if stable(hi):
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # lo and hi are adjacent doubles
             break
-        if _envelope(symbol, mid).stable:
+        if stable(mid):
             lo = mid
         else:
             hi = mid

@@ -41,7 +41,8 @@ for name in ("P5", "P9", "C13"):
     print(serialize_tables(spec))
     print(repr(envelope(spec, 0.5)))
     print(symbol(spec, 0.5, 1.0, 0.25).hex())
-    print(lambda_max(spec).hex())
+    for tol in (1e-6, 1e-6, 1e-15, 0.9):  # then from the exact limits
+        print(lambda_max(spec, tol).hex())
 """
 
 EXPECTED_ALL = [

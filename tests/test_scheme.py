@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from unittest import mock
 
@@ -211,6 +212,17 @@ def test_serialization_format(schemes):
     assert "2 0 two_step 2:-1/12 4:1/12" in p13_lines
     c5_lines = serialize_tables(schemes["C5"]).splitlines()
     assert [line for line in c5_lines if "first_v" in line] == ["0 0 first_v 0:1"]
+
+
+def test_serialized_tables_are_formed_once_per_spec(cold_caches):
+    # generate formed a spec's text anew on every call, though it never
+    # changes; a spec sharing the name but not the tables has its own text.
+    p5 = named_scheme("P5")
+    text = serialize_tables(p5)
+    assert serialize_tables(named_scheme("p5")) is text
+    other = dataclasses.replace(p5, first_v={(0, 0): LambdaPoly.constant(1)})
+    assert hash(other) == hash(p5) and serialize_tables(other) != text
+    assert scheme._serialized.cache_info().currsize == 2
 
 
 def test_tables_are_read_only_copies(schemes):

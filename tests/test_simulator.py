@@ -915,6 +915,10 @@ def test_separable_initial_fields_are_refused_by_name(kernels, p5, field, messag
                     run(config)
 
 
+# A long double beyond the doubles, where long doubles are wider than them.
+LONG_BEYOND = (np.longdouble(2) ** 1100
+               if np.finfo(np.longdouble).max > np.finfo(float).max else None)
+
 BAD_FACTORS = {
     "nan": lambda x: x * math.nan,
     "complex": lambda x: x + 0j,
@@ -928,6 +932,7 @@ BAD_FACTORS = {
     "int-beyond": lambda x: 10**400,
     "ints-beyond": lambda x: [10**400] * len(x),
     "ragged": lambda x: [0.5, [0.5, 0.5]],
+    "longdouble-beyond": lambda x: np.full(np.shape(x), LONG_BEYOND),
 }
 
 # (bad factors, message) pairs for P5, n = 8, n_t = 3: the message is the
@@ -957,6 +962,8 @@ FACTOR_REFUSALS = [
             ("int-beyond", "must be finite, got a value beyond the doubles"),
             ("ints-beyond", "must be finite, got a value beyond the doubles"),
             ("ragged", "must be real, got a ragged list"),
+            *([("longdouble-beyond", "must be finite, got a value beyond the doubles")]
+              if LONG_BEYOND is not None else []),
         ]
     ),
     ({"initial_u.x2": "short", "initial_u.x1": "nan"},
@@ -1073,6 +1080,12 @@ UNREAL_FIELDS = {
     "int-beyond": (np.full((5, 5), 10**400, dtype=object),
                    "must be finite, got a value beyond the doubles"),
     "list-beyond": ([[10**400] * 5] * 5, "must be finite, got a value beyond the doubles"),
+    # np.shape raised numpy's "inhomogeneous shape" message, naming no field.
+    "ragged": ([[1.0] * 5] * 4 + [[1.0] * 4], "must be real, got a ragged list"),
+    # The cast to doubles warned "overflow encountered in cast" first.
+    **({"longdouble-beyond": (np.full((5, 5), LONG_BEYOND),
+                              "must be finite, got a value beyond the doubles")}
+       if LONG_BEYOND is not None else {}),
 }
 
 

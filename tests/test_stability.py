@@ -24,8 +24,11 @@ from poisson_stencils.scheme import (
 )
 from poisson_stencils.simulator import SimConfig, run
 from poisson_stencils.quadrature import finite_at
+from poisson_stencils import scheme, stability
+from poisson_stencils._limits import limits
 from poisson_stencils.stability import (
     _BOUND_SLACK,
+    _CLASSES,
     Envelope,
     NeverStableError,
     SymbolSample,
@@ -364,11 +367,15 @@ def test_envelope_bounds_the_cosine_sum(key, lam, theta1, theta2):
         assert at_angles == pytest.approx(extreme.value, abs=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    weights=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=6, max_size=6),
-    lam=st.sampled_from((0.25, 0.5, 1.0)),
+# Two small integers per class of offsets (_CLASSES order), which the tests
+# turn into coefficient polynomials of the supported quadratic form.
+QUADRATIC_WEIGHTS = st.lists(
+    st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=6, max_size=6
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=QUADRATIC_WEIGHTS, lam=st.sampled_from((0.25, 0.5, 1.0)))
 def test_envelope_of_random_quadratic_symbols(weights, lam):
     # Random tables of the supported form, whose extremes may sit at an edge
     # vertex or in the interior, against the cosine sum on a phase grid.
@@ -494,11 +501,16 @@ def test_caches_stay_bounded(cold_caches):
     size = max(cache.cache_info().maxsize for cache in SHARED)
     for k in range(size + 50):
         envelope(p5, 0.25 + k / 1024)
-    size = _scaled_symbol.cache_info().maxsize
+    # The caches once per spec.
+    per_spec = (_scaled_symbol, stability._calls, limits, scheme._serialized)
+    size = max(cache.cache_info().maxsize for cache in per_spec)
     for k in range(size + 50):
-        envelope(dataclasses.replace(p5, name=f"P5-{k}"), 0.5)
-    assert _scaled_symbol.cache_info().currsize <= size
-    for cache in SHARED:
+        spec = dataclasses.replace(p5, name=f"P5-{k}")
+        envelope(spec, 0.5)
+        lambda_max(spec)
+        lambda_max(spec)
+        serialize_tables(spec)
+    for cache in (*per_spec, *SHARED):
         assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
 
@@ -748,3 +760,165 @@ def test_lambda_max_brackets_the_exact_limit(name, tol):
     below = BELOW_THE_LIMIT[name]
     assert below(lo**2) == ((name, tol) != ("C9", 1e-12))
     assert not below((lo + Fraction(tol)) ** 2)
+
+
+# The six named schemes, then generate_scheme(m) for these m.
+INTERVAL_SCHEMES = (*NAMED_SCHEMES, 6, 11, 14, 15)
+
+
+@pytest.mark.parametrize("key", INTERVAL_SCHEMES)
+def test_stable_lambdas_are_one_interval(key):
+    # lambda_max bisects as if the stable lambdas were (0, lambda*]: the
+    # Sturm counts and the exact probes between the roots show it.
+    found = limits(oracle_spec(key))
+    assert found.interval
+    (a, b), (wide_a, wide_b) = found.exact, found.widened
+    assert 0.0 < a < b <= wide_a < wide_b < 2.0
+
+
+@pytest.mark.parametrize("name", NAMED_SCHEMES)
+def test_exact_limit_lies_between_its_bounds(name):
+    # a < lambda* < b, decided on exact squares; a and b are adjacent doubles
+    # and the widened limit lies less than 1e-12 above them.
+    (a, b), (_, wide_b) = limits(named_scheme(name)).exact, limits(named_scheme(name)).widened
+    below = BELOW_THE_LIMIT[name]
+    assert below(Fraction(a) ** 2) and not below(Fraction(b) ** 2)
+    assert math.nextafter(a, 2.0) == b
+    assert wide_b - a < 1e-12
+
+
+@pytest.mark.parametrize("name", NAMED_SCHEMES)
+def test_lambda_max_calls_the_envelope_only_near_the_limit(name, cold_caches, monkeypatch):
+    # A spec's first call bisects on envelopes alone (23 of them).  From its
+    # second on, the exact limits decide every midpoint outside a band of
+    # about 1e-12, which a bisection to 1e-6 enters at most twice.
+    spec, calls = named_scheme(name), []
+
+    def counted(symbol, lam):
+        calls.append(lam)
+        return _envelope(symbol, lam)
+
+    monkeypatch.setattr(stability, "_envelope", counted)
+    first = lambda_max(spec, 1e-6)
+    assert len(calls) > 20 and limits.cache_info().currsize == 0
+    calls.clear()
+    assert lambda_max(spec, 1e-6) == first
+    assert len(calls) <= 2
+
+
+# The corner value of ISLAND is 1 - 10 s + 10 s^2 (s = lambda^2): stable up to
+# s = (5 - sqrt(5)) / 10, unstable above, stable again from
+# s = (5 + sqrt(5)) / 10 up to s = 1.
+ISLAND_WEIGHT = LambdaPoly({2: Fraction(5, 2), 4: Fraction(-5, 2)})
+ISLAND = SchemeSpec(
+    name="island", first_u={}, first_v={},
+    two_step={(0, 0): LambdaPoly({0: 2, 2: -10, 4: 10}),
+              **{offset: ISLAND_WEIGHT for offset in ((1, 0), (-1, 0), (0, 1), (0, -1))}},
+)
+
+
+@pytest.mark.parametrize("tol,limit", [
+    (1e-3, "0x1.0ce0b43958106p-1"),
+    (1e-6, "0x1.0d2c98bbf0dc8p-1"),
+    (1e-12, "0x1.0d2ca0da159f0p-1"),
+    (1e-15, "0x1.00000000000dep+0"),
+    (0.9, "0x1.ccccccccccccdp-1"),
+    (0.5, "0x1.c000000000000p-1"),
+    (0.3, "0x1.0666666666666p-1"),
+])
+def test_a_stable_island_keeps_the_bisections_bits(tol, limit):
+    # Not one interval, so the envelope decides every midpoint between the
+    # first limit and the island's end, and the bisection lands where it did.
+    found = limits(ISLAND)
+    assert not found.interval
+    assert found.exact[0] < 0.5258 and found.widened[1] > 1.0
+    for _ in range(2):  # the envelopes alone, then the limits
+        assert lambda_max(ISLAND, tol).hex() == limit
+
+
+def plain_lambda_max(spec, tol):
+    """lambda_max's bisection as it was before the exact limits: every
+    lambda tried is decided by the envelope."""
+    symbol = _scaled_symbol(spec)
+    lo, hi = tol, 2.0
+    while not _envelope(symbol, lo).stable:
+        lo *= 0.5
+        if lo == 0.0:
+            raise NeverStableError(f"scheme {spec.name!r} amplifies at all lambda = {tol} / 2**k")
+    if _envelope(symbol, hi).stable:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if _envelope(symbol, mid).stable:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights=QUADRATIC_WEIGHTS, tol=st.sampled_from((1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 0.9)))
+def test_lambda_max_keeps_the_plain_bisections_bits(weights, tol):
+    # Consistent tables of the supported form: the symbol is
+    # 1 + sum_k w_k (T_k - 1) with w_k = (|a_k| + 1)/4 lam^2 + b_k/4 lam^4, so
+    # it is stable at small lambda; the centre's pair is not used.
+    two_step = {}
+    centre = LambdaPoly({0: 2})
+    for (q1, q2), (a, b) in zip(_CLASSES[1:], weights[1:]):
+        weight = LambdaPoly({2: Fraction(abs(a) + 1, 4), 4: Fraction(b, 4)})
+        poly = weight * Fraction(1, 2) if (q1, q2) == (1, 1) else weight
+        two_step.update({(s1 * q1, s2 * q2): poly for s1 in (1, -1) for s2 in (1, -1)})
+        centre = centre - weight * 2
+    two_step[(0, 0)] = centre
+    spec = SchemeSpec(name="random", first_u={}, first_v={}, two_step=two_step)
+    outcomes = []
+    for search in (plain_lambda_max, lambda_max, lambda_max):  # then from the limits
+        try:
+            outcomes.append(search(spec, tol).hex())
+        except NeverStableError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[1] == outcomes[2] == outcomes[0]
+
+
+@pytest.mark.parametrize("table,lam", [
+    ({(0, 0): LambdaPoly({0: 2, 2: 10**400})}, "1e-06"),
+    ({(0, 0): LambdaPoly({0: 2, -2: 1})}, "3.910318545279494e-155"),
+])
+def test_lambda_max_refuses_a_symbol_beyond_the_doubles_on_every_call(table, lam):
+    # Never stable, so the limits alone would call every lambda unstable and
+    # end in NeverStableError; the envelope refuses the lambda where the
+    # symbol leaves the doubles, and still decides there.
+    spec = SchemeSpec(name="huge", first_u={}, first_v={}, two_step=table)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^lambda = {lam} gives a scheme value that"):
+            lambda_max(spec)
+
+
+@pytest.mark.parametrize("polys,others", [
+    # 16 (z - 1/2)(z - 5/8) and 2 (z - 1/2)(z + 7): both find 1/2 exactly.
+    ({(5, -18, 16), (-7, 13, 2)}, Fraction(5, 8)),
+    # 40 (z - 3/8)(z - 2/5) finds 3/8 exactly, inside the interval of
+    # 8 (z - 3/8)(z + 7) around it.
+    ({(6, -31, 40), (-21, 53, 8)}, Fraction(2, 5)),
+], ids=["two-points", "point-inside"])
+def test_roots_of_two_polynomials_that_share_one(polys, others):
+    # One root, not two that never separate, which would leave the limits
+    # unknown.
+    from poisson_stencils._limits import _BITS, _roots
+
+    shared = Fraction(1, 2) if others == Fraction(5, 8) else Fraction(3, 8)
+    first, second = _roots(polys, 0, 4 << _BITS)
+    assert first[0] == first[1] == shared * 2**_BITS
+    assert second[0] <= others * 2**_BITS <= second[1]
+
+
+def test_double_at_most_is_the_largest():
+    # The largest double x with x**g <= z: 0.5 at z = 1/4 and g = 2, the
+    # double below it just under 1/4.
+    from poisson_stencils._limits import _BITS, _double_at_most
+
+    assert _double_at_most(1 << _BITS - 2, 2) == 0.5
+    assert _double_at_most((1 << _BITS - 2) - 1, 2) == math.nextafter(0.5, 0.0)
+    assert _double_at_most(3 << _BITS - 2, 1) == 0.75
