@@ -210,6 +210,10 @@ class SimReport:
     ``kernel`` names what marched: a compiled variant's instruction set
     ("avx512f", "avx2" or "baseline", see ``_kernel.ISAS``) or "numpy"; ""
     if not recorded.
+    ``running_errors`` has n_t entries: entry k - 1 is the space-time E of
+    steps 1..k, nan while their reference vanishes at every node.  An entry
+    has the bits of ``error`` of the same run cut to k steps, and the last
+    entry is ``error``; () if not recorded.
     """
 
     error: float
@@ -218,6 +222,7 @@ class SimReport:
     config: SimConfig = field(repr=False)
     phases: tuple[tuple[str, float], ...] = ()
     kernel: str = ""
+    running_errors: tuple[float, ...] = ()
 
 
 def _real_finite(values, name: str) -> np.ndarray:
@@ -613,17 +618,20 @@ def _space(a, b) -> np.ndarray:
     return a[:, None] * b[None, :]
 
 
-def _relative_error(sums, overflows: str) -> tuple[float, tuple[float, ...]]:
-    """E and the per-step errors from each step's two error sums, in step order.
+def _relative_error(sums, overflows: str) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """E, the per-step errors and the running errors from each step's two
+    error sums, in step order.
 
-    A step whose reference vanishes has error nan; if all do, raise
-    DegenerateNormError.  The fields are finite, so only overflowed sums
-    make any other error not finite: then raise ``ValueError``, the message
-    ``overflows`` followed by the first such step, or by all steps together
-    when only E is not finite.
+    Entry k - 1 of the running errors is sqrt(num / den) over the sums of
+    steps 1..k, added in step order as E's are, so that it has the bits of
+    E over those steps alone; it is nan while that den is 0.  A step whose
+    reference vanishes has error nan; if all do, raise DegenerateNormError.
+    The fields are finite, so only overflowed sums make any other error not
+    finite: then raise ``ValueError``, the message ``overflows`` followed by
+    the first such step, or by all steps together when only E is not finite.
     """
     num = den = 0.0
-    per_step = []
+    per_step, running = [], []
     for k, (step_num, step_den) in enumerate(sums, start=1):
         num += step_num
         den += step_den
@@ -634,13 +642,14 @@ def _relative_error(sums, overflows: str) -> tuple[float, tuple[float, ...]]:
         else:
             step_error = math.nan
         per_step.append(step_error)
+        running.append(math.sqrt(num / den) if den > 0.0 else math.nan)
     if den == 0.0:
         raise DegenerateNormError("exact solution vanishes at all sampled points")
-    error = math.sqrt(num / den)
+    error = running[-1]
     if not math.isfinite(error):
         where = f"all {len(per_step)} steps together"
         raise ValueError(f"{overflows}: the error of {where} is not finite")
-    return error, tuple(per_step)
+    return error, tuple(per_step), tuple(running)
 
 
 def relative_l2_error(computed: Iterable[np.ndarray], exact: Separable, tau: float) -> float:
@@ -690,13 +699,25 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     into its buffer.  The whole march is one ``_Stepper.march`` call, or one
     per step with ``on_step``, to the same bits.
     """
+    return _run(config, on_step)
+
+
+def _run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
+    """``run(config, on_step)``, the one march path.
+
+    ``run()`` returns its report, and ``benchmarks.run_table`` calls it
+    itself, so that its rows read ``running_errors`` from a real march even
+    where perfbench's trace has put its replay in place of ``run``.  The
+    instability warning names the caller of the function that called this
+    one: ``run()``'s caller, or ``run_table``'s.
+    """
     started = time.perf_counter()
     env = stability._shared_envelope(config.scheme, config.lam)  # both checked by SimConfig
     if not env.stable:
         warnings.warn(
             f"lambda = {config.lam} is outside the stable range of scheme {config.scheme.name!r} "
             f"(symbol range [{env.low.value:.6f}, {env.high.value:.6f}])",
-            stacklevel=2,
+            stacklevel=3,
         )
     enveloped = time.perf_counter()
     n, n_t = config.n, config.n_t
@@ -711,11 +732,12 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
         if on_step is not None:
             on_step(k, stepper.field(stepper.curr).copy())
     overflows = f"lambda = {config.lam} overflows scheme {config.scheme.name!r}"
-    error, per_step = _relative_error(stepper.sums.tolist(), overflows)
+    error, per_step, running = _relative_error(stepper.sums.tolist(), overflows)
     marched = time.perf_counter()
     return SimReport(
         error=error,
         per_step_errors=per_step,
+        running_errors=running,
         wall_time_s=time.perf_counter() - started,
         config=config,
         phases=(

@@ -175,8 +175,10 @@ class TestRun:
         assert all(map(math.isfinite, (report.error, *report.per_step_errors[1:])))
 
     def test_unstable_lambda_warns(self, p5):
-        with pytest.warns(UserWarning, match="stable range"):
+        # The warning names run()'s caller, not the simulator.
+        with pytest.warns(UserWarning, match="stable range") as caught:
             run(SimConfig(scheme=p5, n=8, n_t=2, lam=0.9))
+        assert [warning.filename for warning in caught] == [__file__]
 
     def test_linearity_in_initial_data(self, p5):
         alpha = 3.5
@@ -630,6 +632,44 @@ def test_report_names_the_kernel_that_ran(kernels, p13):
             assert run(config, on_step=lambda k, field: None).kernel == name
     assert kernels[-1][0] == "numpy"
     assert SimReport(error=0.0, per_step_errors=(), wall_time_s=0.0, config=config).kernel == ""
+
+
+@pytest.mark.parametrize("name, n, bc, last", [("P5", 12, "dirichlet", 24),
+                                               ("P13", 16, "periodic", 20),
+                                               ("C9", 20, "dirichlet", 24)])
+def test_each_running_error_is_the_error_of_the_run_cut_there(kernels, name, n, bc, last):
+    # Entry m - 1 of a run of `last` steps has the bits of E of the same
+    # run of m steps, on every kernel, and the per-step errors are a prefix.
+    spec = named_scheme(name)
+    for isa, path in kernels:
+        with path():
+            report = run(SimConfig(scheme=spec, n=n, n_t=last, lam=0.6, bc=bc))
+            assert len(report.running_errors) == last == len(report.per_step_errors)
+            assert report.running_errors[-1].hex() == report.error.hex()
+            for m in range(1, last + 1):
+                cut = run(SimConfig(scheme=spec, n=n, n_t=m, lam=0.6, bc=bc))
+                assert report.running_errors[m - 1].hex() == cut.error.hex(), (isa, m)
+                assert [*map(float.hex, report.per_step_errors[:m])] == [
+                    *map(float.hex, cut.per_step_errors)], (isa, m)
+
+
+def test_a_running_error_is_nan_while_the_reference_has_vanished(kernels, p5):
+    # The reference's time factor is zero at step 1 alone: the run of one
+    # step is degenerate, so entry 0 is nan, and every later entry is the
+    # finite E of the run cut there.
+    wave = exact_standing_wave
+    tau = 0.5 / 16
+    exact = Separable(wave.x1, wave.x2, lambda t: wave.t(t) * (t - tau))
+    configs = [SimConfig(scheme=p5, n=16, n_t=m, lam=0.5, exact=exact) for m in range(1, 7)]
+    assert configs[0].tau == tau
+    for isa, path in kernels:
+        with path():
+            running = run(configs[-1]).running_errors
+            assert math.isnan(running[0])
+            with pytest.raises(DegenerateNormError):
+                run(configs[0])
+            assert [e.hex() for e in running[1:]] == [run(c).error.hex() for c in configs[1:]]
+            assert all(map(math.isfinite, running[1:]))
 
 
 @pytest.mark.parametrize(
@@ -1249,6 +1289,38 @@ def test_shared_evaluations_keep_every_table_bit(cold_caches):
     for cache in cold_caches:
         cache.cache_clear()
     assert _table_bits() == cold
+
+
+def _per_row_table(table):
+    """``run_table(table)`` as one run() per row and scheme, with no march shared."""
+    rows = []
+    for case in TABLES[table]:
+        row = {"n": case.n, "n_t": case.n_t, "lambda": case.lam}
+        for name, reference in case.reference.items():
+            config = SimConfig(named_scheme(name), case.n, case.n_t, case.lam, TABLE_BC[table])
+            error = run(config).error
+            row[f"E_{name}"] = error
+            row[f"ref_{name}"] = reference
+            row[f"dev_{name}"] = abs(error - reference) / reference
+        rows.append(row)
+    return rows
+
+
+def test_tables_march_once_per_row_group_to_the_per_row_bits(kernels):
+    # run_table marches each scheme once per (n, lambda): 32 marches for
+    # the three tables, where a run per row makes 48.  Every E, and so
+    # every row, keeps the bits of its own run, on every kernel.
+    for isa, path in kernels:
+        with path(), mock.patch.object(_Stepper, "march", autospec=True,
+                                       side_effect=_Stepper.march) as march:
+            tables = [run_table(table) for table in TABLES]
+            assert march.call_count == 32
+            march.reset_mock()
+            per_row = [_per_row_table(table) for table in TABLES]
+            assert march.call_count == 48
+        for rows, reference in zip(tables, per_row):
+            assert [list(row.items()) for row in rows] == [list(row.items()) for row in reference]
+            assert _e_bits(rows) == _e_bits(reference), isa
 
 
 def _e_bits(rows):
