@@ -14,9 +14,13 @@ the simulator runs its numpy path.
 One stencil routine per instruction set serves the first step and the
 two-step update.  It walks the core one row at a time: LANES nodes per row
 step (VECTORS = 4 registers of W doubles, W per ``ISAS``), then at most one
-step of 2 registers and the row's remaining nodes one W-wide register at a
-time, all through one inline row step whose register count is a constant
-at each call, then its last fewer than W nodes one at a time.  The buffers'
+step of 2 registers and the row's remaining whole registers one at a time,
+all through one inline row step whose register count is a constant at each
+call.  A row of more than W nodes that is not a whole number of registers
+then ends in one register over its last W nodes, which overlaps nodes made
+before it and gives them the bits they already hold, as each lane sums the
+same offsets in the same order; only a row narrower than W (Dirichlet, n <=
+W) goes one node at a time.  The buffers'
 rows lie a whole number of 64-byte lines apart (the plan's WIDTH is that
 stride, which exceeds the row) and every core row starts on a line, so that
 an AVX-512F register of the row's offsets with q2 = 0, or of out, fills one
@@ -80,8 +84,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 # The part of the C source that has no vectors: the plan's layout, the ghost
-# fill, a stencil table, the one-node sum of a row's leftover nodes, the
-# error sums' fields, and the choice of instruction set.
+# fill, a stencil table, the one-node sum of a row narrower than a register,
+# the error sums' fields, and the choice of instruction set.
 _SHARED = r"""
 #include <stddef.h>
 
@@ -177,9 +181,10 @@ _VECTOR_LOOPS = r"""
 
 /* W doubles in one vector register, with elementwise IEEE arithmetic; a row
    step sums LANES nodes, VECTORS registers of them, and a row's last
-   size % LANES nodes go in at most one 2-register step, then one register,
-   then one node, at a time.  numpy's 8 partial sums take 8 / W registers,
-   lane k of register j holding partial sum j * W + k. */
+   size % LANES nodes go in at most one 2-register step, then one register
+   at a time, then one register overlapping the last W nodes (see rows).
+   numpy's 8 partial sums take 8 / W registers, lane k of register j holding
+   partial sum j * W + k. */
 typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
 
 @TARGET@ static inline vec_@ISA@ load_@ISA@(const double *p)
@@ -208,33 +213,49 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
     }
 }
 
+/* v = S_a x + tau * S_b y with y, else S_a x, for the W * vectors nodes
+   from index j.  Each call passes a constant vectors (VECTORS, 2 or 1). */
+@TARGET@ static inline void row_values_@ISA@(const double *restrict x, const double *restrict y,
+                                           ptrdiff_t j, double tau, const int vectors,
+                                           struct table a, struct table b, vec_@ISA@ v[VECTORS])
+{
+    vec_@ISA@ t[VECTORS];
+    sum_lanes_@ISA@(x + j, a, vectors, v);
+    if (y) {
+        sum_lanes_@ISA@(y + j, b, vectors, t);
+        for (int r = 0; r < vectors; r++)
+            v[r] += t[r] * tau;
+    }
+}
+
 /* The W * vectors nodes of out from index j: S_a x + tau * S_b y with y,
-   else S_a x - out.  Each call passes a constant vectors (VECTORS, 2 or 1). */
+   else S_a x - out (see row_values). */
 @TARGET@ static inline void row_step_@ISA@(const double *restrict x, const double *restrict y,
                                            double *restrict out, ptrdiff_t j, double tau,
                                            const int vectors, struct table a, struct table b)
 {
-    vec_@ISA@ s[VECTORS], t[VECTORS];
-    sum_lanes_@ISA@(x + j, a, vectors, s);
-    if (y)
-        sum_lanes_@ISA@(y + j, b, vectors, t);
+    vec_@ISA@ v[VECTORS];
+    row_values_@ISA@(x, y, j, tau, vectors, a, b, v);
     for (int r = 0; r < vectors; r++) {
         double *z = out + j + W * r;
-        store_@ISA@(z, y ? s[r] + t[r] * tau : s[r] - load_@ISA@(z));
+        store_@ISA@(z, y ? v[r] : v[r] - load_@ISA@(z));
     }
 }
 
-/* Core nodes of buffers whose rows lie width doubles apart, each core row
-   starting on a 64-byte line: out = S_a x + tau * S_b y with y (the first
-   step), else out = S_a x - out (the two-step update).  A row goes in
-   steps of VECTORS registers, then at most one of 2, then of 1, then one
-   node at a time. */
-@TARGET@ static void stencil_@ISA@(const double *restrict x, const double *restrict y,
-                                   double *restrict out, double tau, ptrdiff_t width,
-                                   ptrdiff_t lo, ptrdiff_t size, struct table a, struct table b)
+/* The core rows of stencil: each in steps of VECTORS registers, then at most
+   one of 2, then of 1.  With overlap (a constant at each call), the row's
+   last W nodes, some of which those steps make, go in one more register
+   after them and store the bits those steps stored: each lane sums the same
+   offsets in table order, and the old out it subtracts is read before their
+   stores.  Without it, a row narrower than W goes one node at a time. */
+@TARGET@ static inline void rows_@ISA@(const double *restrict x, const double *restrict y,
+                                       double *restrict out, double tau, ptrdiff_t width,
+                                       ptrdiff_t lo, ptrdiff_t size, struct table a,
+                                       struct table b, const int overlap)
 {
     for (ptrdiff_t i = 0; i < size; i++) {
         const ptrdiff_t row = (lo + i) * width + lo;
+        const vec_@ISA@ old = overlap && !y ? load_@ISA@(out + row + size - W) : (vec_@ISA@){0.0};
         ptrdiff_t j = 0;
         for (; j + LANES <= size; j += LANES)
             row_step_@ISA@(x, y, out, row + j, tau, VECTORS, a, b);
@@ -244,12 +265,33 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
         }
         for (; j + W <= size; j += W)
             row_step_@ISA@(x, y, out, row + j, tau, 1, a, b);
+        if (overlap) {
+            vec_@ISA@ v[VECTORS];
+            row_values_@ISA@(x, y, row + size - W, tau, 1, a, b, v);
+            store_@ISA@(out + row + size - W, y ? v[0] : v[0] - old);
+            continue;
+        }
         for (; j < size; j++) {
             const ptrdiff_t k = row + j;
             const double s = sum_one(x + k, a);
             out[k] = y ? s + sum_one(y + k, b) * tau : s - out[k];
         }
     }
+}
+
+/* Core nodes of buffers whose rows lie width doubles apart, each core row
+   starting on a 64-byte line: out = S_a x + tau * S_b y with y (the first
+   step), else out = S_a x - out (the two-step update).  A row of more than
+   W nodes that is not a whole number of registers ends in an overlapping
+   register; only rows narrower than W go node by node. */
+@TARGET@ static void stencil_@ISA@(const double *restrict x, const double *restrict y,
+                                   double *restrict out, double tau, ptrdiff_t width,
+                                   ptrdiff_t lo, ptrdiff_t size, struct table a, struct table b)
+{
+    if (size > W && size % W)
+        rows_@ISA@(x, y, out, tau, width, lo, size, a, b, 1);
+    else
+        rows_@ISA@(x, y, out, tau, width, lo, size, a, b, 0);
 }
 
 /* numpy's 8 partial sums of a run, combined in its order (see BLOCK). */

@@ -6,7 +6,9 @@ envelope (a corner, an edge vertex or the interior point) at the value +-1,
 or +-(1 + 2**-38) for the set widened by that much, so it is a root of the
 candidate's numerator polynomial.  Once per spec, the roots in (0, 2] are
 isolated by Sturm sequences over the integers, in z = lambda**g for the gcd
-g of the symbol's powers and on the points n / 2**128, and one exact
+g of the symbol's powers and on the points n / 2**128 (two candidates'
+roots that the grid cannot part are one root if the gcd of their
+polynomials has one root there), and one exact
 envelope at a point of each gap between roots decides the gap.  A root
 between two stable gaps is stable, as a stable set is closed.  A root
 between two gaps unstable within 2**-38 is unstable with the envelope's
@@ -193,13 +195,19 @@ def _prem(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _sturm(p: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The Sturm sequence of the square-free part of ``p``, over the
-    integers: after p and p', minus the remainder of the two before, times
-    a positive number."""
-    chain = [p, _trim(i * a for i, a in enumerate(p))[1:]]
+def _remainders(p: tuple[int, ...], q: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """p, q, then minus the remainder of the two before, times a positive
+    number, while nonzero: the last is a gcd of p and q."""
+    chain = [p, q]
     while rest := _prem(chain[-2], chain[-1]):
         chain.append(_content_free(_scale(rest, -1)))
+    return chain
+
+
+def _sturm(p: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The Sturm sequence of the square-free part of ``p``, over the
+    integers: the remainders of p and p'."""
+    chain = _remainders(p, _trim(i * a for i, a in enumerate(p))[1:])
     if len(chain[-1]) == 1:
         return chain
     # gcd(p, p') has a root, a repeated root of p: divide it out.
@@ -231,7 +239,7 @@ def _variations(chain: list[tuple[int, ...]], n: int) -> int:
 
 def _roots(polys, start: int, top: int) -> list | None:
     """The distinct roots of ``polys`` in (start, top], increasing, or None
-    if two are closer than the grid.
+    if two are closer than the grid and not one root of two polynomials.
 
     Each is (lo, hi, chain, sign): a root of chain[0] equal to lo = hi or
     alone in (lo, hi) among all the roots, where chain[0] has sign ``sign``
@@ -268,12 +276,27 @@ def _roots(polys, start: int, top: int) -> list | None:
         else:  # two roots closer than their intervals: halve the wider
             k = i - 1 if i and below[1] - below[0] > hi - lo else i
             if roots[k][1] - roots[k][0] < 2:
-                return None
+                if not (i and _shared(below, roots[i])):
+                    return None
+                del roots[i]  # one irrational root of two polynomials
+                continue
             roots[k] = _halve(roots[k])
             while k + 1 < len(roots) and roots[k][:2] > roots[k + 1][:2]:
                 roots[k], roots[k + 1] = roots[k + 1], roots[k]
                 k += 1
     return roots
+
+
+def _shared(a, b) -> bool:
+    """Whether open roots a and b, halved as far as the grid goes, are one
+    root: the gcd of their polynomials has exactly one root where their
+    intervals overlap."""
+    gcd = _remainders(a[2][0], b[2][0])[-1]
+    lo, hi = max(a[0], b[0]), min(a[1], b[1])
+    if len(gcd) < 2 or lo >= hi:
+        return False
+    chain = _sturm(gcd)
+    return _variations(chain, lo) - _variations(chain, hi) == 1
 
 
 def _gap_points(roots, start: int, top: int) -> list[Fraction]:

@@ -882,6 +882,54 @@ def test_lambda_max_keeps_the_plain_bisections_bits(weights, tol):
     assert outcomes[1] == outcomes[2] == outcomes[0]
 
 
+# The corner values of GOLDEN are s^2 - 3 s -+ s (s^2 - 3 s + 1) / 2 (s =
+# lambda^2), and each plus 1 is (s^2 - 3 s + 1)(1 -+ s / 2): both corners
+# reach -1 at lambda = (sqrt(5) -+ 1) / 2, irrational roots of two
+# polynomials that halving never separates.  Below the first, no value
+# reaches -1; past it they leave [-1, 1], and at the second come back to -1.
+GOLDEN_EDGE = LambdaPoly({2: Fraction(1, 2), 4: Fraction(-3, 2), 6: Fraction(1, 2)})
+GOLDEN = SchemeSpec(
+    name="golden", first_u={}, first_v={},
+    two_step={(0, 0): LambdaPoly({2: -6, 4: 2}), (1, 0): GOLDEN_EDGE, (-1, 0): GOLDEN_EDGE},
+)
+
+
+def _below_golden_limit(s):
+    """s < ((sqrt(5) - 1) / 2)^2 = (3 - sqrt(5)) / 2 for a rational s, decided exactly."""
+    return 3 - 2 * s > 0 and (3 - 2 * s) ** 2 > 5
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-12, 1e-15, 0.9])
+def test_a_root_that_two_candidates_share_leaves_the_limits_known(tol):
+    # The gcd of the two corners' polynomials has one root where their
+    # intervals overlap, so they are one root, and the limits are known:
+    # the exact one lies between adjacent doubles around (sqrt(5) - 1) / 2,
+    # and they bracket where the plain bisection ends, from the envelopes
+    # alone and from the limits alike.
+    found = limits(GOLDEN)
+    (a, b), (_, wide_b) = found.exact, found.widened
+    assert _below_golden_limit(Fraction(a) ** 2) and not _below_golden_limit(Fraction(b) ** 2)
+    assert math.nextafter(a, 2.0) == b and not found.interval
+    results = {search(GOLDEN, tol) for search in (plain_lambda_max, lambda_max, lambda_max)}
+    assert len(results) == 1
+    assert a - tol < results.pop() < wide_b
+
+
+def test_roots_of_two_polynomials_that_share_two_irrational_ones():
+    # (z + 2)(z^2 - 3 z + 1) and (2 - z)(z^2 - 3 z + 1): each of
+    # (3 -+ sqrt(5)) / 2 is one root, between the root 2 of the second.
+    from poisson_stencils._limits import _BITS, _roots
+
+    def quadratic(n):
+        z = Fraction(n, 2**_BITS)
+        return z * z - 3 * z + 1
+
+    low, two, high = _roots({(2, -5, -1, 1), (-2, 7, -5, 1)}, 0, 4 << _BITS)
+    assert two[:2] == (2 << _BITS, 2 << _BITS)
+    for lo, hi, _, _ in (low, high):
+        assert quadratic(lo) * quadratic(hi) < 0
+
+
 @pytest.mark.parametrize("table,lam", [
     ({(0, 0): LambdaPoly({0: 2, 2: 10**400})}, "1e-06"),
     ({(0, 0): LambdaPoly({0: 2, -2: 1})}, "3.910318545279494e-155"),

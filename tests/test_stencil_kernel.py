@@ -183,28 +183,43 @@ def whole_buffer_cases():
 
 
 def row_parts(size, w):
-    """(steps of VECTORS registers, of 2, of 1, single nodes) of a core row of
-    ``size`` nodes, as ``stencil_@ISA@`` walks it."""
+    """(steps of VECTORS registers, of 2, of 1, overlapping registers, single
+    nodes) of a core row of ``size`` nodes, as ``stencil_@ISA@`` walks it: a
+    row of more than w nodes that is not a whole number of registers ends in
+    one register over its last w nodes, and only a row narrower than w goes
+    node by node."""
     blocks, rest = divmod(size, w * VECTORS)
     two = int(rest >= 2 * w)
-    ones, singles = divmod(rest - 2 * w * two, w)
-    return blocks, two, ones, singles
+    ones, tail = divmod(rest - 2 * w * two, w)
+    overlap = int(size > w and tail > 0)
+    return blocks, two, ones, overlap, 0 if overlap else tail
 
 
 def test_whole_buffer_cases_reach_every_remainder():
     # Each variant's rows go in steps of VECTORS registers (LANES nodes),
-    # then at most one 2-register step, then W-wide registers, then single
-    # nodes: every remainder of LANES, and so every tail of the row, follows
-    # at least one full step, on both boundaries, and some tails take the
-    # 2-register step.
+    # then at most one 2-register step, then W-wide registers, then one
+    # register overlapping nodes already made, or on rows narrower than W
+    # single nodes: every remainder of LANES, and so every tail of the row,
+    # follows at least one full step, on both boundaries; some tails take
+    # the 2-register step; every tail of 1 .. W - 1 nodes goes through an
+    # overlapping register, and every row narrower than W that the
+    # boundary allows (at least 1 Dirichlet, 2 periodic nodes) is a case.
     for name in ("P5", "P13"):
         for bc, first in (("dirichlet", 1), ("periodic", 0)):
             sizes = [n - first for case, b, n in whole_buffer_cases() if (case, b) == (name, bc)]
             for _, w in _kernel.ISAS:
                 lanes = w * VECTORS
                 assert {size % lanes for size in sizes if size >= lanes} == set(range(lanes))
-                tails = {row_parts(size, w)[1:] for size in sizes if size >= lanes}
-                assert {two for two, _, _ in tails} == {0, 1}
+                parts = {size: row_parts(size, w) for size in sizes}
+                assert {parts[size][1] for size in sizes if size >= lanes} == {0, 1}
+                overlapped = {size % w for size, (*_, overlap, _) in parts.items() if overlap}
+                assert overlapped == set(range(1, w))
+                narrow = {size for size, (*_, singles) in parts.items() if singles}
+                assert narrow == set(range(2 - first, w))
+                for size, (blocks, two, ones, overlap, singles) in parts.items():
+                    # The parts cover the row, the overlapping register by fewer than w nodes twice.
+                    covered = (blocks * VECTORS + 2 * two + ones + overlap) * w + singles
+                    assert size <= covered < size + overlap * w + 1
 
 
 @pytest.mark.parametrize("name, bc, n", whole_buffer_cases())
@@ -213,7 +228,10 @@ def test_kernels_leave_identical_whole_buffers(kernels, name, bc, n):
     # included, where the public steps compare only the field: the numpy
     # ghost fill and each variant's compiled plan write the same lines in
     # one order, and each part of a row (LANES blocks, the 2-register step,
-    # W-wide registers, single nodes) sums its offsets in table order.
+    # W-wide registers, the overlapping register, single nodes) sums its
+    # offsets in table order: the overlapping register, which in the
+    # two-step update reads the old out, gives the nodes it shares with the
+    # steps before it their bits.
     if len(kernels) == 1:
         pytest.skip("no compiled kernel")
     rng = np.random.default_rng(n)
