@@ -128,13 +128,14 @@ def rewrapped_wave():
 def cold_caches():
     """Empty the library's shared caches of named schemes, serialized
     tables, symbol coefficients (as integer rows), lambda_max's calls and
-    stability limits per scheme, and float tables and envelopes at one
-    (scheme, lambda), as in a fresh process."""
-    from poisson_stencils import _limits, scheme, stability
+    stability limits per scheme, float tables and envelopes at one
+    (scheme, lambda), buffer layouts per grid and compiled plans per
+    (scheme, lambda, grid), as in a fresh process."""
+    from poisson_stencils import _limits, scheme, simulator, stability
 
     caches = (scheme._named_scheme, scheme._serialized, scheme._evaluated,
               stability._scaled_symbol, stability._calls, _limits.limits,
-              stability._shared_envelope)
+              stability._shared_envelope, simulator._layout, simulator._plan)
     for cache in caches:
         cache.cache_clear()
     return caches

@@ -38,11 +38,12 @@ names ``fma``, and the flags stay portable, with no ``-march=native`` or
 in one call, k the number already made, step 0 with a velocity the first
 step and any other the two-step update, each followed by the ghost fill
 and, if asked, its error sums into row k of an (n_t x 2) array, and returns
-whether it swapped its field buffers.  It reads what ``plan()`` packs: the
-buffer geometry, the three tables' linear offsets and coefficients, and the
-ghost lines (layout in the source).  Its ghost fill writes what
-``_Stepper._fill_ghosts`` does, rows then columns, by copies, negations
-and +0.0 alone, so it cannot change a bit.  The one call holds no state of
+whether it swapped its field buffers.  Step 0 first fills the ghosts that
+it reads, which ``_Stepper.buffer`` leaves zero.  It reads what ``plan()``
+packs: the buffer geometry, the three tables' linear offsets and
+coefficients, and the ghost lines (layout in the source).  Its ghost fill
+writes what ``_Stepper._fill_ghosts`` does, rows then columns, by copies,
+negations and +0.0 alone, so it cannot change a bit.  The one call holds no state of
 its own and releases the GIL, so runs in several threads overlap.
 
 Each step's ``error_sums`` makes one pass over the field u and returns the
@@ -98,12 +99,15 @@ _SHARED = r"""
 enum { WIDTH, LO, SIZE, ORIGIN, SIDE, COUNT_U, COUNT_V, COUNT_TWO, LINES, HEADER };
 
 /* Each ghost line as a whole row (step 1), then each as a whole column (step
-   WIDTH): its source (sign 1), the source negated (sign -1) or +0.0 (sign 0). */
-static void fill_ghosts(double *buf, const ptrdiff_t *plan, const ptrdiff_t *lines)
+   WIDTH): its source (sign 1), the source negated (sign -1) or, with pin,
+   +0.0 (sign 0); without pin a sign-0 line keeps what it holds. */
+static void fill_ghosts(double *buf, const ptrdiff_t *plan, const ptrdiff_t *lines, int pin)
 {
     const ptrdiff_t width = plan[WIDTH], side = plan[SIZE] + 2 * plan[LO], count = plan[LINES];
     for (ptrdiff_t m = 0; m < 2 * count; m++) {
         const ptrdiff_t *line = lines + 3 * (m % count), step = m < count ? 1 : width;
+        if (!line[2] && !pin)
+            continue;
         double *g = buf + line[0] * (width / step);
         const double *f = buf + line[1] * (width / step);
         for (ptrdiff_t i = 0; i < side; i++)
@@ -412,12 +416,13 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
 
 /* Make steps first .. first + steps - 1 on the fields of prev and curr: step
    0 with v is curr = S_u prev + tau * S_v v, any other prev = S curr - prev
-   and a swap, so that curr holds the newest field.  After step k the ghosts
-   are filled and, with sums, row k of sums gets error_sums of the (side x
-   side) field against (a * b) * factors[k], a and b of side values each.
-   Returns whether prev and curr end swapped. */
+   and a swap, so that curr holds the newest field.  Step 0 first fills the
+   ghosts it reads, of prev and v or of curr, leaving the ring.  After step
+   k the ghosts are filled and, with sums, row k of sums gets error_sums of
+   the (side x side) field against (a * b) * factors[k], a and b of side
+   values each.  Returns whether prev and curr end swapped. */
 @TARGET@ int march_@ISA@(const ptrdiff_t *plan, const double *coeffs, double *prev, double *curr,
-                         const double *v, double tau, ptrdiff_t first, ptrdiff_t steps,
+                         double *v, double tau, ptrdiff_t first, ptrdiff_t steps,
                          const double *a, const double *b, const double *factors, double *sums)
 {
     const ptrdiff_t width = plan[WIDTH], lo = plan[LO], size = plan[SIZE];
@@ -426,7 +431,12 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
                                   plan[COUNT_V]};
     const struct table two = {first_v.off + first_v.count, first_v.c + first_v.count,
                               plan[COUNT_TWO]};
+    const ptrdiff_t *lines = two.off + two.count;
     int swapped = 0;
+    if (first == 0)
+        fill_ghosts(v ? prev : curr, plan, lines, 0);
+    if (first == 0 && v)
+        fill_ghosts(v, plan, lines, 0);
     for (ptrdiff_t k = first; k < first + steps; k++) {
         if (k == 0 && v) {
             stencil_@ISA@(prev, v, curr, tau, width, lo, size, first_u, first_v);
@@ -437,7 +447,7 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
             curr = next;
             swapped = !swapped;
         }
-        fill_ghosts(curr, plan, two.off + two.count);
+        fill_ghosts(curr, plan, lines, 1);
         if (sums) {
             const double *field = curr + plan[ORIGIN] * (width + 1);
             error_sums_@ISA@(field, width, a, b, factors[k], plan[SIDE], plan[SIDE],

@@ -40,6 +40,7 @@ fields, its buffers, and no others.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import numbers
 import time
@@ -203,9 +204,10 @@ class SimReport:
 
     ``phases`` holds (name, wall seconds) for the phases of ``run()`` in
     order: "envelope", the stability envelope; "sample", the factor vectors
-    of the initial fields and the reference, and the march's set-up: its
-    buffers with their ghost fills and, on the compiled kernel, its plan and
-    addresses; "march", the steps with their error sums.  Their sum is at
+    of the initial fields and the reference; "setup", the march's buffers
+    with their fields and, on the compiled kernel, its plan and addresses;
+    "march", the steps with their ghost fills and error sums; "error", E,
+    the per-step and the running errors from those sums.  Their sum is at
     most ``wall_time_s``.
     ``kernel`` names what marched: a compiled variant's instruction set
     ("avx512f", "avx2" or "baseline", see ``_kernel.ISAS``) or "numpy"; ""
@@ -333,6 +335,37 @@ def _address(values) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(values))
 
 
+@functools.lru_cache(maxsize=128)
+def _layout(r: int, n: int, bc: str) -> tuple:
+    """(lo, size, origin, shape, stride, strides, length, lines): the buffer
+    layout of ``_Stepper`` with a ring of r ghost cells on one grid, formed
+    once per (r, n, bc) and shared; length is an allocation in doubles and
+    lines the ghost lines as (ghost, source, sign)."""
+    first, period = (0, n) if bc == "periodic" else (1, 2 * n)
+    size, origin = n - first, r - first  # origin: the buffer index of field index 0
+    width = size + 2 * r
+    stride = (width // 8 + 1) * 8
+    # The last row has no padding, and up to 7 leading doubles align the core rows.
+    length = (width - 1) * stride + width + 7
+    lines = []
+    for b in [*range(r), *range(r + size, width)]:
+        i = b - origin
+        j = i % period
+        source, sign = (j, 1) if j <= n else (2 * n - j, -1)
+        lines.append((b, source + origin, 0 if source == i else sign))
+    lines.sort(key=lambda line: line[2] != 0)  # mirror lines first, as a source may lie on one
+    return r, size, origin, (width, width), stride, (8 * stride, 8), length, tuple(lines)
+
+
+@functools.lru_cache(maxsize=128)
+def _plan(spec: SchemeSpec, lam: float, n: int, bc: str) -> tuple:
+    """The (plan, coeffs) arrays of the compiled march and their addresses,
+    formed once per (spec, lam, n, bc) and shared; no march writes them."""
+    lo, size, origin, _, stride, _, _, lines = _layout(max(spec.radius, 1), n, bc)
+    packed = _kernel.plan(stride, lo, size, origin, n + 1, _evaluated(spec, lam), lines)
+    return packed, tuple(map(_address, packed))
+
+
 class _Stepper:
     """One march: its fields, stencil kernel and, with a reference, error sums.
 
@@ -340,11 +373,12 @@ class _Stepper:
     and ``v``, the first step's velocity, each in a buffer of its own.  With
     ``reference``, the (a, b, c) vectors of a reference sampled for steps
     1..n_t (see ``_sample``), it allocates ``sums``, row k - 1 for step k's
-    error sums.  No array crosses ``march(steps)``: the compiled kernel
-    reads addresses of the stepper's own arrays, taken here once, and
-    ``step``, by which it alone finds step 0 and each step's rows.  The
-    scheme, n, lam (a float) and bc come checked by ``_check_grid``,
-    through ``SimConfig`` or the public steps.
+    error sums; it only reads the vectors.  No array crosses
+    ``march(steps)``: the compiled kernel reads addresses of the stepper's
+    own arrays and of its plan (``_plan``, shared and held), taken here
+    once, and ``step``, by which it alone finds step 0 and each step's
+    rows.  The scheme, n, lam (a float) and bc come checked by
+    ``_check_grid``, through ``SimConfig`` or the public steps.
 
     A buffer holds the core that an update writes, field indices first ..
     n - 1 per axis, inside a ring of r = max(radius, 1) ghost cells, so that
@@ -362,6 +396,7 @@ class _Stepper:
     it is pinned to +0.0.  Each ghost line is one (ghost, source, sign),
     mirror lines first; both fills write every line as a whole row, then as
     a whole column, so ghost rows hold the extension across the ring too.
+    Step 0 first fills the ghosts of the fields it reads, ring left as given.
 
     At each node the stencil sum starts from 0.0 and adds coeff * value over
     the table's offsets in table order.  That order fixes the last bits of
@@ -375,25 +410,9 @@ class _Stepper:
 
     def __init__(self, spec: SchemeSpec, lam: float, n: int, bc: str, prev=None, curr=None,
                  v=None, tau: float = 0.0, reference=None):
-        first, period = (0, n) if bc == "periodic" else (1, 2 * n)
-        r = max(spec.radius, 1)
-        self.n, self.lo, self.size = n, r, n - first
-        self.origin = r - first  # the buffer index of field index 0
-        width = self.size + 2 * r
-        self.shape = (width, width)
-        self.stride = (width // 8 + 1) * 8
-        self._strides = (8 * self.stride, 8)
-        # Each buffer's allocation in doubles: the last row has no padding,
-        # and up to 7 leading doubles align the core rows.
-        self._length = (width - 1) * self.stride + width + 7
-        # (ghost, source, sign) per ghost line; mirror lines first, as a source may lie on one.
-        lines = []
-        for b in [*range(r), *range(r + self.size, width)]:
-            i = b - self.origin
-            j = i % period
-            source, sign = (j, 1) if j <= n else (2 * n - j, -1)
-            lines.append((b, source + self.origin, 0 if source == i else sign))
-        self._lines = sorted(lines, key=lambda line: line[2] != 0)
+        self.n = n
+        (self.lo, self.size, self.origin, self.shape, self.stride, self._strides, self._length,
+         self._lines) = _layout(max(spec.radius, 1), n, bc)
         # The tables at lam, shared per (spec, lam).
         self.first_u, self.first_v, self.two_step = _evaluated(spec, lam)
         self.prev = self.buffer(prev)
@@ -415,9 +434,7 @@ class _Stepper:
             if reference is not None:
                 self._space = _space(*reference[:2])
         else:
-            self._plan = _kernel.plan(self.stride, r, self.size, self.origin, n + 1,
-                                      (self.first_u, self.first_v, self.two_step), self._lines)
-            self._plan_at = [*map(_address, self._plan)]
+            self._plan, self._plan_at = _plan(spec, lam, n, bc)
             self._at = [_address(buf[0]) for buf in (self.prev, self.curr)]
             self._v_at = None if v is None else _address(self._v[0])
             self._reference_at = [None] * 4 if reference is None else [
@@ -429,14 +446,15 @@ class _Stepper:
         return buf[o : o + self.n + 1, o : o + self.n + 1]
 
     def buffer(self, values=None) -> np.ndarray:
-        """A new buffer, zero or holding a field with its ghosts filled.
+        """A new buffer, zero or holding a field, its ghosts zero.
 
         The field is ``values``, an (n+1) x (n+1) array, or for a pair (p, q)
         of n + 1 values each, p[:, None] * q[None, :] formed in the buffer.
-        The boundary ring is not pinned: a Dirichlet field keeps its own for
-        the first stencil application to read, and the ghosts hold its odd
-        extension, ring included.  The buffer is a view of its own zeroed
-        allocation (see the class docstring).
+        ``march`` fills the ghosts that step 0 reads, without pinning the
+        boundary ring: a Dirichlet field keeps its own for the first stencil
+        application to read, and the ghosts hold its odd extension, ring
+        included.  The buffer is a view of its own zeroed allocation (see
+        the class docstring).
         """
         flat = np.zeros(self._length)
         skip = -(_address(flat) + 8 * self.lo) % 64 // 8  # doubles before the first row
@@ -446,9 +464,6 @@ class _Stepper:
             np.multiply(p[:, None], q[None, :], out=self.field(buf))
         elif values is not None:
             self.field(buf)[...] = values
-        else:
-            return buf
-        self._fill_ghosts(buf, pin=False)
         return buf
 
     def _fill_ghosts(self, buf: np.ndarray, pin: bool = True):
@@ -481,9 +496,10 @@ class _Stepper:
     def march(self, steps: int):
         """Advance the fields by ``steps`` steps; the compiled kernel makes them in one call.
 
-        Step 0, if ``v`` is given, is the first step curr = S_u prev + tau *
-        S_v v; every other step is prev = S curr - prev, then a swap, so that
-        ``curr`` holds the newest field.  After each step come the ghost fill
+        Step 0, after the ghost fill of the fields it reads, is the first
+        step curr = S_u prev + tau * S_v v if ``v`` is given; every other
+        step is prev = S curr - prev, then a swap, so that ``curr`` holds
+        the newest field.  After each step come the ghost fill
         and the step's error sums.  ``ValueError`` unless 1 <= steps and the
         march ends within the n_t steps that the reference covers.
         """
@@ -499,6 +515,9 @@ class _Stepper:
             # No warning: the callers refuse a field or an error that overflows.
             with np.errstate(over="ignore", invalid="ignore"):
                 for k in range(k, k + steps):
+                    if k == 0:
+                        for buf in (self.curr,) if self._v is None else (self.prev, self._v):
+                            self._fill_ghosts(buf, pin=False)
                     if k == 0 and self._v is not None:
                         for a, b, core in self._blocks(self.curr):
                             acc = self._acc[: b - a]
@@ -702,14 +721,24 @@ def run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
     return _run(config, on_step)
 
 
-def _run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
+def _samples(config: SimConfig) -> list[tuple]:
+    """The vectors (u, v, reference) of ``config``'s initial fields and
+    reference, by ``_sample``: each factor called once."""
+    n = config.n
+    fields = {"initial_u": config.initial_u, "initial_v": config.initial_v, "exact": config.exact}
+    return _sample(fields, np.arange(n + 1) / n, np.arange(1, config.n_t + 1) * config.tau)
+
+
+def _run(config: SimConfig, on_step: Callable | None = None, vectors=None) -> SimReport:
     """``run(config, on_step)``, the one march path.
 
     ``run()`` returns its report, and ``benchmarks.run_table`` calls it
     itself, so that its rows read ``running_errors`` from a real march even
-    where perfbench's trace has put its replay in place of ``run``.  The
-    instability warning names the caller of the function that called this
-    one: ``run()``'s caller, or ``run_table``'s.
+    where perfbench's trace has put its replay in place of ``run``.
+    ``vectors`` is ``_samples(config)`` if given: ``run_table`` samples once
+    per group of equal fields, n, n_t and lam, and each march only reads
+    them.  The instability warning names the caller of the function that
+    called this one: ``run()``'s caller, or ``run_table``'s.
     """
     started = time.perf_counter()
     env = stability._shared_envelope(config.scheme, config.lam)  # both checked by SimConfig
@@ -720,20 +749,20 @@ def _run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
             stacklevel=3,
         )
     enveloped = time.perf_counter()
-    n, n_t = config.n, config.n_t
-    fields = {"initial_u": config.initial_u, "initial_v": config.initial_v, "exact": config.exact}
-    u, v, reference = _sample(fields, np.arange(n + 1) / n, np.arange(1, n_t + 1) * config.tau)
-    stepper = _Stepper(config.scheme, config.lam, n, config.bc, u, v=v, tau=config.tau,
-                       reference=reference)
+    u, v, reference = _samples(config) if vectors is None else vectors
     sampled = time.perf_counter()
-    steps = n_t if on_step is None else 1
-    for k in range(1, n_t + 1, steps):
+    stepper = _Stepper(config.scheme, config.lam, config.n, config.bc, u, v=v, tau=config.tau,
+                       reference=reference)
+    set_up = time.perf_counter()
+    steps = config.n_t if on_step is None else 1
+    for k in range(1, config.n_t + 1, steps):
         stepper.march(steps)
         if on_step is not None:
             on_step(k, stepper.field(stepper.curr).copy())
+    marched = time.perf_counter()
     overflows = f"lambda = {config.lam} overflows scheme {config.scheme.name!r}"
     error, per_step, running = _relative_error(stepper.sums.tolist(), overflows)
-    marched = time.perf_counter()
+    summed = time.perf_counter()
     return SimReport(
         error=error,
         per_step_errors=per_step,
@@ -743,7 +772,9 @@ def _run(config: SimConfig, on_step: Callable | None = None) -> SimReport:
         phases=(
             ("envelope", enveloped - started),
             ("sample", sampled - enveloped),
-            ("march", marched - sampled),
+            ("setup", set_up - sampled),
+            ("march", marched - set_up),
+            ("error", summed - marched),
         ),
         kernel="numpy" if stepper._lib is None else stepper._lib.isa,
     )

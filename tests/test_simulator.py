@@ -606,7 +606,8 @@ growing_reference = Separable(one, one, growing)
 def test_run_reports_its_phases(p5, p13):
     # Fixed phase names in order, each a wall time >= 0, summing to at most
     # the run's wall time, on the one-call march and on the step-by-step
-    # one, with the default reference and another.
+    # one, with the default reference and another: the set-up and the
+    # error apart from the sampling and the march.
     configs = (
         SimConfig(scheme=p5, n=12, n_t=5, lam=0.6),
         SimConfig(scheme=p13, n=12, n_t=5, lam=0.6, bc="periodic", exact=growing_reference),
@@ -614,7 +615,8 @@ def test_run_reports_its_phases(p5, p13):
     for config in configs:
         for on_step in (None, lambda k, field: None):
             report = run(config, on_step=on_step)
-            assert [name for name, _ in report.phases] == ["envelope", "sample", "march"]
+            names = [name for name, _ in report.phases]
+            assert names == ["envelope", "sample", "setup", "march", "error"]
             assert all(seconds >= 0.0 for _, seconds in report.phases)
             assert sum(seconds for _, seconds in report.phases) <= report.wall_time_s
             assert pickle.loads(pickle.dumps(report)).phases == report.phases
@@ -854,17 +856,32 @@ def test_default_initial_fields_keep_their_values_on_meshgrids():
 
 
 def test_an_axes_buffer_is_the_buffer_of_its_product(kernels):
-    # stepper.buffer((p, q)) holds, ghosts included, the bits of
-    # stepper.buffer(p[:, None] * q[None, :]) on both boundary layouts, and
-    # so do the fields that a stepper forms from either.
+    # stepper.buffer((p, q)) holds the bits of stepper.buffer(p[:, None] *
+    # q[None, :]), its ghosts zero, on both boundary layouts.  The march
+    # fills the ghosts that step 0 reads, so steppers formed from either
+    # hold the same whole buffers, ghosts included, after the first step
+    # and after a two-step from step 0, on every kernel.
     rng = np.random.default_rng(23)
     for name, bc, n in (("P5", "dirichlet", 9), ("P13", "periodic", 11), ("P13", "dirichlet", 5)):
+        spec = named_scheme(name)
         p, q = rng.standard_normal((2, n + 1))
-        stepper = _Stepper(named_scheme(name), 0.5, n, bc)
+        product = p[:, None] * q[None, :]
+        stepper = _Stepper(spec, 0.5, n, bc)
         got = stepper.buffer((p, q))
-        assert got.tobytes() == stepper.buffer(p[:, None] * q[None, :]).tobytes()
-        formed = _Stepper(named_scheme(name), 0.5, n, bc, (p, q), p[:, None] * q[None, :])
-        assert formed.prev.tobytes() == formed.curr.tobytes() == got.tobytes()
+        assert got.tobytes() == stepper.buffer(product).tobytes()
+        ghosts = np.ones(got.shape, bool)
+        ghosts[stepper.origin : stepper.origin + n + 1, stepper.origin : stepper.origin + n + 1] = False
+        assert not got[ghosts].any()
+        for isa, path in kernels:
+            with path():
+                for first in (True, False):
+                    formed = [_Stepper(spec, 0.5, n, bc, field, field, field if first else None,
+                                       tau=0.1) for field in ((p, q), product)]
+                    for stepper in formed:
+                        stepper.march(1)
+                    axes, whole = formed
+                    assert axes.prev.tobytes() == whole.prev.tobytes(), (isa, name, bc)
+                    assert axes.curr.tobytes() == whole.curr.tobytes(), (isa, name, bc)
 
 
 @pytest.mark.parametrize("name, bc", [(name, bc) for name in ("P5", "P13")
@@ -1321,6 +1338,55 @@ def test_tables_march_once_per_row_group_to_the_per_row_bits(kernels):
         for rows, reference in zip(tables, per_row):
             assert [list(row.items()) for row in rows] == [list(row.items()) for row in reference]
             assert _e_bits(rows) == _e_bits(reference), isa
+
+
+def test_tables_sample_once_per_row_group():
+    # The two schemes of a (n, n_t, lambda) group share one sample: 16
+    # samples for the 32 marches of the three tables, where run() samples
+    # once per run.
+    with mock.patch.object(simulator, "_sample", side_effect=simulator._sample) as sample, \
+            mock.patch.object(_Stepper, "march", autospec=True,
+                              side_effect=_Stepper.march) as march:
+        for table in TABLES:
+            run_table(table)
+        assert (sample.call_count, march.call_count) == (16, 32)
+        run(SimConfig(scheme=named_scheme("P5"), n=10, n_t=3, lam=0.7))
+        assert (sample.call_count, march.call_count) == (17, 33)
+
+
+def test_steppers_of_one_grid_share_their_layout_and_plan(cold_caches, kernels):
+    # The layout is formed once per (radius, n, bc) and, on a compiled
+    # kernel, the plan once per (spec, lambda, n, bc), and later steppers
+    # share them.  A stepper holds both, so one whose entries are cleared
+    # between its construction and its march, and other grids' plans formed
+    # meanwhile, still gives a fresh stepper's bits.
+    p13 = named_scheme("P13")
+    config = SimConfig(scheme=p13, n=20, n_t=7, lam=0.6, bc="periodic")
+    u, v, reference = simulator._samples(config)
+
+    def stepper():
+        return _Stepper(p13, config.lam, config.n, config.bc, u, v=v, tau=config.tau,
+                        reference=reference)
+
+    for isa, path in kernels:
+        with path():
+            for cache in cold_caches:
+                cache.cache_clear()
+            first, second = stepper(), stepper()
+            assert first._lines is second._lines and first.shape is second.shape
+            if isa != "numpy":
+                assert first._plan is second._plan and first._plan_at is second._plan_at
+            for cache in cold_caches:
+                cache.cache_clear()
+            for n in range(8, 40):
+                _Stepper(p13, 0.7, n, "periodic")
+            fresh = stepper()
+            assert fresh._lines is not first._lines
+            first.march(config.n_t)
+            fresh.march(config.n_t)
+            for got, want in ((first.prev, fresh.prev), (first.curr, fresh.curr),
+                              (first.sums, fresh.sums)):
+                assert got.tobytes() == want.tobytes(), isa
 
 
 def _e_bits(rows):
