@@ -14,17 +14,13 @@ between two stable gaps is stable, as a stable set is closed.  A root
 between two gaps unstable within 2**-38 is unstable with the envelope's
 slack: where the slack admits the extremes they stay within 2**-38 of the
 bounds on a neighbourhood, which would make a gap stable.
-
-:func:`~poisson_stencils.stability.lambda_max` imports this module when a
-spec is asked for again, so a process that asks for each limit once never
-compiles it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -37,8 +33,7 @@ _WIDENED = (2**38 + 1, 2**38)
 _BITS = 128  # a root is located to the points n / 2**_BITS of z
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(namedtuple("Limits", "exact widened interval")):
     """Where ``lambda_max`` decides a lambda by comparison alone.
 
     ``exact`` = (a, b): every lambda <= a is stable exactly (|symbol| <= 1),
@@ -46,13 +41,11 @@ class Limits:
     (a, b) for |symbol| <= 1 + 2**-38: the last lambda where that ends lies
     in [a, b), and no lambda >= b is stable with the envelope's slack.
     (0.0, 0.0) stands for nowhere, (2.0, inf) for all of (0, 2] and
-    (0.0, inf) for unknown.  ``interval``: the exactly stable lambda in
-    (0, 2] form the one interval (0, lambda*].
+    (0.0, inf) for unknown.  ``interval`` (a bool): the exactly stable
+    lambda in (0, 2] form the one interval (0, lambda*].
     """
 
-    exact: tuple[float, float]
-    widened: tuple[float, float]
-    interval: bool
+    __slots__ = ()
 
 
 _UNKNOWN = Limits((0.0, math.inf), (0.0, math.inf), False)

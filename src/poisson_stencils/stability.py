@@ -19,17 +19,16 @@ the largest (value, x, y) are found by comparing integer tuples.  Their
 floats come from integer true division, correctly rounded as ``float()`` of
 a ``Fraction`` is.
 
-:func:`lambda_max` bisects on the envelope's verdicts.  From a spec's
-second call on, it decides most of them by comparison with the spec's
-exact limits, which ``_limits`` builds once per spec: the roots in (0, 2]
-of every candidate point's "value = +-1" and "value = +-(1 + 2**-38)"
-polynomials are isolated by Sturm sequences over the integers, and each
-gap between them is probed exactly.  That gives the exact limit, below
-which every lambda is stable, and a widened one about 1e-12 above it,
-above which none is stable even with the envelope's slack; only a lambda
-between the two takes an exact envelope.  The gaps also show whether the
-stable lambdas form the one interval (0, lambda*] that the bisection
-assumes.
+:func:`lambda_max` bisects on the envelope's verdicts, and decides most of
+them by comparison with the spec's exact limits, which ``_limits`` builds
+at a spec's first search: the roots in (0, 2] of every candidate point's
+"value = +-1" and "value = +-(1 + 2**-38)" polynomials are isolated by
+Sturm sequences over the integers, and each gap between them is probed
+exactly.  That gives the exact limit, below which every lambda is stable,
+and a widened one about 1e-12 above it, above which none is stable even
+with the envelope's slack; only a lambda between the two takes an exact
+envelope.  The gaps also show whether the stable lambdas form the one
+interval (0, lambda*] that the bisection assumes.
 
 A spec's symbol coefficients as integer rows, its limits and its
 :func:`envelope` at one lambda are computed once per process and shared,
@@ -43,9 +42,9 @@ entry, and a bool never reaches one.  :func:`symbol` sums the float tables of
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,18 +159,15 @@ def _symbol_coefficients(spec: SchemeSpec) -> tuple[LambdaPoly, ...]:
     return ((s00 - s20 - s02) * half, s10 * half, s01 * half, s11 * half, s20, s02)
 
 
-@dataclass(frozen=True)
-class _ScaledSymbol:
+class _ScaledSymbol(namedtuple("_ScaledSymbol", "denominator low high rows")):
     """The six symbol coefficients as integer rows over one common denominator.
 
     c_i = sum_j rows[i][j] lam^(high - j) / denominator: row entry j holds
     the power high - j, from ``high`` down to ``low``, and low <= 0 <= high.
+    A namedtuple builds in a tenth of a frozen dataclass's time.
     """
 
-    denominator: int
-    low: int
-    high: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def at(self, lam: float) -> tuple[int, list[int]]:
         """(S, [N_i]) with c_i(lam) = N_i / S exactly and S > 0.
@@ -291,13 +287,6 @@ def _shared_envelope(spec: SchemeSpec, lam: float) -> Envelope:
     return _envelope(symbol, lam)
 
 
-@functools.lru_cache(maxsize=32)
-def _calls(spec: SchemeSpec) -> itertools.count:
-    """The count of :func:`lambda_max`'s calls for a spec in the analysis,
-    once per spec: ``next`` of it is 0 on the first call."""
-    return itertools.count()
-
-
 def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
     """Largest stable Courant number, to within tol, by bisection on (0, 2].
 
@@ -313,31 +302,26 @@ def lambda_max(spec: SchemeSpec, tol: float = 1e-6) -> float:
     :class:`NeverStableError` when every halving down to the smallest
     double violates the bound.
 
-    Every lambda tried is decided as :attr:`Envelope.stable` decides it.
-    A spec's first call takes an exact envelope for each.  From its second
-    call on, the spec's exact limits (see the module docstring) decide
+    Every lambda tried is decided as :attr:`Envelope.stable` decides it,
+    by comparison with the spec's exact limits (see the module docstring)
     where they suffice: a lambda at or below the exact limit's lower bound
-    is stable, one at or above the widened limit's upper bound is not, and
-    only one in between, a band of about 1e-12, takes an exact envelope.
-    Building the limits costs about one bisection, and a fresh process
-    also compiles their module, so a spec asked for once never pays for
-    them.  For each named scheme the stable lambdas form the one interval
-    (0, lambda*], and a tol of 1e-6 takes at most two envelopes.  A spec
-    whose stable lambdas are not one interval has every lambda between its
-    first exact limit and its last widened one decided by the envelope, so
-    the result is the bisection's either way.
+    is stable, one at or above the widened limit's upper bound is not.
+    Only a lambda in the band between them, about 1e-12 wide, or of a spec
+    whose limits stay unknown takes an exact envelope: at most two for a
+    named scheme at tol 1e-6, none for a never-stable spec whose symbol
+    stays within the doubles.  Where the stable lambdas are not the one
+    interval (0, lambda*], the band runs from the first exact limit to the
+    last widened one, so the result is the bisection's either way.
     """
     check_scheme(spec)
     tol = check_positive(tol, "tol")
     if tol >= 2.0:
         raise ValueError(f"tol must be below 2, the top of the search range, got {tol}")
-    symbol = _scaled_symbol(spec)
-    stable_to, unstable_from = 0.0, math.inf
-    if next(_calls(spec)):
-        from ._limits import limits  # compiled only where a limit is asked for again
+    from ._limits import limits  # loaded by the first search, not by a plain import
 
-        known = limits(spec)
-        stable_to, unstable_from = known.exact[0], known.widened[1]
+    symbol = _scaled_symbol(spec)
+    known = limits(spec)
+    stable_to, unstable_from = known.exact[0], known.widened[1]
 
     def stable(lam: float) -> bool:
         if lam <= stable_to:

@@ -41,7 +41,7 @@ for name in ("P5", "P9", "C13"):
     print(serialize_tables(spec))
     print(repr(envelope(spec, 0.5)))
     print(symbol(spec, 0.5, 1.0, 0.25).hex())
-    for tol in (1e-6, 1e-6, 1e-15, 0.9):  # then from the exact limits
+    for tol in (1e-6, 1e-6, 1e-15, 0.9):  # a cold search, then warm ones
         print(lambda_max(spec, tol).hex())
 """
 
@@ -117,8 +117,18 @@ def test_exact_work_runs_without_numpy(code):
 
 
 def test_plain_import_loads_neither_numpy_nor_the_simulator():
-    heavy = ("numpy", "ctypes", "poisson_stencils.simulator", "poisson_stencils._kernel")
-    code = f"import sys, poisson_stencils; print([m for m in {heavy!r} if m in sys.modules])"
+    # Nor the exact stability limits, which only lambda_max asks for: not
+    # at import, and not in `generate`.
+    heavy = ("numpy", "ctypes", "poisson_stencils.simulator", "poisson_stencils._kernel",
+             "poisson_stencils._limits")
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys, poisson_stencils
+        from poisson_stencils import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            for name in {NAMED_SCHEMES!r}:
+                assert cli.main(["generate", name]) == 0
+        print([m for m in {heavy!r} if m in sys.modules])
+    """)
     assert python(code) == "[]\n"
 
 

@@ -25,7 +25,7 @@ from poisson_stencils.scheme import (
 from poisson_stencils.simulator import SimConfig, run
 from poisson_stencils.quadrature import finite_at
 from poisson_stencils import scheme, stability
-from poisson_stencils._limits import limits
+from poisson_stencils._limits import _UNKNOWN, limits
 from poisson_stencils.stability import (
     _BOUND_SLACK,
     _CLASSES,
@@ -374,16 +374,23 @@ QUADRATIC_WEIGHTS = st.lists(
 )
 
 
+def quarter_table(weights):
+    """The two-step table with (c0 + c2 lam^2) / 4 on each offset of a class
+    for its weights (c0, c2), leaving out zero polynomials."""
+    two_step = {}
+    for (q1, q2), (c0, c2) in zip(_CLASSES, weights):
+        poly = LambdaPoly({0: Fraction(c0, 4), 2: Fraction(c2, 4)})
+        if poly:
+            two_step.update({(s1 * q1, s2 * q2): poly for s1 in (1, -1) for s2 in (1, -1)})
+    return two_step
+
+
 @settings(max_examples=200, deadline=None)
 @given(weights=QUADRATIC_WEIGHTS, lam=st.sampled_from((0.25, 0.5, 1.0)))
 def test_envelope_of_random_quadratic_symbols(weights, lam):
     # Random tables of the supported form, whose extremes may sit at an edge
     # vertex or in the interior, against the cosine sum on a phase grid.
-    two_step = {}
-    for (q1, q2), (c0, c2) in zip(((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)), weights):
-        poly = LambdaPoly({0: Fraction(c0, 4), 2: Fraction(c2, 4)})
-        if poly:
-            two_step.update({(s1 * q1, s2 * q2): poly for s1 in (1, -1) for s2 in (1, -1)})
+    two_step = quarter_table(weights)
     assume(two_step)
     spec = SchemeSpec(name="random", first_u={}, first_v={}, two_step=two_step)
     thetas = np.linspace(0.0, math.pi, 97)
@@ -502,12 +509,11 @@ def test_caches_stay_bounded(cold_caches):
     for k in range(size + 50):
         envelope(p5, 0.25 + k / 1024)
     # The caches once per spec.
-    per_spec = (_scaled_symbol, stability._calls, limits, scheme._serialized)
+    per_spec = (_scaled_symbol, limits, scheme._serialized)
     size = max(cache.cache_info().maxsize for cache in per_spec)
     for k in range(size + 50):
         spec = dataclasses.replace(p5, name=f"P5-{k}")
         envelope(spec, 0.5)
-        lambda_max(spec)
         lambda_max(spec)
         serialize_tables(spec)
     for cache in (*per_spec, *SHARED):
@@ -787,23 +793,53 @@ def test_exact_limit_lies_between_its_bounds(name):
     assert wide_b - a < 1e-12
 
 
-@pytest.mark.parametrize("name", NAMED_SCHEMES)
-def test_lambda_max_calls_the_envelope_only_near_the_limit(name, cold_caches, monkeypatch):
-    # A spec's first call bisects on envelopes alone (23 of them).  From its
-    # second on, the exact limits decide every midpoint outside a band of
-    # about 1e-12, which a bisection to 1e-6 enters at most twice.
-    spec, calls = named_scheme(name), []
+@pytest.fixture
+def envelope_calls(monkeypatch):
+    """The lambda of each exact envelope that lambda_max takes, in order."""
+    calls = []
 
     def counted(symbol, lam):
         calls.append(lam)
         return _envelope(symbol, lam)
 
     monkeypatch.setattr(stability, "_envelope", counted)
-    first = lambda_max(spec, 1e-6)
-    assert len(calls) > 20 and limits.cache_info().currsize == 0
-    calls.clear()
-    assert lambda_max(spec, 1e-6) == first
-    assert len(calls) <= 2
+    return calls
+
+
+@pytest.mark.parametrize("name", NAMED_SCHEMES)
+def test_lambda_max_calls_the_envelope_only_near_the_limit(name, cold_caches, envelope_calls):
+    # The exact limits decide every midpoint outside a band of about 1e-12,
+    # which a bisection to 1e-6 enters at most twice: on a cold call, which
+    # builds the limits, and on a warm one alike.
+    spec = named_scheme(name)
+    cold = lambda_max(spec, 1e-6)
+    assert len(envelope_calls) <= 2
+    envelope_calls.clear()
+    assert lambda_max(spec, 1e-6) == cold
+    assert len(envelope_calls) <= 2
+
+
+# Weights that test_envelope_of_random_quadratic_symbols draws, whose
+# tables are never stable.
+NEVER_STABLE_WEIGHTS = (
+    ((2, -4), (4, -7), (-6, -5), (3, -7), (8, -2), (-7, -6)),
+    ((5, 5), (-6, -1), (-6, 5), (-7, -5), (-1, -7), (4, -7)),
+    ((-1, -7), (-4, 1), (5, -4), (-5, 1), (-3, -5), (-2, 3)),
+)
+
+
+@pytest.mark.parametrize("table", [
+    {(0, 0): LambdaPoly({0: 3, 2: 1})},
+    *(quarter_table(weights) for weights in NEVER_STABLE_WEIGHTS),
+], ids=["amplifier", "random-0", "random-1", "random-2"])
+def test_a_never_stable_table_takes_no_envelope_on_its_first_call(table, cold_caches,
+                                                                   envelope_calls):
+    # Its limits call every lambda in (0, 2] unstable, so the halving from
+    # tol down to the smallest double is decided by comparison alone.
+    spec = SchemeSpec(name="never", first_u={}, first_v={}, two_step=table)
+    with pytest.raises(NeverStableError, match="amplifies at all lambda"):
+        lambda_max(spec)
+    assert envelope_calls == []
 
 
 # The corner value of ISLAND is 1 - 10 s + 10 s^2 (s = lambda^2): stable up to
@@ -832,7 +868,7 @@ def test_a_stable_island_keeps_the_bisections_bits(tol, limit):
     found = limits(ISLAND)
     assert not found.interval
     assert found.exact[0] < 0.5258 and found.widened[1] > 1.0
-    for _ in range(2):  # the envelopes alone, then the limits
+    for _ in range(2):  # the same on every call
         assert lambda_max(ISLAND, tol).hex() == limit
 
 
@@ -874,7 +910,7 @@ def test_lambda_max_keeps_the_plain_bisections_bits(weights, tol):
     two_step[(0, 0)] = centre
     spec = SchemeSpec(name="random", first_u={}, first_v={}, two_step=two_step)
     outcomes = []
-    for search in (plain_lambda_max, lambda_max, lambda_max):  # then from the limits
+    for search in (plain_lambda_max, lambda_max, lambda_max):  # the oracle, then twice on the limits
         try:
             outcomes.append(search(spec, tol).hex())
         except NeverStableError as exc:
@@ -913,6 +949,27 @@ def test_a_root_that_two_candidates_share_leaves_the_limits_known(tol):
     results = {search(GOLDEN, tol) for search in (plain_lambda_max, lambda_max, lambda_max)}
     assert len(results) == 1
     assert a - tol < results.pop() < wide_b
+
+
+# Two distinct roots of the widened family near lambda = 2.9e-13, whose
+# polynomials have a constant gcd, lie closer than the grid, so the limits
+# stay unknown and the envelope decides every lambda.
+NEAR = SchemeSpec(
+    name="near", first_u={}, first_v={},
+    two_step={
+        (0, 0): LambdaPoly({0: 2, 1: 15, 2: -16, 5: Fraction(-5, 2)}),
+        **{(q1, 0): LambdaPoly({5: Fraction(5, 4)}) for q1 in (1, -1)},
+        **{(q1, q2): LambdaPoly({1: Fraction(-5, 4), 2: 4}) for q1 in (1, -1) for q2 in (1, -1)},
+        **{(0, q2): LambdaPoly({1: -5}) for q2 in (2, -2)},
+    },
+)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-12, 0.9])
+def test_unknown_limits_keep_the_bisections_bits(tol, cold_caches):
+    cold, warm = lambda_max(NEAR, tol), lambda_max(NEAR, tol)
+    assert limits(NEAR) == _UNKNOWN
+    assert cold.hex() == warm.hex() == plain_lambda_max(NEAR, tol).hex()
 
 
 def test_roots_of_two_polynomials_that_share_two_irrational_ones():
