@@ -38,8 +38,11 @@ names ``fma``, and the flags stay portable, with no ``-march=native`` or
 in one call, k the number already made, step 0 with a velocity the first
 step and any other the two-step update, each followed by the ghost fill
 and, if asked, its error sums into row k of an (n_t x 2) array, and returns
-whether it swapped its field buffers.  Step 0 first fills the ghosts that
-it reads, which ``_Stepper.buffer`` leaves zero.  It reads what ``plan()``
+whether it swapped its field buffers.  Step 0 first forms each initial
+field given as a pair of vectors (p, q), p[i] * q[j] with the bits of
+numpy's p[:, None] * q[None, :], in the buffer that ``_Stepper`` only
+allocated, then fills the ghosts that it reads, which ``_Stepper.buffer``
+leaves zero.  It reads what ``plan()``
 packs: the buffer geometry, the three tables' linear offsets and
 coefficients, and the ghost lines (layout in the source).  Its ghost fill
 writes what ``_Stepper._fill_ghosts`` does, rows then columns, by copies,
@@ -55,13 +58,20 @@ one value per row and one per column, with the bits of numpy's
 give numpy's bits it replays numpy's pairwise summation order
 (``pairwise_sum_DOUBLE``: runs of at most 128 values, 8 partial sums each)
 over the flattened field; the 8 partial sums are the lanes of 8 / W vector
-registers of W doubles.  A run that lies in one row forms its squares in
-those registers; one that crosses a row end stages them first.  That
-order is numpy's, not a documented contract: ``tests/test_error_sums.py``
-checks each variant's sums against numpy's own bit for bit, at the order's
-seams too, and ``tests/test_stencil_kernel.py`` checks that every variant
-and the numpy path give every table row and the benchmark marches the same
-errors.  The contract flag also keeps u - (a * b) * c from fusing.
+registers of W doubles.  On rows of W to 127 values, shorter than a run,
+every run forms its squares in those registers W flat values at a time: a
+register that crosses a row end merges the lanes of two loads, one from
+each row, by a bit mask, and takes its column sines from a table of W - 1
+registers made once per call, so no value is staged and no lane outside
+the field enters the arithmetic.  On other rows, a run that lies in one
+row forms its squares in registers and one that crosses a row end stages
+them first; there, runs that cross a row end are few, and the flat
+registers measured slower.  That order is numpy's, not a documented
+contract: ``tests/test_error_sums.py`` checks each variant's sums against
+numpy's own bit for bit, at the order's seams too, and
+``tests/test_stencil_kernel.py`` checks that every variant and the numpy
+path give every table row and the benchmark marches the same errors.  The
+contract flag also keeps u - (a * b) * c from fusing.
 
 The cache directory is ``$XDG_CACHE_HOME/poisson_stencils`` (default
 ``~/.cache``), mode 0700.  A directory that another user owns, or that others
@@ -85,8 +95,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 # The part of the C source that has no vectors: the plan's layout, the ghost
-# fill, a stencil table, the one-node sum of a row narrower than a register,
-# the error sums' fields, and the choice of instruction set.
+# fill, the initial fields' products, a stencil table, the one-node sum of a
+# row narrower than a register, the error sums' fields, and the choice of
+# instruction set.
 _SHARED = r"""
 #include <stddef.h>
 
@@ -113,6 +124,17 @@ static void fill_ghosts(double *buf, const ptrdiff_t *plan, const ptrdiff_t *lin
         for (ptrdiff_t i = 0; i < side; i++)
             g[i * step] = line[2] > 0 ? f[i * step] : line[2] < 0 ? -f[i * step] : 0.0;
     }
+}
+
+/* The field of buf, SIDE values square from buffer row and column ORIGIN,
+   as p[i] * q[j]: numpy's p[:, None] * q[None, :]. */
+static void outer(double *buf, const ptrdiff_t *plan, const double *p, const double *q)
+{
+    const ptrdiff_t width = plan[WIDTH], side = plan[SIDE];
+    double *field = buf + plan[ORIGIN] * (width + 1);
+    for (ptrdiff_t i = 0; i < side; i++)
+        for (ptrdiff_t j = 0; j < side; j++)
+            field[i * width + j] = p[i] * q[j];
 }
 
 /* A stencil table: count linear buffer offsets off and their coefficients c. */
@@ -190,6 +212,7 @@ _VECTOR_LOOPS = r"""
    numpy's 8 partial sums take 8 / W registers, lane k of register j holding
    partial sum j * W + k. */
 typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
+typedef long long ivec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
 
 @TARGET@ static inline vec_@ISA@ load_@ISA@(const double *p)
 {
@@ -364,20 +387,139 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
     sums[1] = r2;
 }
 
+/* For a register of flat values that crosses a row end with m of its W
+   values in the row (0 < m < W): lanes k < m of in[m] are all ones, the
+   rest zero, and lane k of b[m] is the column sine of the value it holds,
+   b[cols - m + k] for k < m and b[k - m] after.  Made once per error_sums
+   call, for rows of cols >= W values. */
+struct crossings_@ISA@ {
+    ivec_@ISA@ in[W];
+    vec_@ISA@ b[W];
+};
+
+@TARGET@ static void crossings_@ISA@(const double *b, ptrdiff_t cols, struct crossings_@ISA@ *x)
+{
+    for (int m = 1; m < W; m++)
+        for (int k = 0; k < W; k++) {
+            x->in[m][k] = k < m ? -1 : 0;
+            x->b[m][k] = k < m ? b[cols - m + k] : b[k - m];
+        }
+}
+
+/* The lanes of x where in is all ones and of y elsewhere, bit for bit. */
+@TARGET@ static inline vec_@ISA@ merge_@ISA@(ivec_@ISA@ in, vec_@ISA@ x, vec_@ISA@ y)
+{
+    return (vec_@ISA@)(((ivec_@ISA@)x & in) | ((ivec_@ISA@)y & ~in));
+}
+
+/* *e = (u - r)^2 and *q = r^2, r = (a * b) * c, for the W values of f from
+   flat index row * cols + col.  A register that crosses the row's end
+   with m values in the row loads W values from col on and the W values
+   that end with the next row's first W - m, and keeps the first load's
+   lanes k < m and the second's others; its a * b are merged alike from
+   both rows' sines.  As rows hold at least W values, both loads lie
+   between the row's start and the next row's end, and their dropped lanes
+   enter no arithmetic. */
+@TARGET@ static inline void flat_squares_@ISA@(const struct fields *f,
+                                               const struct crossings_@ISA@ *x, ptrdiff_t row,
+                                               ptrdiff_t col, vec_@ISA@ *e, vec_@ISA@ *q)
+{
+    const double *u = f->u + row * f->u_row_stride + col;
+    if (col + W <= f->cols) {
+        squares_@ISA@(u, f->b + col, f->a[row], f->c, e, q);
+        return;
+    }
+    const ivec_@ISA@ in = x->in[f->cols - col];
+    const vec_@ISA@ b = x->b[f->cols - col];
+    const vec_@ISA@ v = merge_@ISA@(in, load_@ISA@(u), load_@ISA@(u + f->u_row_stride - f->cols));
+    const vec_@ISA@ r = merge_@ISA@(in, f->a[row] * b, f->a[row + 1] * b) * f->c, d = v - r;
+    *e = d * d;
+    *q = r * r;
+}
+
+/* e and q = the squares of flat_squares for the 8 values of f from flat
+   index *row * cols + *col, in 8 / W registers, and advance *row and *col
+   past them. */
+@TARGET@ static inline void flat_group_@ISA@(const struct fields *f,
+                                             const struct crossings_@ISA@ *x, ptrdiff_t *row,
+                                             ptrdiff_t *col, vec_@ISA@ e[8 / W],
+                                             vec_@ISA@ q[8 / W])
+{
+    if (*col + 8 <= f->cols) {
+        const double *u = f->u + *row * f->u_row_stride + *col, *b = f->b + *col;
+        for (int k = 0; k < 8 / W; k++)
+            squares_@ISA@(u + W * k, b + W * k, f->a[*row], f->c, &e[k], &q[k]);
+        *col += 8;
+    } else {
+        for (int k = 0; k < 8 / W; k++) {
+            if (*col >= f->cols) {
+                ++*row;
+                *col -= f->cols;
+            }
+            flat_squares_@ISA@(f, x, *row, *col, &e[k], &q[k]);
+            *col += W;
+        }
+    }
+    if (*col >= f->cols) {
+        ++*row;
+        *col -= f->cols;
+    }
+}
+
+/* sums = the sums of (u - r)^2 and r^2, r = (a * b) * c, over the run of
+   n <= BLOCK values of f from flat index start, by block_sum's order with
+   the squares formed in registers, 8 flat values at a time, across row
+   ends too (see flat_squares). */
+@TARGET@ static void flat_sums_@ISA@(const struct fields *f, const struct crossings_@ISA@ *x,
+                                     ptrdiff_t start, ptrdiff_t n, double sums[2])
+{
+    ptrdiff_t row = start / f->cols, col = start % f->cols, i = 0;
+    double d2 = 0.0, r2 = 0.0;
+    if (n >= 8) {
+        vec_@ISA@ e[8 / W], q[8 / W], de[8 / W], dq[8 / W];
+        flat_group_@ISA@(f, x, &row, &col, e, q);
+        for (i = 8; i < n - n % 8; i += 8) {
+            flat_group_@ISA@(f, x, &row, &col, de, dq);
+            for (int k = 0; k < 8 / W; k++) {
+                e[k] += de[k];
+                q[k] += dq[k];
+            }
+        }
+        d2 = combine_@ISA@(e);
+        r2 = combine_@ISA@(q);
+    }
+    for (; i < n; i++) {
+        const double r = (f->a[row] * f->b[col]) * f->c, d = f->u[row * f->u_row_stride + col] - r;
+        d2 += d * d;
+        r2 += r * r;
+        if (++col == f->cols) {
+            row++;
+            col = 0;
+        }
+    }
+    sums[0] = d2;
+    sums[1] = r2;
+}
+
 /* sums = the pairwise sums of (u - r)^2 and r^2, r = (a * b) * c, over the
-   run of n values from flat index start: in registers if the run lies in
-   one row, else staged row by row. */
-@TARGET@ static void pairwise_sums_@ISA@(const struct fields *f, ptrdiff_t start, ptrdiff_t n,
-                                         double sums[2])
+   run of n values from flat index start.  With x (rows of W to BLOCK - 1
+   values), each run of at most BLOCK values is summed by flat_sums;
+   otherwise in registers if it lies in one row, else staged row by row. */
+@TARGET@ static void pairwise_sums_@ISA@(const struct fields *f, const struct crossings_@ISA@ *x,
+                                         ptrdiff_t start, ptrdiff_t n, double sums[2])
 {
     if (n > BLOCK) {
         ptrdiff_t half = n / 2;
         double a[2], b[2];
         half -= half % 8;
-        pairwise_sums_@ISA@(f, start, half, a);
-        pairwise_sums_@ISA@(f, start + half, n - half, b);
+        pairwise_sums_@ISA@(f, x, start, half, a);
+        pairwise_sums_@ISA@(f, x, start + half, n - half, b);
         sums[0] = a[0] + b[0];
         sums[1] = a[1] + b[1];
+        return;
+    }
+    if (x) {
+        flat_sums_@ISA@(f, x, start, n, sums);
         return;
     }
     ptrdiff_t row = start / f->cols, col = start % f->cols;
@@ -408,22 +550,29 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
                                double *out)
 {
     const struct fields f = {u, a, b, u_row_stride, cols, c};
+    struct crossings_@ISA@ x;
+    const int flat = cols >= W && cols < BLOCK;
     double sums[2];
-    pairwise_sums_@ISA@(&f, 0, rows * cols, sums);
+    if (flat)
+        crossings_@ISA@(b, cols, &x);
+    pairwise_sums_@ISA@(&f, flat ? &x : NULL, 0, rows * cols, sums);
     out[0] = 0.0 + sums[0];
     out[1] = 0.0 + sums[1];
 }
 
 /* Make steps first .. first + steps - 1 on the fields of prev and curr: step
    0 with v is curr = S_u prev + tau * S_v v, any other prev = S curr - prev
-   and a swap, so that curr holds the newest field.  Step 0 first fills the
-   ghosts it reads, of prev and v or of curr, leaving the ring.  After step
-   k the ghosts are filled and, with sums, row k of sums gets error_sums of
-   the (side x side) field against (a * b) * factors[k], a and b of side
-   values each.  Returns whether prev and curr end swapped. */
+   and a swap, so that curr holds the newest field.  Step 0 first forms the
+   field of each of prev, curr and v that has a pair (p, q) in pairs, six
+   pointers in that order, NULL for none, then fills the ghosts it reads, of
+   prev and v or of curr, leaving the ring.  After step k the ghosts are
+   filled and, with sums, row k of sums gets error_sums of the (side x
+   side) field against (a * b) * factors[k], a and b of side values each.
+   Returns whether prev and curr end swapped. */
 @TARGET@ int march_@ISA@(const ptrdiff_t *plan, const double *coeffs, double *prev, double *curr,
                          double *v, double tau, ptrdiff_t first, ptrdiff_t steps,
-                         const double *a, const double *b, const double *factors, double *sums)
+                         const double *const *pairs, const double *a, const double *b,
+                         const double *factors, double *sums)
 {
     const ptrdiff_t width = plan[WIDTH], lo = plan[LO], size = plan[SIZE];
     const struct table first_u = {plan + HEADER, coeffs, plan[COUNT_U]};
@@ -433,6 +582,12 @@ typedef double vec_@ISA@ __attribute__((vector_size(W * sizeof(double))));
                               plan[COUNT_TWO]};
     const ptrdiff_t *lines = two.off + two.count;
     int swapped = 0;
+    if (first == 0 && pairs) {
+        double *bufs[3] = {prev, curr, v};
+        for (int m = 0; m < 3; m++)
+            if (pairs[2 * m])
+                outer(bufs[m], plan, pairs[2 * m], pairs[2 * m + 1]);
+    }
     if (first == 0)
         fill_ghosts(v ? prev : curr, plan, lines, 0);
     if (first == 0 && v)
@@ -489,7 +644,7 @@ _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 # order through it at run lengths such as 8, 128 and 129 values, which no
 # (n+1)^2 field of a march has.
 _SIGNATURES = {
-    "march": ((_P, _P, _P, _P, _P, _D, _N, _N, _P, _P, _P, _P), ctypes.c_int),
+    "march": ((_P, _P, _P, _P, _P, _D, _N, _N, _P, _P, _P, _P, _P), ctypes.c_int),
     "error_sums": ((_P, _N, _P, _P, _D, _N, _N, _P), None),
 }
 

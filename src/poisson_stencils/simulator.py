@@ -33,8 +33,9 @@ fields are ``Separable``s of space alone, as the benchmark's two are.
 the bits of sampling the reference whole.  The compiled march forms it per
 node, reading no (n+1)^2 reference field, and the numpy paths build that
 field by one broadcast multiply.  ``run()`` forms each initial field's
-product in its march buffer: a compiled run allocates three fresh (n+1)^2
-fields, its buffers, and no others.
+product in its march buffer, on the compiled kernel at the march's step 0
+and in numpy when it allocates the buffer: a compiled run allocates three
+fresh (n+1)^2 fields, its buffers, and no others.
 """
 
 from __future__ import annotations
@@ -205,8 +206,10 @@ class SimReport:
     ``phases`` holds (name, wall seconds) for the phases of ``run()`` in
     order: "envelope", the stability envelope; "sample", the factor vectors
     of the initial fields and the reference; "setup", the march's buffers
-    with their fields and, on the compiled kernel, its plan and addresses;
-    "march", the steps with their ghost fills and error sums; "error", E,
+    and, on the compiled kernel, its plan and addresses, or on the numpy
+    path the initial fields too; "march", the steps with their ghost fills
+    and error sums, and on the compiled kernel the initial fields that step
+    0 forms first; "error", E,
     the per-step and the running errors from those sums.  Their sum is at
     most ``wall_time_s``.
     ``kernel`` names what marched: a compiled variant's instruction set
@@ -369,8 +372,12 @@ def _plan(spec: SchemeSpec, lam: float, n: int, bc: str) -> tuple:
 class _Stepper:
     """One march: its fields, stencil kernel and, with a reference, error sums.
 
-    The constructor forms the fields ``prev``, ``curr`` (zero if not given)
-    and ``v``, the first step's velocity, each in a buffer of its own.  With
+    The constructor gives the fields ``prev``, ``curr`` (zero if not given)
+    and ``v``, the first step's velocity, each a buffer of its own.  A field
+    given as a pair (p, q) of n + 1 float values each is p[:, None] *
+    q[None, :]: the numpy path forms it in ``buffer``, and on the compiled
+    path the constructor only allocates its buffer and step 0 of the march
+    forms it, from the pair that the stepper holds.  With
     ``reference``, the (a, b, c) vectors of a reference sampled for steps
     1..n_t (see ``_sample``), it allocates ``sums``, row k - 1 for step k's
     error sums; it only reads the vectors.  No array crosses
@@ -415,9 +422,12 @@ class _Stepper:
          self._lines) = _layout(max(spec.radius, 1), n, bc)
         # The tables at lam, shared per (spec, lam).
         self.first_u, self.first_v, self.two_step = _evaluated(spec, lam)
-        self.prev = self.buffer(prev)
-        self._v = None if v is None else self.buffer(v)
-        self.curr = self.buffer(curr)
+        self._lib = _kernel.load()
+        # On the compiled path the march forms each pair (p, q) at step 0.
+        deferred = [self._lib is not None and isinstance(values, tuple) for values in (prev, curr, v)]
+        self.prev, self.curr = (self.buffer(None if later else values)
+                                for values, later in zip((prev, curr), deferred))
+        self._v = None if v is None else self.buffer(None if deferred[2] else v)
         self.tau, self.step = tau, 0
         # The steps that the reference covers, one row of sums each.
         self._last, self.sums = math.inf, None
@@ -425,7 +435,6 @@ class _Stepper:
             self._reference = reference
             self._last = len(reference[2])
             self.sums = np.empty((self._last, 2))
-        self._lib = _kernel.load()
         if self._lib is None:
             rows = (min(_ROW_BLOCK, self.size), self.size)
             self._acc = np.empty(rows)
@@ -435,6 +444,11 @@ class _Stepper:
                 self._space = _space(*reference[:2])
         else:
             self._plan, self._plan_at = _plan(spec, lam, n, bc)
+            # The pairs' six addresses, NULL for none; the stepper holds the vectors.
+            self._pairs = [values if later else (None, None)
+                           for values, later in zip((prev, curr, v), deferred)]
+            self._pairs_at = (ctypes.c_void_p * 6)(
+                *(None if x is None else _address(x) for pair in self._pairs for x in pair))
             self._at = [_address(buf[0]) for buf in (self.prev, self.curr)]
             self._v_at = None if v is None else _address(self._v[0])
             self._reference_at = [None] * 4 if reference is None else [
@@ -449,7 +463,9 @@ class _Stepper:
         """A new buffer, zero or holding a field, its ghosts zero.
 
         The field is ``values``, an (n+1) x (n+1) array, or for a pair (p, q)
-        of n + 1 values each, p[:, None] * q[None, :] formed in the buffer.
+        of n + 1 values each, p[:, None] * q[None, :] formed in the buffer;
+        the constructor passes no pair here on the compiled path, whose
+        march forms it.
         ``march`` fills the ghosts that step 0 reads, without pinning the
         boundary ring: a Dirichlet field keeps its own for the first stencil
         application to read, and the ghosts hold its odd extension, ring
@@ -508,7 +524,7 @@ class _Stepper:
             raise ValueError(f"can march 1 to {self._last - k} more steps, got {steps}")
         if self._lib is not None:
             if self._lib.march(*self._plan_at, *self._at, self._v_at, self.tau, k, steps,
-                               *self._reference_at):
+                               self._pairs_at, *self._reference_at):
                 self.prev, self.curr = self.curr, self.prev
                 self._at.reverse()
         else:

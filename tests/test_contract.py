@@ -31,24 +31,38 @@ datetime and complex object arrays; ints beyond the doubles; generators).
 factors, then give the bits of the same values as owned float64 vectors,
 or a ``ValueError`` naming the first bad factor in field order.
 
-Grids stay at most 7 x 7 and runs at most 4 steps, so the module takes a
-few seconds.
+The command line is drawn from ``cli.build_parser()``'s own actions for
+its four commands: each choice, type and flag of the parser, with values
+that it must refuse (unknown schemes, nan and infinite or negative reals,
+non-integer and negative counts, unwritable output paths) and required
+options left out.  Every argv ends with exit code 0 or one of
+``cli._EXIT_CODES``, writes one ``error:`` line exactly when it fails and
+no traceback, and warns of nothing but the stable range.
+
+Grids stay at most 7 x 7 and runs at most 4 steps, and on the command line
+at most 16 x 16 and 8 steps, so the module takes a few seconds.
 """
 
+import argparse
+import contextlib
+import io
 import math
 import numbers
+import os
 import warnings
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from poisson_stencils import cli
 from poisson_stencils.quadrature import LambdaPoly
-from poisson_stencils.scheme import DegenerateNormError, SchemeSpec, named_scheme
+from poisson_stencils.scheme import NAMED_SCHEMES, DegenerateNormError, SchemeSpec, named_scheme
 from poisson_stencils.simulator import (
     Separable, SimConfig, first_step, relative_l2_error, run, two_step,
 )
@@ -369,3 +383,88 @@ def test_separable_factors_give_the_bits_of_owned_vectors(kernels, n, n_t, bc, d
         assert error[0] is ValueError and error[1].startswith(f"{exact_bad[0]} must "), error
     else:
         assert error == sampled(relative_l2_error, computed, owned["exact"], config.tau)
+
+
+# The valid grid sizes and step counts drawn for the command line.
+ARGV_COUNTS = {"n": (2, 16), "nt": (1, 8), "dump_every": (0, 9)}
+
+
+def argv_values(action, paths):
+    """Strategies (accepted, refused) of the strings to give ``action``, one
+    of a parser's options or positionals: values that the command runs
+    with, and values that it must refuse (or, for a real, may)."""
+    if action.choices is not None:
+        return st.sampled_from(list(map(str, action.choices))), st.sampled_from(["0", "x", ""])
+    if action.type is float:
+        return (st.sampled_from(["1e-9", "1e-6", "0.1", "0.5", "0.707", "1.5"]),
+                st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0.0", "1e-320", "1e308",
+                                 "1e400", "x", ""]))
+    if action.type in (int, cli._nonnegative_int):
+        least, most = ARGV_COUNTS[action.dest]
+        return (st.integers(min_value=least, max_value=most).map(str),
+                st.one_of(st.integers(min_value=-3, max_value=least - 1).map(str),
+                          st.sampled_from(["2.5", "1e3", "x", ""])))
+    if action.dest == "scheme":
+        return st.sampled_from([*NAMED_SCHEMES, "p13"]), st.sampled_from(["P7", "X", ""])
+    return st.just(paths[0]), st.sampled_from(paths[1:])  # --out and --dump-prefix
+
+
+@st.composite
+def command_lines(draw, paths):
+    """An argv for one of the parser's commands, from that command's
+    actions: each value refused in one draw of five, each optional option
+    given in half the draws and each required one left out in one of ten."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = draw(st.sampled_from(sorted(commands.choices)))
+    options, positionals = [], []
+    for action in commands.choices[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        accepted, refused = argv_values(action, paths)
+        # (hypothesis draws the ends of a range more often than its middle)
+        value = draw(refused if draw(st.integers(0, 4)) == 2 else accepted)
+        if not action.option_strings:
+            positionals.append(value)
+        elif action.nargs == 0:  # a flag
+            if draw(st.booleans()):
+                options.append([action.option_strings[0]])
+        elif draw(st.integers(0, 9)) != 5 if action.required else draw(st.booleans()):
+            flag = action.option_strings[0]
+            options.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    options = [word for option in draw(st.permutations(options)) for word in option]
+    return [command, *options, *positionals]
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """The directory that the command lines run in and write to."""
+    return tmp_path_factory.mktemp("argv")
+
+
+def argv_paths(root):
+    """Output paths: a writable file, a directory and a file in a missing one."""
+    return [str(root / "out.txt"), str(root), str(root / "missing" / "out.txt")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_command_line_ends_in_a_documented_code(argv_dir, data):
+    argv = data.draw(command_lines(argv_paths(argv_dir)), label="argv")
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        os.chdir(argv_dir)  # where snapshots go without --dump-prefix
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit:  # argparse refuses the argv
+            code = exit.code
+        finally:
+            os.chdir(cwd)
+    assert code in {cli.EXIT_OK, *cli._EXIT_CODES.values()}, (argv, code)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(errors) == (code != cli.EXIT_OK), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    for warning in caught:
+        assert "outside the stable range" in str(warning.message), (argv, warning)

@@ -7,13 +7,15 @@ r = (a[:, None] * b[None, :]) * c, given as its sines a (one per row) and b
 (one per column).  The numpy march and ``relative_l2_error`` build that
 field and call numpy's sums themselves (``simulator._error_sums``); the
 compiled march forms r per node and replays that order term for term
-through each variant's exported ``error_sums``: a run of at most 128 values
-(a leaf) that lies in one row is summed in registers, and one that crosses
-a row end is staged first.  All must give numpy's exact bits for any field
-and sines, including sizes at the order's seams (8, 128, 129 and 256
-values), both kinds of leaf, rows shorter than 8 values, strided views,
-signed zeros, infinities and nans.  A numpy that changed its order would
-fail here first.
+through each variant's exported ``error_sums``.  On rows of W to 127
+values (W doubles per register), a run of at most 128 values (a leaf) is
+summed in registers W flat values at a time, a register that crosses a row
+end taking its lanes from both rows.  On other rows a leaf that lies in one
+row is summed in registers, and one that crosses a row end is staged first.
+All must give numpy's exact bits for any field and sines, including sizes
+at the order's seams (8, 128, 129 and 256 values), every kind of leaf and
+register, rows shorter than 8 values, strided views, signed zeros,
+infinities and nans.  A numpy that changed its order would fail here first.
 """
 
 import numpy as np
@@ -159,6 +161,86 @@ def test_in_row_and_row_crossing_leaves_are_numpys(kernels, rows, cols):
     shape = (rows + 2, cols + 7)
     u = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape)
     u = u[1 : rows + 1, 3 : cols + 3]
+    a, b = rng.standard_normal(rows), rng.standard_normal(cols)
+    u[rng.random(u.shape) < 0.1] = -0.0
+    for c in (1.0, -0.75):
+        want = bits(numpy_sums(u, a, b, c))
+        for name, path in kernels:
+            with path():
+                assert bits(kernel_sums(u, a, b, c)) == want, (name, c)
+
+
+# W, the doubles per register, of each instruction set in ``_kernel.ISAS``.
+WIDTHS = sorted({width for _, width in _kernel.ISAS})
+BLOCK = 128
+
+
+def registers(rows, cols, width):
+    """(kind, detail) of each piece of numpy's order over a (rows x cols)
+    field that the compiled sums take at register width ``width``.
+
+    On rows of ``width`` to 127 values each leaf is a "flat" leaf: its 8-value
+    groups go W values at a time, each register a ("whole", 0) of a group in
+    one row, a ("crossing", m) with m of its values in the row, or
+    ("in row", 0) inside a group that crosses; its last n % 8 values, one by
+    one, a ("tail", crosses a row end).  Otherwise a leaf is ("in-row", n) or
+    ("row-crossing", n).
+    """
+    pieces = []
+    for start, n in leaves(0, rows * cols):
+        if not width <= cols < BLOCK:
+            in_row = start // cols == (start + n - 1) // cols
+            pieces.append(("in-row" if in_row else "row-crossing", n))
+            continue
+        grouped = n - n % 8
+        for group in range(start, start + grouped, 8):
+            if group % cols + 8 <= cols:
+                pieces.append(("whole", 0))
+                continue
+            for at in range(group, group + 8, width):
+                m = cols - at % cols
+                pieces.append(("crossing", m) if m < width else ("in row", 0))
+        if n % 8:
+            tail = start + grouped
+            pieces.append(("tail", tail // cols != (start + n - 1) // cols))
+    return pieces
+
+
+# Rows of 2 to 9 values, on each side of every W, and of 127 and 128 values,
+# on each side of BLOCK; then every (rows, cols) of 256, 257, 512 and 513
+# values, the pairwise order's seams, with rows of 2 to 127 values or of
+# other lengths.
+FLAT_SHAPES = sorted({
+    *((rows, cols) for cols in range(2, 10) for rows in (2, 3, 13)),
+    (2, 127), (3, 127), (9, 127), (2, 128), (3, 128),
+    *((size // cols, cols) for size in (256, 257, 512, 513) for cols in range(1, size + 1)
+      if size % cols == 0),
+})
+
+
+def test_flat_shapes_reach_every_register():
+    for width in WIDTHS:
+        kinds = {piece for rows, cols in FLAT_SHAPES for piece in registers(rows, cols, width)}
+        assert {m for kind, m in kinds if kind == "crossing"} == set(range(1, width)), width
+        assert {("whole", 0), ("tail", False)} <= kinds, width
+        # Only the last leaf has a tail, which ends the field, so a tail
+        # crosses a row end only on rows shorter than 8 values.
+        if width < 8:
+            assert {("in row", 0), ("tail", True)} <= kinds, width
+        # today's leaves, on rows shorter than W or of BLOCK values and more
+        assert {"in-row", "row-crossing"} <= {kind for kind, _ in kinds}, width
+    # each side of every W and of BLOCK
+    assert {*range(1, 10), BLOCK - 1, BLOCK} <= {cols for _, cols in FLAT_SHAPES}
+
+
+@pytest.mark.parametrize("rows, cols", FLAT_SHAPES)
+def test_flat_leaves_are_numpys(kernels, rows, cols):
+    # A field padded with nans, as a register that crosses a row end loads
+    # past it and masks those lanes out, on every variant.
+    rng = np.random.default_rng(rows * 1000 + cols)
+    padded = np.full((rows + 2, cols + 9), np.nan)
+    u = padded[1 : rows + 1, 8 : cols + 8]
+    u[...] = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-5, 5, (rows, cols))
     a, b = rng.standard_normal(rows), rng.standard_normal(cols)
     u[rng.random(u.shape) < 0.1] = -0.0
     for c in (1.0, -0.75):
