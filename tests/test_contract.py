@@ -37,7 +37,8 @@ that it must refuse (unknown schemes, nan and infinite or negative reals,
 non-integer and negative counts, unwritable output paths) and required
 options left out.  Every argv ends with exit code 0 or one of
 ``cli._EXIT_CODES``, writes one ``error:`` line exactly when it fails and
-no traceback, and warns of nothing but the stable range.
+no traceback, and warns of nothing but the stable range; an allocation
+that fails ends in exit code 2 as well.
 
 Grids stay at most 7 x 7 and runs at most 4 steps, and on the command line
 at most 16 x 16 and 8 steps, so the module takes a few seconds.
@@ -53,6 +54,7 @@ import warnings
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -468,3 +470,16 @@ def test_every_command_line_ends_in_a_documented_code(argv_dir, data):
     assert "Traceback" not in out.getvalue() + err.getvalue(), argv
     for warning in caught:
         assert "outside the stable range" in str(warning.message), (argv, warning)
+
+
+def test_a_failed_allocation_ends_in_exit_code_2(capsys):
+    # A grid too large to allocate is refused like any other input, shown
+    # with an allocator that fails rather than a huge request.
+    def refuse(*args, **kwargs):
+        raise MemoryError("cannot allocate the fields")
+
+    with mock.patch.object(np, "zeros", refuse), mock.patch.object(np, "empty", refuse):
+        code = cli.main(["simulate", "--scheme", "P5", "--n", "8", "--nt", "2", "--lambda", "0.5"])
+    assert code == cli.EXIT_INVALID_ARGUMENT
+    out, err = capsys.readouterr()
+    assert err == "error: cannot allocate the fields\n" and not out
