@@ -374,10 +374,11 @@ class _Stepper:
 
     The constructor gives the fields ``prev``, ``curr`` (zero if not given)
     and ``v``, the first step's velocity, each a buffer of its own.  A field
-    given as a pair (p, q) of n + 1 float values each is p[:, None] *
-    q[None, :]: the numpy path forms it in ``buffer``, and on the compiled
-    path the constructor only allocates its buffer and step 0 of the march
-    forms it, from the pair that the stepper holds.  With
+    given as a pair (p, q) of n + 1 float64 values each, C-contiguous and
+    writable as ``_sample`` gives them, is p[:, None] * q[None, :]: the
+    numpy path forms it in ``buffer``, and on the compiled path the
+    constructor only allocates its buffer and step 0 of the march forms it,
+    from the pair that the stepper holds.  With
     ``reference``, the (a, b, c) vectors of a reference sampled for steps
     1..n_t (see ``_sample``), it allocates ``sums``, row k - 1 for step k's
     error sums; it only reads the vectors.  No array crosses
