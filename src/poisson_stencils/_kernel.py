@@ -42,9 +42,9 @@ whether it swapped its field buffers.  Step 0 first forms each initial
 field given as a pair of vectors (p, q), p[i] * q[j] with the bits of
 numpy's p[:, None] * q[None, :], in the buffer that ``_Stepper`` only
 allocated, then fills the ghosts that it reads, which ``_Stepper.buffer``
-leaves zero.  It reads what ``plan()``
-packs: the buffer geometry, the three tables' linear offsets and
-coefficients, and the ghost lines (layout in the source).  Its ghost fill
+leaves zero.  It reads what ``plan()`` packs: the buffer geometry, the
+three tables' linear offsets and coefficients, and the ghost lines (layout
+in the source).  Its ghost fill
 writes what ``_Stepper._fill_ghosts`` does, rows then columns, by copies,
 negations and +0.0 alone, so it cannot change a bit.  The one call holds no state of
 its own and releases the GIL, so runs in several threads overlap.
@@ -63,10 +63,10 @@ every run forms its squares in those registers W flat values at a time: a
 register that crosses a row end merges the lanes of two loads, one from
 each row, by a bit mask, and takes its column sines from a table of W - 1
 registers made once per call, so no value is staged and no lane outside
-the field enters the arithmetic.  On other rows, a run that lies in one
-row forms its squares in registers and one that crosses a row end stages
-them first; there, runs that cross a row end are few, and the flat
-registers measured slower.  That order is numpy's, not a documented
+the field enters the arithmetic.  On rows of 128 values or more, where
+the flat registers measured slower, and on rows shorter than W, a run
+that lies in one row forms its squares in registers and one that crosses
+a row end stages them first.  That order is numpy's, not a documented
 contract: ``tests/test_error_sums.py`` checks each variant's sums against
 numpy's own bit for bit, at the order's seams too, and
 ``tests/test_stencil_kernel.py`` checks that every variant and the numpy
